@@ -42,8 +42,9 @@ from .optimality import (
     PerturbationSpec,
     default_test_functions,
     nu_increments,
-    perturbed_policy,
     quarter_windows,
+    sweep_coefficients,
+    sweep_table,
 )
 from .paths import (
     CHUNK,
@@ -230,17 +231,16 @@ def _validate_kind_fields(cfg: dict, params: ModelParams) -> None:
             raise InvalidConfigError("'expected_argmin' must be on 'y_grid'")
         _policy_from_config(cfg["policy"], params)
     elif kind == "martingale":
-        if cfg["windows"] is not None:
-            grid = params.grid(cfg["n_steps"])
-            for w in cfg["windows"]:
-                if not (isinstance(w, list) and len(w) == 2):
-                    raise InvalidConfigError("'windows' entries must be [lo, hi]")
-                try:
-                    PerturbationSpec(tuple(w)).window_indices(
-                        grid, params.t0, params.T
-                    )
-                except ValueError as e:
-                    raise InvalidConfigError(f"'windows': {e}") from e
+        if cfg["windows"] is None:
+            cfg["windows"] = [list(w) for w in quarter_windows(params.T, params.t0)]
+        grid = params.grid(cfg["n_steps"])
+        for w in cfg["windows"]:
+            if not (isinstance(w, list) and len(w) == 2):
+                raise InvalidConfigError("'windows' entries must be [lo, hi]")
+            try:
+                PerturbationSpec(tuple(w)).window_indices(grid, params.t0, params.T)
+            except ValueError as e:
+                raise InvalidConfigError(f"'windows': {e}") from e
         if not (isinstance(cfg["threshold"], (int, float)) and cfg["threshold"] > 0):
             raise InvalidConfigError("'threshold' must be positive")
         _policy_from_config(cfg["policy"], params)
@@ -460,36 +460,11 @@ def _w_perturb(blob, c, rows):
     params = params_from_config(cfg)
     setup = make_wealth_setup(params, cfg["n_steps"])
     base = _policy_from_config(blob["policy"], params)
-    spec = PerturbationSpec(
-        tuple(cfg["window"]), theta0=float(cfg["theta0"]),
-        y_grid=tuple(cfg["y_grid"]),
-    )
-    ilo, ihi = spec.window_indices(setup.grid, params.t0, params.T)
+    spec = PerturbationSpec(tuple(cfg["window"]), theta0=float(cfg["theta0"]))
+    window = spec.window_indices(setup.grid, params.t0, params.T)
     dB = increment_chunk(setup.grid, cfg["seed"], c, rows)
-    costs = []
-    deriv = None
-    n_bad = 0
-    for y in spec.y_grid:
-        pol = perturbed_policy(base, spec, float(y), params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ctx, u, X, diverged = wealth_paths_chunk(setup, dB, pol)
-            run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
-            vals = run - setup.b_weight * X[:, -1]
-            bad = diverged | ~np.isfinite(vals)
-        n_bad += int(bad.sum())
-        costs.append(vals[~bad])
-        if y == 0.0:
-            th = spec.theta_values(ctx, ilo)
-            u_w = u[:, ilo - ctx.i0 : ihi - ctx.i0]
-            running = 2.0 * setup.a * (u_w * th[:, None]).sum(axis=1) * setup.grid.dt
-            t = setup.grid.times[ilo:ihi]
-            disc = np.exp(setup.r * (params.T - t))
-            kick = (
-                setup.excess * setup.grid.dt
-                + setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi]
-            ) @ disc
-            deriv = (running - setup.b_weight * th * kick)[~bad]
-    return costs, deriv, n_bad
+    coefs, bad = sweep_coefficients(setup, dB, base, spec, window)
+    return coefs[:, ~bad], int(bad.sum())
 
 
 _WORKERS = {
@@ -605,9 +580,8 @@ def _run_hjb_residual(cfg, workers):
     grid = params.grid(cfg["n_steps"])
     rng = np.random.default_rng(cfg["seed"])
     fields = []
-    for j in range(cfg["n_fields"]):
-        B = sample_brownian(grid, cfg["seed"] * 1000 + j)
-        f = InfoDriftField(params.m, B, horizon=params.T)
+    for ss in np.random.SeedSequence(cfg["seed"]).spawn(cfg["n_fields"]):
+        f = InfoDriftField(params.m, sample_brownian(grid, ss), horizon=params.T)
         fields.append((f, Example1ValueField(params, f)))
     header = ["probe", "path", "node", "t", "x", "alpha", "u_min", "u_star",
               "residual"]
@@ -718,22 +692,14 @@ def _run_example(cfg, workers, example: int):
 def _run_perturbation(cfg, workers):
     blob = {"cfg": cfg, "policy": cfg["policy"]}
     parts = _run_chunks("perturb", blob, cfg["n_paths"], workers)
-    y_grid = list(cfg["y_grid"])
-    n_div = sum(p[2] for p in parts)
-    if n_div > MAX_DIVERGED_FRACTION * cfg["n_paths"] * len(y_grid):
-        raise DivergenceError(n_div, cfg["n_paths"] * len(y_grid))
-    table = []
-    for j, y in enumerate(y_grid):
-        est = EstimateWithError.from_samples(
-            np.concatenate([p[0][j] for p in parts]), cfg["seed"]
-        )
-        table.append({"y": float(y), "mean": est.mean,
-                      "std_error": est.std_error})
-    deriv = EstimateWithError.from_samples(
-        np.concatenate([p[1] for p in parts]), cfg["seed"]
-    )
-    order = sorted(table, key=lambda r: (r["mean"], abs(r["y"])))
-    argmin = order[0]["y"]
+    y_grid = [float(y) for y in cfg["y_grid"]]
+    n_div = sum(p[1] for p in parts)
+    if n_div > MAX_DIVERGED_FRACTION * cfg["n_paths"]:
+        raise DivergenceError(n_div, cfg["n_paths"])
+    coefs = np.concatenate([p[0] for p in parts], axis=1)
+    sweep = sweep_table(coefs, y_grid, cfg["seed"])
+    table, argmin = sweep["rows"], sweep["argmin_y"]
+    deriv = EstimateWithError.from_samples(coefs[1], cfg["seed"])
     by_y = {r["y"]: r for r in table}
     results = {
         "rows": table,
@@ -774,12 +740,9 @@ def _run_perturbation(cfg, workers):
 def _run_martingale(cfg, workers):
     params = params_from_config(cfg)
     setup_grid = params.grid(cfg["n_steps"])
-    windows = cfg["windows"]
-    if windows is None:
-        windows = [list(w) for w in quarter_windows(params.T)]
     bounds = [
         PerturbationSpec(tuple(w)).window_indices(setup_grid, params.t0, params.T)
-        for w in windows
+        for w in cfg["windows"]
     ]
     blob = {"cfg": cfg, "policy": cfg["policy"], "bounds": bounds}
     parts = _run_chunks("martingale", blob, cfg["n_paths"], workers)
@@ -793,7 +756,7 @@ def _run_martingale(cfg, workers):
     rows = []
     cells = []
     k = 0
-    for w in windows:
+    for w in cfg["windows"]:
         for fname in fn_names:
             samples = np.concatenate([p[0][k] for p in parts])
             est = EstimateWithError.from_samples(samples, cfg["seed"])

@@ -4,11 +4,12 @@ Four instruments, all statistical, all seeded:
 
 * ``cost_mc`` estimates J(u) = E[ int a u^2 ds - b e^{-int r} X_T ] by
   chunked simulation of the wealth dynamics.
-* ``directional_derivative`` estimates the Gateaux derivative of
-  F(y) = J(u + y theta) for a step perturbation theta = theta0 on a window,
-  using the closed-form terminal kick rather than finite differences.
-* ``perturbation_sweep`` maps out F on an amplitude grid with common random
-  numbers; at an optimum the argmin sits at y = 0.
+* ``perturbation_sweep`` maps out F(y) = J(u + y theta) for a step
+  perturbation theta = theta0 on a window; at an optimum the argmin sits at
+  y = 0.  Each path's discrete cost is exactly c0 + c1 y + c2 y^2, read off
+  one kernel pass with the base policy (``sweep_coefficients``).
+* ``directional_derivative`` is F'(y) = c1 + 2 y c2, the exact derivative
+  of the discrete cost.
 * ``martingale_diagnostic`` tests E[phi * (N_u(t+h) - N_u(t))] = 0 for a
   dictionary of bounded information functions phi, where
 
@@ -50,6 +51,7 @@ __all__ = [
     "directional_derivative",
     "perturbation_sweep",
     "perturbed_policy",
+    "sweep_coefficients",
     "martingale_diagnostic",
     "default_test_functions",
     "quarter_windows",
@@ -110,32 +112,24 @@ def pooled_se(e1: EstimateWithError, e2: EstimateWithError) -> float:
 
 
 def _collect_samples(
-    setup: WealthSetup,
-    policy: ControlPolicy,
+    grid: TimeGrid,
     n_paths: int,
     seed: int,
-    per_chunk: Callable[[ChunkContext, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    reduce_chunk: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, int]:
-    """Run the wealth kernel chunk by chunk, mapping each chunk to per-path
-    scalars; diverged rows are excluded but counted."""
+    """Map each increment chunk to per-path values (the last axis) and a mask
+    of diverged rows; diverged rows are excluded but counted."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     out: list[np.ndarray] = []
     n_diverged = 0
-    for _, dB in iter_increment_chunks(setup.grid, seed, n_paths):
-        # overflow is handled by detection below, not by warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
-            vals = per_chunk(ctx, u, X, dB)
-        # a non-finite sample with finite state is still a numerical blow-up
-        bad = diverged | ~np.isfinite(vals)
-        if bad.any():
-            n_diverged += int(bad.sum())
-            vals = vals[~bad]
-        out.append(vals)
+    for _, dB in iter_increment_chunks(grid, seed, n_paths):
+        vals, bad = reduce_chunk(dB)
+        n_diverged += int(bad.sum())
+        out.append(vals[..., ~bad])
     if n_diverged > MAX_DIVERGED_FRACTION * n_paths:
         raise DivergenceError(n_diverged, n_paths)
-    return np.concatenate(out), n_diverged
+    return np.concatenate(out, axis=-1), n_diverged
 
 
 def cost_mc(
@@ -164,19 +158,24 @@ def cost_mc(
     t_nodes = setup.grid.times[setup.i0 : setup.i_last + 1]
     disc = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
 
-    def per_chunk(ctx, u, X, dB):
-        if running_cost is None:
-            integrand = setup.a * u * u
-        else:
-            integrand = running_cost(t_nodes[None, :], X, u)
-        run = np.trapezoid(integrand, dx=dt, axis=1)
-        if terminal_cost is None:
-            term = -setup.b_weight * disc * X[:, -1]
-        else:
-            term = terminal_cost(X[:, -1])
-        return run + term
+    def reduce_chunk(dB):
+        # overflow is handled by detection below, not by warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
+            if running_cost is None:
+                integrand = setup.a * u * u
+            else:
+                integrand = running_cost(t_nodes[None, :], X, u)
+            run = np.trapezoid(integrand, dx=dt, axis=1)
+            if terminal_cost is None:
+                term = -setup.b_weight * disc * X[:, -1]
+            else:
+                term = terminal_cost(X[:, -1])
+            vals = run + term
+        # a non-finite sample with finite state is still a numerical blow-up
+        return vals, diverged | ~np.isfinite(vals)
 
-    samples, n_div = _collect_samples(setup, policy, n_paths, seed, per_chunk)
+    samples, n_div = _collect_samples(setup.grid, n_paths, seed, reduce_chunk)
     return EstimateWithError.from_samples(samples, seed, n_diverged=n_div)
 
 
@@ -265,13 +264,58 @@ def perturbed_policy(
     )
 
 
-def _terminal_kick(setup: WealthSetup, dB: np.ndarray, ilo: int, ihi: int,
-                  T: float) -> np.ndarray:
-    """Closed-form X_T(theta0=1; 0) per path for the window step control."""
-    t = setup.grid.times[ilo:ihi]
-    disc = np.exp(setup.r * (T - t))
-    kick = setup.excess * setup.grid.dt + setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi]
-    return kick @ disc
+def sweep_coefficients(
+    setup: WealthSetup,
+    dB: np.ndarray,
+    policy: ControlPolicy,
+    spec: PerturbationSpec,
+    window: tuple[int, int],
+    disc_T: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path coefficients of the discrete cost F(y) = c0 + c1 y + c2 y^2.
+
+    F(y) is the cost of ``perturbed_policy(policy, spec, y)``: trapezoid
+    quadrature of a u^2 minus b disc_T X_T.  A state-free policy makes the
+    Euler recursion of X linear in u, so one kernel pass with the base
+    policy gives c0 = F(0), c1 = theta (2 a sum_win w_k u_k - b disc_T K)
+    and c2 = a theta^2 sum_win w_k, with w the trapezoid weights (dt/2 at
+    t0) and K = sum_win (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)
+    over the window nodes k in [ilo, ihi).  Returns the (3, rows) array of
+    (c0, c1, c2) and the mask of rows that diverge, at every y alike.
+    """
+    if policy.matrix_rule is None:
+        raise ValueError("perturbation requires a state-free base policy")
+    ilo, ihi = window
+    dt = setup.grid.dt
+    w = np.full(ihi - ilo, dt)
+    if ilo == setup.i0:
+        w[0] = 0.5 * dt
+    growth = (1.0 + setup.r * dt) ** (setup.i_last - 1 - np.arange(ilo, ihi))
+    # overflow is handled by detection below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
+        c0 = np.trapezoid(setup.a * u * u, dx=dt, axis=1)
+        c0 -= setup.b_weight * disc_T * X[:, -1]
+        th = spec.theta_values(ctx, ilo)
+        gain = setup.excess * dt + setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi]
+        kick = gain @ growth
+        u_w = u[:, ilo - setup.i0 : ihi - setup.i0]
+        c1 = th * (2.0 * setup.a * (u_w @ w) - setup.b_weight * disc_T * kick)
+        c2 = setup.a * w.sum() * th * th
+        bad = diverged | ~np.isfinite(c0) | ~np.isfinite(c1)
+    return np.stack([c0, c1, c2]), bad
+
+
+def _sweep_samples(policy, params, spec, n_paths, seed, n_steps, informed,
+                   discount_terminal) -> tuple[np.ndarray, int]:
+    """(3, paths) array of the finite rows' (c0, c1, c2), and the diverged count."""
+    setup = make_wealth_setup(params, n_steps, informed=informed)
+    window = spec.window_indices(setup.grid, params.t0, params.T)
+    disc_T = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
+    return _collect_samples(
+        setup.grid, n_paths, seed,
+        lambda dB: sweep_coefficients(setup, dB, policy, spec, window, disc_T),
+    )
 
 
 def directional_derivative(
@@ -287,33 +331,32 @@ def directional_derivative(
 ) -> EstimateWithError:
     """Estimate F'(y) for F(y) = J(u + y theta) at amplitude y.
 
-    Uses the closed-form derivative
-        F'(y) = E[ int_w 2 a (u + y theta) theta0 ds ]
-              - b E[ e^{-b_T} X_T(theta; 0) ],
-    with the terminal kick evaluated in closed form, not by differencing
-    two cost estimates.  The policy is read as an open-loop process along
-    the perturbed trajectory (exact for state-free policies, which is what
-    the laboratory ships).
+    Per path this is c1 + 2 y c2 from ``sweep_coefficients``: the exact
+    derivative of the discrete cost (trapezoid quadrature, Euler growth
+    1 + r dt), taken from one kernel pass, not by differencing two cost
+    estimates.  The policy must be state-free, which is what the
+    laboratory ships.
     """
     if not (min(spec.y_grid) <= y <= max(spec.y_grid)):
         raise ValueError(f"amplitude y={y} outside spec.y_grid")
-    setup = make_wealth_setup(params, n_steps, informed=informed)
-    ilo, ihi = spec.window_indices(setup.grid, params.t0, params.T)
-    dt = setup.grid.dt
-    disc_T = (
-        math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
+    (_, c1, c2), n_div = _sweep_samples(
+        policy, params, spec, n_paths, seed, n_steps, informed, discount_terminal
     )
-    pert = perturbed_policy(policy, spec, y, params)
+    return EstimateWithError.from_samples(c1 + 2.0 * y * c2, seed, n_diverged=n_div)
 
-    def per_chunk(ctx, u, X, dB):
-        th = spec.theta_values(ctx, ilo)
-        u_w = u[:, ilo - ctx.i0 : ihi - ctx.i0]
-        running = 2.0 * setup.a * (u_w * th[:, None]).sum(axis=1) * dt
-        kick = _terminal_kick(setup, dB, ilo, ihi, params.T)
-        return running - setup.b_weight * disc_T * th * kick
 
-    samples, n_div = _collect_samples(setup, pert, n_paths, seed, per_chunk)
-    return EstimateWithError.from_samples(samples, seed, n_diverged=n_div)
+def sweep_table(coefs: np.ndarray, y_grid: Sequence[float], seed: int) -> dict:
+    """Rows of F(y) = c0 + c1 y + c2 y^2 over the grid, and the argmin.
+
+    Ties in the argmin resolve toward the smallest |y|.
+    """
+    c0, c1, c2 = coefs
+    rows = []
+    for y in y_grid:
+        est = EstimateWithError.from_samples(c0 + y * (c1 + y * c2), seed)
+        rows.append({"y": y, "mean": est.mean, "std_error": est.std_error})
+    order = sorted(rows, key=lambda r: (r["mean"], abs(r["y"])))
+    return {"rows": rows, "argmin_y": order[0]["y"]}
 
 
 def perturbation_sweep(
@@ -328,27 +371,17 @@ def perturbation_sweep(
 ) -> dict:
     """F(y) over the amplitude grid with common random numbers.
 
-    Every y reuses the identical increment streams (same seed), so the
-    table is a deterministic function of (policy, spec, seed) and the
-    comparison across y is variance-reduced.  Ties in the argmin resolve
-    toward the smallest |y|.
+    Each path's discrete cost is the exact quadratic c0 + c1 y + c2 y^2 of
+    ``sweep_coefficients``, so the whole grid comes from one kernel pass
+    with the base policy; every y sees the identical increment streams,
+    and the comparison across y is variance-reduced.
     """
     if 0.0 not in spec.y_grid:
         raise ValueError("amplitude grid must contain 0")
-    rows = []
-    for y in spec.y_grid:
-        est = cost_mc(
-            perturbed_policy(policy, spec, y, params),
-            params,
-            n_paths,
-            seed,
-            n_steps,
-            informed=informed,
-            discount_terminal=discount_terminal,
-        )
-        rows.append({"y": y, "mean": est.mean, "std_error": est.std_error})
-    order = sorted(rows, key=lambda r: (r["mean"], abs(r["y"])))
-    return {"rows": rows, "argmin_y": order[0]["y"]}
+    coefs, _ = _sweep_samples(
+        policy, params, spec, n_paths, seed, n_steps, informed, discount_terminal
+    )
+    return sweep_table(coefs, spec.y_grid, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +399,11 @@ def default_test_functions(bound: float = 10.0) -> list[tuple[str, Callable]]:
     ]
 
 
-def quarter_windows(T: float) -> list[tuple[float, float]]:
-    return [(T / 8, T / 4), (T / 4, T / 2), (T / 2, 3 * T / 4), (3 * T / 4, T)]
+def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
+    """Four windows tiling [t0, T] from t0 + (T - t0)/8: one eighth, then quarters."""
+    s = T - t0
+    return [(t0 + s / 8, t0 + s / 4), (t0 + s / 4, t0 + s / 2),
+            (t0 + s / 2, t0 + 3 * s / 4), (t0 + 3 * s / 4, T)]
 
 
 def nu_increments(
@@ -415,7 +451,7 @@ def martingale_diagnostic(
     information, so every phi in the dictionary is uncorrelated with them.
     """
     if windows is None:
-        windows = quarter_windows(params.T)
+        windows = quarter_windows(params.T, params.t0)
     if test_fns is None:
         test_fns = default_test_functions()
     if len(list(test_fns)) == 0:

@@ -97,7 +97,7 @@ class BrownianPath:
 
     grid: TimeGrid
     values: np.ndarray
-    seed: int | None = None
+    seed: int | np.random.SeedSequence | None = None
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.grid.n_nodes,):
@@ -167,13 +167,13 @@ def make_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
     return TimeGrid(float(t_start), float(t_end), int(n_steps))
 
 
-def sample_brownian(grid: TimeGrid, seed: int) -> BrownianPath:
+def sample_brownian(grid: TimeGrid, seed: int | np.random.SeedSequence) -> BrownianPath:
     """Draw one Brownian trajectory on ``grid``, started at 0.
 
     Increments are iid Normal(0, dt) from ``numpy``'s PCG64 stream keyed by
-    ``seed`` alone, so the call is reproducible and order-independent.
+    ``seed`` (an int or a SeedSequence) alone: reproducible, order-independent.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     db = rng.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
     values = np.empty(grid.n_nodes)
     values[0] = 0.0

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from insiderlab import experiments
 from insiderlab.cli import main
+from insiderlab.paths import sample_brownian
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -92,6 +95,47 @@ def test_failed_check_exits_1(tmp_path, capsys):
     })
     assert main(["run", cfg, "--workers", "1"]) == 1
     assert "[FAIL] all_cells_pass" in capsys.readouterr().out
+
+
+def test_martingale_after_t0_runs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "late.json", {
+        "experiment": "martingale", "params": {"t0": 0.5},
+        "n_paths": 2000, "n_steps": 512, "seed": 8,
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) in (0, 1)
+    summary = json.loads((tmp_path / "out" / "martingale.json").read_text())
+    assert summary["results"]["n_cells"] == 16
+    assert min(w[0] for w in summary["config"]["windows"]) > 0.5
+
+
+def test_off_grid_default_windows_are_invalid_config(tmp_path, capsys):
+    # dt = 0.02 puts the first default window edge T/8 between nodes
+    cfg = write_cfg(tmp_path, "coarse.json", {
+        "experiment": "martingale", "n_steps": 100,
+    })
+    assert main(["run", cfg]) == 2
+    assert "windows" in capsys.readouterr().err
+
+
+def test_hjb_field_streams_distinct_across_seeds(tmp_path, monkeypatch):
+    drawn = []
+
+    def spy(grid, seed):
+        path = sample_brownian(grid, seed)
+        drawn.append(path.values)
+        return path
+
+    monkeypatch.setattr(experiments, "sample_brownian", spy)
+    for seed, n_fields in ((0, 1001), (1, 1)):
+        cfg = experiments.resolve_config({
+            "experiment": "hjb-residual", "seed": seed, "n_fields": n_fields,
+            "n_probes": 1, "n_steps": 16, "out": str(tmp_path / str(seed)),
+        })
+        experiments.run_experiment(cfg)
+    assert len(drawn) == 1002
+    # field 1000 of seed 0 and field 0 of seed 1 used to share seed 1000
+    assert not np.array_equal(drawn[1000], drawn[1001])
 
 
 @pytest.fixture

@@ -36,8 +36,15 @@ from insiderlab.optimality import (
     pooled_se,
     quarter_windows,
     semimartingale_recovery,
+    sweep_coefficients,
 )
-from insiderlab.paths import constant_weight, make_grid, sample_brownian
+from insiderlab.paths import (
+    constant_weight,
+    increment_chunk,
+    iter_increment_chunks,
+    make_grid,
+    sample_brownian,
+)
 
 EX1_TARGET = -math.log(2.0) / 4.0
 ONE = constant_weight(1.0)
@@ -173,6 +180,114 @@ class TestDirectionalDerivative:
             PerturbationSpec((0.5, 0.5))
 
 
+def direct_costs(setup, dB, policy, spec, y, params, disc_T=1.0):
+    """Oracle: per-path cost of the perturbed policy from its own kernel pass."""
+    pert = perturbed_policy(policy, spec, y, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, pert)
+        run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
+        vals = run - setup.b_weight * disc_T * X[:, -1]
+    return vals, diverged | ~np.isfinite(vals)
+
+
+def clipped_theta(Bt, L):
+    return 20.0 * L  # clipped to theta_bound = 10 on most rows
+
+
+class TestSweepCoefficients:
+    """The exact quadratic c0 + c1 y + c2 y^2 against the direct per-y kernel.
+
+    Tolerance, fixed: per path, |closed form - oracle| <= 1e-12 times the
+    chunk's largest |oracle cost| at that y (the cost's own scale; costs near
+    zero carry the cancellation error of that scale).
+    """
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize(
+        "r, t0, window, theta0, informed, discount",
+        [
+            (0.0, 0.0, WINDOW, 1.0, True, False),
+            (0.2, 0.0, WINDOW, 1.0, True, False),
+            (0.2, 0.5, (0.5, 0.75), 1.0, True, False),
+            (0.2, 0.0, WINDOW, clipped_theta, True, False),
+            (0.2, 0.0, WINDOW, -0.7, False, False),
+            (0.2, 0.25, (0.25, 1.0), 1.0, True, True),
+        ],
+        ids=["r0", "r0.2", "window-at-t0", "callable-theta", "uninformed",
+             "discounted"],
+    )
+    def test_matches_direct_kernel(self, r, t0, window, theta0, informed,
+                                   discount):
+        params = ModelParams.benchmark(r=r, t0=t0)
+        setup = make_wealth_setup(params, 512, informed=informed)
+        spec = PerturbationSpec(window, theta0=theta0)
+        ilo_ihi = spec.window_indices(setup.grid, params.t0, params.T)
+        disc_T = math.exp(-r * (params.T - t0)) if discount else 1.0
+        dB = increment_chunk(setup.grid, 61, 0, 256)
+        pol = example1_policy(params)
+        (c0, c1, c2), bad = sweep_coefficients(setup, dB, pol, spec, ilo_ihi,
+                                               disc_T)
+        assert not bad.any()
+        for y in spec.y_grid:
+            want, want_bad = direct_costs(setup, dB, pol, spec, y, params, disc_T)
+            assert not want_bad.any()
+            got = c0 + y * (c1 + y * c2)
+            if y == 0.0:
+                assert np.array_equal(got, want)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= self.RTOL * scale
+
+    def test_derivative_is_central_difference_of_discrete_cost(self):
+        # F is quadratic per path, so (F(h) - F(-h)) / 2h is F'(0) exactly
+        params = ModelParams.benchmark(r=0.2)
+        spec = PerturbationSpec(WINDOW)
+        pol = example1_policy(params)
+        h = 0.1
+        plus = cost_mc(perturbed_policy(pol, spec, h, params), params, 512,
+                       seed=63, n_steps=512)
+        minus = cost_mc(perturbed_policy(pol, spec, -h, params), params, 512,
+                        seed=63, n_steps=512)
+        deriv = directional_derivative(pol, params, spec, 0.0, 512, seed=63,
+                                       n_steps=512)
+        fd = (plus.mean - minus.mean) / (2 * h)
+        assert abs(deriv.mean - fd) <= 1e-12
+
+    def test_divergent_rows_match_at_every_y(self):
+        params = example2_params()
+        pol = formula_policy(
+            "mostly-flat", lambda t, alpha, L: np.where(L > 4.8, np.inf, 0.5)
+        )
+        spec = PerturbationSpec(WINDOW)
+        setup = make_wealth_setup(params, 512)
+        ilo_ihi = spec.window_indices(setup.grid, params.t0, params.T)
+        n_bad = 0
+        n_oracle = {y: 0 for y in spec.y_grid}
+        for _, dB in iter_increment_chunks(setup.grid, 11, 20_000):
+            _, bad = sweep_coefficients(setup, dB, pol, spec, ilo_ihi)
+            n_bad += int(bad.sum())
+            for y in spec.y_grid:
+                _, want_bad = direct_costs(setup, dB, pol, spec, y, params)
+                assert np.array_equal(bad, want_bad)
+                n_oracle[y] += int(want_bad.sum())
+        assert 0 < n_bad <= 20
+        assert set(n_oracle.values()) == {n_bad}
+        est = directional_derivative(pol, params, spec, 0.0, 20_000, seed=11,
+                                     n_steps=512)
+        assert est.n_diverged == n_bad
+
+    def test_feedback_base_rejected(self):
+        params = ModelParams.benchmark()
+        setup = make_wealth_setup(params, 256)
+        spec = PerturbationSpec(WINDOW)
+        fb = feedback_policy("prop", lambda t, x, a, L: 0.1 * x)
+        dB = increment_chunk(setup.grid, 65, 0, 8)
+        with pytest.raises(ValueError):
+            sweep_coefficients(setup, dB, fb, spec, (64, 128))
+        with pytest.raises(ValueError):
+            perturbation_sweep(fb, params, spec, 64, 65, 256)
+
+
 class TestPerturbationSweep:
     def test_optimum_sits_at_zero(self):
         params = ModelParams.benchmark()
@@ -279,6 +394,17 @@ class TestMartingaleDiagnostic:
         ws = quarter_windows(2.0)
         assert ws[0] == (0.25, 0.5) and ws[-1] == (1.5, 2.0)
         assert all(a < b for a, b in ws)
+        ws = quarter_windows(1.0, t0=0.5)
+        assert ws[0] == (0.5625, 0.625) and ws[-1] == (0.875, 1.0)
+        assert all(a[1] == b[0] for a, b in zip(ws, ws[1:]))
+
+    def test_default_windows_start_after_t0(self):
+        params = ModelParams.benchmark(t0=0.5)
+        cells = martingale_diagnostic(
+            example1_policy(params), params, 2_000, seed=67, n_steps=512
+        )
+        assert len(cells) == 16
+        assert all(c["window"][0] > 0.5 for c in cells)
 
     def test_default_test_functions_are_bounded(self):
         L = np.array([-1e6, 0.0, 1e6])
