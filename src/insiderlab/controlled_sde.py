@@ -21,7 +21,8 @@ wealth dynamics dX = [r X + (rtilde - r) u] dt + sigma(t) u dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -144,25 +145,28 @@ class ControlPolicy:
         return self.matrix_rule is not None
 
 
+def _formula_node(fn, i: int, x: float, info: StepInfo) -> float:
+    return float(fn(info.t, info.alpha, info.L))
+
+
+def _formula_matrix(fn, ctx: ChunkContext) -> np.ndarray:
+    t = ctx.times[ctx.i0 : ctx.i_last + 1][None, :]
+    alpha = ctx.alpha[:, ctx.i0 : ctx.i_last + 1]
+    out = fn(t, alpha, ctx.L[:, None])
+    return np.broadcast_to(out, alpha.shape).astype(float, copy=False)
+
+
 def formula_policy(
     name: str, fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 ) -> ControlPolicy:
     """Policy u = fn(t, alpha, L) with no state dependence.
 
     ``fn`` must broadcast: in the matrix form t is a row of node times,
-    alpha a (rows, nodes) block and L a (rows, 1) column.
+    alpha a (rows, nodes) block and L a (rows, 1) column.  The policy
+    pickles, and so runs in a process pool, whenever ``fn`` does.
     """
-
-    def node_rule(i: int, x: float, info: StepInfo) -> float:
-        return float(fn(info.t, info.alpha, info.L))
-
-    def matrix_rule(ctx: ChunkContext) -> np.ndarray:
-        t = ctx.times[ctx.i0 : ctx.i_last + 1][None, :]
-        alpha = ctx.alpha[:, ctx.i0 : ctx.i_last + 1]
-        out = fn(t, alpha, ctx.L[:, None])
-        return np.broadcast_to(out, alpha.shape).astype(float, copy=False)
-
-    return ControlPolicy(name, node_rule, matrix_rule=matrix_rule)
+    return ControlPolicy(name, partial(_formula_node, fn),
+                         matrix_rule=partial(_formula_matrix, fn))
 
 
 def feedback_policy(
@@ -180,9 +184,13 @@ def feedback_policy(
     return ControlPolicy(name, node_rule, bulk_rule=bulk_rule)
 
 
+def _constant_formula(c: float, t, alpha, L):
+    return c + 0.0 * alpha
+
+
 def constant_policy(c: float, name: str | None = None) -> ControlPolicy:
     c = float(c)
-    return formula_policy(name or f"const({c:g})", lambda t, alpha, L: c + 0.0 * alpha)
+    return formula_policy(name or f"const({c:g})", partial(_constant_formula, c))
 
 
 @dataclass

@@ -17,19 +17,13 @@ T1; at T1 the conditioning denominator vanishes.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
 
-from .paths import (
-    CHUNK,
-    BrownianPath,
-    TimeGrid,
-    WeightFunction,
-    as_weight,
-    iter_increment_chunks,
-)
+from .paths import BrownianPath, TimeGrid, WeightFunction, as_weight, map_chunks
 
 __all__ = [
     "InfoDriftField",
@@ -190,19 +184,36 @@ def expected_squared_drift_integral(
     return integrate.quad(lambda s: drift_second_moment(m, s, t1), 0.0, T)[0]
 
 
+def _decomposition_chunk(m_nodes, q, i_last, dt, dB):
+    """Btilde_T and L per row, and the chunk's worst reconstruction error."""
+    rows = dB.shape[0]
+    B = np.empty((rows, i_last + 1))
+    B[:, 0] = 0.0
+    np.cumsum(dB[:, :i_last], axis=1, out=B[:, 1:])
+    alpha, L = drift_matrix(dB, m_nodes, q, i_last)
+    drift_cum = np.empty_like(B)
+    drift_cum[:, 0] = 0.0
+    np.cumsum(alpha[:, :i_last] * dt, axis=1, out=drift_cum[:, 1:])
+    btilde = B - drift_cum
+    max_recon = float(np.max(np.abs(btilde + drift_cum - B)))
+    # a copy, so the chunk matrices are freed before the batch is combined
+    return btilde[:, -1].copy(), L, max_recon
+
+
 def decomposition_stats(
     m: WeightFunction | Callable[[float], float] | float,
     horizon: float,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
+    pool=None,
 ) -> dict:
     """Batch decomposition diagnostics over ``n_paths`` chunked paths.
 
     Returns terminal-value statistics of Btilde at T, its correlation with
     L, and the worst per-path reconstruction error of B = Btilde + int alpha.
     Chunks are reduced in fixed order, so the result is a pure function of
-    the arguments.
+    the arguments, with or without a process ``pool``.
     """
     m = as_weight(m)
     i_last = grid.index_of(horizon)
@@ -210,24 +221,13 @@ def decomposition_stats(
         raise ValueError("horizon must lie strictly inside the grid")
     m_nodes = m.nodes(grid.times)
     q = tail_square_integral(m_nodes, grid.dt)
-    dt = grid.dt
-
-    terminals = np.empty(n_paths)
-    Ls = np.empty(n_paths)
-    max_recon = 0.0
-    for start, dB in iter_increment_chunks(grid, seed, n_paths):
-        rows = dB.shape[0]
-        B = np.empty((rows, i_last + 1))
-        B[:, 0] = 0.0
-        np.cumsum(dB[:, :i_last], axis=1, out=B[:, 1:])
-        alpha, L = drift_matrix(dB, m_nodes, q, i_last)
-        drift_cum = np.empty_like(B)
-        drift_cum[:, 0] = 0.0
-        np.cumsum(alpha[:, :i_last] * dt, axis=1, out=drift_cum[:, 1:])
-        btilde = B - drift_cum
-        max_recon = max(max_recon, float(np.max(np.abs(btilde + drift_cum - B))))
-        terminals[start : start + rows] = btilde[:, -1]
-        Ls[start : start + rows] = L
+    if not q[i_last] > 0.0:
+        raise ValueError("int_t^{T1} m^2 ds must stay positive for t <= T")
+    parts = map_chunks(partial(_decomposition_chunk, m_nodes, q, i_last, grid.dt),
+                       grid, seed, n_paths, pool)
+    terminals = np.concatenate([p[0] for p in parts])
+    Ls = np.concatenate([p[1] for p in parts])
+    max_recon = max(p[2] for p in parts)
 
     corr = float(np.corrcoef(terminals, Ls)[0, 1])
     return {

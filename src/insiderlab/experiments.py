@@ -5,9 +5,13 @@ fixed columns, floats at 17 significant digits) and one JSON summary that
 embeds the resolved config, a git-style build id, every estimate with its
 standard error, and named pass/fail checks.
 
-Heavy Monte Carlo work is split at chunk granularity across a process pool;
-chunk streams are keyed by (seed, chunk index) alone, so the emitted bytes do
-not depend on the worker count.
+The runners only handle configs, checks and emission: every estimate comes
+from the library function that the config names, and the library runs its
+chunks through one engine, ``paths.map_chunks``.  ``run_experiment`` opens
+one process pool per op when ``workers > 1`` and hands it to every estimate
+of that op.  Chunk streams are keyed by (seed, chunk index) alone and chunk
+results come back in chunk order, so the emitted bytes do not depend on the
+worker count, and the CLI returns the library's numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -17,42 +21,42 @@ import json
 import math
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .controlled_sde import ControlPolicy, constant_policy, wealth_paths_chunk
-from .controlled_sde import make_wealth_setup
-from .enlargement import drift_matrix, tail_square_integral
+from .controlled_sde import ControlPolicy, constant_policy
+from .enlargement import (
+    InfoDriftField,
+    decomposition_stats,
+    drift_matrix,
+    tail_square_integral,
+)
 from .forward_integral import Integrand, forward_estimate, ito_left_sum
 from .hjb import (
     Example1ValueField,
     ModelParams,
     example1_control,
     example1_policy,
+    example1_value,
     example2_control,
     example2_policy,
+    example2_value,
     hjb_pointwise_infimum,
 )
-from .enlargement import InfoDriftField
 from .optimality import (
-    MAX_DIVERGED_FRACTION,
-    DivergenceError,
-    EstimateWithError,
     PerturbationSpec,
-    default_test_functions,
-    nu_increments,
+    cost_mc,
+    martingale_diagnostic,
+    perturbation_sweep,
     quarter_windows,
-    sweep_coefficients,
-    sweep_table,
+    window_indices,
 )
-from .paths import (
-    CHUNK,
-    BrownianPath,
-    increment_chunk,
-    n_chunks,
-    sample_brownian,
-)
+from .paths import Affine, BrownianPath, Constant, Sin, map_chunks, sample_brownian
+# read by perfbench's test_wrappers_are_removed_after_tracing
+from .paths import increment_chunk  # noqa: F401
 
 __all__ = [
     "KINDS",
@@ -159,6 +163,8 @@ def resolve_config(raw: dict) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(_KIND_DEFAULTS[kind])
     cfg["experiment"] = kind
+    if not isinstance(raw.get("params", {}), dict):
+        raise InvalidConfigError("'params' must be a JSON object")
     cfg["params"] = dict(raw.get("params", {}))
     for key in raw:
         if key not in ("experiment", "params"):
@@ -187,15 +193,29 @@ def resolve_config(raw: dict) -> dict:
     # building the model objects is the real validation
     params = params_from_config(cfg)
     try:
-        params.grid(cfg["n_steps"])
+        grid = params.grid(cfg["n_steps"])
     except ValueError as e:
         raise InvalidConfigError(f"'n_steps': {e}") from e
+    q = tail_square_integral(params.m.nodes(grid.times), grid.dt)
+    if not q[grid.index_of(params.T)] > 0.0:
+        raise InvalidConfigError(
+            "'params.m': int_t^T1 m^2 ds must stay positive for t <= T"
+        )
+    if kind in ("example1", "hjb-residual") and params.excess_rate != 0.0:
+        raise InvalidConfigError(
+            f"'params.rtilde' must equal 'params.r' for {kind}: its closed "
+            "form has no excess return"
+        )
 
-    _validate_kind_fields(cfg, params)
+    _validate_kind_fields(cfg, params, grid)
     return cfg
 
 
-def _validate_kind_fields(cfg: dict, params: ModelParams) -> None:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
     kind = cfg["experiment"]
     if kind == "forward-convergence":
         ladder = cfg["eps_ladder"]
@@ -214,31 +234,31 @@ def _validate_kind_fields(cfg: dict, params: ModelParams) -> None:
                 raise InvalidConfigError(f"'{key}' must be a positive integer")
     elif kind == "perturbation":
         window = cfg["window"]
-        if not (isinstance(window, list) and len(window) == 2):
+        if not (isinstance(window, list) and len(window) == 2
+                and all(map(_is_number, window))):
             raise InvalidConfigError("'window' must be [lo, hi]")
-        grid = params.grid(cfg["n_steps"])
         try:
-            spec = PerturbationSpec(
-                tuple(window), theta0=float(cfg["theta0"]),
-                y_grid=tuple(cfg["y_grid"]),
-            )
-            spec.window_indices(grid, params.t0, params.T)
+            window_indices(grid, window, params.t0, params.T)
         except ValueError as e:
             raise InvalidConfigError(f"'window': {e}") from e
-        if 0.0 not in spec.y_grid:
+        if not _is_number(cfg["theta0"]):
+            raise InvalidConfigError("'theta0' must be a number")
+        y_grid = cfg["y_grid"]
+        if not (isinstance(y_grid, list) and all(map(_is_number, y_grid))):
+            raise InvalidConfigError("'y_grid' must be a list of numbers")
+        if 0.0 not in y_grid:
             raise InvalidConfigError("'y_grid' must contain 0")
-        if cfg["expected_argmin"] not in spec.y_grid:
+        if cfg["expected_argmin"] not in y_grid:
             raise InvalidConfigError("'expected_argmin' must be on 'y_grid'")
         _policy_from_config(cfg["policy"], params)
     elif kind == "martingale":
         if cfg["windows"] is None:
             cfg["windows"] = [list(w) for w in quarter_windows(params.T, params.t0)]
-        grid = params.grid(cfg["n_steps"])
         for w in cfg["windows"]:
-            if not (isinstance(w, list) and len(w) == 2):
+            if not (isinstance(w, list) and len(w) == 2 and all(map(_is_number, w))):
                 raise InvalidConfigError("'windows' entries must be [lo, hi]")
             try:
-                PerturbationSpec(tuple(w)).window_indices(grid, params.t0, params.T)
+                window_indices(grid, w, params.t0, params.T)
             except ValueError as e:
                 raise InvalidConfigError(f"'windows': {e}") from e
         if not (isinstance(cfg["threshold"], (int, float)) and cfg["threshold"] > 0):
@@ -247,21 +267,18 @@ def _validate_kind_fields(cfg: dict, params: ModelParams) -> None:
 
 
 def _weight_from_config(spec, field: str):
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return float(spec)
+    if _is_number(spec):
+        return Constant(float(spec))
     if isinstance(spec, dict):
         kind = spec.get("type")
         try:
             if kind == "constant":
-                return float(spec["value"])
+                return Constant(float(spec["value"]))
             if kind == "affine":
-                c0, c1 = float(spec["intercept"]), float(spec["slope"])
-                return lambda s: c0 + c1 * s
+                return Affine(float(spec["intercept"]), float(spec["slope"]))
             if kind == "sin":
-                base = float(spec["base"])
-                amp = float(spec["amplitude"])
-                freq = float(spec.get("frequency", 1.0))
-                return lambda s: base + amp * np.sin(freq * s)
+                return Sin(float(spec["base"]), float(spec["amplitude"]),
+                           float(spec.get("frequency", 1.0)))
         except KeyError as e:
             raise InvalidConfigError(f"'{field}': missing key {e}") from e
     raise InvalidConfigError(
@@ -315,10 +332,9 @@ def _policy_from_config(spec, params: ModelParams) -> ControlPolicy:
     if kind == "zero":
         return constant_policy(0.0)
     if kind == "constant":
-        try:
-            return constant_policy(float(spec["value"]))
-        except KeyError as e:
-            raise InvalidConfigError("'policy': constant needs 'value'") from e
+        if not _is_number(spec.get("value")):
+            raise InvalidConfigError("'policy': constant needs a numeric 'value'")
+        return constant_policy(float(spec["value"]))
     raise InvalidConfigError(
         f"'policy': unknown kind {kind!r} "
         "(expected example1, example2, zero, or constant)"
@@ -326,201 +342,24 @@ def _policy_from_config(spec, params: ModelParams) -> ControlPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Chunk workers (top-level: they must cross process boundaries)
+# Per-kind runners: config handling, checks and emission
 # ---------------------------------------------------------------------------
-
-def _chunk_plan(n_paths: int) -> list[tuple[int, int]]:
-    return [
-        (c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))
-    ]
-
-
-def _chunk_call(task):
-    name, blob, c, rows = task
-    return _WORKERS[name](blob, c, rows)
-
-
-def _run_chunks(name: str, blob: dict, n_paths: int, workers: int) -> list:
-    """Map a chunk worker over the batch, preserving chunk order.
-
-    Results are reassembled in chunk order regardless of which process
-    produced them, so worker count never changes a single output byte.
-    """
-    tasks = [(name, blob, c, rows) for c, rows in _chunk_plan(n_paths)]
-    if workers <= 1 or len(tasks) == 1:
-        return [_chunk_call(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_chunk_call, tasks))
-
-
-def _w_decomposition(blob, c, rows):
-    cfg = blob["cfg"]
-    params = params_from_config(cfg)
-    grid = params.grid(cfg["n_steps"])
-    m_nodes = params.m.nodes(grid.times)
-    q = tail_square_integral(m_nodes, grid.dt)
-    i_last = grid.index_of(params.T)
-    dB = increment_chunk(grid, cfg["seed"], c, rows)
-    alpha, L = drift_matrix(dB, m_nodes, q, i_last)
-    B = np.cumsum(dB[:, : i_last + 1], axis=1)
-    B[:, 1:] = B[:, :-1]
-    B[:, 0] = 0.0
-    drift_int = np.cumsum(alpha * grid.dt, axis=1)
-    drift_int[:, 1:] = drift_int[:, :-1]
-    drift_int[:, 0] = 0.0
-    bt = B - drift_int
-    max_err = float(np.max(np.abs(bt + drift_int - B))) if rows else 0.0
-    return bt[:, -1].copy(), L.copy(), max_err
-
-
-def _w_cost(blob, c, rows):
-    cfg = blob["cfg"]
-    params = params_from_config(cfg)
-    setup = make_wealth_setup(params, cfg["n_steps"], informed=blob["informed"])
-    policy = _policy_from_config(blob["policy"], params)
-    dB = increment_chunk(setup.grid, cfg["seed"], c, rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
-        run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
-        vals = run - setup.b_weight * X[:, -1]
-        bad = diverged | ~np.isfinite(vals)
-    return vals[~bad], int(bad.sum())
-
-
-def _w_value_integral(blob, c, rows):
-    cfg = blob["cfg"]
-    params = params_from_config(cfg)
-    grid = params.grid(cfg["n_steps"])
-    m_nodes = params.m.nodes(grid.times)
-    q = tail_square_integral(m_nodes, grid.dt)
-    i_last = grid.index_of(params.T)
-    dB = increment_chunk(grid, cfg["seed"], c, rows)
-    alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
-    times = grid.times[: i_last + 1]
-    if blob["example"] == 1:
-        sig = params.sigma_fn.nodes(times)
-        w = np.exp(-2.0 * params.r * (times - params.T)) * sig * sig
-        block = (params.b**2 / (4.0 * params.a)) * w * alpha * alpha
-    else:
-        block = (params.b**2 / (4.0 * params.a)) * (alpha + 1.0) ** 2
-    return np.trapezoid(block, dx=grid.dt, axis=1)
-
-
-def _w_forward(blob, c, rows):
-    cfg = blob["cfg"]
-    params = params_from_config(cfg)
-    grid = params.grid(cfg["n_steps"])
-    dt = grid.dt
-    i_last = grid.index_of(params.T)
-    m_nodes = params.m.nodes(grid.times)
-    q = tail_square_integral(m_nodes, grid.dt)
-    dB = increment_chunk(grid, cfg["seed"], c, rows)
-    alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
-    ladder = blob["ladder"]
-    devs = np.empty((rows, len(ladder)))
-    exact = {"one": True, "brownian": True, "drift": True}
-    for i in range(rows):
-        values = np.concatenate([[0.0], np.cumsum(dB[i])])
-        B = BrownianPath(grid, values, seed=cfg["seed"]).restrict(params.T)
-        target = 0.5 * (B.values[-1] ** 2 - params.T)
-        vB = Integrand(B.grid, B.values)
-        for j, k in enumerate(ladder):
-            devs[i, j] = abs(forward_estimate(vB, B, eps=k * dt) - target)
-        for label, vals in (
-            ("one", np.ones(i_last + 1)),
-            ("brownian", B.values),
-            ("drift", alpha[i]),
-        ):
-            v = Integrand(B.grid, vals, adapted=(label != "drift"))
-            if forward_estimate(v, B, eps=dt) != ito_left_sum(v, B):
-                exact[label] = False
-    return devs, exact
-
-
-def _w_martingale(blob, c, rows):
-    cfg = blob["cfg"]
-    params = params_from_config(cfg)
-    setup = make_wealth_setup(params, cfg["n_steps"])
-    policy = _policy_from_config(blob["policy"], params)
-    dB = increment_chunk(setup.grid, cfg["seed"], c, rows)
-    ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
-    keep = ~diverged
-    fns = default_test_functions()
-    out = []
-    for ilo, ihi in blob["bounds"]:
-        dn = nu_increments(setup, ctx, u, dB, ilo, ihi)
-        for _, fn in fns:
-            phi = fn(ctx.B[:, ilo], ctx.L)
-            out.append((phi * dn)[keep])
-    return out, int(diverged.sum())
-
-
-def _w_perturb(blob, c, rows):
-    cfg = blob["cfg"]
-    params = params_from_config(cfg)
-    setup = make_wealth_setup(params, cfg["n_steps"])
-    base = _policy_from_config(blob["policy"], params)
-    spec = PerturbationSpec(tuple(cfg["window"]), theta0=float(cfg["theta0"]))
-    window = spec.window_indices(setup.grid, params.t0, params.T)
-    dB = increment_chunk(setup.grid, cfg["seed"], c, rows)
-    coefs, bad = sweep_coefficients(setup, dB, base, spec, window)
-    return coefs[:, ~bad], int(bad.sum())
-
-
-_WORKERS = {
-    "decomposition": _w_decomposition,
-    "cost": _w_cost,
-    "value-integral": _w_value_integral,
-    "forward": _w_forward,
-    "martingale": _w_martingale,
-    "perturb": _w_perturb,
-}
-
-
-# ---------------------------------------------------------------------------
-# Per-kind runners
-# ---------------------------------------------------------------------------
-
-def _estimate(parts: list[np.ndarray], seed: int, n_paths: int,
-              n_div: int) -> EstimateWithError:
-    samples = np.concatenate(parts)
-    if n_div > MAX_DIVERGED_FRACTION * n_paths:
-        raise DivergenceError(n_div, n_paths)
-    return EstimateWithError.from_samples(samples, seed, n_diverged=n_div)
-
-
-def _cost_estimate(cfg, policy_spec, workers, informed=True) -> EstimateWithError:
-    blob = {"cfg": cfg, "policy": policy_spec, "informed": informed}
-    parts = _run_chunks("cost", blob, cfg["n_paths"], workers)
-    vals = [p[0] for p in parts]
-    n_div = sum(p[1] for p in parts)
-    return _estimate(vals, cfg["seed"], cfg["n_paths"], n_div)
-
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _run_decomposition(cfg, workers):
+def _run_decomposition(cfg, pool):
     params = params_from_config(cfg)
-    parts = _run_chunks("decomposition", {"cfg": cfg}, cfg["n_paths"], workers)
-    bt = np.concatenate([p[0] for p in parts])
-    L = np.concatenate([p[1] for p in parts])
-    max_err = max(p[2] for p in parts)
-    n = len(bt)
-    var_bt = float(bt.var(ddof=1))
-    corr = float(np.corrcoef(bt, L)[0, 1])
-    corr_se = 1.0 / math.sqrt(n)
-    target = params.T - params.t0
-    results = {
-        "n_paths": n,
-        "var_terminal": var_bt,
-        "mean_terminal": float(bt.mean()),
-        "corr_with_L": corr,
-        "corr_se": corr_se,
-        "max_reconstruction_error": max_err,
-        "var_L": float(L.var(ddof=1)),
-    }
+    results = decomposition_stats(
+        params.m, params.T, params.grid(cfg["n_steps"]), cfg["n_paths"],
+        cfg["seed"], pool=pool,
+    )
+    var_bt, corr = results["var_terminal"], results["corr_with_L"]
+    corr_se = results["corr_se"]
+    max_err = results["max_reconstruction_error"]
+    # Btilde is a Brownian motion on [0, T], whatever t0 is
+    target = params.T
     checks = [
         _check(
             "variance_within_5pct",
@@ -543,17 +382,45 @@ def _run_decomposition(cfg, workers):
     return header, rows, results, checks
 
 
-def _run_forward(cfg, workers):
+def _forward_chunk(grid, T, m_nodes, q, ladder, dB):
+    """Per row: |forward estimate - Ito target| along the ladder, and whether
+    eps = dt reproduces the left-point sum bit for bit for each integrand."""
+    dt = grid.dt
+    i_last = grid.index_of(T)
+    alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
+    devs = np.empty((dB.shape[0], len(ladder)))
+    exact = {"one": True, "brownian": True, "drift": True}
+    for i in range(dB.shape[0]):
+        values = np.concatenate([[0.0], np.cumsum(dB[i])])
+        B = BrownianPath(grid, values).restrict(T)
+        target = 0.5 * (B.values[-1] ** 2 - T)
+        vB = Integrand(B.grid, B.values)
+        for j, k in enumerate(ladder):
+            devs[i, j] = abs(forward_estimate(vB, B, eps=k * dt) - target)
+        for label, vals in (
+            ("one", np.ones(i_last + 1)),
+            ("brownian", B.values),
+            ("drift", alpha[i]),
+        ):
+            v = Integrand(B.grid, vals, adapted=(label != "drift"))
+            if forward_estimate(v, B, eps=dt) != ito_left_sum(v, B):
+                exact[label] = False
+    return devs, exact
+
+
+def _run_forward(cfg, pool):
+    params = params_from_config(cfg)
+    grid = params.grid(cfg["n_steps"])
     ladder = list(cfg["eps_ladder"])
-    blob = {"cfg": cfg, "ladder": ladder}
-    parts = _run_chunks("forward", blob, cfg["n_paths"], workers)
+    m_nodes = params.m.nodes(grid.times)
+    reduce_chunk = partial(_forward_chunk, grid, params.T, m_nodes,
+                           tail_square_integral(m_nodes, grid.dt), ladder)
+    parts = map_chunks(reduce_chunk, grid, cfg["seed"], cfg["n_paths"], pool)
     devs = np.vstack([p[0] for p in parts])
     exact = {k: all(p[1][k] for p in parts) for k in ("one", "brownian", "drift")}
-    params = params_from_config(cfg)
-    dt = params.grid(cfg["n_steps"]).dt
     medians = np.median(devs, axis=0)
     header = ["k", "eps", "median_abs_dev"]
-    rows = [[k, k * dt, float(m)] for k, m in zip(ladder, medians)]
+    rows = [[k, k * grid.dt, float(m)] for k, m in zip(ladder, medians)]
     results = {
         "medians": {str(k): float(m) for k, m in zip(ladder, medians)},
         "bit_exact": exact,
@@ -575,7 +442,7 @@ def _run_forward(cfg, workers):
     return header, rows, results, checks
 
 
-def _run_hjb_residual(cfg, workers):
+def _run_hjb_residual(cfg, pool):
     params = params_from_config(cfg)
     grid = params.grid(cfg["n_steps"])
     rng = np.random.default_rng(cfg["seed"])
@@ -613,25 +480,16 @@ def _run_hjb_residual(cfg, workers):
     return header, rows, results, checks
 
 
-def _run_example(cfg, workers, example: int):
-    policy_spec = "example1" if example == 1 else "example2"
-    cost = _cost_estimate(cfg, policy_spec, workers)
-    parts = _run_chunks(
-        "value-integral", {"cfg": cfg, "example": example}, cfg["n_paths"],
-        workers,
-    )
-    integral = _estimate(parts, cfg["seed"], cfg["n_paths"], 0)
+def _run_example(cfg, pool, example: int):
     params = params_from_config(cfg)
+    n_paths, seed, n_steps = cfg["n_paths"], cfg["seed"], cfg["n_steps"]
     if example == 1:
-        det = params.x0 * params.b * math.exp(-params.r * (params.t0 - params.T))
+        policy, value = example1_policy(params), example1_value
     else:
-        det = params.b * params.x0
-    closed = EstimateWithError(
-        mean=-(det + integral.mean),
-        std_error=integral.std_error,
-        n_samples=integral.n_samples,
-        seed=cfg["seed"],
-    )
+        policy, value = example2_policy(params), example2_value
+    cost = cost_mc(policy, params, n_paths, seed, n_steps, pool=pool)
+    closed = value(params, params.t0, params.x0, n_paths, seed, n_steps,
+                   pool=pool)
     diff = cost.mean - closed.mean
     pooled = math.hypot(cost.std_error, closed.std_error)
     results = {
@@ -655,7 +513,8 @@ def _run_example(cfg, workers, example: int):
          closed.n_samples],
     ]
     if example == 2:
-        no_info = _cost_estimate(cfg, policy_spec, workers, informed=False)
+        no_info = cost_mc(policy, params, n_paths, seed, n_steps,
+                          informed=False, pool=pool)
         half = params.b / (2.0 * params.a)
         horizon = params.T - params.t0
         target = (
@@ -689,17 +548,17 @@ def _run_example(cfg, workers, example: int):
     return header, rows, results, checks
 
 
-def _run_perturbation(cfg, workers):
-    blob = {"cfg": cfg, "policy": cfg["policy"]}
-    parts = _run_chunks("perturb", blob, cfg["n_paths"], workers)
+def _run_perturbation(cfg, pool):
+    params = params_from_config(cfg)
     y_grid = [float(y) for y in cfg["y_grid"]]
-    n_div = sum(p[1] for p in parts)
-    if n_div > MAX_DIVERGED_FRACTION * cfg["n_paths"]:
-        raise DivergenceError(n_div, cfg["n_paths"])
-    coefs = np.concatenate([p[0] for p in parts], axis=1)
-    sweep = sweep_table(coefs, y_grid, cfg["seed"])
+    spec = PerturbationSpec(tuple(cfg["window"]), theta0=float(cfg["theta0"]),
+                            y_grid=tuple(y_grid))
+    sweep = perturbation_sweep(
+        _policy_from_config(cfg["policy"], params), params, spec,
+        cfg["n_paths"], cfg["seed"], cfg["n_steps"], pool=pool,
+    )
     table, argmin = sweep["rows"], sweep["argmin_y"]
-    deriv = EstimateWithError.from_samples(coefs[1], cfg["seed"])
+    deriv = sweep["derivative_at_zero"]
     by_y = {r["y"]: r for r in table}
     results = {
         "rows": table,
@@ -737,57 +596,30 @@ def _run_perturbation(cfg, workers):
     return header, rows, results, checks
 
 
-def _run_martingale(cfg, workers):
+def _run_martingale(cfg, pool):
     params = params_from_config(cfg)
-    setup_grid = params.grid(cfg["n_steps"])
-    bounds = [
-        PerturbationSpec(tuple(w)).window_indices(setup_grid, params.t0, params.T)
-        for w in cfg["windows"]
-    ]
-    blob = {"cfg": cfg, "policy": cfg["policy"], "bounds": bounds}
-    parts = _run_chunks("martingale", blob, cfg["n_paths"], workers)
-    n_div = sum(p[1] for p in parts)
-    if n_div > MAX_DIVERGED_FRACTION * cfg["n_paths"]:
-        raise DivergenceError(n_div, cfg["n_paths"])
-    fn_names = [name for name, _ in default_test_functions()]
     threshold = float(cfg["threshold"])
+    cells = martingale_diagnostic(
+        _policy_from_config(cfg["policy"], params), params, cfg["n_paths"],
+        cfg["seed"], cfg["n_steps"], windows=[tuple(w) for w in cfg["windows"]],
+        threshold=threshold, pool=pool,
+    )
     header = ["window_lo", "window_hi", "test_fn", "mean", "std_error", "n",
               "zscore", "passed"]
     rows = []
-    cells = []
-    k = 0
-    for w in cfg["windows"]:
-        for fname in fn_names:
-            samples = np.concatenate([p[0][k] for p in parts])
-            est = EstimateWithError.from_samples(samples, cfg["seed"])
-            z = abs(est.mean) / est.std_error if est.std_error > 0 else 0.0
-            ok = abs(est.mean) <= threshold * est.std_error
-            rows.append([w[0], w[1], fname, est.mean, est.std_error,
-                         est.n_samples, z, ok])
-            cells.append(ok)
-            k += 1
-    results = {
-        "n_cells": len(cells),
-        "n_passing": int(sum(cells)),
-        "worst_zscore": max(r[6] for r in rows),
-    }
+    for c in cells:
+        z = abs(c["mean"]) / c["std_error"] if c["std_error"] > 0 else 0.0
+        rows.append([*c["window"], c["test_fn"], c["mean"], c["std_error"],
+                     c["n"], z, c["pass"]])
+    n_cells, n_passing = len(cells), sum(c["pass"] for c in cells)
+    worst = max(r[6] for r in rows)
+    results = {"n_cells": n_cells, "n_passing": n_passing, "worst_zscore": worst}
     if cfg["expect_pass"]:
-        checks = [
-            _check(
-                "all_cells_pass",
-                all(cells),
-                f"{sum(cells)}/{len(cells)} cells within "
-                f"{threshold:g} SE",
-            )
-        ]
+        checks = [_check("all_cells_pass", n_passing == n_cells,
+                         f"{n_passing}/{n_cells} cells within {threshold:g} SE")]
     else:
-        checks = [
-            _check(
-                "some_cell_fails",
-                not all(cells),
-                f"worst |z| = {results['worst_zscore']:.2f}",
-            )
-        ]
+        checks = [_check("some_cell_fails", n_passing < n_cells,
+                         f"worst |z| = {worst:.2f}")]
     return header, rows, results, checks
 
 
@@ -795,8 +627,8 @@ _RUNNERS = {
     "decomposition": _run_decomposition,
     "forward-convergence": _run_forward,
     "hjb-residual": _run_hjb_residual,
-    "example1": lambda cfg, workers: _run_example(cfg, workers, 1),
-    "example2": lambda cfg, workers: _run_example(cfg, workers, 2),
+    "example1": partial(_run_example, example=1),
+    "example2": partial(_run_example, example=2),
     "perturbation": _run_perturbation,
     "martingale": _run_martingale,
 }
@@ -834,9 +666,13 @@ def _build_id() -> str:
 
 def run_experiment(cfg: dict, out_dir: str | Path | None = None,
                    workers: int = 1) -> dict:
-    """Execute one resolved config; write CSV + JSON; return the summary."""
+    """Execute one resolved config; write CSV + JSON; return the summary.
+
+    With ``workers > 1`` one process pool serves every estimate of the op.
+    """
     kind = cfg["experiment"]
-    header, rows, results, checks = _RUNNERS[kind](cfg, workers)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        header, rows, results, checks = _RUNNERS[kind](cfg, pool)
     out = Path(out_dir if out_dir is not None else cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{kind}.csv"

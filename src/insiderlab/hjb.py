@@ -24,7 +24,8 @@ second with r = 0, rtilde = 1, sigma = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,12 +33,7 @@ import numpy as np
 from .controlled_sde import ControlPolicy, formula_policy
 from .enlargement import InfoDriftField, drift_matrix, tail_square_integral
 from .optimality import EstimateWithError
-from .paths import (
-    TimeGrid,
-    WeightFunction,
-    as_weight,
-    iter_increment_chunks,
-)
+from .paths import TimeGrid, WeightFunction, as_weight, map_chunks
 
 __all__ = [
     "ModelParams",
@@ -46,12 +42,10 @@ __all__ = [
     "example1_control",
     "example1_policy",
     "example1_G",
-    "example1_rho0",
     "example1_value",
     "Example1ValueField",
     "example2_control",
     "example2_policy",
-    "example2_rho0",
     "example2_value",
     "hjb_pointwise_infimum",
 ]
@@ -169,13 +163,13 @@ def example1_control(alpha: float, sigma: float, t: float, params: ModelParams):
     return alpha * sigma * params.b * np.exp(-params.r * (t - params.T)) / (2 * params.a)
 
 
+def _example1_formula(params: ModelParams, t, alpha, L):
+    sig = params.sigma_fn.nodes(np.asarray(t, dtype=float))
+    return example1_control(alpha, sig, t, params)
+
+
 def example1_policy(params: ModelParams) -> ControlPolicy:
-    sig = params.sigma_fn
-
-    def fn(t, alpha, L):
-        return example1_control(alpha, sig.nodes(np.asarray(t, dtype=float)), t, params)
-
-    return formula_policy("example1-optimal", fn)
+    return formula_policy("example1-optimal", partial(_example1_formula, params))
 
 
 def _example1_integrand(params: ModelParams, times: np.ndarray,
@@ -209,6 +203,15 @@ def example1_G(
     return f_t * x + g_t
 
 
+def _integral_chunk(grid, m_nodes, q, i_from, i_last, integrand_fn, informed, dB):
+    if informed:
+        alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
+    else:
+        alpha = np.zeros((dB.shape[0], i_last + 1))
+    block = integrand_fn(grid.times[i_from : i_last + 1], alpha[:, i_from:])
+    return np.trapezoid(block, dx=grid.dt, axis=1)
+
+
 def _mc_integral(
     params: ModelParams,
     t: float,
@@ -217,6 +220,7 @@ def _mc_integral(
     n_steps: int,
     integrand_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     informed: bool = True,
+    pool=None,
 ) -> EstimateWithError:
     """E int_t^T integrand(s, alpha_s) ds by chunked trapezoid quadrature.
 
@@ -231,26 +235,10 @@ def _mc_integral(
         raise ValueError(f"need t < T, got t={t}")
     m_nodes = params.m.nodes(grid.times)
     q = tail_square_integral(m_nodes, grid.dt)
-    times = grid.times[i_from : i_last + 1]
-    vals = np.empty(n_paths)
-    for start, dB in iter_increment_chunks(grid, seed, n_paths):
-        if informed:
-            alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
-        else:
-            alpha = np.zeros((dB.shape[0], i_last + 1))
-        block = integrand_fn(times, alpha[:, i_from:])
-        vals[start : start + dB.shape[0]] = np.trapezoid(block, dx=grid.dt, axis=1)
+    reduce_chunk = partial(_integral_chunk, grid, m_nodes, q, i_from, i_last,
+                           integrand_fn, informed)
+    vals = np.concatenate(map_chunks(reduce_chunk, grid, seed, n_paths, pool))
     return EstimateWithError.from_samples(vals, seed)
-
-
-def example1_rho0(
-    params: ModelParams, n_paths: int, seed: int, n_steps: int = 2048
-) -> EstimateWithError:
-    """rho0 = (b^2/4a) E int_0^T sigma^2 alpha^2 e^{-2r(s-T)} ds."""
-    return _mc_integral(
-        params, 0.0, n_paths, seed, n_steps,
-        lambda times, alpha: _example1_integrand(params, times, alpha),
-    )
 
 
 def example1_value(
@@ -261,25 +249,21 @@ def example1_value(
     seed: int,
     n_steps: int = 2048,
     informed: bool = True,
+    pool=None,
 ) -> EstimateWithError:
     """V(t, x) = -x b e^{-r(t-T)} - (b^2/4a) E int_t^T sigma^2 alpha^2 e^{-2r(s-T)} ds.
 
     The x-term is deterministic; the standard error comes entirely from the
     Monte Carlo integral.  With ``informed=False`` the integral vanishes and
-    V reduces to the discounted-endowment term.
+    V reduces to the discounted-endowment term.  At t = 0, x = 0 it is
+    -rho0, the centering constant of ``example1_G``.
     """
     integral = _mc_integral(
         params, t, n_paths, seed, n_steps,
-        lambda times, alpha: _example1_integrand(params, times, alpha),
-        informed=informed,
+        partial(_example1_integrand, params), informed=informed, pool=pool,
     )
     det = x * params.b * math.exp(-params.r * (t - params.T))
-    return EstimateWithError(
-        mean=-(det + integral.mean),
-        std_error=integral.std_error,
-        n_samples=integral.n_samples,
-        seed=seed,
-    )
+    return replace(integral, mean=-(det + integral.mean))
 
 
 class Example1ValueField:
@@ -330,10 +314,12 @@ def example2_control(alpha, params: ModelParams):
     return params.b * (alpha + 1.0) / (2.0 * params.a)
 
 
+def _example2_formula(params: ModelParams, t, alpha, L):
+    return example2_control(alpha, params)
+
+
 def example2_policy(params: ModelParams) -> ControlPolicy:
-    return formula_policy(
-        "example2-optimal", lambda t, alpha, L: example2_control(alpha, params)
-    )
+    return formula_policy("example2-optimal", partial(_example2_formula, params))
 
 
 def example2_params(a: float = 1.0, b: float = 1.0, T: float = 1.0,
@@ -344,15 +330,9 @@ def example2_params(a: float = 1.0, b: float = 1.0, T: float = 1.0,
     )
 
 
-def example2_rho0(
-    params: ModelParams, n_paths: int, seed: int, n_steps: int = 2048
-) -> EstimateWithError:
-    """rho0 = (b^2/4a) E int_0^T (alpha + 1)^2 ds."""
-    c = params.b**2 / (4.0 * params.a)
-    return _mc_integral(
-        params, 0.0, n_paths, seed, n_steps,
-        lambda times, alpha: c * (alpha + 1.0) ** 2,
-    )
+def _example2_integrand(c: float, times: np.ndarray,
+                        alpha: np.ndarray) -> np.ndarray:
+    return c * (alpha + 1.0) ** 2
 
 
 def example2_value(
@@ -363,21 +343,16 @@ def example2_value(
     seed: int,
     n_steps: int = 2048,
     informed: bool = True,
+    pool=None,
 ) -> EstimateWithError:
     """V(t, x) = -b x - (b^2/4a) E int_t^T (alpha + 1)^2 ds (derived form).
 
     ``informed=False`` drops the drift: the integral collapses to the
-    deterministic (b^2/4a)(T - t).
+    deterministic (b^2/4a)(T - t).  At t = 0, x = 0 it is -rho0.
     """
     c = params.b**2 / (4.0 * params.a)
     integral = _mc_integral(
         params, t, n_paths, seed, n_steps,
-        lambda times, alpha: c * (alpha + 1.0) ** 2,
-        informed=informed,
+        partial(_example2_integrand, c), informed=informed, pool=pool,
     )
-    return EstimateWithError(
-        mean=-(params.b * x + integral.mean),
-        std_error=integral.std_error,
-        n_samples=integral.n_samples,
-        seed=seed,
-    )
+    return replace(integral, mean=-(params.b * x + integral.mean))

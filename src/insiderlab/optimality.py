@@ -20,14 +20,17 @@ Four instruments, all statistical, all seeded:
   every cell passes; a policy that ignores valuable information fails the
   correlated cells by a wide margin.
 
-All reductions run in fixed chunk order, so every estimate is a
-deterministic function of (inputs, seed).
+Each estimator is one top-level per-chunk reducer run through
+``paths.map_chunks`` by ``collect_samples``; the reductions come back in
+fixed chunk order, so every estimate is a deterministic function of
+(inputs, seed) whether or not a process ``pool`` is passed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +42,7 @@ from .controlled_sde import (
     make_wealth_setup,
     wealth_paths_chunk,
 )
-from .paths import BrownianPath, TimeGrid, as_weight, iter_increment_chunks
+from .paths import BrownianPath, TimeGrid, as_weight, map_chunks
 
 __all__ = [
     "EstimateWithError",
@@ -47,6 +50,8 @@ __all__ = [
     "PerturbationSpec",
     "NuPath",
     "pooled_se",
+    "collect_samples",
+    "window_indices",
     "cost_mc",
     "directional_derivative",
     "perturbation_sweep",
@@ -111,25 +116,42 @@ def pooled_se(e1: EstimateWithError, e2: EstimateWithError) -> float:
     return math.hypot(e1.std_error, e2.std_error)
 
 
-def _collect_samples(
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
+def collect_samples(
     reduce_chunk: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    grid: TimeGrid,
+    seed: int,
+    n_paths: int,
+    pool=None,
 ) -> tuple[np.ndarray, int]:
     """Map each increment chunk to per-path values (the last axis) and a mask
-    of diverged rows; diverged rows are excluded but counted."""
+    of diverged rows; diverged rows are excluded but counted, and more than
+    ``MAX_DIVERGED_FRACTION`` of them raise DivergenceError."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    out: list[np.ndarray] = []
-    n_diverged = 0
-    for _, dB in iter_increment_chunks(grid, seed, n_paths):
-        vals, bad = reduce_chunk(dB)
-        n_diverged += int(bad.sum())
-        out.append(vals[..., ~bad])
+    parts = map_chunks(reduce_chunk, grid, seed, n_paths, pool)
+    n_diverged = sum(int(bad.sum()) for _, bad in parts)
     if n_diverged > MAX_DIVERGED_FRACTION * n_paths:
         raise DivergenceError(n_diverged, n_paths)
-    return np.concatenate(out, axis=-1), n_diverged
+    return np.concatenate([v[..., ~bad] for v, bad in parts], axis=-1), n_diverged
+
+
+def _cost_chunk(setup, policy, disc, running_cost, terminal_cost, dB):
+    t_nodes = setup.grid.times[setup.i0 : setup.i_last + 1]
+    # overflow is handled by detection below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
+        if running_cost is None:
+            integrand = setup.a * u * u
+        else:
+            integrand = running_cost(t_nodes[None, :], X, u)
+        run = np.trapezoid(integrand, dx=setup.grid.dt, axis=1)
+        if terminal_cost is None:
+            term = -setup.b_weight * disc * X[:, -1]
+        else:
+            term = terminal_cost(X[:, -1])
+        vals = run + term
+    # a non-finite sample with finite state is still a numerical blow-up
+    return vals, diverged | ~np.isfinite(vals)
 
 
 def cost_mc(
@@ -142,6 +164,7 @@ def cost_mc(
     discount_terminal: bool = False,
     running_cost: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
     terminal_cost: Callable[[np.ndarray], np.ndarray] | None = None,
+    pool=None,
 ) -> EstimateWithError:
     """Estimate J(t0, x0; u) by simulation.
 
@@ -151,31 +174,14 @@ def cost_mc(
     override the defaults when a different functional is wanted.
 
     ``informed=False`` forces alpha = 0: the agent without the extra
-    information, used for no-information limits.
+    information, used for no-information limits.  ``pool`` (an executor)
+    spreads the chunks over its workers; the estimate does not change.
     """
     setup = make_wealth_setup(params, n_steps, informed=informed)
-    dt = setup.grid.dt
-    t_nodes = setup.grid.times[setup.i0 : setup.i_last + 1]
     disc = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
-
-    def reduce_chunk(dB):
-        # overflow is handled by detection below, not by warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
-            if running_cost is None:
-                integrand = setup.a * u * u
-            else:
-                integrand = running_cost(t_nodes[None, :], X, u)
-            run = np.trapezoid(integrand, dx=dt, axis=1)
-            if terminal_cost is None:
-                term = -setup.b_weight * disc * X[:, -1]
-            else:
-                term = terminal_cost(X[:, -1])
-            vals = run + term
-        # a non-finite sample with finite state is still a numerical blow-up
-        return vals, diverged | ~np.isfinite(vals)
-
-    samples, n_div = _collect_samples(setup.grid, n_paths, seed, reduce_chunk)
+    reduce_chunk = partial(_cost_chunk, setup, policy, disc, running_cost,
+                           terminal_cost)
+    samples, n_div = collect_samples(reduce_chunk, setup.grid, seed, n_paths, pool)
     return EstimateWithError.from_samples(samples, seed, n_diverged=n_div)
 
 
@@ -207,13 +213,6 @@ class PerturbationSpec:
         if not math.isfinite(self.theta_bound) or self.theta_bound <= 0:
             raise ValueError("theta0 must be bounded: theta_bound finite positive")
 
-    def window_indices(self, grid: TimeGrid, t0: float, T: float) -> tuple[int, int]:
-        lo, hi = self.window
-        ilo, ihi = grid.index_of(lo), grid.index_of(hi)
-        if not (grid.index_of(t0) <= ilo < ihi <= grid.index_of(T)):
-            raise ValueError(f"window ({lo}, {hi}] outside the horizon [{t0}, {T}]")
-        return ilo, ihi
-
     def theta_values(self, ctx: ChunkContext, ilo: int) -> np.ndarray:
         if callable(self.theta0):
             th = np.asarray(self.theta0(ctx.B[:, ilo], ctx.L), dtype=float)
@@ -221,6 +220,16 @@ class PerturbationSpec:
         else:
             th = np.full(ctx.L.shape, float(self.theta0))
         return np.clip(th, -self.theta_bound, self.theta_bound)
+
+
+def window_indices(grid: TimeGrid, window: Sequence[float], t0: float,
+                   T: float) -> tuple[int, int]:
+    """Node indices (ilo, ihi) of a window (lo, hi] that sits inside [t0, T]."""
+    lo, hi = window
+    ilo, ihi = grid.index_of(lo), grid.index_of(hi)
+    if not (grid.index_of(t0) <= ilo < ihi <= grid.index_of(T)):
+        raise ValueError(f"window ({lo}, {hi}] outside the horizon [{t0}, {T}]")
+    return ilo, ihi
 
 
 @dataclass(frozen=True)
@@ -242,10 +251,9 @@ def perturbed_policy(
 
     def matrix_rule(ctx: ChunkContext) -> np.ndarray:
         u = base.matrix_rule(ctx)
-        ilo, ihi = spec.window_indices(
+        ilo, ihi = window_indices(
             TimeGrid(ctx.times[0], ctx.times[-1], len(ctx.times) - 1),
-            params.t0,
-            params.T,
+            spec.window, params.t0, params.T,
         )
         out = u.copy()
         th = spec.theta_values(ctx, ilo)
@@ -307,15 +315,14 @@ def sweep_coefficients(
 
 
 def _sweep_samples(policy, params, spec, n_paths, seed, n_steps, informed,
-                   discount_terminal) -> tuple[np.ndarray, int]:
+                   discount_terminal, pool) -> tuple[np.ndarray, int]:
     """(3, paths) array of the finite rows' (c0, c1, c2), and the diverged count."""
     setup = make_wealth_setup(params, n_steps, informed=informed)
-    window = spec.window_indices(setup.grid, params.t0, params.T)
+    window = window_indices(setup.grid, spec.window, params.t0, params.T)
     disc_T = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
-    return _collect_samples(
-        setup.grid, n_paths, seed,
-        lambda dB: sweep_coefficients(setup, dB, policy, spec, window, disc_T),
-    )
+    reduce_chunk = partial(sweep_coefficients, setup, policy=policy, spec=spec,
+                           window=window, disc_T=disc_T)
+    return collect_samples(reduce_chunk, setup.grid, seed, n_paths, pool)
 
 
 def directional_derivative(
@@ -328,6 +335,7 @@ def directional_derivative(
     n_steps: int,
     informed: bool = True,
     discount_terminal: bool = False,
+    pool=None,
 ) -> EstimateWithError:
     """Estimate F'(y) for F(y) = J(u + y theta) at amplitude y.
 
@@ -340,23 +348,10 @@ def directional_derivative(
     if not (min(spec.y_grid) <= y <= max(spec.y_grid)):
         raise ValueError(f"amplitude y={y} outside spec.y_grid")
     (_, c1, c2), n_div = _sweep_samples(
-        policy, params, spec, n_paths, seed, n_steps, informed, discount_terminal
+        policy, params, spec, n_paths, seed, n_steps, informed,
+        discount_terminal, pool,
     )
     return EstimateWithError.from_samples(c1 + 2.0 * y * c2, seed, n_diverged=n_div)
-
-
-def sweep_table(coefs: np.ndarray, y_grid: Sequence[float], seed: int) -> dict:
-    """Rows of F(y) = c0 + c1 y + c2 y^2 over the grid, and the argmin.
-
-    Ties in the argmin resolve toward the smallest |y|.
-    """
-    c0, c1, c2 = coefs
-    rows = []
-    for y in y_grid:
-        est = EstimateWithError.from_samples(c0 + y * (c1 + y * c2), seed)
-        rows.append({"y": y, "mean": est.mean, "std_error": est.std_error})
-    order = sorted(rows, key=lambda r: (r["mean"], abs(r["y"])))
-    return {"rows": rows, "argmin_y": order[0]["y"]}
 
 
 def perturbation_sweep(
@@ -368,35 +363,52 @@ def perturbation_sweep(
     n_steps: int,
     informed: bool = True,
     discount_terminal: bool = False,
+    pool=None,
 ) -> dict:
     """F(y) over the amplitude grid with common random numbers.
 
     Each path's discrete cost is the exact quadratic c0 + c1 y + c2 y^2 of
     ``sweep_coefficients``, so the whole grid comes from one kernel pass
     with the base policy; every y sees the identical increment streams,
-    and the comparison across y is variance-reduced.
+    and the comparison across y is variance-reduced.  Returns the rows
+    (y, mean, std_error), the argmin (ties resolve toward the smallest |y|)
+    and ``derivative_at_zero``, the estimate of F'(0) = c1 from the same
+    pass.
     """
     if 0.0 not in spec.y_grid:
         raise ValueError("amplitude grid must contain 0")
-    coefs, _ = _sweep_samples(
-        policy, params, spec, n_paths, seed, n_steps, informed, discount_terminal
+    (c0, c1, c2), n_div = _sweep_samples(
+        policy, params, spec, n_paths, seed, n_steps, informed,
+        discount_terminal, pool,
     )
-    return sweep_table(coefs, spec.y_grid, seed)
+    rows = []
+    for y in spec.y_grid:
+        est = EstimateWithError.from_samples(c0 + y * (c1 + y * c2), seed)
+        rows.append({"y": y, "mean": est.mean, "std_error": est.std_error})
+    order = sorted(rows, key=lambda r: (r["mean"], abs(r["y"])))
+    return {
+        "rows": rows,
+        "argmin_y": order[0]["y"],
+        "derivative_at_zero": EstimateWithError.from_samples(c1, seed,
+                                                             n_diverged=n_div),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Martingale diagnostic
 # ---------------------------------------------------------------------------
 
+def _phi(name: str, c: float, Bt: np.ndarray, L: np.ndarray) -> np.ndarray:
+    if name == "one":
+        return np.ones_like(L)
+    x = {"clip_L": L, "clip_B": Bt, "clip_LB": L * Bt}[name]
+    return np.clip(x, -c, c)
+
+
 def default_test_functions(bound: float = 10.0) -> list[tuple[str, Callable]]:
     """Bounded information functions of (B_t, L) evaluated at window start."""
-    c = float(bound)
-    return [
-        ("one", lambda Bt, L: np.ones_like(L)),
-        ("clip_L", lambda Bt, L: np.clip(L, -c, c)),
-        ("clip_B", lambda Bt, L: np.clip(Bt, -c, c)),
-        ("clip_LB", lambda Bt, L: np.clip(L * Bt, -c, c)),
-    ]
+    names = ("one", "clip_L", "clip_B", "clip_LB")
+    return [(name, partial(_phi, name, float(bound))) for name in names]
 
 
 def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
@@ -433,6 +445,20 @@ def nu_path(setup: WealthSetup, ctx: ChunkContext, u: np.ndarray,
     return NuPath(TimeGrid(float(t[0]), setup.grid.times[iL], iL - i0), values)
 
 
+def _martingale_chunk(setup, policy, bounds, test_fns, dB):
+    """(cells, rows) products phi * (N_u increment), window-major, and the
+    mask of rows whose state or any product is non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
+        del X  # not needed, and freeing it lowers the peak of the products
+        prods = []
+        for ilo, ihi in bounds:
+            dn = nu_increments(setup, ctx, u, dB, ilo, ihi)
+            prods += [fn(ctx.B[:, ilo], ctx.L) * dn for _, fn in test_fns]
+        prods = np.stack(prods)
+    return prods, diverged | ~np.all(np.isfinite(prods), axis=0)
+
+
 def martingale_diagnostic(
     policy: ControlPolicy,
     params,
@@ -443,55 +469,36 @@ def martingale_diagnostic(
     test_fns: Sequence[tuple[str, Callable]] | None = None,
     informed: bool = True,
     threshold: float = 3.0,
+    pool=None,
 ) -> list[dict]:
     """E[phi * (N_u increment)] for every (window, phi) cell.
 
     A cell passes when |estimate| <= threshold * SE.  Under the optimal
     control the increments are conditionally centered given the window-start
     information, so every phi in the dictionary is uncorrelated with them.
+    Rows whose state or any product goes non-finite are dropped from every
+    cell and counted; too many raise DivergenceError.
     """
     if windows is None:
         windows = quarter_windows(params.T, params.t0)
     if test_fns is None:
         test_fns = default_test_functions()
-    if len(list(test_fns)) == 0:
+    test_fns = list(test_fns)
+    if not test_fns:
         raise ValueError("need at least one test function")
     setup = make_wealth_setup(params, n_steps, informed=informed)
-    idx = list(windows)
-    bounds = [
-        PerturbationSpec(w, 1.0).window_indices(setup.grid, params.t0, params.T)
-        for w in idx
-    ]
-
-    cells: dict[tuple[int, int], list[np.ndarray]] = {
-        (wi, fi): [] for wi in range(len(idx)) for fi in range(len(test_fns))
-    }
-    n_total = 0
-    for _, dB in iter_increment_chunks(setup.grid, seed, n_paths):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
-        keep = ~diverged
-        n_total += int(keep.sum())
-        for wi, (ilo, ihi) in enumerate(bounds):
-            dn = nu_increments(setup, ctx, u, dB, ilo, ihi)
-            for fi, (_, fn) in enumerate(test_fns):
-                phi = fn(ctx.B[:, ilo], ctx.L)
-                cells[(wi, fi)].append((phi * dn)[keep])
+    windows = list(windows)
+    bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
+    reduce_chunk = partial(_martingale_chunk, setup, policy, bounds, test_fns)
+    samples, n_div = collect_samples(reduce_chunk, setup.grid, seed, n_paths, pool)
 
     out = []
-    for wi, w in enumerate(idx):
-        for fi, (fname, _) in enumerate(test_fns):
-            samples = np.concatenate(cells[(wi, fi)])
-            est = EstimateWithError.from_samples(samples, seed)
-            out.append(
-                {
-                    "window": w,
-                    "test_fn": fname,
-                    "mean": est.mean,
-                    "std_error": est.std_error,
-                    "n": est.n_samples,
-                    "pass": abs(est.mean) <= threshold * est.std_error,
-                }
-            )
+    cells = ((w, name) for w in windows for name, _ in test_fns)
+    for (w, fname), row in zip(cells, samples):
+        est = EstimateWithError.from_samples(row, seed, n_diverged=n_div)
+        out.append({"window": w, "test_fn": fname, "mean": est.mean,
+                    "std_error": est.std_error, "n": est.n_samples,
+                    "pass": abs(est.mean) <= threshold * est.std_error})
     return out
 
 

@@ -4,15 +4,17 @@ Everything downstream (drift fields, SDE schemes, Monte Carlo batches) runs on
 one uniform grid over the extended horizon ``[0, T1]``.  Paths are pure
 functions of ``(grid, seed)``: the same inputs always reproduce the same
 trajectory bit for bit, which is what makes common-random-number comparisons
-and byte-identical experiment reruns possible.
+and byte-identical experiment reruns possible.  ``map_chunks`` is the one
+engine every Monte Carlo estimator runs on, in process or through a pool.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterator
+from concurrent.futures import Executor
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -21,13 +23,17 @@ __all__ = [
     "TimeGrid",
     "BrownianPath",
     "WeightFunction",
+    "Constant",
+    "Affine",
+    "Sin",
     "make_grid",
     "sample_brownian",
     "eval_L",
     "constant_weight",
     "as_weight",
     "chunk_rng",
-    "iter_increment_chunks",
+    "increment_chunk",
+    "map_chunks",
     "n_chunks",
 ]
 
@@ -143,8 +149,41 @@ class WeightFunction:
         return flat.reshape(arr.shape)
 
 
+@dataclass(frozen=True)
+class Constant:
+    """s -> value, vectorised; picklable, unlike a lambda."""
+
+    value: float
+
+    def __call__(self, s):
+        return self.value + 0.0 * np.asarray(s)
+
+
+@dataclass(frozen=True)
+class Affine:
+    """s -> intercept + slope * s."""
+
+    intercept: float
+    slope: float
+
+    def __call__(self, s):
+        return self.intercept + self.slope * s
+
+
+@dataclass(frozen=True)
+class Sin:
+    """s -> base + amplitude * sin(frequency * s)."""
+
+    base: float
+    amplitude: float
+    frequency: float = 1.0
+
+    def __call__(self, s):
+        return self.base + self.amplitude * np.sin(self.frequency * s)
+
+
 def constant_weight(c: float, label: str | None = None) -> WeightFunction:
-    return WeightFunction(lambda t: c + 0.0 * np.asarray(t), label or f"const({c})")
+    return WeightFunction(Constant(c), label or f"const({c})")
 
 
 def as_weight(m: WeightFunction | Callable[[float], float] | float) -> WeightFunction:
@@ -224,17 +263,34 @@ def increment_chunk(
     return chunk_rng(seed, chunk_index).standard_normal((rows, grid.n_steps)) * sqdt
 
 
-def iter_increment_chunks(
-    grid: TimeGrid, seed: int, n_paths: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(path_offset, dB)`` blocks of at most CHUNK rows.
+def _reduce_increments(
+    reduce_chunk: Callable[[np.ndarray], Any], grid: TimeGrid, seed: int,
+    chunk_index: int, rows: int,
+):
+    return reduce_chunk(increment_chunk(grid, seed, chunk_index, rows))
+
+
+def map_chunks(
+    reduce_chunk: Callable[[np.ndarray], Any],
+    grid: TimeGrid,
+    seed: int,
+    n_paths: int,
+    pool: Executor | None = None,
+) -> list:
+    """``reduce_chunk(dB)`` for every increment chunk of the batch, in chunk order.
 
     ``dB`` has shape (rows, n_steps) with iid Normal(0, dt) entries; row k of
-    a block is path ``path_offset + k`` of the batch.
+    chunk c is path ``c*CHUNK + k`` of the batch.  With a ``pool`` and more
+    than one chunk, the chunks are drawn and reduced in its workers, so
+    ``reduce_chunk`` must pickle; the results come back in chunk order
+    either way, so the pool never changes a value.  A reducer should return
+    fresh arrays, not views into its chunk, which would keep the whole
+    chunk alive until the batch is combined.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    for c in range(n_chunks(n_paths)):
-        start = c * CHUNK
-        rows = min(CHUNK, n_paths - start)
-        yield start, increment_chunk(grid, seed, c, rows)
+    plan = [(c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))]
+    task = partial(_reduce_increments, reduce_chunk, grid, seed)
+    if pool is None or len(plan) == 1:
+        return [task(c, rows) for c, rows in plan]
+    return list(pool.map(task, *zip(*plan)))

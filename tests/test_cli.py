@@ -7,6 +7,9 @@ import pytest
 
 from insiderlab import experiments
 from insiderlab.cli import main
+from insiderlab.controlled_sde import constant_policy
+from insiderlab.hjb import example1_value
+from insiderlab.optimality import DivergenceError, martingale_diagnostic
 from insiderlab.paths import sample_brownian
 
 
@@ -193,3 +196,81 @@ def test_out_override(tmp_path):
     dest = tmp_path / "elsewhere"
     assert main(["run", cfg, "--out", str(dest), "--workers", "1"]) == 0
     assert (dest / "decomposition.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["example1", "hjb-residual"])
+def test_excess_return_is_invalid_where_the_closed_form_has_none(
+        tmp_path, capsys, kind):
+    # the example1 closed form assumes rtilde = r
+    cfg = write_cfg(tmp_path, "rt.json", {
+        "experiment": kind, "params": {"rtilde": 0.5}, "n_steps": 64,
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 2
+    assert "rtilde" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    explicit = experiments.resolve_config({
+        "experiment": kind, "params": {"r": 0.2, "rtilde": 0.2},
+    })
+    assert explicit["params"]["rtilde"] == 0.2
+
+
+@pytest.mark.parametrize("kind", ["example1", "decomposition", "martingale"])
+@pytest.mark.parametrize("m", [0, {"type": "affine", "intercept": 0.0,
+                                   "slope": 0.0}], ids=["number", "affine"])
+def test_weight_with_vanishing_tail_is_invalid_config(tmp_path, capsys, kind, m):
+    cfg = write_cfg(tmp_path, "m.json", {
+        "experiment": kind, "params": {"m": m}, "n_steps": 64,
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 2
+    assert "params.m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "perturbation", "policy": {"kind": "constant", "value": "x"}},
+    {"experiment": "martingale", "policy": {"kind": "constant"}},
+    {"experiment": "example1", "params": [1, 2]},
+], ids=["policy-value-not-a-number", "policy-value-missing", "params-not-object"])
+def test_malformed_fields_are_invalid_config(tmp_path, capsys, raw):
+    assert main(["run", write_cfg(tmp_path, "bad.json", raw)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_decomposition_variance_target_is_T_after_t0(tmp_path, decomp_cfg):
+    # Btilde lives on [0, T] whatever t0 is: Var(Btilde_T) = T, not T - t0
+    assert main(["run", decomp_cfg("late", params={"t0": 0.5}),
+                 "--workers", "1"]) == 0
+    assert main(["run", decomp_cfg("early"), "--workers", "1"]) == 0
+    late = json.loads((tmp_path / "late" / "decomposition.json").read_text())
+    check = {c["name"]: c for c in late["checks"]}["variance_within_5pct"]
+    assert check["passed"] and "target 1" in check["detail"]
+    assert ((tmp_path / "late" / "decomposition.csv").read_bytes()
+            == (tmp_path / "early" / "decomposition.csv").read_bytes())
+
+
+def test_martingale_with_non_finite_products_exits_3(tmp_path, capsys):
+    raw = {"experiment": "martingale",
+           "policy": {"kind": "constant", "value": 1e307}, "n_steps": 256,
+           "n_paths": 1100, "seed": 2, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "big.json", raw),
+                 "--workers", "1"]) == 3
+    assert "divergence" in capsys.readouterr().err
+    cfg = experiments.resolve_config(raw)
+    params = experiments.params_from_config(cfg)
+    with pytest.raises(DivergenceError):
+        martingale_diagnostic(constant_policy(1e307), params, 1100, 2, 256)
+
+
+def test_example1_after_t0_uses_the_value_at_t0(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "e1late.json", {
+        "experiment": "example1", "params": {"t0": 0.5}, "n_paths": 3000,
+        "n_steps": 512, "seed": 4, "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 0
+    summary = json.loads((tmp_path / "out" / "example1.json").read_text())
+    params = experiments.params_from_config(summary["config"])
+    want = example1_value(params, 0.5, params.x0, 3000, 4, 512)
+    got = summary["results"]["value_closed_form"]
+    assert got == {"mean": want.mean, "std_error": want.std_error}
+    assert summary["verdict"] == "pass"

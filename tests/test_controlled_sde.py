@@ -211,10 +211,11 @@ def test_policy_moment_condition_proxy():
     params = ModelParams.benchmark()
     setup = make_wealth_setup(params, 512)
     pol = example1_policy(params)
-    from insiderlab.paths import iter_increment_chunks
+    from insiderlab.paths import increment_chunk
 
     moments = {2: [], 4: [], 8: []}
-    for _, dB in iter_increment_chunks(setup.grid, 10, 2000):
+    for c, rows in ((0, 1024), (1, 976)):
+        dB = increment_chunk(setup.grid, 10, c, rows)
         ctx, u, X, div = wealth_paths_chunk(setup, dB, pol)
         for k in moments:
             moments[k].append(

@@ -20,8 +20,8 @@ from insiderlab.paths import (
     as_weight,
     constant_weight,
     eval_L,
-    iter_increment_chunks,
     make_grid,
+    map_chunks,
     sample_brownian,
 )
 
@@ -60,10 +60,10 @@ class TestInformationDrift:
         i = g.index_of(0.5)
         mv = ONE.nodes(g.times)
         q = tail_square_integral(mv, g.dt)
-        acc = []
-        for _, dB in iter_increment_chunks(g, 21, 100_000):
-            alpha, _ = drift_matrix(dB, mv, q, g.index_of(1.0))
-            acc.append(alpha[:, i] ** 2)
+        acc = map_chunks(
+            lambda dB: drift_matrix(dB, mv, q, g.index_of(1.0))[0][:, i] ** 2,
+            g, 21, 100_000,
+        )
         samples = np.concatenate(acc)
         assert abs(samples.mean() - 1 / 1.5) / (1 / 1.5) < 0.05
 
@@ -128,6 +128,11 @@ class TestDecompose:
         assert stats["max_reconstruction_error"] < 1e-12
         assert abs(stats["var_L"] - 2.0) / 2.0 < 0.05
 
+    def test_stats_reject_a_weight_with_vanishing_tail(self):
+        # m == 0 used to run to NaN statistics
+        with pytest.raises(ValueError):
+            decomposition_stats(0.0, 1.0, make_grid(0, 2, 64), 100, seed=1)
+
 
 class TestMomentOracles:
     def test_second_moment_constant_weight(self):
@@ -154,11 +159,11 @@ class TestMomentOracles:
         iT = g.index_of(1.0)
         mv = ONE.nodes(g.times)
         q = tail_square_integral(mv, g.dt)
-        vals = []
-        for _, dB in iter_increment_chunks(g, 29, 20_000):
+        def energy(dB):
             alpha, _ = drift_matrix(dB, mv, q, iT)
-            vals.append(np.trapezoid(alpha * alpha, dx=g.dt, axis=1))
-        vals = np.concatenate(vals)
+            return np.trapezoid(alpha * alpha, dx=g.dt, axis=1)
+
+        vals = np.concatenate(map_chunks(energy, g, 29, 20_000))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - math.log(2.0)) < 3 * se
 

@@ -13,11 +13,9 @@ from insiderlab.hjb import (
     example1_G,
     example1_control,
     example1_policy,
-    example1_rho0,
     example1_value,
     example2_control,
     example2_params,
-    example2_rho0,
     example2_value,
     generator_Au,
     hjb_pointwise_infimum,
@@ -225,8 +223,9 @@ class TestExample1Value:
         assert abs(est.mean - EX1_TARGET) <= 3 * est.std_error
 
     def test_rho0_estimates_quarter_log2(self):
-        est = example1_rho0(ModelParams.benchmark(), 20_000, seed=11)
-        assert abs(est.mean - LN2 / 4.0) <= 3 * est.std_error
+        # rho0 = -V(0, 0)
+        est = example1_value(ModelParams.benchmark(), 0.0, 0.0, 20_000, seed=11)
+        assert abs(-est.mean - LN2 / 4.0) <= 3 * est.std_error
 
     def test_endowment_enters_linearly(self):
         params = ModelParams.benchmark()
@@ -245,8 +244,8 @@ class TestExample1Value:
         # E[G(T, X_T)] = -b E[X_T] reduces to E[g_T] = 0: two independent
         # estimates of the centering constant must agree
         params = ModelParams.benchmark()
-        a = example1_rho0(params, 40_000, seed=101)
-        b = example1_rho0(params, 40_000, seed=202)
+        a = example1_value(params, 0.0, 0.0, 40_000, seed=101)
+        b = example1_value(params, 0.0, 0.0, 40_000, seed=202)
         assert abs(a.mean - b.mean) <= 3 * pooled_se(a, b)
 
 
@@ -268,8 +267,8 @@ class TestExample2:
 
     def test_rho0_target(self):
         # (1/4) E int (alpha+1)^2 = (ln 2 + 1) / 4
-        est = example2_rho0(example2_params(), 20_000, seed=23)
-        assert abs(est.mean - (LN2 + 1.0) / 4.0) <= 3 * est.std_error
+        est = example2_value(example2_params(), 0.0, 0.0, 20_000, seed=23)
+        assert abs(-est.mean - (LN2 + 1.0) / 4.0) <= 3 * est.std_error
 
     def test_uninformed_value_closed_form(self):
         # alpha == 0: V(0, x) = -b x - b^2 T / (4a)

@@ -37,12 +37,13 @@ from insiderlab.optimality import (
     quarter_windows,
     semimartingale_recovery,
     sweep_coefficients,
+    window_indices,
 )
 from insiderlab.paths import (
     constant_weight,
     increment_chunk,
-    iter_increment_chunks,
     make_grid,
+    map_chunks,
     sample_brownian,
 )
 
@@ -222,7 +223,7 @@ class TestSweepCoefficients:
         params = ModelParams.benchmark(r=r, t0=t0)
         setup = make_wealth_setup(params, 512, informed=informed)
         spec = PerturbationSpec(window, theta0=theta0)
-        ilo_ihi = spec.window_indices(setup.grid, params.t0, params.T)
+        ilo_ihi = window_indices(setup.grid, window, params.t0, params.T)
         disc_T = math.exp(-r * (params.T - t0)) if discount else 1.0
         dB = increment_chunk(setup.grid, 61, 0, 256)
         pol = example1_policy(params)
@@ -260,18 +261,17 @@ class TestSweepCoefficients:
         )
         spec = PerturbationSpec(WINDOW)
         setup = make_wealth_setup(params, 512)
-        ilo_ihi = spec.window_indices(setup.grid, params.t0, params.T)
-        n_bad = 0
-        n_oracle = {y: 0 for y in spec.y_grid}
-        for _, dB in iter_increment_chunks(setup.grid, 11, 20_000):
+        ilo_ihi = window_indices(setup.grid, WINDOW, params.t0, params.T)
+
+        def bad_rows(dB):
             _, bad = sweep_coefficients(setup, dB, pol, spec, ilo_ihi)
-            n_bad += int(bad.sum())
             for y in spec.y_grid:
                 _, want_bad = direct_costs(setup, dB, pol, spec, y, params)
                 assert np.array_equal(bad, want_bad)
-                n_oracle[y] += int(want_bad.sum())
+            return int(bad.sum())
+
+        n_bad = sum(map_chunks(bad_rows, setup.grid, 11, 20_000))
         assert 0 < n_bad <= 20
-        assert set(n_oracle.values()) == {n_bad}
         est = directional_derivative(pol, params, spec, 0.0, 20_000, seed=11,
                                      n_steps=512)
         assert est.n_diverged == n_bad

@@ -12,8 +12,8 @@ from insiderlab.paths import (
     as_weight,
     constant_weight,
     eval_L,
-    iter_increment_chunks,
     make_grid,
+    map_chunks,
     sample_brownian,
 )
 
@@ -141,17 +141,17 @@ def test_restrict_shares_prefix_values():
 
 def test_increment_chunks_are_stream_stable():
     g = make_grid(0, 1, 16)
-    full = {start: db.copy() for start, db in iter_increment_chunks(g, 5, 2500)}
+    full = map_chunks(np.copy, g, 5, 2500)
     # a shorter batch reproduces a row-for-row prefix of the longer one
-    for start, db in iter_increment_chunks(g, 5, 1100):
-        assert np.array_equal(db, full[start][: db.shape[0]])
-    assert sum(b.shape[0] for b in full.values()) == 2500
+    for db, longer in zip(map_chunks(np.copy, g, 5, 1100), full):
+        assert np.array_equal(db, longer[: db.shape[0]])
+    assert [b.shape[0] for b in full] == [1024, 1024, 452]
 
 
 def test_chunk_sampler_matches_moments():
     g = make_grid(0, 1, 4)
     total = np.concatenate(
-        [db.sum(axis=1) for _, db in iter_increment_chunks(g, 9, 50_000)]
+        map_chunks(lambda db: db.sum(axis=1), g, 9, 50_000)
     )
     assert abs(total.mean()) < 3.0 / math.sqrt(50_000)
     assert abs(total.var() - 1.0) < 0.05
