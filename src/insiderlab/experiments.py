@@ -172,7 +172,7 @@ def resolve_config(raw: dict) -> dict:
 
     for key in ("n_paths", "n_steps", "seed"):
         v = cfg[key]
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise InvalidConfigError(f"'{key}' must be an integer, got {v!r}")
     if cfg["n_paths"] < 2:
         raise InvalidConfigError("'n_paths' must be >= 2")
@@ -215,6 +215,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
     kind = cfg["experiment"]
     if kind == "forward-convergence":
@@ -222,15 +226,23 @@ def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
         if (
             not isinstance(ladder, list)
             or not ladder
-            or any(not isinstance(k, int) or k < 1 for k in ladder)
+            or any(not _is_int(k) or k < 1 for k in ladder)
         ):
             raise InvalidConfigError(
                 "'eps_ladder' must be a non-empty list of positive integer "
                 "multiples of dt"
             )
+        # the estimates run on the path restricted to [0, T]; the grid
+        # starts at 0, so T's node index is that path's step count
+        steps_to_T = grid.index_of(params.T)
+        if max(ladder) >= steps_to_T:
+            raise InvalidConfigError(
+                f"'eps_ladder': every multiple must be below the {steps_to_T} "
+                f"steps up to T, got {max(ladder)}"
+            )
     elif kind == "hjb-residual":
         for key in ("n_probes", "n_fields"):
-            if not isinstance(cfg[key], int) or cfg[key] < 1:
+            if not _is_int(cfg[key]) or cfg[key] < 1:
                 raise InvalidConfigError(f"'{key}' must be a positive integer")
     elif kind == "perturbation":
         window = cfg["window"]
@@ -261,8 +273,10 @@ def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
                 window_indices(grid, w, params.t0, params.T)
             except ValueError as e:
                 raise InvalidConfigError(f"'windows': {e}") from e
-        if not (isinstance(cfg["threshold"], (int, float)) and cfg["threshold"] > 0):
-            raise InvalidConfigError("'threshold' must be positive")
+        if not (_is_number(cfg["threshold"]) and cfg["threshold"] > 0):
+            raise InvalidConfigError("'threshold' must be a positive number")
+        if not isinstance(cfg["expect_pass"], bool):
+            raise InvalidConfigError("'expect_pass' must be true or false")
         _policy_from_config(cfg["policy"], params)
 
 
@@ -388,23 +402,24 @@ def _forward_chunk(grid, T, m_nodes, q, ladder, dB):
     dt = grid.dt
     i_last = grid.index_of(T)
     alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
-    devs = np.empty((dB.shape[0], len(ladder)))
-    exact = {"one": True, "brownian": True, "drift": True}
-    for i in range(dB.shape[0]):
-        values = np.concatenate([[0.0], np.cumsum(dB[i])])
-        B = BrownianPath(grid, values).restrict(T)
-        target = 0.5 * (B.values[-1] ** 2 - T)
-        vB = Integrand(B.grid, B.values)
-        for j, k in enumerate(ladder):
-            devs[i, j] = abs(forward_estimate(vB, B, eps=k * dt) - target)
-        for label, vals in (
-            ("one", np.ones(i_last + 1)),
-            ("brownian", B.values),
-            ("drift", alpha[i]),
-        ):
-            v = Integrand(B.grid, vals, adapted=(label != "drift"))
-            if forward_estimate(v, B, eps=dt) != ito_left_sum(v, B):
-                exact[label] = False
+    values = np.empty((dB.shape[0], i_last + 1))
+    values[:, 0] = 0.0
+    np.cumsum(dB[:, :i_last], axis=1, out=values[:, 1:])
+    B = BrownianPath(grid.prefix(i_last), values)
+    target = 0.5 * (values[:, -1] ** 2 - T)
+    vB = Integrand(B.grid, values)
+    devs = np.column_stack(
+        [np.abs(forward_estimate(vB, B, eps=k * dt) - target) for k in ladder]
+    )
+    exact = {}
+    for label, vals in (
+        ("one", np.ones(i_last + 1)),
+        ("brownian", values),
+        ("drift", alpha),
+    ):
+        v = Integrand(B.grid, vals, adapted=(label != "drift"))
+        exact[label] = bool(np.all(forward_estimate(v, B, eps=dt)
+                                   == ito_left_sum(v, B)))
     return devs, exact
 
 
@@ -699,8 +714,8 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None,
 
 _SCHEMA_NOTES = {
     "decomposition": "params.m, params.T, params.t1; CSV: quantity,value",
-    "forward-convergence": "eps_ladder (int multiples of dt); "
-    "CSV: k,eps,median_abs_dev",
+    "forward-convergence": "eps_ladder (int multiples of dt, each below "
+    "the steps up to T); CSV: k,eps,median_abs_dev",
     "hjb-residual": "n_probes, n_fields; "
     "CSV: probe,path,node,t,x,alpha,u_min,u_star,residual",
     "example1": "params (full); CSV: quantity,mean,std_error,n_samples",

@@ -99,17 +99,22 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
-    """A sampled trajectory on a grid; ``values[i]`` is B at node i."""
+    """A sampled trajectory on a grid; ``values[..., i]`` is B at node i.
+
+    ``values`` has shape ``(n_nodes,)`` for one path or ``(rows, n_nodes)``
+    for a batch of paths on the same grid, one path per row.
+    """
 
     grid: TimeGrid
     values: np.ndarray
     seed: int | np.random.SeedSequence | None = None
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.n_nodes,):
+        shape = self.values.shape
+        if len(shape) not in (1, 2) or shape[-1] != self.grid.n_nodes:
             raise ValueError(
-                f"values shape {self.values.shape} does not match grid with "
-                f"{self.grid.n_nodes} nodes"
+                f"values shape {shape} does not match grid with "
+                f"{self.grid.n_nodes} nodes: need (n_nodes,) or (rows, n_nodes)"
             )
 
     def restrict(self, t_end: float) -> "BrownianPath":
@@ -117,7 +122,7 @@ class BrownianPath:
         i = self.grid.index_of(t_end)
         if i == self.grid.n_steps:
             return self
-        return BrownianPath(self.grid.prefix(i), self.values[: i + 1], self.seed)
+        return BrownianPath(self.grid.prefix(i), self.values[..., : i + 1], self.seed)
 
 
 @dataclass(frozen=True)

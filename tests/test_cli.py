@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: exit codes, overrides, and byte determinism."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from insiderlab import experiments
 from insiderlab.cli import main
@@ -235,6 +239,74 @@ def test_weight_with_vanishing_tail_is_invalid_config(tmp_path, capsys, kind, m)
 def test_malformed_fields_are_invalid_config(tmp_path, capsys, raw):
     assert main(["run", write_cfg(tmp_path, "bad.json", raw)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("martingale", "expect_pass", "no"),
+    ("martingale", "threshold", True),
+    ("forward-convergence", "eps_ladder", [True]),
+    ("hjb-residual", "n_fields", True),
+    ("hjb-residual", "n_probes", True),
+])
+def test_json_booleans_and_strings_are_not_numbers_or_flags(
+        tmp_path, capsys, kind, field, value):
+    raw = {"experiment": kind, field: value, "n_paths": 64, "n_steps": 64,
+           "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "bad.json", raw),
+                 "--workers", "1"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ladder", [[8, 1], [20, 1]])
+def test_eps_ladder_reaching_T_is_invalid_config(tmp_path, capsys, ladder):
+    # 16 steps on [0, T1 = 2] put T = 1 at node 8: eps = 8 dt is the horizon
+    raw = {"experiment": "forward-convergence", "n_steps": 16, "n_paths": 64,
+           "eps_ladder": ladder, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "fc.json", raw),
+                 "--workers", "1"]) == 2
+    assert "eps_ladder" in capsys.readouterr().err
+    raw["eps_ladder"] = [7, 1]
+    assert main(["run", write_cfg(tmp_path, "fc.json", raw),
+                 "--workers", "1"]) in (0, 1)
+    assert (tmp_path / "out" / "forward-convergence.csv").exists()
+
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([1.0, -0.5, 2.0]),
+    st.builds(lambda a, b: {"type": "affine", "intercept": a, "slope": b},
+              st.sampled_from([1.0, 0.0, -1.0]), st.sampled_from([0.0, 1.0, -2.0])),
+    st.builds(lambda a, b: {"type": "sin", "base": a, "amplitude": b,
+                            "frequency": 3.0},
+              st.sampled_from([0.0, 1.0]), st.sampled_from([0.5, 1.0])),
+)
+
+
+@given(
+    n_steps=st.sampled_from([1, 2, 3, 4, 8, 12, 16, 32]),
+    t0=st.sampled_from([0.0, 0.25, 0.5]),
+    horizon=st.sampled_from([(1.0, 2.0), (0.5, 2.0), (0.25, 1.0), (1.0, 1.5)]),
+    m=_WEIGHTS,
+    ladder=st.lists(st.integers(1, 24), min_size=1, max_size=4),
+)
+@example(n_steps=16, t0=0.0, horizon=(1.0, 2.0), m=1.0, ladder=[8, 1])
+@settings(max_examples=60, deadline=None)
+def test_forward_convergence_configs_are_rejected_or_run(n_steps, t0, horizon,
+                                                         m, ladder):
+    T, t1 = horizon
+    raw = {"experiment": "forward-convergence", "n_steps": n_steps,
+           "n_paths": 16, "eps_ladder": ladder,
+           "params": {"t0": t0, "T": T, "t1": t1, "m": m}}
+    try:
+        experiments.resolve_config(raw)
+    except experiments.InvalidConfigError:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        raw["out"] = d
+        path = Path(d) / "fc.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--workers", "1"]) in (0, 1)
+        assert (Path(d) / "forward-convergence.csv").exists()
 
 
 def test_decomposition_variance_target_is_T_after_t0(tmp_path, decomp_cfg):

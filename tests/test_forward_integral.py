@@ -7,14 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insiderlab.enlargement import InfoDriftField
+from insiderlab.enlargement import InfoDriftField, drift_matrix, tail_square_integral
+from insiderlab.experiments import _forward_chunk
 from insiderlab.forward_integral import (
     Integrand,
     compare_forward_ito,
     forward_estimate,
     ito_left_sum,
 )
-from insiderlab.paths import constant_weight, make_grid, sample_brownian
+from insiderlab.hjb import ModelParams
+from insiderlab.paths import (
+    BrownianPath,
+    Sin,
+    constant_weight,
+    increment_chunk,
+    make_grid,
+    sample_brownian,
+)
 
 
 def const_integrand(grid, c=1.0, adapted=True):
@@ -171,3 +180,93 @@ def test_grid_mismatch_rejected():
     B = sample_brownian(make_grid(0, 1, 128), 0)
     with pytest.raises(ValueError):
         ito_left_sum(v, B)
+
+
+# ---------------------------------------------------------------------------
+# Batched estimators: one call on (rows, n_nodes) equals the per-row calls
+# ---------------------------------------------------------------------------
+
+def _sin_chunk(rows=7, n_steps=128, seed=12):
+    """A chunk of increments at t0 = 0.5 under a Sin weight, its grid and
+    the weight's node values and tail integrals."""
+    params = ModelParams.benchmark(t0=0.5, m=Sin(1.0, 0.5, 3.0))
+    grid = params.grid(n_steps)
+    m_nodes = params.m.nodes(grid.times)
+    q = tail_square_integral(m_nodes, grid.dt)
+    return params, grid, m_nodes, q, increment_chunk(grid, seed, 0, rows)
+
+
+def _forward_chunk_rows(grid, T, m_nodes, q, ladder, dB):
+    """The per-row loop that ``_forward_chunk`` replaced, kept as its oracle."""
+    dt = grid.dt
+    i_last = grid.index_of(T)
+    alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
+    devs = np.empty((dB.shape[0], len(ladder)))
+    exact = {"one": True, "brownian": True, "drift": True}
+    for i in range(dB.shape[0]):
+        values = np.concatenate([[0.0], np.cumsum(dB[i])])
+        B = BrownianPath(grid, values).restrict(T)
+        target = 0.5 * (B.values[-1] ** 2 - T)
+        vB = Integrand(B.grid, B.values)
+        for j, k in enumerate(ladder):
+            devs[i, j] = abs(forward_estimate(vB, B, eps=k * dt) - target)
+        for label, vals in (
+            ("one", np.ones(i_last + 1)),
+            ("brownian", B.values),
+            ("drift", alpha[i]),
+        ):
+            v = Integrand(B.grid, vals, adapted=(label != "drift"))
+            if forward_estimate(v, B, eps=dt) != ito_left_sum(v, B):
+                exact[label] = False
+    return devs, exact
+
+
+def test_batched_estimates_equal_per_row_calls_bit_for_bit():
+    params, grid, m_nodes, q, dB = _sin_chunk()
+    full = np.zeros((dB.shape[0], grid.n_nodes))
+    np.cumsum(dB, axis=1, out=full[:, 1:])
+    B = BrownianPath(grid, full).restrict(params.T)
+    n = B.grid.n_steps
+    alpha, _ = drift_matrix(dB, m_nodes, q, n)
+    integrands = {
+        "one": Integrand(B.grid, np.ones(n + 1)),  # broadcast against B
+        "brownian": Integrand(B.grid, B.values),
+        "drift": Integrand(B.grid, alpha, adapted=False),
+    }
+    for label, v in integrands.items():
+        ito = ito_left_sum(v, B)
+        assert isinstance(ito, np.ndarray) and ito.shape == (dB.shape[0],)
+        for k in (1, 2, n - 1):
+            fwd = forward_estimate(v, B, k * B.grid.dt)
+            assert isinstance(fwd, np.ndarray) and fwd.shape == (dB.shape[0],)
+            for i in range(dB.shape[0]):
+                Bi = BrownianPath(B.grid, B.values[i])
+                vi = Integrand(B.grid, v.values[i] if v.values.ndim == 2
+                               else v.values)
+                one_path = forward_estimate(vi, Bi, k * B.grid.dt)
+                assert type(one_path) is float
+                assert fwd[i] == one_path, (label, k, i)
+                left = ito_left_sum(vi, Bi)
+                assert type(left) is float
+                assert ito[i] == left, (label, i)
+
+
+def test_batched_shapes_are_validated():
+    g = make_grid(0, 1, 16)
+    for bad in (np.zeros((2, 3, g.n_nodes)), np.zeros((4, g.n_nodes + 1)),
+                np.zeros(g.n_nodes - 1)):
+        with pytest.raises(ValueError):
+            Integrand(g, bad)
+        with pytest.raises(ValueError):
+            BrownianPath(g, bad)
+
+
+@pytest.mark.parametrize("ladder", [[8, 4, 2, 1], [63, 2, 1]])
+def test_forward_chunk_matches_the_per_row_loop(ladder):
+    params, grid, m_nodes, q, dB = _sin_chunk(rows=9)
+    args = (grid, params.T, m_nodes, q, ladder, dB)
+    devs, exact = _forward_chunk(*args)
+    want_devs, want_exact = _forward_chunk_rows(*args)
+    assert devs.shape == want_devs.shape
+    assert np.array_equal(devs, want_devs)
+    assert exact == want_exact == {"one": True, "brownian": True, "drift": True}
