@@ -13,9 +13,10 @@ With dBtilde computed from the same path the two routes agree up to
 roundoff, which the tests use as the discrete counterpart of the two state
 equations having the same solutions.
 
-Single-path functions take a readable node-by-node policy; Monte Carlo
-batches run through ``wealth_paths_chunk``, a vectorized kernel for the
-wealth dynamics dX = [r X + (rtilde - r) u] dt + sigma(t) u dB.
+Policies are vectorised over the rows of a chunk.  The single-path routes
+are one-row calls of ``_euler_rows``; ``wealth_paths_chunk``, the batch
+kernel for the wealth dynamics dX = [r X + (rtilde - r) u] dt + sigma(t) u dB,
+runs feedback policies through the same loop.
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .enlargement import InfoDriftField, drift_matrix, tail_square_integral
-from .paths import BrownianPath, TimeGrid, as_weight
+from .paths import BrownianPath, TimeGrid, as_weight, running_sum
 
 __all__ = [
     "SimulationDiverged",
     "CoefficientSpec",
-    "StepInfo",
     "ControlPolicy",
     "ChunkContext",
     "StatePath",
@@ -93,17 +93,6 @@ class CoefficientSpec:
                 )
 
 
-class StepInfo(NamedTuple):
-    """Information available to a policy at one node of one path."""
-
-    t: float
-    dt: float
-    L: float
-    alpha: float
-    brownian: float
-    history: np.ndarray | None
-
-
 @dataclass
 class ChunkContext:
     """Per-chunk arrays a vectorized policy may read.
@@ -122,31 +111,26 @@ class ChunkContext:
     B: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlPolicy:
-    """A control rule in up to three interchangeable forms.
+    """A control rule in one of two vectorised forms; exactly one is set.
 
-    ``node_rule(i, x, info)`` is the readable single-path form.  When the
-    control does not depend on the state, ``matrix_rule(ctx)`` returns the
-    whole (rows, nodes) control matrix at once and the batch kernels skip
-    the time loop entirely.  ``bulk_rule(ctx, i, x)`` covers vectorized
-    state feedback.  ``moment_bound`` records that all polynomial moments
-    of the control are expected finite (admissibility metadata).
+    ``matrix_rule(ctx)`` returns the whole (rows, nodes) control matrix of a
+    chunk at once: the control does not depend on the state, and the wealth
+    kernel skips the time loop.  ``bulk_rule(ctx, i, x)`` returns the
+    controls at node i for the states x of every row: state feedback.
     """
 
     name: str
-    node_rule: Callable[[int, float, StepInfo], float]
     matrix_rule: Callable[[ChunkContext], np.ndarray] | None = None
     bulk_rule: Callable[[ChunkContext, int, np.ndarray], np.ndarray] | None = None
-    moment_bound: bool = True
 
-    @property
-    def state_free(self) -> bool:
-        return self.matrix_rule is not None
-
-
-def _formula_node(fn, i: int, x: float, info: StepInfo) -> float:
-    return float(fn(info.t, info.alpha, info.L))
+    def __post_init__(self) -> None:
+        if (self.matrix_rule is None) == (self.bulk_rule is None):
+            raise ValueError(
+                f"policy {self.name!r} needs exactly one of matrix_rule "
+                "and bulk_rule"
+            )
 
 
 def _formula_matrix(fn, ctx: ChunkContext) -> np.ndarray:
@@ -165,23 +149,19 @@ def formula_policy(
     alpha a (rows, nodes) block and L a (rows, 1) column.  The policy
     pickles, and so runs in a process pool, whenever ``fn`` does.
     """
-    return ControlPolicy(name, partial(_formula_node, fn),
-                         matrix_rule=partial(_formula_matrix, fn))
+    return ControlPolicy(name, matrix_rule=partial(_formula_matrix, fn))
+
+
+def _feedback_bulk(fn, ctx: ChunkContext, i: int, x: np.ndarray) -> np.ndarray:
+    out = fn(ctx.times[i], x, ctx.alpha[:, i], ctx.L)
+    return np.broadcast_to(out, x.shape).astype(float, copy=False)
 
 
 def feedback_policy(
     name: str, fn: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 ) -> ControlPolicy:
     """Policy u = fn(t, x, alpha_i, L) with vectorized state feedback."""
-
-    def node_rule(i: int, x: float, info: StepInfo) -> float:
-        return float(fn(info.t, x, info.alpha, info.L))
-
-    def bulk_rule(ctx: ChunkContext, i: int, x: np.ndarray) -> np.ndarray:
-        out = fn(ctx.times[i], x, ctx.alpha[:, i], ctx.L)
-        return np.broadcast_to(out, x.shape).astype(float, copy=False)
-
-    return ControlPolicy(name, node_rule, bulk_rule=bulk_rule)
+    return ControlPolicy(name, bulk_rule=partial(_feedback_bulk, fn))
 
 
 def _constant_formula(c: float, t, alpha, L):
@@ -215,31 +195,66 @@ class Domain:
             raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
 
 
-def _step_loop(
-    coeffs: CoefficientSpec,
+def _control_matrix(policy: ControlPolicy, ctx: ChunkContext) -> np.ndarray:
+    u = policy.matrix_rule(ctx)
+    shape = (len(ctx.L), ctx.i_last - ctx.i0 + 1)
+    if u.shape != shape:
+        raise ValueError(f"matrix rule returned shape {u.shape}, need {shape}")
+    return u
+
+
+def _euler_rows(
     policy: ControlPolicy,
-    times: np.ndarray,
-    dt: float,
-    increments: np.ndarray,
-    drift_extra: np.ndarray,
+    ctx: ChunkContext,
     x0: float,
-    info_of: Callable[[int], StepInfo],
+    dW: np.ndarray,
+    extra: np.ndarray,
+    b: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    sigma: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    n = len(increments)
-    values = np.empty(n + 1)
-    control = np.empty(n)
-    values[0] = x0
-    x = x0
-    for i in range(n):
-        info = info_of(i)
-        u = policy.node_rule(i, x, info)
-        s = coeffs.sigma(times[i], x, u)
-        x = x + (coeffs.b(times[i], x, u) + s * drift_extra[i]) * dt + s * increments[i]
-        if not math.isfinite(x):
-            raise SimulationDiverged(f"state non-finite at node {i + 1}", index=i + 1)
-        control[i] = u
-        values[i + 1] = x
-    return values, control
+    """X_{k+1} = X_k + (b + sigma extra_k) dt + sigma dW_k on nodes i0..i_last.
+
+    b and sigma are called as (i, X_k, u_k) at node i = i0 + k; ``dW`` and
+    ``extra`` (which may have one row for all) hold one column per step.
+    Returns (u, X), both (rows, i_last - i0 + 1), with the control from the
+    matrix rule once or from the bulk rule at every node.
+    """
+    rows, n = dW.shape
+    X = np.empty((rows, n + 1))
+    X[:, 0] = x0
+    feedback = policy.matrix_rule is None
+    u = np.empty((rows, n + 1)) if feedback else _control_matrix(policy, ctx)
+    x = X[:, 0]
+    for k in range(n):
+        i = ctx.i0 + k
+        if feedback:
+            u[:, k] = policy.bulk_rule(ctx, i, x)
+        s = sigma(i, x, u[:, k])
+        x = x + (b(i, x, u[:, k]) + s * extra[:, k]) * ctx.dt + s * dW[:, k]
+        X[:, k + 1] = x
+    if feedback:
+        u[:, -1] = policy.bulk_rule(ctx, ctx.i_last, x)
+    return u, X
+
+
+def _simulate_row(
+    coeffs: CoefficientSpec, policy: ControlPolicy, ctx: ChunkContext,
+    x0: float, dW: np.ndarray, extra: np.ndarray,
+) -> StatePath:
+    """One-row ``_euler_rows`` with coefficients of time, as a StatePath."""
+    t = ctx.times
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, X = _euler_rows(
+            policy, ctx, x0, dW[None, :], extra[None, :],
+            lambda i, x, u: coeffs.b(t[i], x, u),
+            lambda i, x, u: coeffs.sigma(t[i], x, u),
+        )
+    bad = np.flatnonzero(~np.isfinite(X[0]))
+    if bad.size:
+        raise SimulationDiverged(f"state non-finite at node {bad[0]}",
+                                 index=int(bad[0]))
+    grid = TimeGrid(float(t[ctx.i0]), float(t[ctx.i_last]), len(dW))
+    return StatePath(grid, X[0], u[0, :-1])
 
 
 def simulate_forward(
@@ -252,26 +267,18 @@ def simulate_forward(
 ) -> StatePath:
     """Euler path of dX = b dt + sigma dB with a G-adapted control.
 
-    The drift field, when given, only feeds alpha to the policy; the
+    The drift field, when given, only feeds alpha and L to the policy; the
     dynamics are driven by the raw increments of B.
     """
-    i0 = B.grid.index_of(t0)
-    times = B.grid.times
-    dt = B.grid.dt
-    n = B.grid.n_steps - i0
+    grid = B.grid
+    i0 = grid.index_of(t0)
+    if drift_field is None:
+        drift_field = InfoDriftField.zero(B, grid.t_end)
+    ctx = ChunkContext(grid.times, grid.dt, i0, grid.n_steps,
+                       np.array([drift_field.L]), drift_field.alpha[None, :],
+                       B.values[None, :])
     db = np.diff(B.values)[i0:]
-
-    def info_of(i: int) -> StepInfo:
-        j = i0 + i
-        alpha = float(drift_field.alpha[j]) if drift_field is not None else 0.0
-        L = drift_field.L if drift_field is not None else 0.0
-        return StepInfo(times[j], dt, L, alpha, B.values[j], B.values[: j + 1])
-
-    values, control = _step_loop(
-        coeffs, policy, times[i0:], dt, db, np.zeros(n), x0, info_of
-    )
-    grid = TimeGrid(float(times[i0]), B.grid.t_end, n)
-    return StatePath(grid, values, control)
+    return _simulate_row(coeffs, policy, ctx, x0, db, np.zeros_like(db))
 
 
 def simulate_insider(
@@ -287,25 +294,13 @@ def simulate_insider(
     ``btilde`` is the decomposed path on [0, T]; the policy sees the
     original Brownian history through the drift field.
     """
-    i0 = btilde.grid.index_of(t0)
-    times = btilde.grid.times
-    dt = btilde.grid.dt
-    n = btilde.grid.n_steps - i0
-    db = np.diff(btilde.values)[i0:]
-    origin = drift_field.path.values
-
-    def info_of(i: int) -> StepInfo:
-        j = i0 + i
-        return StepInfo(
-            times[j], dt, drift_field.L, float(drift_field.alpha[j]),
-            origin[j], origin[: j + 1],
-        )
-
-    values, control = _step_loop(
-        coeffs, policy, times[i0:], dt, db, drift_field.alpha[i0 : i0 + n], x0, info_of
-    )
-    grid = TimeGrid(float(times[i0]), btilde.grid.t_end, n)
-    return StatePath(grid, values, control)
+    grid = btilde.grid
+    i0, n = grid.index_of(t0), grid.n_steps
+    alpha = drift_field.alpha
+    ctx = ChunkContext(grid.times, grid.dt, i0, n, np.array([drift_field.L]),
+                       alpha[None, :], drift_field.path.values[None, : n + 1])
+    return _simulate_row(coeffs, policy, ctx, x0, np.diff(btilde.values)[i0:],
+                         alpha[i0:n])
 
 
 def first_exit(path: StatePath, domain: Domain) -> float:
@@ -422,7 +417,8 @@ def wealth_paths_chunk(
     Parameters
     ----------
     dB : (rows, n_steps) increments on the full [0, T1] grid.
-    policy : a ControlPolicy with a matrix or bulk rule.
+    policy : a state-free policy runs as a cumulative sum of gains, a
+        feedback policy through ``_euler_rows``.
 
     Returns
     -------
@@ -437,9 +433,7 @@ def wealth_paths_chunk(
     n_nodes = iL - i0 + 1
     dt = grid.dt
 
-    B = np.empty((rows, iL + 1))
-    B[:, 0] = 0.0
-    np.cumsum(dB[:, :iL], axis=1, out=B[:, 1:])
+    B = running_sum(dB[:, :iL])
     if setup.informed:
         alpha, L = drift_matrix(dB, setup.m_nodes, setup.q_tail, iL)
     else:
@@ -449,12 +443,10 @@ def wealth_paths_chunk(
 
     sig = setup.sigma_nodes[i0:iL]
     dbw = dB[:, i0:iL]
-    X = np.empty((rows, n_nodes))
-    X[:, 0] = setup.x0
     if policy.matrix_rule is not None:
-        u = policy.matrix_rule(ctx)
-        if u.shape != (rows, n_nodes):
-            raise ValueError(f"matrix rule returned shape {u.shape}")
+        X = np.empty((rows, n_nodes))
+        X[:, 0] = setup.x0
+        u = _control_matrix(policy, ctx)
         gains = setup.excess * u[:, :-1] * dt + sig * u[:, :-1] * dbw
         if setup.r == 0.0:
             np.cumsum(gains, axis=1, out=X[:, 1:])
@@ -465,18 +457,12 @@ def wealth_paths_chunk(
             for k in range(n_nodes - 1):
                 x = x * growth + gains[:, k]
                 X[:, k + 1] = x
-    elif policy.bulk_rule is not None:
-        u = np.empty((rows, n_nodes))
-        x = X[:, 0].copy()
-        for k in range(n_nodes - 1):
-            i = i0 + k
-            uc = policy.bulk_rule(ctx, i, x)
-            u[:, k] = uc
-            x = x + (setup.r * x + setup.excess * uc) * dt + sig[k] * uc * dbw[:, k]
-            X[:, k + 1] = x
-        u[:, -1] = policy.bulk_rule(ctx, iL, x)
     else:
-        raise ValueError(f"policy {policy.name!r} has no vectorized rule")
+        u, X = _euler_rows(
+            policy, ctx, setup.x0, dbw, np.zeros((1, n_nodes - 1)),
+            lambda i, x, u: setup.r * x + setup.excess * u,
+            lambda i, x, u: sig[i - i0] * u,
+        )
 
     diverged = ~np.all(np.isfinite(X), axis=1)
     return ctx, u, X, diverged

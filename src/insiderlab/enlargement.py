@@ -23,7 +23,14 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .paths import BrownianPath, TimeGrid, WeightFunction, as_weight, map_chunks
+from .paths import (
+    BrownianPath,
+    TimeGrid,
+    WeightFunction,
+    as_weight,
+    map_chunks,
+    running_sum,
+)
 
 __all__ = [
     "InfoDriftField",
@@ -40,9 +47,7 @@ __all__ = [
 def tail_square_integral(m_nodes: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid values of int_{t_i}^{T1} m(s)^2 ds for every node i."""
     w = m_nodes * m_nodes
-    cum = np.empty_like(w)
-    cum[0] = 0.0
-    np.cumsum(0.5 * (w[:-1] + w[1:]) * dt, out=cum[1:])
+    cum = running_sum(0.5 * (w[:-1] + w[1:]) * dt)
     return cum[-1] - cum
 
 
@@ -70,9 +75,7 @@ def drift_matrix(
     weighted = m_nodes[:-1] * dB
     if L is None:
         L = weighted.sum(axis=1)
-    run = np.empty((dB.shape[0], i_last + 1))
-    run[:, 0] = 0.0
-    np.cumsum(weighted[:, :i_last], axis=1, out=run[:, 1:])
+    run = running_sum(weighted[:, :i_last])
     return m_nodes[: i_last + 1] * (L[:, None] - run) / q_tail[: i_last + 1], L
 
 
@@ -157,9 +160,7 @@ def decompose(path: BrownianPath, field: InfoDriftField) -> BrownianPath:
         raise ValueError("field was built from a different path")
     i_last = field.i_last
     dt = path.grid.dt
-    drift_cum = np.empty(i_last + 1)
-    drift_cum[0] = 0.0
-    np.cumsum(field.alpha[:i_last] * dt, out=drift_cum[1:])
+    drift_cum = running_sum(field.alpha[:i_last] * dt)
     values = path.values[: i_last + 1] - drift_cum
     return BrownianPath(path.grid.prefix(i_last), values, seed=path.seed)
 
@@ -186,14 +187,10 @@ def expected_squared_drift_integral(
 
 def _decomposition_chunk(m_nodes, q, i_last, dt, dB):
     """Btilde_T and L per row, and the chunk's worst reconstruction error."""
-    rows = dB.shape[0]
-    B = np.empty((rows, i_last + 1))
-    B[:, 0] = 0.0
-    np.cumsum(dB[:, :i_last], axis=1, out=B[:, 1:])
+    B = running_sum(dB[:, :i_last])
     alpha, L = drift_matrix(dB, m_nodes, q, i_last)
-    drift_cum = np.empty_like(B)
-    drift_cum[:, 0] = 0.0
-    np.cumsum(alpha[:, :i_last] * dt, axis=1, out=drift_cum[:, 1:])
+    alpha *= dt  # in place: a chunk-sized temporary here raised the peak RSS
+    drift_cum = running_sum(alpha[:, :i_last])
     btilde = B - drift_cum
     max_recon = float(np.max(np.abs(btilde + drift_cum - B)))
     # a copy, so the chunk matrices are freed before the batch is combined

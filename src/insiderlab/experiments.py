@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,15 @@ from .optimality import (
     quarter_windows,
     window_indices,
 )
-from .paths import Affine, BrownianPath, Constant, Sin, map_chunks, sample_brownian
+from .paths import (
+    Affine,
+    BrownianPath,
+    Constant,
+    Sin,
+    map_chunks,
+    running_sum,
+    sample_brownian,
+)
 # read by perfbench's test_wrappers_are_removed_after_tracing
 from .paths import increment_chunk  # noqa: F401
 
@@ -67,16 +76,6 @@ __all__ = [
     "run_experiment",
 ]
 
-KINDS = (
-    "decomposition",
-    "forward-convergence",
-    "hjb-residual",
-    "example1",
-    "example2",
-    "perturbation",
-    "martingale",
-)
-
 
 class InvalidConfigError(ValueError):
     """A config that cannot be run; the message names the offending field."""
@@ -87,38 +86,7 @@ class InvalidConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 _PARAM_KEYS = {"r", "sigma", "a", "b", "T", "t1", "m", "x0", "t0", "rtilde"}
-_COMMON_KEYS = {"experiment", "params", "n_paths", "n_steps", "seed", "out"}
-_KIND_KEYS = {
-    "decomposition": set(),
-    "forward-convergence": {"eps_ladder"},
-    "hjb-residual": {"n_probes", "n_fields"},
-    "example1": set(),
-    "example2": set(),
-    "perturbation": {"window", "y_grid", "theta0", "policy", "expected_argmin"},
-    "martingale": {"windows", "policy", "threshold", "expect_pass"},
-}
-
 _DEFAULTS = {"n_paths": 10_000, "n_steps": 2048, "seed": 0, "out": "results"}
-_KIND_DEFAULTS = {
-    "decomposition": {},
-    "forward-convergence": {"eps_ladder": [8, 4, 2, 1]},
-    "hjb-residual": {"n_probes": 1000, "n_fields": 8},
-    "example1": {},
-    "example2": {},
-    "perturbation": {
-        "window": [0.25, 0.5],
-        "y_grid": [-0.5, -0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
-        "theta0": 1.0,
-        "policy": "example1",
-        "expected_argmin": 0.0,
-    },
-    "martingale": {
-        "windows": None,
-        "policy": "example1",
-        "threshold": 3.0,
-        "expect_pass": True,
-    },
-}
 
 
 def load_config(path: str | Path) -> dict:
@@ -153,7 +121,8 @@ def resolve_config(raw: dict) -> dict:
         hint = f"; nearest valid kind: {near[0]}" if near else ""
         raise InvalidConfigError(f"unknown experiment {kind!r}{hint}")
 
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+    defaults = _KINDS[kind].defaults
+    allowed = {"experiment", "params", *_DEFAULTS, *defaults}
     for key in raw:
         if key not in allowed:
             raise InvalidConfigError(
@@ -161,7 +130,7 @@ def resolve_config(raw: dict) -> dict:
             )
 
     cfg = dict(_DEFAULTS)
-    cfg.update(_KIND_DEFAULTS[kind])
+    cfg.update(defaults)
     cfg["experiment"] = kind
     if not isinstance(raw.get("params", {}), dict):
         raise InvalidConfigError("'params' must be a JSON object")
@@ -222,6 +191,11 @@ def _is_int(v) -> bool:
 def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
     kind = cfg["experiment"]
     if kind == "forward-convergence":
+        if params.t0 != 0.0:
+            raise InvalidConfigError(
+                "'params.t0' must be 0 for forward-convergence: its "
+                "integrals run on [0, T]"
+            )
         ladder = cfg["eps_ladder"]
         if (
             not isinstance(ladder, list)
@@ -391,9 +365,8 @@ def _run_decomposition(cfg, pool):
             f"max node error = {max_err:.3e}",
         ),
     ]
-    header = ["quantity", "value"]
     rows = [[k, v] for k, v in results.items()]
-    return header, rows, results, checks
+    return rows, results, checks
 
 
 def _forward_chunk(grid, T, m_nodes, q, ladder, dB):
@@ -402,9 +375,7 @@ def _forward_chunk(grid, T, m_nodes, q, ladder, dB):
     dt = grid.dt
     i_last = grid.index_of(T)
     alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
-    values = np.empty((dB.shape[0], i_last + 1))
-    values[:, 0] = 0.0
-    np.cumsum(dB[:, :i_last], axis=1, out=values[:, 1:])
+    values = running_sum(dB[:, :i_last])
     B = BrownianPath(grid.prefix(i_last), values)
     target = 0.5 * (values[:, -1] ** 2 - T)
     vB = Integrand(B.grid, values)
@@ -434,7 +405,6 @@ def _run_forward(cfg, pool):
     devs = np.vstack([p[0] for p in parts])
     exact = {k: all(p[1][k] for p in parts) for k in ("one", "brownian", "drift")}
     medians = np.median(devs, axis=0)
-    header = ["k", "eps", "median_abs_dev"]
     rows = [[k, k * grid.dt, float(m)] for k, m in zip(ladder, medians)]
     results = {
         "medians": {str(k): float(m) for k, m in zip(ladder, medians)},
@@ -454,7 +424,7 @@ def _run_forward(cfg, pool):
             + ", ".join(f"{m:.3e}" for m in medians),
         ),
     ]
-    return header, rows, results, checks
+    return rows, results, checks
 
 
 def _run_hjb_residual(cfg, pool):
@@ -465,8 +435,6 @@ def _run_hjb_residual(cfg, pool):
     for ss in np.random.SeedSequence(cfg["seed"]).spawn(cfg["n_fields"]):
         f = InfoDriftField(params.m, sample_brownian(grid, ss), horizon=params.T)
         fields.append((f, Example1ValueField(params, f)))
-    header = ["probe", "path", "node", "t", "x", "alpha", "u_min", "u_star",
-              "residual"]
     rows = []
     max_resid = 0.0
     max_gap = 0.0
@@ -492,7 +460,7 @@ def _run_hjb_residual(cfg, pool):
         _check("minimizer_below_1e-12_rel", max_gap <= 1e-12,
                f"max relative gap = {max_gap:.3e}"),
     ]
-    return header, rows, results, checks
+    return rows, results, checks
 
 
 def _run_example(cfg, pool, example: int):
@@ -521,7 +489,6 @@ def _run_example(cfg, pool, example: int):
             f"diff = {diff:.3e}, 3 pooled SE = {3 * pooled:.3e}",
         ),
     ]
-    header = ["quantity", "mean", "std_error", "n_samples"]
     rows = [
         ["value_mc", cost.mean, cost.std_error, cost.n_samples],
         ["value_closed_form", closed.mean, closed.std_error,
@@ -560,7 +527,7 @@ def _run_example(cfg, pool, example: int):
              no_info.n_samples]
         )
         rows.append(["no_info_target", target, 0.0, no_info.n_samples])
-    return header, rows, results, checks
+    return rows, results, checks
 
 
 def _run_perturbation(cfg, pool):
@@ -606,9 +573,8 @@ def _run_perturbation(cfg, pool):
                 f"F'(0) = {deriv.mean:.3e}, 3 SE = {3 * deriv.std_error:.3e}",
             )
         )
-    header = ["y", "cost", "cost_se"]
     rows = [[r["y"], r["mean"], r["std_error"]] for r in table]
-    return header, rows, results, checks
+    return rows, results, checks
 
 
 def _run_martingale(cfg, pool):
@@ -619,8 +585,6 @@ def _run_martingale(cfg, pool):
         cfg["seed"], cfg["n_steps"], windows=[tuple(w) for w in cfg["windows"]],
         threshold=threshold, pool=pool,
     )
-    header = ["window_lo", "window_hi", "test_fn", "mean", "std_error", "n",
-              "zscore", "passed"]
     rows = []
     for c in cells:
         z = abs(c["mean"]) / c["std_error"] if c["std_error"] > 0 else 0.0
@@ -635,18 +599,63 @@ def _run_martingale(cfg, pool):
     else:
         checks = [_check("some_cell_fails", n_passing < n_cells,
                          f"worst |z| = {worst:.2f}")]
-    return header, rows, results, checks
+    return rows, results, checks
 
 
-_RUNNERS = {
-    "decomposition": _run_decomposition,
-    "forward-convergence": _run_forward,
-    "hjb-residual": _run_hjb_residual,
-    "example1": partial(_run_example, example=1),
-    "example2": partial(_run_example, example=2),
-    "perturbation": _run_perturbation,
-    "martingale": _run_martingale,
+class _Kind(NamedTuple):
+    """One experiment kind: its runner, its CSV header line, its own fields
+    with their defaults, and what ``list`` says beyond them."""
+
+    run: Callable
+    header: str
+    defaults: dict
+    note: str = ""
+
+
+_KINDS = {
+    "decomposition": _Kind(
+        _run_decomposition, "quantity,value", {},
+        note="uses params.m, params.T, params.t1",
+    ),
+    "forward-convergence": _Kind(
+        _run_forward, "k,eps,median_abs_dev",
+        {"eps_ladder": [8, 4, 2, 1]},
+        note="eps_ladder: int multiples of dt, each below the steps up to T; "
+        "params.t0 must be 0",
+    ),
+    "hjb-residual": _Kind(
+        _run_hjb_residual, "probe,path,node,t,x,alpha,u_min,u_star,residual",
+        {"n_probes": 1000, "n_fields": 8},
+        note="params.rtilde must equal params.r",
+    ),
+    "example1": _Kind(
+        partial(_run_example, example=1), "quantity,mean,std_error,n_samples", {},
+        note="params (full); params.rtilde must equal params.r",
+    ),
+    "example2": _Kind(
+        partial(_run_example, example=2), "quantity,mean,std_error,n_samples", {},
+        note="params a, b, T, t1, m, x0 only; the dynamics fix r=0, "
+        "rtilde=1, sigma=1",
+    ),
+    "perturbation": _Kind(
+        _run_perturbation, "y,cost,cost_se",
+        {
+            "window": [0.25, 0.5],
+            "y_grid": [-0.5, -0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4,
+                       0.5],
+            "theta0": 1.0,
+            "policy": "example1",
+            "expected_argmin": 0.0,
+        },
+    ),
+    "martingale": _Kind(
+        _run_martingale,
+        "window_lo,window_hi,test_fn,mean,std_error,n,zscore,passed",
+        {"windows": None, "policy": "example1", "threshold": 3.0,
+         "expect_pass": True},
+    ),
 }
+KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +696,11 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None,
     """
     kind = cfg["experiment"]
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        header, rows, results, checks = _RUNNERS[kind](cfg, pool)
+        rows, results, checks = _KINDS[kind].run(cfg, pool)
     out = Path(out_dir if out_dir is not None else cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{kind}.csv"
-    lines = [",".join(header)]
+    lines = [_KINDS[kind].header]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     csv_path.write_text("\n".join(lines) + "\n")
 
@@ -712,31 +721,18 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None,
     return summary
 
 
-_SCHEMA_NOTES = {
-    "decomposition": "params.m, params.T, params.t1; CSV: quantity,value",
-    "forward-convergence": "eps_ladder (int multiples of dt, each below "
-    "the steps up to T); CSV: k,eps,median_abs_dev",
-    "hjb-residual": "n_probes, n_fields; "
-    "CSV: probe,path,node,t,x,alpha,u_min,u_star,residual",
-    "example1": "params (full); CSV: quantity,mean,std_error,n_samples",
-    "example2": "params (a,b,T,t1,m,x0 only; dynamics fix the rest); "
-    "CSV: quantity,mean,std_error,n_samples",
-    "perturbation": "window, y_grid, theta0, policy, expected_argmin; "
-    "CSV: y,cost,cost_se",
-    "martingale": "windows, policy, threshold, expect_pass; "
-    "CSV: window_lo,window_hi,test_fn,mean,std_error,n,zscore,passed",
-}
-
-
 def list_experiments() -> str:
     """Stable text listing of kinds, shared fields, and per-kind schema."""
     lines = [
         "experiment kinds (shared fields: params, n_paths, n_steps, seed, out):",
         "",
     ]
-    for kind in KINDS:
-        lines.append(f"  {kind}")
-        lines.append(f"      {_SCHEMA_NOTES[kind]}")
+    for name, kind in _KINDS.items():
+        lines.append(f"  {name}")
+        lines.append(f"      fields: {', '.join(kind.defaults) or 'none'}")
+        if kind.note:
+            lines.append(f"      {kind.note}")
+        lines.append(f"      CSV: {kind.header}")
     lines.append("")
     lines.append(
         "params fields: r, sigma, a, b, T, t1, m, x0, t0, rtilde; sigma and m"

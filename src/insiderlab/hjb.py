@@ -33,7 +33,7 @@ import numpy as np
 from .controlled_sde import ControlPolicy, formula_policy
 from .enlargement import InfoDriftField, drift_matrix, tail_square_integral
 from .optimality import EstimateWithError
-from .paths import TimeGrid, WeightFunction, as_weight, map_chunks
+from .paths import TimeGrid, WeightFunction, as_weight, map_chunks, running_sum
 
 __all__ = [
     "ModelParams",
@@ -281,9 +281,8 @@ class Example1ValueField:
         grid = field.path.grid
         self._times = grid.times[: field.i_last + 1]
         self._integrand = _example1_integrand(params, self._times, field.alpha)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (self._integrand[:-1] + self._integrand[1:]))]
-        ) * grid.dt
+        trapezoids = 0.5 * (self._integrand[:-1] + self._integrand[1:])
+        cum = running_sum(trapezoids) * grid.dt
         self._g = cum - rho0
 
     def f(self, i: int) -> float:

@@ -42,7 +42,7 @@ from .controlled_sde import (
     make_wealth_setup,
     wealth_paths_chunk,
 )
-from .paths import BrownianPath, TimeGrid, as_weight, map_chunks
+from .paths import BrownianPath, TimeGrid, as_weight, map_chunks, running_sum
 
 __all__ = [
     "EstimateWithError",
@@ -260,16 +260,9 @@ def perturbed_policy(
         out[:, ilo - ctx.i0 : ihi - ctx.i0] += y * th[:, None]
         return out
 
-    def node_rule(i, x, info):
-        raise NotImplementedError(
-            "perturbed policies run through the batch kernel only"
-        )
-
     if base.matrix_rule is None:
         raise ValueError("perturbation requires a state-free base policy")
-    return ControlPolicy(
-        f"{base.name}+{y:g}*step", node_rule, matrix_rule=matrix_rule
-    )
+    return ControlPolicy(f"{base.name}+{y:g}*step", matrix_rule=matrix_rule)
 
 
 def sweep_coefficients(
@@ -441,7 +434,7 @@ def nu_path(setup: WealthSetup, ctx: ChunkContext, u: np.ndarray,
         (2.0 * setup.a * u[row, : iL - i0] - disc * setup.excess) * setup.grid.dt
         - disc * setup.sigma_nodes[i0:iL] * dB[row, i0:iL]
     )
-    values = np.concatenate([[0.0], np.cumsum(steps)])
+    values = running_sum(steps)
     return NuPath(TimeGrid(float(t[0]), setup.grid.times[iL], iL - i0), values)
 
 
@@ -510,7 +503,7 @@ def discounted_diffusion(B: BrownianPath, params) -> BrownianPath:
     """R with dR = e^{-b_s} sigma_s dB, left-point sums on B's grid."""
     t = B.grid.times[:-1]
     w = np.exp(-params.r * t) * as_weight(params.sigma_fn).nodes(t)
-    values = np.concatenate([[0.0], np.cumsum(w * np.diff(B.values))])
+    values = running_sum(w * np.diff(B.values))
     return BrownianPath(B.grid, values, seed=B.seed)
 
 
@@ -528,5 +521,5 @@ def semimartingale_recovery(R: BrownianPath, params,
     if np.any(np.abs(sig) <= sigma_floor):
         raise ValueError("sigma falls below the invertibility floor")
     w = np.exp(params.r * t) / sig
-    values = np.concatenate([[0.0], np.cumsum(w * np.diff(R.values))])
+    values = running_sum(w * np.diff(R.values))
     return BrownianPath(R.grid, values, seed=R.seed)

@@ -35,6 +35,7 @@ __all__ = [
     "increment_chunk",
     "map_chunks",
     "n_chunks",
+    "running_sum",
 ]
 
 # Fixed Monte Carlo chunk width.  Chunk c of a batch always covers path
@@ -211,6 +212,15 @@ def make_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
     return TimeGrid(float(t_start), float(t_end), int(n_steps))
 
 
+def running_sum(x: np.ndarray) -> np.ndarray:
+    """Node values of paths with increments ``x`` (last axis), started at 0:
+    ``out[..., i] = x[..., 0] + ... + x[..., i-1]``, summed by ``np.cumsum``."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
 def sample_brownian(grid: TimeGrid, seed: int | np.random.SeedSequence) -> BrownianPath:
     """Draw one Brownian trajectory on ``grid``, started at 0.
 
@@ -219,10 +229,7 @@ def sample_brownian(grid: TimeGrid, seed: int | np.random.SeedSequence) -> Brown
     """
     rng = np.random.default_rng(seed)
     db = rng.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
-    values = np.empty(grid.n_nodes)
-    values[0] = 0.0
-    np.cumsum(db, out=values[1:])
-    return BrownianPath(grid, values, seed=seed)
+    return BrownianPath(grid, running_sum(db), seed=seed)
 
 
 def eval_L(m: WeightFunction | Callable | float, path: BrownianPath,

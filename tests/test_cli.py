@@ -258,6 +258,19 @@ def test_json_booleans_and_strings_are_not_numbers_or_flags(
     assert not (tmp_path / "out").exists()
 
 
+def test_forward_convergence_rejects_t0(tmp_path, capsys):
+    # its integrals run on [0, T]: a t0 would be accepted and ignored
+    raw = {"experiment": "forward-convergence", "params": {"t0": 0.5},
+           "n_paths": 64, "n_steps": 64, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "fc.json", raw),
+                 "--workers", "1"]) == 2
+    assert "params.t0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the kinds that do use t0 keep it
+    for kind in ("decomposition", "hjb-residual"):
+        experiments.resolve_config({"experiment": kind, "params": {"t0": 0.5}})
+
+
 @pytest.mark.parametrize("ladder", [[8, 1], [20, 1]])
 def test_eps_ladder_reaching_T_is_invalid_config(tmp_path, capsys, ladder):
     # 16 steps on [0, T1 = 2] put T = 1 at node 8: eps = 8 dt is the horizon

@@ -1,12 +1,14 @@
 """Simulation routes, exit times, policies, and the closed-form wealth kick."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from insiderlab.controlled_sde import (
     CoefficientSpec,
+    ControlPolicy,
     Domain,
     SimulationDiverged,
     constant_policy,
@@ -22,10 +24,139 @@ from insiderlab.controlled_sde import (
     StatePath,
 )
 from insiderlab.enlargement import InfoDriftField, decompose
-from insiderlab.hjb import ModelParams, example1_policy, example2_params
-from insiderlab.paths import constant_weight, make_grid, sample_brownian
+from insiderlab.hjb import (
+    ModelParams,
+    _example1_formula,
+    example1_policy,
+    example2_params,
+)
+from insiderlab.paths import Affine, constant_weight, make_grid, sample_brownian
 
 ONE = constant_weight(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The per-node loop that the single-path routes ran before ``_euler_rows``,
+# kept as their reference: a scalar state, and a node rule u(i, x, info)
+# that sees the time, alpha and L of one node.
+# ---------------------------------------------------------------------------
+
+class StepInfo(NamedTuple):
+    t: float
+    L: float
+    alpha: float
+
+
+def formula_node_rule(fn):
+    return lambda i, x, info: float(fn(info.t, info.alpha, info.L))
+
+
+def feedback_node_rule(fn):
+    return lambda i, x, info: float(fn(info.t, x, info.alpha, info.L))
+
+
+def reference_loop(coeffs, node_rule, times, dt, increments, drift_extra, x0,
+                   info_of):
+    n = len(increments)
+    values = np.empty(n + 1)
+    control = np.empty(n)
+    values[0] = x0
+    x = x0
+    for i in range(n):
+        info = info_of(i)
+        u = node_rule(i, x, info)
+        s = coeffs.sigma(times[i], x, u)
+        x = x + (coeffs.b(times[i], x, u) + s * drift_extra[i]) * dt + s * increments[i]
+        if not math.isfinite(x):
+            raise SimulationDiverged(f"state non-finite at node {i + 1}", index=i + 1)
+        control[i] = u
+        values[i + 1] = x
+    return values, control
+
+
+def reference_forward(coeffs, node_rule, B, x0, t0=0.0, drift_field=None):
+    i0 = B.grid.index_of(t0)
+    times = B.grid.times
+    n = B.grid.n_steps - i0
+
+    def info_of(i):
+        j = i0 + i
+        if drift_field is None:
+            return StepInfo(times[j], 0.0, 0.0)
+        return StepInfo(times[j], drift_field.L, float(drift_field.alpha[j]))
+
+    return reference_loop(coeffs, node_rule, times[i0:], B.grid.dt,
+                          np.diff(B.values)[i0:], np.zeros(n), x0, info_of)
+
+
+def reference_insider(coeffs, node_rule, drift_field, btilde, x0, t0=0.0):
+    i0 = btilde.grid.index_of(t0)
+    times = btilde.grid.times
+    n = btilde.grid.n_steps - i0
+
+    def info_of(i):
+        j = i0 + i
+        return StepInfo(times[j], drift_field.L, float(drift_field.alpha[j]))
+
+    return reference_loop(coeffs, node_rule, times[i0:], btilde.grid.dt,
+                          np.diff(btilde.values)[i0:],
+                          drift_field.alpha[i0 : i0 + n], x0, info_of)
+
+
+PARAMS = ModelParams(r=0.05, rtilde=0.08, sigma_fn=Affine(1.0, 0.5), a=1.0,
+                     b=1.0, T=1.0, t1=2.0, m=1.0)
+
+
+def _feedback(t, x, alpha, L):
+    return 0.3 * x + 0.1 * alpha - 0.05 * L
+
+
+def _formula(t, alpha, L):
+    return _example1_formula(PARAMS, t, alpha, L)
+
+
+ROUTE_POLICIES = {
+    "formula": (formula_policy("example1", _formula), formula_node_rule(_formula)),
+    "feedback": (feedback_policy("prop", _feedback), feedback_node_rule(_feedback)),
+}
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+@pytest.mark.parametrize("kind", sorted(ROUTE_POLICIES))
+def test_single_path_routes_match_the_per_node_reference(kind, t0):
+    policy, node_rule = ROUTE_POLICIES[kind]
+    coeffs = wealth_coefficients(PARAMS)
+    for seed in range(3):
+        B = sample_brownian(make_grid(0, 2, 128), seed)
+        f = InfoDriftField(ONE, B, horizon=1.0)
+        fwd = simulate_forward(coeffs, policy, B.restrict(1.0), 0.5, t0, f)
+        want = reference_forward(coeffs, node_rule, B.restrict(1.0), 0.5, t0, f)
+        assert np.array_equal(fwd.values, want[0])
+        assert np.array_equal(fwd.control, want[1])
+        ins = simulate_insider(coeffs, policy, f, decompose(B, f), 0.5, t0)
+        want = reference_insider(coeffs, node_rule, f, decompose(B, f), 0.5, t0)
+        assert np.array_equal(ins.values, want[0])
+        assert np.array_equal(ins.control, want[1])
+        assert fwd.grid == ins.grid and fwd.grid.t_start == t0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_divergence_index_matches_the_per_node_reference():
+    coeffs = CoefficientSpec(lambda t, x, u: x**3, lambda t, x, u: 0.0,
+                             growth_c=1e9)
+    B = sample_brownian(make_grid(0, 1, 50), 5)
+    with pytest.raises(SimulationDiverged) as want:
+        reference_forward(coeffs, lambda i, x, info: 0.0, B, 10.0)
+    with pytest.raises(SimulationDiverged) as got:
+        simulate_forward(coeffs, constant_policy(0.0), B, x0=10.0)
+    assert got.value.index == want.value.index
+
+
+@pytest.mark.parametrize("rules", [{}, {"matrix_rule": len, "bulk_rule": len}],
+                         ids=["none", "both"])
+def test_control_policy_needs_exactly_one_rule(rules):
+    with pytest.raises(ValueError, match="exactly one"):
+        ControlPolicy("p", **rules)
 
 
 def frozen_coeffs():
@@ -228,7 +359,8 @@ def test_policy_moment_condition_proxy():
 
 
 def test_matrix_kernel_matches_single_path_loop():
-    # one-row chunk against the readable per-node simulator
+    # one-row chunk of the state-free kernel against simulate_forward's
+    # Euler loop
     params = example2_params()
     setup = make_wealth_setup(params, 256)
     from insiderlab.hjb import example2_policy
@@ -248,18 +380,20 @@ def test_matrix_kernel_matches_single_path_loop():
 
 
 def test_feedback_policy_bulk_matches_node_rule():
-    params = ModelParams.benchmark()
-    setup = make_wealth_setup(params, 128)
-    pol = feedback_policy("prop", lambda t, x, alpha, L: 0.3 * x + 0.1 * alpha)
-    B = sample_brownian(setup.grid, 13)
-    dB = np.diff(B.values)[None, :]
-    ctx, u, X, div = wealth_paths_chunk(setup, dB, pol)
-    f = InfoDriftField(ONE, B, horizon=params.T)
-    single = simulate_forward(
-        wealth_coefficients(params), pol, B.restrict(params.T), x0=0.0,
-        drift_field=f,
-    )
-    assert np.max(np.abs(X[0] - single.values)) < 1e-12
+    # the kernel's feedback branch runs _euler_rows over a chunk; each row
+    # must be the per-node reference on that row's path
+    setup = make_wealth_setup(PARAMS, 128)
+    policy, node_rule = ROUTE_POLICIES["feedback"]
+    paths = [sample_brownian(setup.grid, seed) for seed in range(13, 17)]
+    dB = np.stack([np.diff(B.values) for B in paths])
+    ctx, u, X, div = wealth_paths_chunk(setup, dB, policy)
+    assert not div.any()
+    for row, B in enumerate(paths):
+        f = InfoDriftField(ONE, B, horizon=PARAMS.T)
+        want = reference_forward(wealth_coefficients(PARAMS), node_rule,
+                                 B.restrict(PARAMS.T), 0.0, drift_field=f)
+        assert np.array_equal(X[row], want[0])
+        assert np.array_equal(u[row, :-1], want[1])
 
 
 def test_domain_validation():

@@ -199,3 +199,11 @@ def test_worker_count_does_not_change_bytes_of_any_kind(tmp_path, raw):
         csv.append((tmp_path / f"w{workers}" / f"{cfg['experiment']}.csv")
                    .read_bytes())
     assert csv[0] == csv[1]
+    assert csv[0].decode().split("\n")[0] == _listed_columns(raw["experiment"])
+
+
+def _listed_columns(kind):
+    """The CSV columns that ``insider-lab list`` prints for ``kind``."""
+    lines = experiments.list_experiments().splitlines()
+    rest = lines[lines.index(f"  {kind}") + 1:]
+    return next(line.split("CSV: ")[1] for line in rest if "CSV: " in line)
