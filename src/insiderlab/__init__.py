@@ -21,7 +21,6 @@ from .controlled_sde import (
     simulate_forward,
     simulate_insider,
     wealth_coefficients,
-    wealth_step_closed_form,
 )
 from .enlargement import (
     InfoDriftField,
@@ -130,6 +129,5 @@ __all__ = [
     "simulate_forward",
     "simulate_insider",
     "wealth_coefficients",
-    "wealth_step_closed_form",
     "__version__",
 ]

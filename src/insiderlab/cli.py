@@ -50,6 +50,8 @@ def _run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise InvalidConfigError("'--seed' must be >= 0")
             cfg["seed"] = args.seed
         if args.n_paths is not None:
             if args.n_paths < 2:
@@ -57,7 +59,9 @@ def _run(args: argparse.Namespace) -> int:
             cfg["n_paths"] = args.n_paths
         if args.out is not None:
             cfg["out"] = args.out
-        workers = args.workers if args.workers else os.cpu_count() or 1
+        if args.workers is not None and args.workers < 1:
+            raise InvalidConfigError("'--workers' must be >= 1")
+        workers = args.workers or os.cpu_count() or 1
         summary = run_experiment(cfg, workers=workers)
     except InvalidConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)

@@ -16,7 +16,8 @@ equations having the same solutions.
 Policies are vectorised over the rows of a chunk.  The single-path routes
 are one-row calls of ``_euler_rows``; ``wealth_paths_chunk``, the batch
 kernel for the wealth dynamics dX = [r X + (rtilde - r) u] dt + sigma(t) u dB,
-runs feedback policies through the same loop.
+runs feedback policies through the same loop, on the chunk's shared
+``ChunkContext``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .enlargement import InfoDriftField, drift_matrix, tail_square_integral
-from .paths import BrownianPath, TimeGrid, as_weight, running_sum
+from .enlargement import ChunkContext, DriftSetup, InfoDriftField, drift_setup
+from .paths import BrownianPath, TimeGrid, as_weight
 
 __all__ = [
     "SimulationDiverged",
@@ -45,7 +46,6 @@ __all__ = [
     "simulate_insider",
     "first_exit",
     "wealth_coefficients",
-    "wealth_step_closed_form",
     "WealthSetup",
     "make_wealth_setup",
     "wealth_paths_chunk",
@@ -91,24 +91,6 @@ class CoefficientSpec:
                     f"growth condition violated at (t={t:.3g}, x={x:.3g}, "
                     f"u={u:.3g}): {lhs:.3g} > C(1+|x|+|u|)"
                 )
-
-
-@dataclass
-class ChunkContext:
-    """Per-chunk arrays a vectorized policy may read.
-
-    Policies must only use columns up to the node they are evaluated at
-    (plus L); that discipline is what G-adaptedness means here, and the
-    adaptedness tests enforce it for the shipped policies.
-    """
-
-    times: np.ndarray
-    dt: float
-    i0: int
-    i_last: int
-    L: np.ndarray
-    alpha: np.ndarray
-    B: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -243,6 +225,9 @@ def _simulate_row(
 ) -> StatePath:
     """One-row ``_euler_rows`` with coefficients of time, as a StatePath."""
     t = ctx.times
+    if ctx.alpha.shape[1] <= ctx.i_last:
+        raise ValueError(f"drift field horizon T={t[ctx.alpha.shape[1] - 1]:g} "
+                         f"ends before the path, which runs to {t[ctx.i_last]:g}")
     with np.errstate(over="ignore", invalid="ignore"):
         u, X = _euler_rows(
             policy, ctx, x0, dW[None, :], extra[None, :],
@@ -319,7 +304,7 @@ def first_exit(path: StatePath, domain: Domain) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Wealth dynamics: coefficients, closed-form kick, and the batch kernel
+# Wealth dynamics: coefficients and the batch kernel
 # ---------------------------------------------------------------------------
 
 def wealth_coefficients(params) -> CoefficientSpec:
@@ -335,88 +320,42 @@ def wealth_coefficients(params) -> CoefficientSpec:
     )
 
 
-def wealth_step_closed_form(
-    params, theta0: float, window: tuple[float, float], B: BrownianPath
-) -> float:
-    """Terminal wealth from x0 = 0 under the step control theta0 on (t, t+h].
-
-    Exact solution of the linear wealth SDE:
-
-        X_T(theta; 0) = theta0 * sum_{i in window} e^{r (T - t_i)}
-                        [ (rtilde - r) dt + sigma(t_i) dB_i ] ,
-
-    with exponential (not Euler) discounting, so it matches the Euler route
-    exactly when r = 0 and to O(dt) otherwise.
-    """
-    lo, hi = window
-    grid = B.grid
-    ilo, ihi = grid.index_of(lo), grid.index_of(hi)
-    iT = grid.index_of(params.T)
-    i0 = grid.index_of(params.t0)
-    if not (i0 <= ilo < ihi <= iT):
-        raise ValueError(
-            f"window ({lo}, {hi}] must sit inside [{params.t0}, {params.T}]"
-        )
-    t = grid.times[ilo:ihi]
-    db = np.diff(B.values)[ilo:ihi]
-    disc = np.exp(params.r * (params.T - t))
-    kick = params.excess_rate * grid.dt + params.sigma_fn.nodes(t) * db
-    return float(theta0 * np.sum(disc * kick))
-
-
 @dataclass(frozen=True, eq=False)
-class WealthSetup:
-    """Precomputed node data for batch wealth simulation on one grid."""
+class WealthSetup(DriftSetup):
+    """The drift's node data plus the wealth coefficients on the same grid."""
 
-    grid: TimeGrid
-    i0: int
-    i_last: int
-    m_nodes: np.ndarray
-    q_tail: np.ndarray
     sigma_nodes: np.ndarray
     r: float
     excess: float
     a: float
     b_weight: float
     x0: float
-    informed: bool
 
 
 def make_wealth_setup(params, n_steps: int, informed: bool = True) -> WealthSetup:
     """Resolve model parameters on a fresh [0, T1] grid with n_steps steps."""
     grid = TimeGrid(0.0, params.t1, int(n_steps))
-    i_last = grid.index_of(params.T)  # also validates node alignment
-    i0 = grid.index_of(params.t0)
-    m = as_weight(params.m)
-    m_nodes = m.nodes(grid.times)
-    q = tail_square_integral(m_nodes, grid.dt)
-    if np.any(q[: i_last + 1] <= 0.0):
-        raise ValueError("weight tail integral vanishes before the horizon")
-    sigma_nodes = as_weight(params.sigma_fn).nodes(grid.times)
+    drift = drift_setup(params.m, grid, params.T, params.t0, informed)
     return WealthSetup(
-        grid=grid,
-        i0=i0,
-        i_last=i_last,
-        m_nodes=m_nodes,
-        q_tail=q,
-        sigma_nodes=sigma_nodes,
+        **vars(drift),
+        sigma_nodes=as_weight(params.sigma_fn).nodes(grid.times),
         r=params.r,
         excess=params.excess_rate,
         a=params.a,
         b_weight=params.b,
         x0=params.x0,
-        informed=informed,
     )
 
 
 def wealth_paths_chunk(
-    setup: WealthSetup, dB: np.ndarray, policy: ControlPolicy
+    setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext, policy: ControlPolicy
 ) -> tuple[ChunkContext, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one chunk of wealth paths.
 
     Parameters
     ----------
     dB : (rows, n_steps) increments on the full [0, T1] grid.
+    ctx : the chunk's ``chunk_context``, read and never written.
     policy : a state-free policy runs as a cumulative sum of gains, a
         feedback policy through ``_euler_rows``.
 
@@ -427,19 +366,10 @@ def wealth_paths_chunk(
     (their later values are meaningless and the caller must exclude and
     report them).
     """
-    grid = setup.grid
     i0, iL = setup.i0, setup.i_last
     rows = dB.shape[0]
     n_nodes = iL - i0 + 1
-    dt = grid.dt
-
-    B = running_sum(dB[:, :iL])
-    if setup.informed:
-        alpha, L = drift_matrix(dB, setup.m_nodes, setup.q_tail, iL)
-    else:
-        alpha = np.zeros((rows, iL + 1))
-        L = np.zeros(rows)
-    ctx = ChunkContext(grid.times, dt, i0, iL, L, alpha, B)
+    dt = setup.grid.dt
 
     sig = setup.sigma_nodes[i0:iL]
     dbw = dB[:, i0:iL]

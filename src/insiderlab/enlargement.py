@@ -12,13 +12,18 @@ E[alpha_s^2] = m(s)^2 / int_s^{T1} m^2 du used as a test oracle.
 
 The drift is only ever evaluated up to a decision horizon T strictly before
 T1; at T1 the conditioning denominator vanishes.
+
+Batch estimators see the drift through ``chunk_context``: each chunk of
+increments gets its B, alpha and L once, and ``map_reducers`` applies every
+reducer of an op to that one context, so an op draws each chunk once.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -33,6 +38,12 @@ from .paths import (
 )
 
 __all__ = [
+    "ChunkContext",
+    "DriftSetup",
+    "drift_setup",
+    "chunk_context",
+    "without_drift",
+    "map_reducers",
     "InfoDriftField",
     "information_drift",
     "decompose",
@@ -76,7 +87,109 @@ def drift_matrix(
     if L is None:
         L = weighted.sum(axis=1)
     run = running_sum(weighted[:, :i_last])
+    del weighted  # full width: freed before the result is allocated
     return m_nodes[: i_last + 1] * (L[:, None] - run) / q_tail[: i_last + 1], L
+
+
+@dataclass(frozen=True)
+class ChunkContext:
+    """Per-chunk arrays a vectorized policy or a reducer may read.
+
+    Policies must only use columns up to the node they are evaluated at
+    (plus L); that discipline is what G-adaptedness means here, and the
+    adaptedness tests enforce it for the shipped policies.
+    """
+
+    times: np.ndarray
+    dt: float
+    i0: int
+    i_last: int
+    L: np.ndarray
+    alpha: np.ndarray
+    B: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class DriftSetup:
+    """Node data of the drift on one [0, T1] grid: t0 is node ``i0``, the
+    decision horizon T node ``i_last``; ``informed=False`` gives every chunk
+    the zero drift of an agent without L."""
+
+    grid: TimeGrid
+    i0: int
+    i_last: int
+    m_nodes: np.ndarray
+    q_tail: np.ndarray
+    informed: bool
+
+
+def drift_setup(m: WeightFunction | Callable[[float], float] | float,
+                grid: TimeGrid, horizon: float, t0: float = 0.0,
+                informed: bool = True) -> DriftSetup:
+    """Validate the weight on ``grid`` and resolve the drift's node data."""
+    i_last = grid.index_of(horizon)
+    if i_last >= grid.n_steps:
+        raise ValueError(
+            f"decision horizon T={horizon} must lie strictly before "
+            f"T1={grid.t_end}"
+        )
+    m_nodes = as_weight(m).nodes(grid.times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = tail_square_integral(m_nodes, grid.dt)
+    if not np.isfinite(q[0]):
+        raise ValueError("int_0^T1 m^2 ds is not finite: the weight overflows")
+    if not q[i_last] > 0.0:
+        raise ValueError("int_t^T1 m^2 ds must stay positive for t <= T")
+    return DriftSetup(grid, grid.index_of(t0), i_last, m_nodes, q, informed)
+
+
+def chunk_context(setup: DriftSetup, dB: np.ndarray) -> ChunkContext:
+    """B and alpha on nodes 0..i_last, and L, of one (rows, n_steps) chunk:
+    the chunk's one ``drift_matrix`` call.  Every reducer of the chunk reads
+    these arrays, so they are made read-only."""
+    i_last = setup.i_last
+    B = running_sum(dB[:, :i_last])
+    if setup.informed:
+        alpha, L = drift_matrix(dB, setup.m_nodes, setup.q_tail, i_last)
+    else:
+        alpha, L = _no_information(len(dB), i_last)
+    for a in (B, alpha, L):
+        a.flags.writeable = False
+    return ChunkContext(setup.grid.times, setup.grid.dt, setup.i0, i_last,
+                        L, alpha, B)
+
+
+def _no_information(rows: int, i_last: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha = 0 and L = 0 as read-only views of one zero, which take no
+    chunk-sized memory."""
+    zero = np.float64(0.0)
+    return np.broadcast_to(zero, (rows, i_last + 1)), np.broadcast_to(zero, rows)
+
+
+def without_drift(reduce, dB: np.ndarray, ctx: ChunkContext):
+    """``reduce(dB, ctx)`` as the agent without information sees the chunk:
+    the same B, with alpha = 0 and L = 0."""
+    alpha, L = _no_information(len(ctx.L), ctx.i_last)
+    return reduce(dB, replace(ctx, alpha=alpha, L=L))
+
+
+def _reduce_chunk(setup, reducers, dB):
+    ctx = chunk_context(setup, dB)
+    # each reducer's chunk-sized arrays die with its frame, before the next
+    return [reduce(dB, ctx) for reduce in reducers]
+
+
+def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
+                 n_paths: int, pool=None) -> list[list]:
+    """Apply every reducer ``(dB, ctx) -> part`` to each chunk of one draw.
+
+    ``map_chunks`` draws each chunk once; ``chunk_context`` builds its
+    context once.  Returns each reducer's parts in chunk order, with or
+    without a process ``pool`` (the reducers must then pickle).
+    """
+    chunks = map_chunks(partial(_reduce_chunk, setup, tuple(reducers)),
+                        setup.grid, seed, n_paths, pool)
+    return [list(parts) for parts in zip(*chunks)]
 
 
 class InfoDriftField:
@@ -98,28 +211,18 @@ class InfoDriftField:
         L: float | None = None,
     ):
         m = as_weight(m)
-        grid = path.grid
-        i_last = grid.index_of(horizon)
-        if i_last >= grid.n_steps:
-            raise ValueError(
-                f"decision horizon T={horizon} must lie strictly before "
-                f"T1={grid.t_end}"
-            )
-        m_nodes = m.nodes(grid.times)
-        q = tail_square_integral(m_nodes, grid.dt)
-        if np.any(q[: i_last + 1] <= 0.0):
-            raise ValueError("int_t^{T1} m^2 ds must stay positive for t <= T")
+        setup = drift_setup(m, path.grid, horizon)
         db = np.diff(path.values)
         if L is None:
-            L = float(np.sum(m_nodes[:-1] * db))
-        alpha, _ = drift_matrix(db[None, :], m_nodes, q, i_last,
-                                np.array([L]))
+            L = float(np.sum(setup.m_nodes[:-1] * db))
+        alpha, _ = drift_matrix(db[None, :], setup.m_nodes, setup.q_tail,
+                                setup.i_last, np.array([L]))
         self.m = m
         self.path = path
         self.horizon = float(horizon)
-        self.t1 = grid.t_end
+        self.t1 = path.grid.t_end
         self.L = L
-        self.i_last = i_last
+        self.i_last = setup.i_last
         self.alpha = alpha[0]
 
     @classmethod
@@ -185,16 +288,22 @@ def expected_squared_drift_integral(
     return integrate.quad(lambda s: drift_second_moment(m, s, t1), 0.0, T)[0]
 
 
-def _decomposition_chunk(m_nodes, q, i_last, dt, dB):
+def _decomposition_chunk(dB, ctx):
     """Btilde_T and L per row, and the chunk's worst reconstruction error."""
-    B = running_sum(dB[:, :i_last])
-    alpha, L = drift_matrix(dB, m_nodes, q, i_last)
-    alpha *= dt  # in place: a chunk-sized temporary here raised the peak RSS
-    drift_cum = running_sum(alpha[:, :i_last])
-    btilde = B - drift_cum
-    max_recon = float(np.max(np.abs(btilde + drift_cum - B)))
+    B = ctx.B
+    # int alpha ds, then the reconstruction error, in one buffer of this
+    # reducer's own: the context is shared, and every further chunk-sized
+    # temporary here raises the peak RSS
+    buf = np.empty_like(B)
+    buf[:, 0] = 0.0
+    np.multiply(ctx.alpha[:, : ctx.i_last], ctx.dt, out=buf[:, 1:])
+    np.cumsum(buf[:, 1:], axis=1, out=buf[:, 1:])
+    btilde = B - buf
+    np.add(btilde, buf, out=buf)
+    np.subtract(buf, B, out=buf)
+    max_recon = float(np.abs(buf, out=buf).max())
     # a copy, so the chunk matrices are freed before the batch is combined
-    return btilde[:, -1].copy(), L, max_recon
+    return btilde[:, -1].copy(), ctx.L, max_recon
 
 
 def decomposition_stats(
@@ -212,16 +321,8 @@ def decomposition_stats(
     Chunks are reduced in fixed order, so the result is a pure function of
     the arguments, with or without a process ``pool``.
     """
-    m = as_weight(m)
-    i_last = grid.index_of(horizon)
-    if i_last >= grid.n_steps:
-        raise ValueError("horizon must lie strictly inside the grid")
-    m_nodes = m.nodes(grid.times)
-    q = tail_square_integral(m_nodes, grid.dt)
-    if not q[i_last] > 0.0:
-        raise ValueError("int_t^{T1} m^2 ds must stay positive for t <= T")
-    parts = map_chunks(partial(_decomposition_chunk, m_nodes, q, i_last, grid.dt),
-                       grid, seed, n_paths, pool)
+    setup = drift_setup(m, grid, horizon)
+    (parts,) = map_reducers(setup, [_decomposition_chunk], seed, n_paths, pool)
     terminals = np.concatenate([p[0] for p in parts])
     Ls = np.concatenate([p[1] for p in parts])
     max_recon = max(p[2] for p in parts)

@@ -7,7 +7,9 @@ standard error, and named pass/fail checks.
 
 The runners only handle configs, checks and emission: every estimate comes
 from the library function that the config names, and the library runs its
-chunks through one engine, ``paths.map_chunks``.  ``run_experiment`` opens
+chunks through one engine, ``enlargement.map_reducers`` over
+``paths.map_chunks``, which draws each chunk of an op once and applies all
+of the op's reducers to it.  ``run_experiment`` opens
 one process pool per op when ``workers > 1`` and hands it to every estimate
 of that op.  Chunk streams are keyed by (seed, chunk index) alone and chunk
 results come back in chunk order, so the emitted bytes do not depend on the
@@ -32,8 +34,8 @@ from .controlled_sde import ControlPolicy, constant_policy
 from .enlargement import (
     InfoDriftField,
     decomposition_stats,
-    drift_matrix,
-    tail_square_integral,
+    drift_setup,
+    map_reducers,
 )
 from .forward_integral import Integrand, forward_estimate, ito_left_sum
 from .hjb import (
@@ -41,15 +43,13 @@ from .hjb import (
     ModelParams,
     example1_control,
     example1_policy,
-    example1_value,
     example2_control,
     example2_policy,
-    example2_value,
+    example_estimates,
     hjb_pointwise_infimum,
 )
 from .optimality import (
     PerturbationSpec,
-    cost_mc,
     martingale_diagnostic,
     perturbation_sweep,
     quarter_windows,
@@ -60,8 +60,6 @@ from .paths import (
     BrownianPath,
     Constant,
     Sin,
-    map_chunks,
-    running_sum,
     sample_brownian,
 )
 # read by perfbench's test_wrappers_are_removed_after_tracing
@@ -143,6 +141,8 @@ def resolve_config(raw: dict) -> dict:
         v = cfg[key]
         if not _is_int(v):
             raise InvalidConfigError(f"'{key}' must be an integer, got {v!r}")
+    if cfg["seed"] < 0:
+        raise InvalidConfigError("'seed' must be >= 0")
     if cfg["n_paths"] < 2:
         raise InvalidConfigError("'n_paths' must be >= 2")
     if cfg["n_steps"] < 1:
@@ -165,11 +165,10 @@ def resolve_config(raw: dict) -> dict:
         grid = params.grid(cfg["n_steps"])
     except ValueError as e:
         raise InvalidConfigError(f"'n_steps': {e}") from e
-    q = tail_square_integral(params.m.nodes(grid.times), grid.dt)
-    if not q[grid.index_of(params.T)] > 0.0:
-        raise InvalidConfigError(
-            "'params.m': int_t^T1 m^2 ds must stay positive for t <= T"
-        )
+    try:
+        drift_setup(params.m, grid, params.T, params.t0)
+    except ValueError as e:
+        raise InvalidConfigError(f"'params.m': {e}") from e
     if kind in ("example1", "hjb-residual") and params.excess_rate != 0.0:
         raise InvalidConfigError(
             f"'params.rtilde' must equal 'params.r' for {kind}: its closed "
@@ -369,13 +368,12 @@ def _run_decomposition(cfg, pool):
     return rows, results, checks
 
 
-def _forward_chunk(grid, T, m_nodes, q, ladder, dB):
+def _forward_chunk(grid, T, ladder, dB, ctx):
     """Per row: |forward estimate - Ito target| along the ladder, and whether
     eps = dt reproduces the left-point sum bit for bit for each integrand."""
     dt = grid.dt
-    i_last = grid.index_of(T)
-    alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
-    values = running_sum(dB[:, :i_last])
+    i_last = ctx.i_last
+    values = ctx.B
     B = BrownianPath(grid.prefix(i_last), values)
     target = 0.5 * (values[:, -1] ** 2 - T)
     vB = Integrand(B.grid, values)
@@ -386,7 +384,7 @@ def _forward_chunk(grid, T, m_nodes, q, ladder, dB):
     for label, vals in (
         ("one", np.ones(i_last + 1)),
         ("brownian", values),
-        ("drift", alpha),
+        ("drift", ctx.alpha),
     ):
         v = Integrand(B.grid, vals, adapted=(label != "drift"))
         exact[label] = bool(np.all(forward_estimate(v, B, eps=dt)
@@ -398,10 +396,9 @@ def _run_forward(cfg, pool):
     params = params_from_config(cfg)
     grid = params.grid(cfg["n_steps"])
     ladder = list(cfg["eps_ladder"])
-    m_nodes = params.m.nodes(grid.times)
-    reduce_chunk = partial(_forward_chunk, grid, params.T, m_nodes,
-                           tail_square_integral(m_nodes, grid.dt), ladder)
-    parts = map_chunks(reduce_chunk, grid, cfg["seed"], cfg["n_paths"], pool)
+    setup = drift_setup(params.m, grid, params.T)
+    (parts,) = map_reducers(setup, [partial(_forward_chunk, grid, params.T, ladder)],
+                            cfg["seed"], cfg["n_paths"], pool)
     devs = np.vstack([p[0] for p in parts])
     exact = {k: all(p[1][k] for p in parts) for k in ("one", "brownian", "drift")}
     medians = np.median(devs, axis=0)
@@ -465,14 +462,10 @@ def _run_hjb_residual(cfg, pool):
 
 def _run_example(cfg, pool, example: int):
     params = params_from_config(cfg)
-    n_paths, seed, n_steps = cfg["n_paths"], cfg["seed"], cfg["n_steps"]
-    if example == 1:
-        policy, value = example1_policy(params), example1_value
-    else:
-        policy, value = example2_policy(params), example2_value
-    cost = cost_mc(policy, params, n_paths, seed, n_steps, pool=pool)
-    closed = value(params, params.t0, params.x0, n_paths, seed, n_steps,
-                   pool=pool)
+    closed, cost, *no_info = example_estimates(
+        example, params, params.t0, params.x0, cfg["n_paths"], cfg["seed"],
+        cfg["n_steps"], pool=pool, costs=True,
+    )
     diff = cost.mean - closed.mean
     pooled = math.hypot(cost.std_error, closed.std_error)
     results = {
@@ -495,8 +488,7 @@ def _run_example(cfg, pool, example: int):
          closed.n_samples],
     ]
     if example == 2:
-        no_info = cost_mc(policy, params, n_paths, seed, n_steps,
-                          informed=False, pool=pool)
+        (no_info,) = no_info
         half = params.b / (2.0 * params.a)
         horizon = params.T - params.t0
         target = (

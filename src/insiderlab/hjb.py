@@ -19,6 +19,9 @@ forms are shipped:
 Both examples are instances of the wealth dynamics
 dX = [r X + (rtilde - r) u] dt + sigma u dB: the first with rtilde = r, the
 second with r = 0, rtilde = 1, sigma = 1.
+
+The value integrals are reducers over each chunk's shared ``chunk_context``;
+``example_estimates`` takes an example's value and costs from one draw.
 """
 
 from __future__ import annotations
@@ -26,14 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
-
 import numpy as np
 
-from .controlled_sde import ControlPolicy, formula_policy
-from .enlargement import InfoDriftField, drift_matrix, tail_square_integral
-from .optimality import EstimateWithError
-from .paths import TimeGrid, WeightFunction, as_weight, map_chunks, running_sum
+from .controlled_sde import ControlPolicy, formula_policy, make_wealth_setup
+from .enlargement import InfoDriftField, map_reducers, without_drift
+from .optimality import EstimateWithError, cost_chunk
+from .paths import TimeGrid, WeightFunction, as_weight, running_sum
 
 __all__ = [
     "ModelParams",
@@ -47,6 +48,7 @@ __all__ = [
     "example2_control",
     "example2_policy",
     "example2_value",
+    "example_estimates",
     "hjb_pointwise_infimum",
 ]
 
@@ -203,42 +205,46 @@ def example1_G(
     return f_t * x + g_t
 
 
-def _integral_chunk(grid, m_nodes, q, i_from, i_last, integrand_fn, informed, dB):
-    if informed:
-        alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
-    else:
-        alpha = np.zeros((dB.shape[0], i_last + 1))
-    block = integrand_fn(grid.times[i_from : i_last + 1], alpha[:, i_from:])
-    return np.trapezoid(block, dx=grid.dt, axis=1)
+def _integral_chunk(i_from, integrand_fn, dB, ctx):
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = integrand_fn(ctx.times[i_from : ctx.i_last + 1],
+                             ctx.alpha[:, i_from:])
+        vals = np.trapezoid(block, dx=ctx.dt, axis=1)
+    return vals, ~np.isfinite(vals)
 
 
-def _mc_integral(
-    params: ModelParams,
-    t: float,
-    n_paths: int,
-    seed: int,
-    n_steps: int,
-    integrand_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    informed: bool = True,
-    pool=None,
-) -> EstimateWithError:
-    """E int_t^T integrand(s, alpha_s) ds by chunked trapezoid quadrature.
+def example_estimates(example: int, params: ModelParams, t: float, x: float,
+                      n_paths: int, seed: int, n_steps: int = 2048,
+                      informed: bool = True, pool=None,
+                      costs: bool = False) -> list[EstimateWithError]:
+    """Estimates of example 1 or 2, all from one draw of the paths.
 
-    ``informed=False`` replaces alpha by 0, which makes the integrand
-    deterministic (every sample identical, zero standard error).
+    Returns [V(t, x)], by trapezoid quadrature of the example's integrand
+    per path.  With ``costs`` it appends the cost J(t0, x0; u*) of the
+    optimal policy and, for example 2, the cost of u* without information.
+    Each equals its own ``example{1,2}_value`` or ``cost_mc`` bit for bit.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    grid = params.grid(n_steps)
-    i_from, i_last = grid.index_of(t), grid.index_of(params.T)
-    if not i_from < i_last:
+    setup = make_wealth_setup(params, n_steps, informed=informed)
+    i_from = setup.grid.index_of(t)
+    if not i_from < setup.i_last:
         raise ValueError(f"need t < T, got t={t}")
-    m_nodes = params.m.nodes(grid.times)
-    q = tail_square_integral(m_nodes, grid.dt)
-    reduce_chunk = partial(_integral_chunk, grid, m_nodes, q, i_from, i_last,
-                           integrand_fn, informed)
-    vals = np.concatenate(map_chunks(reduce_chunk, grid, seed, n_paths, pool))
-    return EstimateWithError.from_samples(vals, seed)
+    if example == 1:
+        integrand, policy = partial(_example1_integrand, params), example1_policy
+        det = x * params.b * math.exp(-params.r * (t - params.T))
+    else:
+        c = params.b**2 / (4.0 * params.a)
+        integrand, policy = partial(_example2_integrand, c), example2_policy
+        det = params.b * x
+    reducers = [partial(_integral_chunk, i_from, integrand)]
+    if costs:
+        cost = partial(cost_chunk, setup, policy=policy(params))
+        reducers.append(cost)
+        if example == 2:
+            reducers.append(partial(without_drift, cost))
+    parts = map_reducers(setup, reducers, seed, n_paths, pool)
+    out = [EstimateWithError.from_chunks(p, seed) for p in parts]
+    out[0] = replace(out[0], mean=-(det + out[0].mean))
+    return out
 
 
 def example1_value(
@@ -258,12 +264,8 @@ def example1_value(
     V reduces to the discounted-endowment term.  At t = 0, x = 0 it is
     -rho0, the centering constant of ``example1_G``.
     """
-    integral = _mc_integral(
-        params, t, n_paths, seed, n_steps,
-        partial(_example1_integrand, params), informed=informed, pool=pool,
-    )
-    det = x * params.b * math.exp(-params.r * (t - params.T))
-    return replace(integral, mean=-(det + integral.mean))
+    return example_estimates(1, params, t, x, n_paths, seed, n_steps, informed,
+                             pool)[0]
 
 
 class Example1ValueField:
@@ -349,9 +351,5 @@ def example2_value(
     ``informed=False`` drops the drift: the integral collapses to the
     deterministic (b^2/4a)(T - t).  At t = 0, x = 0 it is -rho0.
     """
-    c = params.b**2 / (4.0 * params.a)
-    integral = _mc_integral(
-        params, t, n_paths, seed, n_steps,
-        partial(_example2_integrand, c), informed=informed, pool=pool,
-    )
-    return replace(integral, mean=-(params.b * x + integral.mean))
+    return example_estimates(2, params, t, x, n_paths, seed, n_steps, informed,
+                             pool)[0]

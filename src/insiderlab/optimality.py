@@ -20,10 +20,11 @@ Four instruments, all statistical, all seeded:
   every cell passes; a policy that ignores valuable information fails the
   correlated cells by a wide margin.
 
-Each estimator is one top-level per-chunk reducer run through
-``paths.map_chunks`` by ``collect_samples``; the reductions come back in
-fixed chunk order, so every estimate is a deterministic function of
-(inputs, seed) whether or not a process ``pool`` is passed.
+Each estimator runs top-level reducers ``(dB, ctx) -> part`` through
+``enlargement.map_reducers``, which draws each chunk once for all of them
+(``cost_mc_many`` prices several policies on the same paths).  The parts
+come back in fixed chunk order, so every estimate is a deterministic
+function of (inputs, seed) whether or not a process ``pool`` is passed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .controlled_sde import (
     make_wealth_setup,
     wealth_paths_chunk,
 )
-from .paths import BrownianPath, TimeGrid, as_weight, map_chunks, running_sum
+from .enlargement import map_reducers
+from .paths import BrownianPath, TimeGrid, as_weight, running_sum
 
 __all__ = [
     "EstimateWithError",
@@ -52,7 +54,9 @@ __all__ = [
     "pooled_se",
     "collect_samples",
     "window_indices",
+    "cost_chunk",
     "cost_mc",
+    "cost_mc_many",
     "directional_derivative",
     "perturbation_sweep",
     "perturbed_policy",
@@ -111,42 +115,49 @@ class EstimateWithError:
             n_diverged=n_diverged,
         )
 
+    @classmethod
+    def from_chunks(cls, parts: list, seed: int) -> "EstimateWithError":
+        """The estimate from per-chunk (values, diverged) parts, diverged
+        rows dropped and counted by ``collect_samples``."""
+        samples, n_diverged = collect_samples(parts)
+        return cls.from_samples(samples, seed, n_diverged)
+
 
 def pooled_se(e1: EstimateWithError, e2: EstimateWithError) -> float:
     return math.hypot(e1.std_error, e2.std_error)
 
 
 def collect_samples(
-    reduce_chunk: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    grid: TimeGrid,
-    seed: int,
-    n_paths: int,
-    pool=None,
+    parts: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, int]:
-    """Map each increment chunk to per-path values (the last axis) and a mask
-    of diverged rows; diverged rows are excluded but counted, and more than
-    ``MAX_DIVERGED_FRACTION`` of them raise DivergenceError."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    parts = map_chunks(reduce_chunk, grid, seed, n_paths, pool)
+    """Join per-chunk parts (per-path values on the last axis, mask of
+    diverged rows); diverged rows are excluded but counted, and more than
+    ``MAX_DIVERGED_FRACTION`` of all rows raise DivergenceError."""
+    n_paths = sum(len(bad) for _, bad in parts)
     n_diverged = sum(int(bad.sum()) for _, bad in parts)
     if n_diverged > MAX_DIVERGED_FRACTION * n_paths:
         raise DivergenceError(n_diverged, n_paths)
     return np.concatenate([v[..., ~bad] for v, bad in parts], axis=-1), n_diverged
 
 
-def _cost_chunk(setup, policy, disc, running_cost, terminal_cost, dB):
+def cost_chunk(setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext,
+               policy: ControlPolicy, disc_T: float = 1.0,
+               running_cost: Callable | None = None,
+               terminal_cost: Callable | None = None):
+    """Per-path cost of ``policy`` on one chunk, and the mask of diverged
+    rows: trapezoid quadrature of the running cost minus b disc_T X_T unless
+    ``running_cost``/``terminal_cost`` override it (see ``cost_mc``)."""
     t_nodes = setup.grid.times[setup.i0 : setup.i_last + 1]
     # overflow is handled by detection below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
+        _, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
         if running_cost is None:
             integrand = setup.a * u * u
         else:
             integrand = running_cost(t_nodes[None, :], X, u)
         run = np.trapezoid(integrand, dx=setup.grid.dt, axis=1)
         if terminal_cost is None:
-            term = -setup.b_weight * disc * X[:, -1]
+            term = -setup.b_weight * disc_T * X[:, -1]
         else:
             term = terminal_cost(X[:, -1])
         vals = run + term
@@ -178,11 +189,25 @@ def cost_mc(
     spreads the chunks over its workers; the estimate does not change.
     """
     setup = make_wealth_setup(params, n_steps, informed=informed)
-    disc = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
-    reduce_chunk = partial(_cost_chunk, setup, policy, disc, running_cost,
-                           terminal_cost)
-    samples, n_div = collect_samples(reduce_chunk, setup.grid, seed, n_paths, pool)
-    return EstimateWithError.from_samples(samples, seed, n_diverged=n_div)
+    disc_T = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
+    reduce_chunk = partial(cost_chunk, setup, policy=policy, disc_T=disc_T,
+                           running_cost=running_cost, terminal_cost=terminal_cost)
+    (parts,) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
+    return EstimateWithError.from_chunks(parts, seed)
+
+
+def cost_mc_many(policies: Sequence[ControlPolicy], params, n_paths: int,
+                 seed: int, n_steps: int, informed: bool = True,
+                 pool=None) -> list[EstimateWithError]:
+    """The default ``cost_mc`` of every policy, all on one draw of the paths.
+
+    Each estimate equals its separate ``cost_mc`` call bit for bit, with its
+    own diverged rows dropped and counted.
+    """
+    setup = make_wealth_setup(params, n_steps, informed=informed)
+    reducers = [partial(cost_chunk, setup, policy=p) for p in policies]
+    return [EstimateWithError.from_chunks(parts, seed)
+            for parts in map_reducers(setup, reducers, seed, n_paths, pool)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +293,7 @@ def perturbed_policy(
 def sweep_coefficients(
     setup: WealthSetup,
     dB: np.ndarray,
+    ctx: ChunkContext,
     policy: ControlPolicy,
     spec: PerturbationSpec,
     window: tuple[int, int],
@@ -294,7 +320,7 @@ def sweep_coefficients(
     growth = (1.0 + setup.r * dt) ** (setup.i_last - 1 - np.arange(ilo, ihi))
     # overflow is handled by detection below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
+        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
         c0 = np.trapezoid(setup.a * u * u, dx=dt, axis=1)
         c0 -= setup.b_weight * disc_T * X[:, -1]
         th = spec.theta_values(ctx, ilo)
@@ -315,7 +341,8 @@ def _sweep_samples(policy, params, spec, n_paths, seed, n_steps, informed,
     disc_T = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
     reduce_chunk = partial(sweep_coefficients, setup, policy=policy, spec=spec,
                            window=window, disc_T=disc_T)
-    return collect_samples(reduce_chunk, setup.grid, seed, n_paths, pool)
+    (parts,) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
+    return collect_samples(parts)
 
 
 def directional_derivative(
@@ -438,11 +465,11 @@ def nu_path(setup: WealthSetup, ctx: ChunkContext, u: np.ndarray,
     return NuPath(TimeGrid(float(t[0]), setup.grid.times[iL], iL - i0), values)
 
 
-def _martingale_chunk(setup, policy, bounds, test_fns, dB):
+def _martingale_chunk(setup, policy, bounds, test_fns, dB, ctx):
     """(cells, rows) products phi * (N_u increment), window-major, and the
     mask of rows whose state or any product is non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, policy)
+        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
         del X  # not needed, and freeing it lowers the peak of the products
         prods = []
         for ilo, ihi in bounds:
@@ -483,7 +510,8 @@ def martingale_diagnostic(
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
     reduce_chunk = partial(_martingale_chunk, setup, policy, bounds, test_fns)
-    samples, n_div = collect_samples(reduce_chunk, setup.grid, seed, n_paths, pool)
+    (parts,) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
+    samples, n_div = collect_samples(parts)
 
     out = []
     cells = ((w, name) for w in windows for name, _ in test_fns)

@@ -322,6 +322,80 @@ def test_forward_convergence_configs_are_rejected_or_run(n_steps, t0, horizon,
         assert (Path(d) / "forward-convergence.csv").exists()
 
 
+def test_negative_seed_is_invalid_config(tmp_path, capsys, decomp_cfg):
+    # used to raise SeedSequence's uncaught "expected non-negative integer"
+    assert main(["run", decomp_cfg("neg", seed=-1), "--workers", "1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert main(["run", decomp_cfg("ok"), "--seed", "-1", "--workers", "1"]) == 2
+    assert "'--seed'" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists() and not (tmp_path / "ok").exists()
+
+
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_workers_below_one_is_invalid_config(tmp_path, capsys, decomp_cfg,
+                                             workers):
+    # -3 used to run silently with one worker
+    assert main(["run", decomp_cfg("w"), "--workers", workers]) == 2
+    assert "'--workers'" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_overflowing_weight_is_named_as_such(tmp_path, capsys):
+    # m^2 = inf used to be reported as a tail integral that is not positive
+    cfg = write_cfg(tmp_path, "m.json", {
+        "experiment": "example1", "params": {"m": 1e160}, "n_steps": 64,
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "params.m" in err and "overflows" in err
+    assert "must stay positive" not in err
+
+
+_SIGMAS = st.one_of(
+    st.sampled_from([1.0, 0.5, -2.0]),
+    st.builds(lambda a, b: {"type": "affine", "intercept": a, "slope": b},
+              st.sampled_from([1.0, 0.5]), st.sampled_from([0.0, 0.5, -1.0])),
+)
+
+
+@given(
+    kind=st.sampled_from(["example1", "example2"]),
+    n_steps=st.sampled_from([1, 3, 4, 8, 12, 16, 32]),
+    t0=st.sampled_from([0.0, 0.25, 0.5]),
+    horizon=st.sampled_from([(1.0, 2.0), (0.5, 2.0), (0.25, 1.0), (1.0, 1.5)]),
+    rates=st.sampled_from([{}, {"r": 0.2}, {"r": -0.1, "rtilde": -0.1},
+                           {"rtilde": 0.5}, {"r": 0.2, "rtilde": 0.0}]),
+    m=_WEIGHTS,
+    sigma=st.one_of(st.none(), _SIGMAS),
+    seed=st.sampled_from([0, 7, 2**40, -1]),
+    set_fixed=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_example_configs_are_rejected_or_run(kind, n_steps, t0, horizon, rates,
+                                             m, sigma, seed, set_fixed):
+    T, t1 = horizon
+    params = {"t0": t0, "T": T, "t1": t1, "m": m, **rates}
+    if sigma is not None:
+        params["sigma"] = sigma
+    if kind == "example2" and not set_fixed:
+        # r, rtilde and sigma are rejected there: draw them only sometimes
+        params = {k: v for k, v in params.items()
+                  if k not in ("r", "rtilde", "sigma")}
+    raw = {"experiment": kind, "n_steps": n_steps, "n_paths": 16,
+           "seed": seed, "params": params}
+    try:
+        experiments.resolve_config(raw)
+    except experiments.InvalidConfigError:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        raw["out"] = d
+        path = Path(d) / "ex.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", str(path), "--workers", "1"])
+        assert code in (0, 1, 3)
+        assert (Path(d) / f"{kind}.csv").exists() == (code != 3)
+
+
 def test_decomposition_variance_target_is_T_after_t0(tmp_path, decomp_cfg):
     # Btilde lives on [0, T] whatever t0 is: Var(Btilde_T) = T, not T - t0
     assert main(["run", decomp_cfg("late", params={"t0": 0.5}),

@@ -1,4 +1,4 @@
-"""Simulation routes, exit times, policies, and the closed-form wealth kick."""
+"""Simulation routes, exit times, policies, and the batch wealth kernel."""
 
 import math
 from typing import NamedTuple
@@ -20,10 +20,9 @@ from insiderlab.controlled_sde import (
     simulate_insider,
     wealth_coefficients,
     wealth_paths_chunk,
-    wealth_step_closed_form,
     StatePath,
 )
-from insiderlab.enlargement import InfoDriftField, decompose
+from insiderlab.enlargement import InfoDriftField, chunk_context, decompose
 from insiderlab.hjb import (
     ModelParams,
     _example1_formula,
@@ -209,6 +208,22 @@ def test_zero_drift_field_routes_agree_bitwise():
     assert np.array_equal(fwd.values, ins.values)
 
 
+@pytest.mark.parametrize("kind", sorted(ROUTE_POLICIES))
+def test_drift_field_ending_before_the_path_is_rejected(kind):
+    # used to die in numpy broadcasting (formula) or with an IndexError
+    # (feedback) instead of naming the horizon
+    policy, _ = ROUTE_POLICIES[kind]
+    coeffs = wealth_coefficients(PARAMS)
+    B = sample_brownian(make_grid(0, 2, 64), 1)
+    short = InfoDriftField(ONE, B, horizon=0.5)
+    with pytest.raises(ValueError, match="horizon T=0.5"):
+        simulate_forward(coeffs, policy, B.restrict(1.0), x0=0.0,
+                         drift_field=short)
+    btilde = decompose(B, InfoDriftField(ONE, B, horizon=1.0))
+    with pytest.raises(ValueError, match="horizon T=0.5"):
+        simulate_insider(coeffs, policy, short, btilde, x0=0.0)
+
+
 def test_insider_and_forward_routes_match_pathwise():
     # same discrete process written against B or Btilde: agreement to roundoff
     params = ModelParams.benchmark()
@@ -293,50 +308,6 @@ def test_growth_check_catches_superlinear():
         coeffs.check_growth(np.random.default_rng(0))
 
 
-class TestWealthStepClosedForm:
-    def test_null_control(self):
-        params = ModelParams.benchmark()
-        B = sample_brownian(make_grid(0, 2, 64), 6)
-        assert wealth_step_closed_form(params, 0.0, (0.25, 0.5), B) == 0.0
-
-    def test_flat_rates_unit_sigma(self):
-        params = ModelParams.benchmark()
-        B = sample_brownian(make_grid(0, 2, 64), 7)
-        got = wealth_step_closed_form(params, 1.5, (0.25, 0.75), B)
-        i1, i2 = B.grid.index_of(0.25), B.grid.index_of(0.75)
-        assert got == pytest.approx(1.5 * (B.values[i2] - B.values[i1]), abs=1e-13)
-
-    def test_matches_euler_step_policy(self):
-        params = ModelParams(r=0.05, rtilde=0.07, sigma_fn=0.2, a=1.0, b=1.0,
-                             T=1.0, t1=2.0, m=1.0)
-        B = sample_brownian(make_grid(0, 2, 512), 8)
-        lo, hi = 0.25, 0.5
-        closed = wealth_step_closed_form(params, 1.0, (lo, hi), B)
-
-        step = formula_policy(
-            "step", lambda t, alpha, L: np.where((t >= lo) & (t < hi), 1.0, 0.0)
-        )
-        path = simulate_forward(
-            wealth_coefficients(params), step, B.restrict(1.0), x0=0.0
-        )
-        # Euler discounts each kick from t_{i+1} with (1+r dt) factors, the
-        # closed form from t_i with exponentials: gap <= r e^{rT} dt per unit
-        # of absolute kick mass
-        ilo, ihi = B.grid.index_of(lo), B.grid.index_of(hi)
-        kick_mass = np.sum(
-            np.abs(params.excess_rate * B.grid.dt
-                   + 0.2 * np.diff(B.values)[ilo:ihi])
-        )
-        K = params.r * math.exp(params.r) * kick_mass
-        assert abs(path.values[-1] - closed) <= K * B.grid.dt + 1e-14
-
-    def test_window_outside_horizon_rejected(self):
-        params = ModelParams.benchmark()
-        B = sample_brownian(make_grid(0, 2, 64), 9)
-        with pytest.raises(ValueError):
-            wealth_step_closed_form(params, 1.0, (0.75, 1.25), B)
-
-
 def test_policy_moment_condition_proxy():
     # E int |u*|^k ds finite for k in {2, 4, 8} on the benchmark
     params = ModelParams.benchmark()
@@ -347,7 +318,8 @@ def test_policy_moment_condition_proxy():
     moments = {2: [], 4: [], 8: []}
     for c, rows in ((0, 1024), (1, 976)):
         dB = increment_chunk(setup.grid, 10, c, rows)
-        ctx, u, X, div = wealth_paths_chunk(setup, dB, pol)
+        ctx, u, X, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+                                            pol)
         for k in moments:
             moments[k].append(
                 np.trapezoid(np.abs(u) ** k, dx=setup.grid.dt, axis=1)
@@ -368,7 +340,7 @@ def test_matrix_kernel_matches_single_path_loop():
     pol = example2_policy(params)
     B = sample_brownian(setup.grid, 12)
     dB = np.diff(B.values)[None, :]
-    ctx, u, X, div = wealth_paths_chunk(setup, dB, pol)
+    ctx, u, X, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), pol)
 
     f = InfoDriftField(ONE, B, horizon=params.T)
     single = simulate_forward(
@@ -386,7 +358,8 @@ def test_feedback_policy_bulk_matches_node_rule():
     policy, node_rule = ROUTE_POLICIES["feedback"]
     paths = [sample_brownian(setup.grid, seed) for seed in range(13, 17)]
     dB = np.stack([np.diff(B.values) for B in paths])
-    ctx, u, X, div = wealth_paths_chunk(setup, dB, policy)
+    ctx, u, X, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+                                        policy)
     assert not div.any()
     for row, B in enumerate(paths):
         f = InfoDriftField(ONE, B, horizon=PARAMS.T)

@@ -11,18 +11,21 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from insiderlab import experiments
+from insiderlab import experiments, paths
+from insiderlab.controlled_sde import constant_policy, formula_policy
 from insiderlab.enlargement import decomposition_stats
 from insiderlab.hjb import (
     ModelParams,
     example1_policy,
     example1_value,
+    example2_params,
     example2_policy,
     example2_value,
 )
 from insiderlab.optimality import (
     PerturbationSpec,
     cost_mc,
+    cost_mc_many,
     default_test_functions,
     martingale_diagnostic,
     perturbation_sweep,
@@ -34,6 +37,7 @@ from insiderlab.paths import (
     increment_chunk,
     make_grid,
     map_chunks,
+    n_chunks,
 )
 
 SMALL = {"n_paths": 2100, "n_steps": 128, "seed": 3}
@@ -111,6 +115,46 @@ def test_a_process_pool_changes_no_library_value():
                                 pool=pool),
         )
     assert pooled == serial
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_every_kind_draws_each_chunk_once(tmp_path, monkeypatch, kind):
+    # example2 takes its cost, its value and its no-information cost from one
+    # draw: 10 increment chunks at 10 000 paths, not 30
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return increment_chunk(*args)
+
+    monkeypatch.setattr(paths, "increment_chunk", counting)
+    raw = {"experiment": kind, "n_paths": 10_000, "n_steps": 32}
+    if kind == "hjb-residual":
+        raw["n_probes"] = 10  # it samples its few fields whole, unchunked
+    experiments.run_experiment(experiments.resolve_config(raw), tmp_path)
+    want = [] if kind == "hjb-residual" else list(range(n_chunks(10_000)))
+    assert calls == want
+
+
+def test_multi_policy_cost_equals_separate_calls_bit_for_bit():
+    params = example2_params()
+    policies = [
+        example2_policy(params),
+        constant_policy(0.5),
+        # infinite control on the rows with a large L: they diverge
+        formula_policy("mostly-flat",
+                       lambda t, alpha, L: np.where(L > 4.8, np.inf, 0.5)),
+    ]
+    n, seed, steps = 20_000, 11, 64
+    many = cost_mc_many(policies, params, n, seed, steps)
+    assert many == [cost_mc(p, params, n, seed, steps) for p in policies]
+    assert [e.n_diverged for e in many[:2]] == [0, 0]
+    assert 0 < many[2].n_diverged <= 20
+    assert many[2].n_samples == n - many[2].n_diverged
+    uninformed = cost_mc_many(policies[:2], params, n, seed, steps,
+                              informed=False)
+    assert uninformed == [cost_mc(p, params, n, seed, steps, informed=False)
+                          for p in policies[:2]]
 
 
 # ---------------------------------------------------------------------------

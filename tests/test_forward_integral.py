@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insiderlab.enlargement import InfoDriftField, drift_matrix, tail_square_integral
+from insiderlab.enlargement import (
+    InfoDriftField,
+    chunk_context,
+    drift_matrix,
+    drift_setup,
+    tail_square_integral,
+)
 from insiderlab.experiments import _forward_chunk
 from insiderlab.forward_integral import (
     Integrand,
@@ -264,9 +270,10 @@ def test_batched_shapes_are_validated():
 @pytest.mark.parametrize("ladder", [[8, 4, 2, 1], [63, 2, 1]])
 def test_forward_chunk_matches_the_per_row_loop(ladder):
     params, grid, m_nodes, q, dB = _sin_chunk(rows=9)
-    args = (grid, params.T, m_nodes, q, ladder, dB)
-    devs, exact = _forward_chunk(*args)
-    want_devs, want_exact = _forward_chunk_rows(*args)
+    ctx = chunk_context(drift_setup(params.m, grid, params.T), dB)
+    devs, exact = _forward_chunk(grid, params.T, ladder, dB, ctx)
+    want_devs, want_exact = _forward_chunk_rows(grid, params.T, m_nodes, q,
+                                                ladder, dB)
     assert devs.shape == want_devs.shape
     assert np.array_equal(devs, want_devs)
     assert exact == want_exact == {"one": True, "brownian": True, "drift": True}

@@ -13,7 +13,7 @@ from insiderlab.controlled_sde import (
     make_wealth_setup,
     wealth_paths_chunk,
 )
-from insiderlab.enlargement import InfoDriftField, decompose
+from insiderlab.enlargement import InfoDriftField, chunk_context, decompose
 from insiderlab.hjb import (
     ModelParams,
     example1_policy,
@@ -185,7 +185,8 @@ def direct_costs(setup, dB, policy, spec, y, params, disc_T=1.0):
     """Oracle: per-path cost of the perturbed policy from its own kernel pass."""
     pert = perturbed_policy(policy, spec, y, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, pert)
+        ctx, u, X, diverged = wealth_paths_chunk(setup, dB,
+                                                 chunk_context(setup, dB), pert)
         run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
         vals = run - setup.b_weight * disc_T * X[:, -1]
     return vals, diverged | ~np.isfinite(vals)
@@ -227,7 +228,8 @@ class TestSweepCoefficients:
         disc_T = math.exp(-r * (params.T - t0)) if discount else 1.0
         dB = increment_chunk(setup.grid, 61, 0, 256)
         pol = example1_policy(params)
-        (c0, c1, c2), bad = sweep_coefficients(setup, dB, pol, spec, ilo_ihi,
+        (c0, c1, c2), bad = sweep_coefficients(setup, dB, chunk_context(setup, dB),
+                                               pol, spec, ilo_ihi,
                                                disc_T)
         assert not bad.any()
         for y in spec.y_grid:
@@ -264,7 +266,8 @@ class TestSweepCoefficients:
         ilo_ihi = window_indices(setup.grid, WINDOW, params.t0, params.T)
 
         def bad_rows(dB):
-            _, bad = sweep_coefficients(setup, dB, pol, spec, ilo_ihi)
+            _, bad = sweep_coefficients(setup, dB, chunk_context(setup, dB), pol,
+                                        spec, ilo_ihi)
             for y in spec.y_grid:
                 _, want_bad = direct_costs(setup, dB, pol, spec, y, params)
                 assert np.array_equal(bad, want_bad)
@@ -283,7 +286,8 @@ class TestSweepCoefficients:
         fb = feedback_policy("prop", lambda t, x, a, L: 0.1 * x)
         dB = increment_chunk(setup.grid, 65, 0, 8)
         with pytest.raises(ValueError):
-            sweep_coefficients(setup, dB, fb, spec, (64, 128))
+            sweep_coefficients(setup, dB, chunk_context(setup, dB), fb, spec,
+                               (64, 128))
         with pytest.raises(ValueError):
             perturbation_sweep(fb, params, spec, 64, 65, 256)
 
@@ -418,7 +422,8 @@ class TestNuPath:
         setup = make_wealth_setup(params, n_steps)
         B = sample_brownian(setup.grid, seed)
         dB = np.diff(B.values)[None, :]
-        ctx, u, X, _ = wealth_paths_chunk(setup, dB, example2_policy(params))
+        ctx, u, X, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+                                          example2_policy(params))
         return setup, B, dB, ctx, u
 
     def test_starts_at_zero(self):
