@@ -13,9 +13,11 @@ E[alpha_s^2] = m(s)^2 / int_s^{T1} m^2 du used as a test oracle.
 The drift is only ever evaluated up to a decision horizon T strictly before
 T1; at T1 the conditioning denominator vanishes.
 
-Batch estimators see the drift through ``chunk_context``: each chunk of
-increments gets its B, alpha and L once, and ``map_reducers`` applies every
-reducer of an op to that one context, so an op draws each chunk once.
+Batch estimators see the drift through ``chunk_context``: ``map_reducers``
+draws each chunk of increments once, cuts it into row blocks of at most
+``paths.BLOCK`` rows, builds each block's B, alpha and L once and applies
+every reducer of an op to that one context.  Every reducer is row-wise, so
+its parts, which come per block in path order, join to the whole chunk's.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from .paths import (
+    BLOCK,
     BrownianPath,
     TimeGrid,
     WeightFunction,
@@ -144,9 +147,9 @@ def drift_setup(m: WeightFunction | Callable[[float], float] | float,
 
 
 def chunk_context(setup: DriftSetup, dB: np.ndarray) -> ChunkContext:
-    """B and alpha on nodes 0..i_last, and L, of one (rows, n_steps) chunk:
-    the chunk's one ``drift_matrix`` call.  Every reducer of the chunk reads
-    these arrays, so they are made read-only."""
+    """B and alpha on nodes 0..i_last, and L, of one (rows, n_steps) block
+    of increments: the block's one ``drift_matrix`` call.  Every reducer of
+    the block reads these arrays, so they are made read-only."""
     i_last = setup.i_last
     B = running_sum(dB[:, :i_last])
     if setup.informed:
@@ -174,22 +177,32 @@ def without_drift(reduce, dB: np.ndarray, ctx: ChunkContext):
 
 
 def _reduce_chunk(setup, reducers, dB):
-    ctx = chunk_context(setup, dB)
-    # each reducer's chunk-sized arrays die with its frame, before the next
-    return [reduce(dB, ctx) for reduce in reducers]
+    parts = []
+    for start in range(0, len(dB), BLOCK):
+        block = dB[start : start + BLOCK]
+        ctx = chunk_context(setup, block)
+        # each reducer's block-sized arrays die with its frame, before the next
+        parts.append([reduce(block, ctx) for reduce in reducers])
+        del ctx  # freed before the next block's context is built
+    return parts
 
 
 def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
                  n_paths: int, pool=None) -> list[list]:
-    """Apply every reducer ``(dB, ctx) -> part`` to each chunk of one draw.
+    """Apply every reducer ``(dB, ctx) -> part`` to each block of one draw.
 
-    ``map_chunks`` draws each chunk once; ``chunk_context`` builds its
-    context once.  Returns each reducer's parts in chunk order, with or
-    without a process ``pool`` (the reducers must then pickle).
+    ``map_chunks`` draws each chunk once; each row block of at most
+    ``BLOCK`` rows of it gets one ``chunk_context``, and every reducer sees
+    the block and that context.  Returns each reducer's parts, one per
+    block in path order, with or without a process ``pool`` (the reducers
+    must then pickle).  A reducer must be row-wise (row k of its part
+    depends on row k of the block alone) and its parts are joined by
+    concatenation or a maximum, so the block size changes no result.
     """
     chunks = map_chunks(partial(_reduce_chunk, setup, tuple(reducers)),
                         setup.grid, seed, n_paths, pool)
-    return [list(parts) for parts in zip(*chunks)]
+    blocks = [block for chunk in chunks for block in chunk]
+    return [list(parts) for parts in zip(*blocks)]
 
 
 class InfoDriftField:

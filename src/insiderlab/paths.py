@@ -6,12 +6,15 @@ functions of ``(grid, seed)``: the same inputs always reproduce the same
 trajectory bit for bit, which is what makes common-random-number comparisons
 and byte-identical experiment reruns possible.  ``map_chunks`` is the one
 engine every Monte Carlo estimator runs on, in process or through a pool.
+In process it draws one chunk ahead on a helper thread while the calling
+thread reduces the current one; the draw releases the interpreter lock, so
+the two overlap.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable
@@ -19,6 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 __all__ = [
+    "BLOCK",
     "CHUNK",
     "TimeGrid",
     "BrownianPath",
@@ -43,6 +47,12 @@ __all__ = [
 # noise seen by path i depends only on (seed, i), never on batch size or on
 # how many workers processed the batch.
 CHUNK = 1024
+
+# Rows of a drawn chunk that its reducers see at a time
+# (``enlargement.map_reducers``).  Block-sized temporaries reuse heap pages,
+# where chunk-sized ones (32 MiB at 4096 steps) are mapped and faulted in
+# anew by malloc.  Draws and streams stay per CHUNK.
+BLOCK = 256
 
 # Relative slack when matching a time to a grid node.
 _NODE_RTOL = 1e-9
@@ -268,11 +278,19 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def increment_chunk(
-    grid: TimeGrid, seed: int, chunk_index: int, rows: int
+    grid: TimeGrid, seed: int, chunk_index: int, rows: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The (rows, n_steps) increment block of one chunk, Normal(0, dt) iid."""
-    sqdt = math.sqrt(grid.dt)
-    return chunk_rng(seed, chunk_index).standard_normal((rows, grid.n_steps)) * sqdt
+    """The (rows, n_steps) increment block of one chunk, Normal(0, dt) iid.
+
+    With ``out`` (a float64 C-contiguous (rows, n_steps) array) the block is
+    written into it and ``out`` is returned; the values are the same.
+    """
+    if out is None:
+        out = np.empty((rows, grid.n_steps))
+    chunk_rng(seed, chunk_index).standard_normal(out=out)
+    out *= math.sqrt(grid.dt)
+    return out
 
 
 def _reduce_increments(
@@ -294,15 +312,32 @@ def map_chunks(
     ``dB`` has shape (rows, n_steps) with iid Normal(0, dt) entries; row k of
     chunk c is path ``c*CHUNK + k`` of the batch.  With a ``pool`` and more
     than one chunk, the chunks are drawn and reduced in its workers, so
-    ``reduce_chunk`` must pickle; the results come back in chunk order
-    either way, so the pool never changes a value.  A reducer should return
-    fresh arrays, not views into its chunk, which would keep the whole
-    chunk alive until the batch is combined.
+    ``reduce_chunk`` must pickle.  Otherwise the calling thread reduces chunk
+    c while one helper thread draws chunk c + 1 (a lookahead of one chunk,
+    so at most two chunks are alive); the helper has stopped when this
+    returns or raises.  The results come back in chunk order either way, and
+    neither the pool nor the lookahead changes a value.  A reducer should
+    return fresh arrays, not views into its chunk, which would keep the
+    whole chunk alive until the batch is combined.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     plan = [(c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))]
-    task = partial(_reduce_increments, reduce_chunk, grid, seed)
-    if pool is None or len(plan) == 1:
-        return [task(c, rows) for c, rows in plan]
-    return list(pool.map(task, *zip(*plan)))
+    if pool is not None and len(plan) > 1:
+        task = partial(_reduce_increments, reduce_chunk, grid, seed)
+        return list(pool.map(task, *zip(*plan)))
+    with ThreadPoolExecutor(1) as helper:
+
+        def draw_ahead(c, rows):
+            # the buffer is allocated on this thread: one allocated on the
+            # helper would land in a second malloc arena and raise the RSS
+            return helper.submit(increment_chunk, grid, seed, c, rows,
+                                 np.empty((rows, grid.n_steps)))
+
+        results = []
+        ahead = draw_ahead(*plan[0])
+        for following in plan[1:] + [None]:
+            dB = ahead.result()
+            ahead = draw_ahead(*following) if following else None
+            results.append(reduce_chunk(dB))
+        return results

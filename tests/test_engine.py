@@ -5,17 +5,32 @@ runners call the library estimators, so at the same seed they return the
 same numbers bit for bit, and a process pool changes no value.
 """
 
+import math
 import pickle
+import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from insiderlab import experiments, paths
-from insiderlab.controlled_sde import constant_policy, formula_policy
-from insiderlab.enlargement import decomposition_stats
+from insiderlab.controlled_sde import (
+    constant_policy,
+    formula_policy,
+    make_wealth_setup,
+)
+from insiderlab.enlargement import (
+    _decomposition_chunk,
+    chunk_context,
+    decomposition_stats,
+    map_reducers,
+)
 from insiderlab.hjb import (
     ModelParams,
+    _example1_integrand,
+    _integral_chunk,
     example1_policy,
     example1_value,
     example2_params,
@@ -24,16 +39,24 @@ from insiderlab.hjb import (
 )
 from insiderlab.optimality import (
     PerturbationSpec,
+    _martingale_chunk,
+    cost_chunk,
     cost_mc,
     cost_mc_many,
     default_test_functions,
     martingale_diagnostic,
     perturbation_sweep,
+    quarter_windows,
+    sweep_coefficients,
+    window_indices,
 )
 from insiderlab.paths import (
+    BLOCK,
+    CHUNK,
     Affine,
     Constant,
     Sin,
+    chunk_rng,
     increment_chunk,
     make_grid,
     map_chunks,
@@ -77,6 +100,149 @@ def test_map_chunks_uses_the_pool_only_for_several_chunks():
 def test_map_chunks_rejects_an_empty_batch():
     with pytest.raises(ValueError):
         map_chunks(np.sum, make_grid(0, 1, 8), 5, 0)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal structure, shapes, dtypes and bytes (NaNs included)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _chunk_rows(n_paths):
+    return [min(CHUNK, n_paths - c * CHUNK) for c in range(n_chunks(n_paths))]
+
+
+def test_increment_chunk_fills_a_given_buffer():
+    g = make_grid(0, 2, 96)
+    buf = np.empty((7, 96))
+    assert increment_chunk(g, 5, 3, 7, out=buf) is buf
+    assert _same_bits(buf, increment_chunk(g, 5, 3, 7))
+    # the draw before ``out`` existed, kept as the reference
+    assert _same_bits(buf, chunk_rng(5, 3).standard_normal((7, 96))
+                      * math.sqrt(g.dt))
+
+
+@pytest.mark.parametrize("n_paths", [1, 1024, 2049, 2500])
+def test_drawing_ahead_equals_drawing_in_turn_bit_for_bit(n_paths):
+    g = make_grid(0, 1, 64)
+
+    def reduce(dB):
+        return dB.copy(), dB.sum(axis=1)
+
+    ahead = map_chunks(reduce, g, 5, n_paths)
+    in_turn = [reduce(increment_chunk(g, 5, c, rows))
+               for c, rows in enumerate(_chunk_rows(n_paths))]
+    assert _same_bits(ahead, in_turn)
+
+
+def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
+    seen = []
+
+    def reduce(dB):
+        seen.append(len(seen))
+        if len(seen) == 2:
+            raise RuntimeError("reducer failed on chunk 1")
+        return len(dB)
+
+    threads = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="chunk 1"):
+        map_chunks(reduce, make_grid(0, 1, 64), 5, 4000)
+    assert seen == [0, 1]
+    assert set(threading.enumerate()) == threads
+
+
+# ---------------------------------------------------------------------------
+# Reducers see row blocks: their joined parts equal the whole chunk's part
+# ---------------------------------------------------------------------------
+
+def _join_rows_last(parts):
+    """Per-path arrays on the last axis, as ``collect_samples`` joins them."""
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
+
+
+def _join_decomposition(parts):
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]), max(p[2] for p in parts))
+
+
+def _join_forward(parts):
+    return (np.vstack([p[0] for p in parts]),
+            {k: all(p[1][k] for p in parts) for k in parts[0][1]})
+
+
+def _row_block_cases(setup, params):
+    policy = example1_policy(params)
+    window = (0.5, 0.75)
+    bounds = [window_indices(setup.grid, w, params.t0, params.T)
+              for w in quarter_windows(params.T, params.t0)]
+    return {
+        "cost_chunk": (partial(cost_chunk, setup, policy=policy),
+                       _join_rows_last),
+        "integral_chunk": (partial(_integral_chunk, setup.i0,
+                                   partial(_example1_integrand, params)),
+                           _join_rows_last),
+        "sweep_coefficients": (
+            partial(sweep_coefficients, setup, policy=policy,
+                    spec=PerturbationSpec(window),
+                    window=window_indices(setup.grid, window, params.t0,
+                                          params.T)),
+            _join_rows_last),
+        "martingale_chunk": (partial(_martingale_chunk, setup, policy, bounds,
+                                     default_test_functions()),
+                             _join_rows_last),
+        "decomposition_chunk": (_decomposition_chunk, _join_decomposition),
+        "forward_chunk": (partial(experiments._forward_chunk, setup.grid,
+                                  params.T, [8, 4, 2, 1]),
+                          _join_forward),
+    }
+
+
+@pytest.mark.parametrize("n_paths", [1500, 1025],
+                         ids=["476-row chunk", "1-row chunk"])
+@pytest.mark.parametrize("name", ["cost_chunk", "integral_chunk",
+                                  "sweep_coefficients", "martingale_chunk",
+                                  "decomposition_chunk", "forward_chunk"])
+def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths):
+    params = ModelParams.benchmark(r=0.2, t0=0.25, sigma_fn=Affine(1.0, 0.5),
+                                   m=Sin(1.0, 0.5, 2.0))
+    setup = make_wealth_setup(params, 64)
+    reduce, join = _row_block_cases(setup, params)[name]
+    seed = 17
+    (blocks,) = map_reducers(setup, [reduce], seed, n_paths)
+    rows = _chunk_rows(n_paths)
+    assert len(blocks) == sum(-(-r // BLOCK) for r in rows)
+    whole = []
+    for c, r in enumerate(rows):
+        dB = increment_chunk(setup.grid, seed, c, r)
+        whole.append(reduce(dB, chunk_context(setup, dB)))
+    assert _same_bits(join(blocks), join(whole))
+
+
+@pytest.mark.parametrize("estimate", ["cost_mc", "martingale_diagnostic",
+                                      "decomposition_stats"])
+def test_peak_memory_stays_within_three_chunks(estimate):
+    # the chunk being reduced, the one drawn ahead and one block's working set
+    params = ModelParams.benchmark()
+    n, seed, steps = 2048, 1, 1024
+    run = {
+        "cost_mc": lambda: cost_mc(example1_policy(params), params, n, seed,
+                                   steps),
+        "martingale_diagnostic": lambda: martingale_diagnostic(
+            example1_policy(params), params, n, seed, steps),
+        "decomposition_stats": lambda: decomposition_stats(
+            params.m, params.T, params.grid(steps), n, seed),
+    }[estimate]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * CHUNK * steps * 8
 
 
 def test_weights_policies_and_test_functions_pickle():
