@@ -16,8 +16,9 @@ T1; at T1 the conditioning denominator vanishes.
 Batch estimators see the drift through ``chunk_context``: ``map_reducers``
 draws each chunk of increments once, cuts it into row blocks of at most
 ``paths.BLOCK`` rows, builds each block's B, alpha and L once and applies
-every reducer of an op to that one context.  Every reducer is row-wise, so
-its parts, which come per block in path order, join to the whole chunk's.
+every reducer of an op to that one context.  Every reducer is row-wise and
+returns arrays whose last axis is the block's rows, so ``map_reducers``
+joins them into whole-batch arrays in path order.
 """
 
 from __future__ import annotations
@@ -177,32 +178,39 @@ def without_drift(reduce, dB: np.ndarray, ctx: ChunkContext):
 
 
 def _reduce_chunk(setup, reducers, dB):
-    parts = []
+    outputs = []
     for start in range(0, len(dB), BLOCK):
         block = dB[start : start + BLOCK]
         ctx = chunk_context(setup, block)
         # each reducer's block-sized arrays die with its frame, before the next
-        parts.append([reduce(block, ctx) for reduce in reducers])
+        outputs.append([reduce(block, ctx) for reduce in reducers])
         del ctx  # freed before the next block's context is built
-    return parts
+        for out in outputs[-1]:
+            if not isinstance(out, tuple) or any(
+                    np.shape(a)[-1:] != (len(block),) for a in out):
+                raise ValueError(f"a reducer must return a tuple of arrays "
+                                 f"with the block's {len(block)} rows last")
+    return outputs
 
 
 def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
-                 n_paths: int, pool=None) -> list[list]:
-    """Apply every reducer ``(dB, ctx) -> part`` to each block of one draw.
+                 n_paths: int, pool=None) -> list[tuple[np.ndarray, ...]]:
+    """Apply every reducer ``(dB, ctx) -> arrays`` to each block of one draw.
 
     ``map_chunks`` draws each chunk once; each row block of at most
     ``BLOCK`` rows of it gets one ``chunk_context``, and every reducer sees
-    the block and that context.  Returns each reducer's parts, one per
-    block in path order, with or without a process ``pool`` (the reducers
-    must then pickle).  A reducer must be row-wise (row k of its part
-    depends on row k of the block alone) and its parts are joined by
-    concatenation or a maximum, so the block size changes no result.
+    the block and that context.  A reducer returns a tuple of arrays whose
+    last axis is the block's rows, and must be row-wise (row k depends on
+    row k of the block alone), so the block size changes no result.
+    Returns, per reducer, its arrays joined over all ``n_paths`` rows in
+    path order, with or without a process ``pool`` (the reducers must then
+    pickle); an output of the wrong shape raises ``ValueError``.
     """
     chunks = map_chunks(partial(_reduce_chunk, setup, tuple(reducers)),
                         setup.grid, seed, n_paths, pool)
     blocks = [block for chunk in chunks for block in chunk]
-    return [list(parts) for parts in zip(*blocks)]
+    return [tuple(np.concatenate(a, axis=-1) for a in zip(*block_outputs))
+            for block_outputs in zip(*blocks)]
 
 
 class InfoDriftField:
@@ -302,7 +310,7 @@ def expected_squared_drift_integral(
 
 
 def _decomposition_chunk(dB, ctx):
-    """Btilde_T and L per row, and the chunk's worst reconstruction error."""
+    """Btilde_T, L and the worst reconstruction error, per row."""
     B = ctx.B
     # int alpha ds, then the reconstruction error, in one buffer of this
     # reducer's own: the context is shared, and every further chunk-sized
@@ -314,9 +322,9 @@ def _decomposition_chunk(dB, ctx):
     btilde = B - buf
     np.add(btilde, buf, out=buf)
     np.subtract(buf, B, out=buf)
-    max_recon = float(np.abs(buf, out=buf).max())
-    # a copy, so the chunk matrices are freed before the batch is combined
-    return btilde[:, -1].copy(), ctx.L, max_recon
+    recon = np.abs(buf, out=buf).max(axis=1)
+    # a copy, so the chunk matrices are freed before the batch is joined
+    return btilde[:, -1].copy(), ctx.L, recon
 
 
 def decomposition_stats(
@@ -335,11 +343,8 @@ def decomposition_stats(
     the arguments, with or without a process ``pool``.
     """
     setup = drift_setup(m, grid, horizon)
-    (parts,) = map_reducers(setup, [_decomposition_chunk], seed, n_paths, pool)
-    terminals = np.concatenate([p[0] for p in parts])
-    Ls = np.concatenate([p[1] for p in parts])
-    max_recon = max(p[2] for p in parts)
-
+    ((terminals, Ls, recon),) = map_reducers(setup, [_decomposition_chunk],
+                                             seed, n_paths, pool)
     corr = float(np.corrcoef(terminals, Ls)[0, 1])
     return {
         "n_paths": n_paths,
@@ -347,6 +352,6 @@ def decomposition_stats(
         "mean_terminal": float(terminals.mean()),
         "corr_with_L": corr,
         "corr_se": 1.0 / math.sqrt(n_paths),
-        "max_reconstruction_error": max_recon,
+        "max_reconstruction_error": float(recon.max()),
         "var_L": float(Ls.var(ddof=1)),
     }

@@ -368,28 +368,28 @@ def _run_decomposition(cfg, pool):
     return rows, results, checks
 
 
+_FORWARD_INTEGRANDS = ("one", "brownian", "drift")
+
+
 def _forward_chunk(grid, T, ladder, dB, ctx):
-    """Per row: |forward estimate - Ito target| along the ladder, and whether
-    eps = dt reproduces the left-point sum bit for bit for each integrand."""
+    """Per row: |forward estimate - Ito target| along the ladder, shape
+    (len(ladder), rows), and whether eps = dt reproduces the left-point sum
+    bit for bit, shape (3, rows), one row per ``_FORWARD_INTEGRANDS``."""
     dt = grid.dt
     i_last = ctx.i_last
     values = ctx.B
     B = BrownianPath(grid.prefix(i_last), values)
     target = 0.5 * (values[:, -1] ** 2 - T)
     vB = Integrand(B.grid, values)
-    devs = np.column_stack(
+    devs = np.array(
         [np.abs(forward_estimate(vB, B, eps=k * dt) - target) for k in ladder]
     )
-    exact = {}
-    for label, vals in (
-        ("one", np.ones(i_last + 1)),
-        ("brownian", values),
-        ("drift", ctx.alpha),
-    ):
+    exact = []
+    for label, vals in zip(_FORWARD_INTEGRANDS,
+                           (np.ones(i_last + 1), values, ctx.alpha)):
         v = Integrand(B.grid, vals, adapted=(label != "drift"))
-        exact[label] = bool(np.all(forward_estimate(v, B, eps=dt)
-                                   == ito_left_sum(v, B)))
-    return devs, exact
+        exact.append(forward_estimate(v, B, eps=dt) == ito_left_sum(v, B))
+    return devs, np.array(exact)
 
 
 def _run_forward(cfg, pool):
@@ -397,11 +397,11 @@ def _run_forward(cfg, pool):
     grid = params.grid(cfg["n_steps"])
     ladder = list(cfg["eps_ladder"])
     setup = drift_setup(params.m, grid, params.T)
-    (parts,) = map_reducers(setup, [partial(_forward_chunk, grid, params.T, ladder)],
-                            cfg["seed"], cfg["n_paths"], pool)
-    devs = np.vstack([p[0] for p in parts])
-    exact = {k: all(p[1][k] for p in parts) for k in ("one", "brownian", "drift")}
-    medians = np.median(devs, axis=0)
+    ((devs, flags),) = map_reducers(
+        setup, [partial(_forward_chunk, grid, params.T, ladder)],
+        cfg["seed"], cfg["n_paths"], pool)
+    exact = {k: bool(f.all()) for k, f in zip(_FORWARD_INTEGRANDS, flags)}
+    medians = np.median(devs, axis=1)
     rows = [[k, k * grid.dt, float(m)] for k, m in zip(ladder, medians)]
     results = {
         "medians": {str(k): float(m) for k, m in zip(ladder, medians)},

@@ -189,20 +189,16 @@ def example1_G(
     field: InfoDriftField,
     rho0: float = 0.0,
 ) -> float:
-    """G(t, x) = f(t) x + g_t with f(t) = -b e^{-r(t-T)} and trapezoid g.
+    """G(t, x) = f(t) x + g_t with f(t) = -b e^{-r(t-T)} and trapezoid g,
+    as ``Example1ValueField`` computes it at the node of t.
 
     g_t accumulates the running integrand along the field's own path and
     subtracts rho0 (the centering constant E[g_T], estimated separately).
     """
-    grid = field.path.grid
-    i = grid.index_of(t)
+    i = field.path.grid.index_of(t)
     if i > field.i_last:
         raise ValueError(f"t={t} beyond the decision horizon {field.horizon}")
-    f_t = -params.b * math.exp(-params.r * (t - params.T))
-    times = grid.times[: i + 1]
-    integrand = _example1_integrand(params, times, field.alpha[: i + 1])
-    g_t = float(np.trapezoid(integrand, dx=grid.dt)) - rho0
-    return f_t * x + g_t
+    return float(Example1ValueField(params, field, rho0).G(i, x))
 
 
 def _integral_chunk(i_from, integrand_fn, dB, ctx):
@@ -241,8 +237,8 @@ def example_estimates(example: int, params: ModelParams, t: float, x: float,
         reducers.append(cost)
         if example == 2:
             reducers.append(partial(without_drift, cost))
-    parts = map_reducers(setup, reducers, seed, n_paths, pool)
-    out = [EstimateWithError.from_chunks(p, seed) for p in parts]
+    out = [EstimateWithError.from_rows(vals, bad, seed)
+           for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
     out[0] = replace(out[0], mean=-(det + out[0].mean))
     return out
 

@@ -2,8 +2,8 @@
 
 Four instruments, all statistical, all seeded:
 
-* ``cost_mc`` estimates J(u) = E[ int a u^2 ds - b e^{-int r} X_T ] by
-  chunked simulation of the wealth dynamics.
+* ``cost_mc`` estimates J(u) = E[ int a u^2 ds - b X_T ] by chunked
+  simulation of the wealth dynamics.
 * ``perturbation_sweep`` maps out F(y) = J(u + y theta) for a step
   perturbation theta = theta0 on a window; at an optimum the argmin sits at
   y = 0.  Each path's discrete cost is exactly c0 + c1 y + c2 y^2, read off
@@ -20,11 +20,12 @@ Four instruments, all statistical, all seeded:
   every cell passes; a policy that ignores valuable information fails the
   correlated cells by a wide margin.
 
-Each estimator runs top-level reducers ``(dB, ctx) -> part`` through
+Each estimator runs top-level reducers ``(dB, ctx) -> arrays`` through
 ``enlargement.map_reducers``, which draws each chunk once for all of them
-(``cost_mc_many`` prices several policies on the same paths).  The parts
-come back in fixed chunk order, so every estimate is a deterministic
-function of (inputs, seed) whether or not a process ``pool`` is passed.
+(``cost_mc_many`` prices several policies on the same paths) and returns
+each reducer's per-row arrays joined over the batch in path order, so every
+estimate is a deterministic function of (inputs, seed) whether or not a
+process ``pool`` is passed.
 """
 
 from __future__ import annotations
@@ -116,10 +117,11 @@ class EstimateWithError:
         )
 
     @classmethod
-    def from_chunks(cls, parts: list, seed: int) -> "EstimateWithError":
-        """The estimate from per-chunk (values, diverged) parts, diverged
-        rows dropped and counted by ``collect_samples``."""
-        samples, n_diverged = collect_samples(parts)
+    def from_rows(cls, values: np.ndarray, diverged: np.ndarray,
+                  seed: int) -> "EstimateWithError":
+        """The estimate from per-row values, diverged rows dropped and
+        counted by ``collect_samples``."""
+        samples, n_diverged = collect_samples(values, diverged)
         return cls.from_samples(samples, seed, n_diverged)
 
 
@@ -127,87 +129,53 @@ def pooled_se(e1: EstimateWithError, e2: EstimateWithError) -> float:
     return math.hypot(e1.std_error, e2.std_error)
 
 
-def collect_samples(
-    parts: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, int]:
-    """Join per-chunk parts (per-path values on the last axis, mask of
-    diverged rows); diverged rows are excluded but counted, and more than
+def collect_samples(values: np.ndarray,
+                    diverged: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` (per-path values on the last axis) without the rows that
+    ``diverged`` masks, and their count; more than
     ``MAX_DIVERGED_FRACTION`` of all rows raise DivergenceError."""
-    n_paths = sum(len(bad) for _, bad in parts)
-    n_diverged = sum(int(bad.sum()) for _, bad in parts)
-    if n_diverged > MAX_DIVERGED_FRACTION * n_paths:
-        raise DivergenceError(n_diverged, n_paths)
-    return np.concatenate([v[..., ~bad] for v, bad in parts], axis=-1), n_diverged
+    n_diverged = int(diverged.sum())
+    if n_diverged > MAX_DIVERGED_FRACTION * len(diverged):
+        raise DivergenceError(n_diverged, len(diverged))
+    return values[..., ~diverged], n_diverged
 
 
 def cost_chunk(setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext,
-               policy: ControlPolicy, disc_T: float = 1.0,
-               running_cost: Callable | None = None,
-               terminal_cost: Callable | None = None):
-    """Per-path cost of ``policy`` on one chunk, and the mask of diverged
-    rows: trapezoid quadrature of the running cost minus b disc_T X_T unless
-    ``running_cost``/``terminal_cost`` override it (see ``cost_mc``)."""
-    t_nodes = setup.grid.times[setup.i0 : setup.i_last + 1]
+               policy: ControlPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path cost of ``policy`` on one chunk, trapezoid quadrature of
+    a u^2 minus b X_T, and the mask of diverged rows."""
     # overflow is handled by detection below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         _, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        if running_cost is None:
-            integrand = setup.a * u * u
-        else:
-            integrand = running_cost(t_nodes[None, :], X, u)
-        run = np.trapezoid(integrand, dx=setup.grid.dt, axis=1)
-        if terminal_cost is None:
-            term = -setup.b_weight * disc_T * X[:, -1]
-        else:
-            term = terminal_cost(X[:, -1])
-        vals = run + term
+        run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
+        vals = run - setup.b_weight * X[:, -1]
     # a non-finite sample with finite state is still a numerical blow-up
     return vals, diverged | ~np.isfinite(vals)
 
 
-def cost_mc(
-    policy: ControlPolicy,
-    params,
-    n_paths: int,
-    seed: int,
-    n_steps: int,
-    informed: bool = True,
-    discount_terminal: bool = False,
-    running_cost: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
-    terminal_cost: Callable[[np.ndarray], np.ndarray] | None = None,
-    pool=None,
-) -> EstimateWithError:
-    """Estimate J(t0, x0; u) by simulation.
-
-    The default cost is the quadratic one: trapezoid quadrature of
-    a u_s^2 over [t0, T] minus b (optionally discounted) X_T.  Custom
-    ``running_cost(t, X, u)`` (node integrand) and ``terminal_cost(X_T)``
-    override the defaults when a different functional is wanted.
+def cost_mc(policy: ControlPolicy, params, n_paths: int, seed: int,
+            n_steps: int, informed: bool = True,
+            pool=None) -> EstimateWithError:
+    """Estimate J(t0, x0; u) by simulation: trapezoid quadrature of
+    a u_s^2 over [t0, T] minus b X_T.
 
     ``informed=False`` forces alpha = 0: the agent without the extra
     information, used for no-information limits.  ``pool`` (an executor)
     spreads the chunks over its workers; the estimate does not change.
     """
-    setup = make_wealth_setup(params, n_steps, informed=informed)
-    disc_T = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
-    reduce_chunk = partial(cost_chunk, setup, policy=policy, disc_T=disc_T,
-                           running_cost=running_cost, terminal_cost=terminal_cost)
-    (parts,) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
-    return EstimateWithError.from_chunks(parts, seed)
+    return cost_mc_many([policy], params, n_paths, seed, n_steps, informed,
+                        pool)[0]
 
 
 def cost_mc_many(policies: Sequence[ControlPolicy], params, n_paths: int,
                  seed: int, n_steps: int, informed: bool = True,
                  pool=None) -> list[EstimateWithError]:
-    """The default ``cost_mc`` of every policy, all on one draw of the paths.
-
-    Each estimate equals its separate ``cost_mc`` call bit for bit, with its
-    own diverged rows dropped and counted.
-    """
+    """The ``cost_mc`` of every policy, all on one draw of the paths, each
+    with its own diverged rows dropped and counted."""
     setup = make_wealth_setup(params, n_steps, informed=informed)
     reducers = [partial(cost_chunk, setup, policy=p) for p in policies]
-    return [EstimateWithError.from_chunks(parts, seed)
-            for parts in map_reducers(setup, reducers, seed, n_paths, pool)]
+    return [EstimateWithError.from_rows(vals, bad, seed)
+            for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +265,13 @@ def sweep_coefficients(
     policy: ControlPolicy,
     spec: PerturbationSpec,
     window: tuple[int, int],
-    disc_T: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path coefficients of the discrete cost F(y) = c0 + c1 y + c2 y^2.
 
     F(y) is the cost of ``perturbed_policy(policy, spec, y)``: trapezoid
-    quadrature of a u^2 minus b disc_T X_T.  A state-free policy makes the
+    quadrature of a u^2 minus b X_T.  A state-free policy makes the
     Euler recursion of X linear in u, so one kernel pass with the base
-    policy gives c0 = F(0), c1 = theta (2 a sum_win w_k u_k - b disc_T K)
+    policy gives c0 = F(0), c1 = theta (2 a sum_win w_k u_k - b K)
     and c2 = a theta^2 sum_win w_k, with w the trapezoid weights (dt/2 at
     t0) and K = sum_win (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)
     over the window nodes k in [ilo, ihi).  Returns the (3, rows) array of
@@ -322,27 +289,26 @@ def sweep_coefficients(
     with np.errstate(over="ignore", invalid="ignore"):
         ctx, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
         c0 = np.trapezoid(setup.a * u * u, dx=dt, axis=1)
-        c0 -= setup.b_weight * disc_T * X[:, -1]
+        c0 -= setup.b_weight * X[:, -1]
         th = spec.theta_values(ctx, ilo)
         gain = setup.excess * dt + setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi]
         kick = gain @ growth
         u_w = u[:, ilo - setup.i0 : ihi - setup.i0]
-        c1 = th * (2.0 * setup.a * (u_w @ w) - setup.b_weight * disc_T * kick)
+        c1 = th * (2.0 * setup.a * (u_w @ w) - setup.b_weight * kick)
         c2 = setup.a * w.sum() * th * th
         bad = diverged | ~np.isfinite(c0) | ~np.isfinite(c1)
     return np.stack([c0, c1, c2]), bad
 
 
 def _sweep_samples(policy, params, spec, n_paths, seed, n_steps, informed,
-                   discount_terminal, pool) -> tuple[np.ndarray, int]:
+                   pool) -> tuple[np.ndarray, int]:
     """(3, paths) array of the finite rows' (c0, c1, c2), and the diverged count."""
     setup = make_wealth_setup(params, n_steps, informed=informed)
     window = window_indices(setup.grid, spec.window, params.t0, params.T)
-    disc_T = math.exp(-params.r * (params.T - params.t0)) if discount_terminal else 1.0
     reduce_chunk = partial(sweep_coefficients, setup, policy=policy, spec=spec,
-                           window=window, disc_T=disc_T)
-    (parts,) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
-    return collect_samples(parts)
+                           window=window)
+    ((coeffs, bad),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
+    return collect_samples(coeffs, bad)
 
 
 def directional_derivative(
@@ -354,7 +320,6 @@ def directional_derivative(
     seed: int,
     n_steps: int,
     informed: bool = True,
-    discount_terminal: bool = False,
     pool=None,
 ) -> EstimateWithError:
     """Estimate F'(y) for F(y) = J(u + y theta) at amplitude y.
@@ -368,8 +333,7 @@ def directional_derivative(
     if not (min(spec.y_grid) <= y <= max(spec.y_grid)):
         raise ValueError(f"amplitude y={y} outside spec.y_grid")
     (_, c1, c2), n_div = _sweep_samples(
-        policy, params, spec, n_paths, seed, n_steps, informed,
-        discount_terminal, pool,
+        policy, params, spec, n_paths, seed, n_steps, informed, pool,
     )
     return EstimateWithError.from_samples(c1 + 2.0 * y * c2, seed, n_diverged=n_div)
 
@@ -382,7 +346,6 @@ def perturbation_sweep(
     seed: int,
     n_steps: int,
     informed: bool = True,
-    discount_terminal: bool = False,
     pool=None,
 ) -> dict:
     """F(y) over the amplitude grid with common random numbers.
@@ -398,8 +361,7 @@ def perturbation_sweep(
     if 0.0 not in spec.y_grid:
         raise ValueError("amplitude grid must contain 0")
     (c0, c1, c2), n_div = _sweep_samples(
-        policy, params, spec, n_paths, seed, n_steps, informed,
-        discount_terminal, pool,
+        policy, params, spec, n_paths, seed, n_steps, informed, pool,
     )
     rows = []
     for y in spec.y_grid:
@@ -510,8 +472,8 @@ def martingale_diagnostic(
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
     reduce_chunk = partial(_martingale_chunk, setup, policy, bounds, test_fns)
-    (parts,) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
-    samples, n_div = collect_samples(parts)
+    ((prods, bad),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
+    samples, n_div = collect_samples(prods, bad)
 
     out = []
     cells = ((w, name) for w in windows for name, _ in test_fns)

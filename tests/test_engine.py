@@ -156,23 +156,8 @@ def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
 
 
 # ---------------------------------------------------------------------------
-# Reducers see row blocks: their joined parts equal the whole chunk's part
+# Reducers see row blocks: the engine joins their rows into the whole batch
 # ---------------------------------------------------------------------------
-
-def _join_rows_last(parts):
-    """Per-path arrays on the last axis, as ``collect_samples`` joins them."""
-    return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
-
-
-def _join_decomposition(parts):
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]), max(p[2] for p in parts))
-
-
-def _join_forward(parts):
-    return (np.vstack([p[0] for p in parts]),
-            {k: all(p[1][k] for p in parts) for k in parts[0][1]})
-
 
 def _row_block_cases(setup, params):
     policy = example1_policy(params)
@@ -180,24 +165,18 @@ def _row_block_cases(setup, params):
     bounds = [window_indices(setup.grid, w, params.t0, params.T)
               for w in quarter_windows(params.T, params.t0)]
     return {
-        "cost_chunk": (partial(cost_chunk, setup, policy=policy),
-                       _join_rows_last),
-        "integral_chunk": (partial(_integral_chunk, setup.i0,
-                                   partial(_example1_integrand, params)),
-                           _join_rows_last),
-        "sweep_coefficients": (
-            partial(sweep_coefficients, setup, policy=policy,
-                    spec=PerturbationSpec(window),
-                    window=window_indices(setup.grid, window, params.t0,
-                                          params.T)),
-            _join_rows_last),
-        "martingale_chunk": (partial(_martingale_chunk, setup, policy, bounds,
-                                     default_test_functions()),
-                             _join_rows_last),
-        "decomposition_chunk": (_decomposition_chunk, _join_decomposition),
-        "forward_chunk": (partial(experiments._forward_chunk, setup.grid,
-                                  params.T, [8, 4, 2, 1]),
-                          _join_forward),
+        "cost_chunk": partial(cost_chunk, setup, policy=policy),
+        "integral_chunk": partial(_integral_chunk, setup.i0,
+                                  partial(_example1_integrand, params)),
+        "sweep_coefficients": partial(
+            sweep_coefficients, setup, policy=policy,
+            spec=PerturbationSpec(window),
+            window=window_indices(setup.grid, window, params.t0, params.T)),
+        "martingale_chunk": partial(_martingale_chunk, setup, policy, bounds,
+                                    default_test_functions()),
+        "decomposition_chunk": _decomposition_chunk,
+        "forward_chunk": partial(experiments._forward_chunk, setup.grid,
+                                 params.T, [8, 4, 2, 1]),
     }
 
 
@@ -210,16 +189,42 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths):
     params = ModelParams.benchmark(r=0.2, t0=0.25, sigma_fn=Affine(1.0, 0.5),
                                    m=Sin(1.0, 0.5, 2.0))
     setup = make_wealth_setup(params, 64)
-    reduce, join = _row_block_cases(setup, params)[name]
+    reduce = _row_block_cases(setup, params)[name]
     seed = 17
-    (blocks,) = map_reducers(setup, [reduce], seed, n_paths)
+    block_rows = []
+
+    def counting(dB, ctx):
+        block_rows.append(len(dB))
+        return reduce(dB, ctx)
+
+    (joined,) = map_reducers(setup, [counting], seed, n_paths)
     rows = _chunk_rows(n_paths)
-    assert len(blocks) == sum(-(-r // BLOCK) for r in rows)
+    assert block_rows == [min(BLOCK, r - start) for r in rows
+                          for start in range(0, r, BLOCK)]
     whole = []
     for c, r in enumerate(rows):
         dB = increment_chunk(setup.grid, seed, c, r)
         whole.append(reduce(dB, chunk_context(setup, dB)))
-    assert _same_bits(join(blocks), join(whole))
+    assert _same_bits(joined,
+                      tuple(np.concatenate(a, axis=-1) for a in zip(*whole)))
+
+
+def _misshapen(kind, dB, ctx):
+    return {"scalar": (float(dB.sum()),),
+            "short": (ctx.L[:-1],),
+            "untupled": ctx.L.copy()}[kind]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "short", "untupled"])
+def test_a_reducer_output_without_the_block_rows_last_raises(kind):
+    setup = make_wealth_setup(ModelParams.benchmark(), 32)
+    reducers = [partial(cost_chunk, setup, policy=constant_policy(0.5)),
+                partial(_misshapen, kind)]
+    with pytest.raises(ValueError, match="rows last"):
+        map_reducers(setup, reducers, 3, 2100)
+    with ProcessPoolExecutor(2) as pool:
+        with pytest.raises(ValueError, match="rows last"):
+            map_reducers(setup, reducers, 3, 2100, pool)
 
 
 @pytest.mark.parametrize("estimate", ["cost_mc", "martingale_diagnostic",

@@ -274,6 +274,8 @@ def test_forward_chunk_matches_the_per_row_loop(ladder):
     devs, exact = _forward_chunk(grid, params.T, ladder, dB, ctx)
     want_devs, want_exact = _forward_chunk_rows(grid, params.T, m_nodes, q,
                                                 ladder, dB)
-    assert devs.shape == want_devs.shape
-    assert np.array_equal(devs, want_devs)
-    assert exact == want_exact == {"one": True, "brownian": True, "drift": True}
+    assert devs.shape == (len(ladder), dB.shape[0])
+    assert np.array_equal(devs, want_devs.T)
+    assert exact.shape == (3, dB.shape[0]) and exact.dtype == bool
+    assert exact.all()
+    assert want_exact == {"one": True, "brownian": True, "drift": True}

@@ -181,14 +181,14 @@ class TestDirectionalDerivative:
             PerturbationSpec((0.5, 0.5))
 
 
-def direct_costs(setup, dB, policy, spec, y, params, disc_T=1.0):
+def direct_costs(setup, dB, policy, spec, y, params):
     """Oracle: per-path cost of the perturbed policy from its own kernel pass."""
     pert = perturbed_policy(policy, spec, y, params)
     with np.errstate(over="ignore", invalid="ignore"):
         ctx, u, X, diverged = wealth_paths_chunk(setup, dB,
                                                  chunk_context(setup, dB), pert)
         run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
-        vals = run - setup.b_weight * disc_T * X[:, -1]
+        vals = run - setup.b_weight * X[:, -1]
     return vals, diverged | ~np.isfinite(vals)
 
 
@@ -207,33 +207,30 @@ class TestSweepCoefficients:
     RTOL = 1e-12
 
     @pytest.mark.parametrize(
-        "r, t0, window, theta0, informed, discount",
+        "r, t0, window, theta0, informed",
         [
-            (0.0, 0.0, WINDOW, 1.0, True, False),
-            (0.2, 0.0, WINDOW, 1.0, True, False),
-            (0.2, 0.5, (0.5, 0.75), 1.0, True, False),
-            (0.2, 0.0, WINDOW, clipped_theta, True, False),
-            (0.2, 0.0, WINDOW, -0.7, False, False),
-            (0.2, 0.25, (0.25, 1.0), 1.0, True, True),
+            (0.0, 0.0, WINDOW, 1.0, True),
+            (0.2, 0.0, WINDOW, 1.0, True),
+            (0.2, 0.5, (0.5, 0.75), 1.0, True),
+            (0.2, 0.0, WINDOW, clipped_theta, True),
+            (0.2, 0.0, WINDOW, -0.7, False),
+            (0.2, 0.25, (0.25, 1.0), 1.0, True),
         ],
         ids=["r0", "r0.2", "window-at-t0", "callable-theta", "uninformed",
-             "discounted"],
+             "window-to-T"],
     )
-    def test_matches_direct_kernel(self, r, t0, window, theta0, informed,
-                                   discount):
+    def test_matches_direct_kernel(self, r, t0, window, theta0, informed):
         params = ModelParams.benchmark(r=r, t0=t0)
         setup = make_wealth_setup(params, 512, informed=informed)
         spec = PerturbationSpec(window, theta0=theta0)
         ilo_ihi = window_indices(setup.grid, window, params.t0, params.T)
-        disc_T = math.exp(-r * (params.T - t0)) if discount else 1.0
         dB = increment_chunk(setup.grid, 61, 0, 256)
         pol = example1_policy(params)
         (c0, c1, c2), bad = sweep_coefficients(setup, dB, chunk_context(setup, dB),
-                                               pol, spec, ilo_ihi,
-                                               disc_T)
+                                               pol, spec, ilo_ihi)
         assert not bad.any()
         for y in spec.y_grid:
-            want, want_bad = direct_costs(setup, dB, pol, spec, y, params, disc_T)
+            want, want_bad = direct_costs(setup, dB, pol, spec, y, params)
             assert not want_bad.any()
             got = c0 + y * (c1 + y * c2)
             if y == 0.0:
