@@ -14,6 +14,7 @@ from insiderlab import (
     example1_policy,
     example2_params,
     example2_policy,
+    uninformed,
 )
 
 N_PATHS = 20_000
@@ -35,7 +36,8 @@ def example_one() -> None:
 
 def example_two() -> None:
     # dX = u dt + u dB: the asset also carries excess drift, so even an
-    # uninformed agent trades; information adds the alpha tilt
+    # uninformed agent trades; information adds the alpha tilt.  The agent
+    # without the signal plays uninformed(u*): the same rule with alpha = 0
     params = example2_params()
     est = cost_mc(example2_policy(params), params, N_PATHS, seed=5,
                   n_steps=N_STEPS)
@@ -44,8 +46,8 @@ def example_two() -> None:
     print(f"  simulated cost  {est.mean:+.5f} +- {est.std_error:.5f}")
     print(f"  analytic target {target:+.5f}")
 
-    blind = cost_mc(example2_policy(params), params, N_PATHS, seed=7,
-                    n_steps=N_STEPS, informed=False)
+    blind = cost_mc(uninformed(example2_policy(params)), params, N_PATHS,
+                    seed=7, n_steps=N_STEPS)
     print(f"  without the signal the same rule freezes at u = b/2a = 0.5:")
     print(f"  uninformed cost {blind.mean:+.5f} +- {blind.std_error:.5f}"
           f"   (analytic -0.25)")

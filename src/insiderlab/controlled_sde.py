@@ -17,13 +17,14 @@ Policies are vectorised over the rows of a chunk.  The single-path routes
 are one-row calls of ``_euler_rows``; ``wealth_paths_chunk``, the batch
 kernel for the wealth dynamics dX = [r X + (rtilde - r) u] dt + sigma(t) u dB,
 runs feedback policies through the same loop, on the chunk's shared
-``ChunkContext``.
+``ChunkContext``.  The agent without the extra information is a policy too:
+``uninformed(policy)`` plays ``policy`` with alpha = 0 and L = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -42,6 +43,7 @@ __all__ = [
     "formula_policy",
     "feedback_policy",
     "constant_policy",
+    "uninformed",
     "simulate_forward",
     "simulate_insider",
     "first_exit",
@@ -153,6 +155,25 @@ def _constant_formula(c: float, t, alpha, L):
 def constant_policy(c: float, name: str | None = None) -> ControlPolicy:
     c = float(c)
     return formula_policy(name or f"const({c:g})", partial(_constant_formula, c))
+
+
+def _uninformed_rule(rule, ctx: ChunkContext, *args) -> np.ndarray:
+    zero = np.float64(0.0)  # read-only views of one zero: no chunk-sized memory
+    blind = replace(ctx, alpha=np.broadcast_to(zero, ctx.alpha.shape),
+                    L=np.broadcast_to(zero, ctx.L.shape))
+    return rule(blind, *args)
+
+
+def uninformed(policy: ControlPolicy) -> ControlPolicy:
+    """``policy`` played by the agent without the extra information: its
+    rule sees every chunk with alpha = 0 and L = 0, and the same B, times
+    and increments.  Whatever else reads the chunk (a perturbation
+    direction, the martingale test functions) still sees L.  The result
+    pickles whenever ``policy`` does."""
+    rule = partial(_uninformed_rule, policy.matrix_rule or policy.bulk_rule)
+    if policy.matrix_rule is None:
+        return ControlPolicy(f"uninformed({policy.name})", bulk_rule=rule)
+    return ControlPolicy(f"uninformed({policy.name})", matrix_rule=rule)
 
 
 @dataclass
@@ -332,10 +353,10 @@ class WealthSetup(DriftSetup):
     x0: float
 
 
-def make_wealth_setup(params, n_steps: int, informed: bool = True) -> WealthSetup:
+def make_wealth_setup(params, n_steps: int) -> WealthSetup:
     """Resolve model parameters on a fresh [0, T1] grid with n_steps steps."""
     grid = TimeGrid(0.0, params.t1, int(n_steps))
-    drift = drift_setup(params.m, grid, params.T, params.t0, informed)
+    drift = drift_setup(params.m, grid, params.T, params.t0)
     return WealthSetup(
         **vars(drift),
         sigma_nodes=as_weight(params.sigma_fn).nodes(grid.times),

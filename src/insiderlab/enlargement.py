@@ -24,7 +24,7 @@ joins them into whole-batch arrays in path order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -46,7 +46,6 @@ __all__ = [
     "DriftSetup",
     "drift_setup",
     "chunk_context",
-    "without_drift",
     "map_reducers",
     "InfoDriftField",
     "information_drift",
@@ -116,20 +115,18 @@ class ChunkContext:
 @dataclass(frozen=True, eq=False)
 class DriftSetup:
     """Node data of the drift on one [0, T1] grid: t0 is node ``i0``, the
-    decision horizon T node ``i_last``; ``informed=False`` gives every chunk
-    the zero drift of an agent without L."""
+    decision horizon T node ``i_last``.  An agent without L is a policy,
+    ``controlled_sde.uninformed``, not a property of the grid."""
 
     grid: TimeGrid
     i0: int
     i_last: int
     m_nodes: np.ndarray
     q_tail: np.ndarray
-    informed: bool
 
 
 def drift_setup(m: WeightFunction | Callable[[float], float] | float,
-                grid: TimeGrid, horizon: float, t0: float = 0.0,
-                informed: bool = True) -> DriftSetup:
+                grid: TimeGrid, horizon: float, t0: float = 0.0) -> DriftSetup:
     """Validate the weight on ``grid`` and resolve the drift's node data."""
     i_last = grid.index_of(horizon)
     if i_last >= grid.n_steps:
@@ -144,7 +141,7 @@ def drift_setup(m: WeightFunction | Callable[[float], float] | float,
         raise ValueError("int_0^T1 m^2 ds is not finite: the weight overflows")
     if not q[i_last] > 0.0:
         raise ValueError("int_t^T1 m^2 ds must stay positive for t <= T")
-    return DriftSetup(grid, grid.index_of(t0), i_last, m_nodes, q, informed)
+    return DriftSetup(grid, grid.index_of(t0), i_last, m_nodes, q)
 
 
 def chunk_context(setup: DriftSetup, dB: np.ndarray) -> ChunkContext:
@@ -153,28 +150,11 @@ def chunk_context(setup: DriftSetup, dB: np.ndarray) -> ChunkContext:
     the block reads these arrays, so they are made read-only."""
     i_last = setup.i_last
     B = running_sum(dB[:, :i_last])
-    if setup.informed:
-        alpha, L = drift_matrix(dB, setup.m_nodes, setup.q_tail, i_last)
-    else:
-        alpha, L = _no_information(len(dB), i_last)
+    alpha, L = drift_matrix(dB, setup.m_nodes, setup.q_tail, i_last)
     for a in (B, alpha, L):
         a.flags.writeable = False
     return ChunkContext(setup.grid.times, setup.grid.dt, setup.i0, i_last,
                         L, alpha, B)
-
-
-def _no_information(rows: int, i_last: int) -> tuple[np.ndarray, np.ndarray]:
-    """alpha = 0 and L = 0 as read-only views of one zero, which take no
-    chunk-sized memory."""
-    zero = np.float64(0.0)
-    return np.broadcast_to(zero, (rows, i_last + 1)), np.broadcast_to(zero, rows)
-
-
-def without_drift(reduce, dB: np.ndarray, ctx: ChunkContext):
-    """``reduce(dB, ctx)`` as the agent without information sees the chunk:
-    the same B, with alpha = 0 and L = 0."""
-    alpha, L = _no_information(len(ctx.L), ctx.i_last)
-    return reduce(dB, replace(ctx, alpha=alpha, L=L))
 
 
 def _reduce_chunk(setup, reducers, dB):

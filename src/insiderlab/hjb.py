@@ -31,8 +31,13 @@ from dataclasses import dataclass, replace
 from functools import partial
 import numpy as np
 
-from .controlled_sde import ControlPolicy, formula_policy, make_wealth_setup
-from .enlargement import InfoDriftField, map_reducers, without_drift
+from .controlled_sde import (
+    ControlPolicy,
+    formula_policy,
+    make_wealth_setup,
+    uninformed,
+)
+from .enlargement import InfoDriftField, map_reducers
 from .optimality import EstimateWithError, cost_chunk
 from .paths import TimeGrid, WeightFunction, as_weight, running_sum
 
@@ -179,7 +184,7 @@ def _example1_integrand(params: ModelParams, times: np.ndarray,
     """(b^2/4a) sigma^2 alpha^2 e^{-2r(s-T)} at the given nodes."""
     sig = params.sigma_fn.nodes(times)
     w = np.exp(-2.0 * params.r * (times - params.T)) * sig * sig
-    return (params.b**2 / (4.0 * params.a)) * w * alpha * alpha
+    return (params.b * params.b / (4.0 * params.a)) * w * alpha * alpha
 
 
 def example1_G(
@@ -211,16 +216,15 @@ def _integral_chunk(i_from, integrand_fn, dB, ctx):
 
 def example_estimates(example: int, params: ModelParams, t: float, x: float,
                       n_paths: int, seed: int, n_steps: int = 2048,
-                      informed: bool = True, pool=None,
-                      costs: bool = False) -> list[EstimateWithError]:
+                      pool=None, costs: bool = False) -> list[EstimateWithError]:
     """Estimates of example 1 or 2, all from one draw of the paths.
 
     Returns [V(t, x)], by trapezoid quadrature of the example's integrand
     per path.  With ``costs`` it appends the cost J(t0, x0; u*) of the
-    optimal policy and, for example 2, the cost of u* without information.
+    optimal policy and, for example 2, the cost of ``uninformed(u*)``.
     Each equals its own ``example{1,2}_value`` or ``cost_mc`` bit for bit.
     """
-    setup = make_wealth_setup(params, n_steps, informed=informed)
+    setup = make_wealth_setup(params, n_steps)
     i_from = setup.grid.index_of(t)
     if not i_from < setup.i_last:
         raise ValueError(f"need t < T, got t={t}")
@@ -228,15 +232,15 @@ def example_estimates(example: int, params: ModelParams, t: float, x: float,
         integrand, policy = partial(_example1_integrand, params), example1_policy
         det = x * params.b * math.exp(-params.r * (t - params.T))
     else:
-        c = params.b**2 / (4.0 * params.a)
+        c = params.b * params.b / (4.0 * params.a)
         integrand, policy = partial(_example2_integrand, c), example2_policy
         det = params.b * x
     reducers = [partial(_integral_chunk, i_from, integrand)]
     if costs:
-        cost = partial(cost_chunk, setup, policy=policy(params))
-        reducers.append(cost)
+        reducers.append(partial(cost_chunk, setup, policy=policy(params)))
         if example == 2:
-            reducers.append(partial(without_drift, cost))
+            reducers.append(partial(cost_chunk, setup,
+                                    policy=uninformed(policy(params))))
     out = [EstimateWithError.from_rows(vals, bad, seed)
            for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
     out[0] = replace(out[0], mean=-(det + out[0].mean))
@@ -250,18 +254,15 @@ def example1_value(
     n_paths: int,
     seed: int,
     n_steps: int = 2048,
-    informed: bool = True,
     pool=None,
 ) -> EstimateWithError:
     """V(t, x) = -x b e^{-r(t-T)} - (b^2/4a) E int_t^T sigma^2 alpha^2 e^{-2r(s-T)} ds.
 
     The x-term is deterministic; the standard error comes entirely from the
-    Monte Carlo integral.  With ``informed=False`` the integral vanishes and
-    V reduces to the discounted-endowment term.  At t = 0, x = 0 it is
-    -rho0, the centering constant of ``example1_G``.
+    Monte Carlo integral.  At t = 0, x = 0 it is -rho0, the centering
+    constant of ``example1_G``.
     """
-    return example_estimates(1, params, t, x, n_paths, seed, n_steps, informed,
-                             pool)[0]
+    return example_estimates(1, params, t, x, n_paths, seed, n_steps, pool)[0]
 
 
 class Example1ValueField:
@@ -339,13 +340,10 @@ def example2_value(
     n_paths: int,
     seed: int,
     n_steps: int = 2048,
-    informed: bool = True,
     pool=None,
 ) -> EstimateWithError:
     """V(t, x) = -b x - (b^2/4a) E int_t^T (alpha + 1)^2 ds (derived form).
 
-    ``informed=False`` drops the drift: the integral collapses to the
-    deterministic (b^2/4a)(T - t).  At t = 0, x = 0 it is -rho0.
+    At t = 0, x = 0 it is -rho0.
     """
-    return example_estimates(2, params, t, x, n_paths, seed, n_steps, informed,
-                             pool)[0]
+    return example_estimates(2, params, t, x, n_paths, seed, n_steps, pool)[0]

@@ -74,11 +74,11 @@ MAX_DIVERGED_FRACTION = 1e-3
 
 
 class DivergenceError(RuntimeError):
-    """Too many paths went non-finite for the estimate to be trusted."""
+    """Too many paths diverged, or a moment overflowed: no trusted estimate."""
 
-    def __init__(self, n_diverged: int, n_paths: int):
+    def __init__(self, n_diverged: int, n_paths: int, reason: str = ""):
         super().__init__(
-            f"{n_diverged} of {n_paths} paths diverged "
+            reason or f"{n_diverged} of {n_paths} paths diverged "
             f"(> {MAX_DIVERGED_FRACTION:.1%}); estimate refused"
         )
         self.n_diverged = n_diverged
@@ -108,13 +108,14 @@ class EstimateWithError:
         n = len(samples)
         if n < 2:
             raise ValueError("need at least 2 samples")
-        return cls(
-            mean=float(samples.mean()),
-            std_error=float(samples.std(ddof=1) / math.sqrt(n)),
-            n_samples=n,
-            seed=seed,
-            n_diverged=n_diverged,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(samples.mean())
+            std_error = float(samples.std(ddof=1) / math.sqrt(n))
+        if not (math.isfinite(mean) and math.isfinite(std_error)):
+            raise DivergenceError(n_diverged, n + n_diverged, (
+                f"a moment of {n} finite samples overflowed (mean {mean:g}, "
+                f"standard error {std_error:g}); estimate refused"))
+        return cls(mean, std_error, n, seed, n_diverged)
 
     @classmethod
     def from_rows(cls, values: np.ndarray, diverged: np.ndarray,
@@ -154,25 +155,22 @@ def cost_chunk(setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext,
 
 
 def cost_mc(policy: ControlPolicy, params, n_paths: int, seed: int,
-            n_steps: int, informed: bool = True,
-            pool=None) -> EstimateWithError:
+            n_steps: int, pool=None) -> EstimateWithError:
     """Estimate J(t0, x0; u) by simulation: trapezoid quadrature of
     a u_s^2 over [t0, T] minus b X_T.
 
-    ``informed=False`` forces alpha = 0: the agent without the extra
-    information, used for no-information limits.  ``pool`` (an executor)
-    spreads the chunks over its workers; the estimate does not change.
+    No-information limits price ``controlled_sde.uninformed(policy)``, the
+    same rule with alpha = 0 and L = 0.  ``pool`` (an executor) spreads the
+    chunks over its workers; the estimate does not change.
     """
-    return cost_mc_many([policy], params, n_paths, seed, n_steps, informed,
-                        pool)[0]
+    return cost_mc_many([policy], params, n_paths, seed, n_steps, pool)[0]
 
 
 def cost_mc_many(policies: Sequence[ControlPolicy], params, n_paths: int,
-                 seed: int, n_steps: int, informed: bool = True,
-                 pool=None) -> list[EstimateWithError]:
+                 seed: int, n_steps: int, pool=None) -> list[EstimateWithError]:
     """The ``cost_mc`` of every policy, all on one draw of the paths, each
     with its own diverged rows dropped and counted."""
-    setup = make_wealth_setup(params, n_steps, informed=informed)
+    setup = make_wealth_setup(params, n_steps)
     reducers = [partial(cost_chunk, setup, policy=p) for p in policies]
     return [EstimateWithError.from_rows(vals, bad, seed)
             for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
@@ -300,10 +298,10 @@ def sweep_coefficients(
     return np.stack([c0, c1, c2]), bad
 
 
-def _sweep_samples(policy, params, spec, n_paths, seed, n_steps, informed,
+def _sweep_samples(policy, params, spec, n_paths, seed, n_steps,
                    pool) -> tuple[np.ndarray, int]:
     """(3, paths) array of the finite rows' (c0, c1, c2), and the diverged count."""
-    setup = make_wealth_setup(params, n_steps, informed=informed)
+    setup = make_wealth_setup(params, n_steps)
     window = window_indices(setup.grid, spec.window, params.t0, params.T)
     reduce_chunk = partial(sweep_coefficients, setup, policy=policy, spec=spec,
                            window=window)
@@ -319,7 +317,6 @@ def directional_derivative(
     n_paths: int,
     seed: int,
     n_steps: int,
-    informed: bool = True,
     pool=None,
 ) -> EstimateWithError:
     """Estimate F'(y) for F(y) = J(u + y theta) at amplitude y.
@@ -333,7 +330,7 @@ def directional_derivative(
     if not (min(spec.y_grid) <= y <= max(spec.y_grid)):
         raise ValueError(f"amplitude y={y} outside spec.y_grid")
     (_, c1, c2), n_div = _sweep_samples(
-        policy, params, spec, n_paths, seed, n_steps, informed, pool,
+        policy, params, spec, n_paths, seed, n_steps, pool,
     )
     return EstimateWithError.from_samples(c1 + 2.0 * y * c2, seed, n_diverged=n_div)
 
@@ -345,7 +342,6 @@ def perturbation_sweep(
     n_paths: int,
     seed: int,
     n_steps: int,
-    informed: bool = True,
     pool=None,
 ) -> dict:
     """F(y) over the amplitude grid with common random numbers.
@@ -361,12 +357,13 @@ def perturbation_sweep(
     if 0.0 not in spec.y_grid:
         raise ValueError("amplitude grid must contain 0")
     (c0, c1, c2), n_div = _sweep_samples(
-        policy, params, spec, n_paths, seed, n_steps, informed, pool,
+        policy, params, spec, n_paths, seed, n_steps, pool,
     )
     rows = []
-    for y in spec.y_grid:
-        est = EstimateWithError.from_samples(c0 + y * (c1 + y * c2), seed)
-        rows.append({"y": y, "mean": est.mean, "std_error": est.std_error})
+    with np.errstate(over="ignore", invalid="ignore"):  # from_samples refuses inf
+        for y in spec.y_grid:
+            est = EstimateWithError.from_samples(c0 + y * (c1 + y * c2), seed)
+            rows.append({"y": y, "mean": est.mean, "std_error": est.std_error})
     order = sorted(rows, key=lambda r: (r["mean"], abs(r["y"])))
     return {
         "rows": rows,
@@ -449,7 +446,6 @@ def martingale_diagnostic(
     n_steps: int,
     windows: Sequence[tuple[float, float]] | None = None,
     test_fns: Sequence[tuple[str, Callable]] | None = None,
-    informed: bool = True,
     threshold: float = 3.0,
     pool=None,
 ) -> list[dict]:
@@ -468,7 +464,7 @@ def martingale_diagnostic(
     test_fns = list(test_fns)
     if not test_fns:
         raise ValueError("need at least one test function")
-    setup = make_wealth_setup(params, n_steps, informed=informed)
+    setup = make_wealth_setup(params, n_steps)
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
     reduce_chunk = partial(_martingale_chunk, setup, policy, bounds, test_fns)

@@ -93,7 +93,8 @@ class TimeGrid:
         Raises ValueError when ``t`` does not sit on a node (within a small
         relative slack); every horizon used by the lab must be node-aligned.
         """
-        i = int(round((t - self.t_start) / self.dt))
+        x = (t - self.t_start) / self.dt
+        i = int(round(x)) if math.isfinite(x) else -1  # inf is outside too
         if i < 0 or i > self.n_steps:
             raise ValueError(f"time {t} outside grid [{self.t_start}, {self.t_end}]")
         tol = _NODE_RTOL * max(1.0, abs(t))

@@ -16,6 +16,7 @@ from insiderlab.controlled_sde import (
     constant_policy,
     formula_policy,
     make_wealth_setup,
+    uninformed,
     wealth_paths_chunk,
 )
 from insiderlab.enlargement import (
@@ -179,13 +180,12 @@ def test_criterion_06_no_information_limit():
     params = example2_params()
     half = params.b / (2.0 * params.a)
     control_exact = example2_control(0.0, params) == half
-    setup = make_wealth_setup(params, 512, informed=False)
+    blind = uninformed(example2_policy(params))
+    setup = make_wealth_setup(params, 512)
     dB = increment_chunk(setup.grid, 1006, 0, 64)
-    _, u, _, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
-                                    example2_policy(params))
+    _, u, _, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), blind)
     u_const = bool(np.all(u == half))
-    est = cost_mc(example2_policy(params), params, 100_000, seed=1006,
-                  n_steps=2048, informed=False)
+    est = cost_mc(blind, params, 100_000, seed=1006, n_steps=2048)
     target = params.a * 1.0 * half * half - half * 1.0 * params.excess_rate
     cost_ok = abs(est.mean - target) <= 3 * est.std_error
     report(

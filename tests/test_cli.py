@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, overrides, and byte determinism."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -378,12 +379,17 @@ _SIGMAS = st.one_of(
     sigma=st.one_of(st.none(), _SIGMAS),
     seed=st.sampled_from([0, 7, 2**40, -1]),
     set_fixed=st.booleans(),
+    sizes=st.sampled_from([{}, {"a": 1e-300}, {"a": 1e300}, {"b": 1e200},
+                           {"b": 1e-300}, {"x0": -1e200}, {"x0": 1e300},
+                           {"x0": 1e300, "b": 1e10}]),
 )
+@example(kind="example1", n_steps=16, t0=0.0, horizon=(1.0, 2.0), rates={},
+         m=1.0, sigma=None, seed=0, set_fixed=True, sizes={"x0": -1e200})
 @settings(max_examples=60, deadline=None)
 def test_example_configs_are_rejected_or_run(kind, n_steps, t0, horizon, rates,
-                                             m, sigma, seed, set_fixed):
+                                             m, sigma, seed, set_fixed, sizes):
     T, t1 = horizon
-    params = {"t0": t0, "T": T, "t1": t1, "m": m, **rates}
+    params = {"t0": t0, "T": T, "t1": t1, "m": m, **rates, **sizes}
     if sigma is not None:
         params["sigma"] = sigma
     if kind == "example2" and not set_fixed:
@@ -442,3 +448,87 @@ def test_example1_after_t0_uses_the_value_at_t0(tmp_path, capsys):
     got = summary["results"]["value_closed_form"]
     assert got == {"mean": want.mean, "std_error": want.std_error}
     assert summary["verdict"] == "pass"
+
+
+_HUGE = [1e200, -1e300, math.inf, -math.inf]
+_POLICIES = st.one_of(
+    st.sampled_from(["example1", "example2", "zero", "nope"]),
+    st.builds(lambda v: {"kind": "constant", "value": v},
+              st.sampled_from([0.5, -2.0, 1e100, -1e200, 1e300])),
+)
+_EDGES = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 1e300,
+                          math.inf, -math.inf])
+
+
+@given(
+    kind=st.sampled_from(["perturbation", "martingale"]),
+    n_steps=st.sampled_from([4, 8, 16, 32]),
+    t0=st.sampled_from([0.0, 0.25]),
+    windows=st.one_of(st.none(), st.lists(st.lists(_EDGES, min_size=2,
+                                                   max_size=2),
+                                          min_size=1, max_size=2)),
+    y_grid=st.lists(st.sampled_from([0.0, 0.5, -0.25, *_HUGE]), min_size=1,
+                    max_size=4),
+    theta0=st.sampled_from([1.0, -0.7, 1e300, *_HUGE]),
+    threshold=st.sampled_from([3.0, 0.5, 1e300, math.inf]),
+    policy=_POLICIES,
+)
+# an infinite window edge used to raise OverflowError in TimeGrid.index_of
+@example(kind="martingale", n_steps=32, t0=0.0, windows=[[0.25, math.inf]],
+         y_grid=[0.0], theta0=1.0, threshold=3.0, policy="zero")
+@settings(max_examples=60, deadline=None)
+def test_perturbation_and_martingale_configs_are_rejected_or_run(
+        kind, n_steps, t0, windows, y_grid, theta0, threshold, policy):
+    raw = {"experiment": kind, "n_steps": n_steps, "n_paths": 16,
+           "params": {"t0": t0}, "policy": policy}
+    if kind == "perturbation":
+        raw.update(y_grid=y_grid, theta0=theta0)
+        if windows is not None:
+            raw["window"] = windows[0]
+    else:
+        raw.update(windows=windows, threshold=threshold)
+    try:
+        experiments.resolve_config(raw)
+    except experiments.InvalidConfigError:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        raw["out"] = d
+        path = Path(d) / "pm.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", str(path), "--workers", "1"])
+        assert code in (0, 1, 3)
+        assert (Path(d) / f"{kind}.csv").exists() == (code != 3)
+
+
+def test_martingale_with_overflowing_moments_exits_3(tmp_path, capsys):
+    # every product is finite but their squares are not: all 16 cells used
+    # to pass with std_error = inf, and the run exited 0
+    raw = {"experiment": "martingale",
+           "policy": {"kind": "constant", "value": 1e300}, "n_paths": 512,
+           "n_steps": 64, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "big.json", raw),
+                 "--workers", "1"]) == 3
+    assert "overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("y_max", [1e200, math.inf])
+def test_perturbation_with_an_overflowing_amplitude_exits_3(tmp_path, capsys,
+                                                            y_max):
+    # F(y) = c0 + c1 y + c2 y^2 is not finite there: it used to raise
+    # "standard error must be nonnegative" with a traceback
+    raw = {"experiment": "perturbation", "y_grid": [0.0, y_max],
+           "n_paths": 512, "n_steps": 64, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "y.json", raw),
+                 "--workers", "1"]) == 3
+    assert "overflowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["example1", "example2"])
+def test_a_cost_weight_whose_square_overflows_exits_3(tmp_path, capsys, kind):
+    # b**2 used to raise OverflowError for b >= 1.4e154
+    raw = {"experiment": kind, "params": {"b": 1e200}, "n_paths": 512,
+           "n_steps": 64, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "b.json", raw),
+                 "--workers", "1"]) == 3
+    assert "divergence" in capsys.readouterr().err

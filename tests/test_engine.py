@@ -20,6 +20,7 @@ from insiderlab.controlled_sde import (
     constant_policy,
     formula_policy,
     make_wealth_setup,
+    uninformed,
 )
 from insiderlab.enlargement import (
     _decomposition_chunk,
@@ -271,6 +272,7 @@ def test_a_process_pool_changes_no_library_value():
     n, seed, steps = 2100, 7, 64
     serial = (
         cost_mc(policy, params, n, seed, steps),
+        cost_mc(uninformed(policy), params, n, seed, steps),
         example1_value(params, 0.0, 0.0, n, seed, steps),
         perturbation_sweep(policy, params, spec, n, seed, steps),
         martingale_diagnostic(policy, params, n, seed, steps),
@@ -279,6 +281,7 @@ def test_a_process_pool_changes_no_library_value():
     with ProcessPoolExecutor(2) as pool:
         pooled = (
             cost_mc(policy, params, n, seed, steps, pool=pool),
+            cost_mc(uninformed(policy), params, n, seed, steps, pool=pool),
             example1_value(params, 0.0, 0.0, n, seed, steps, pool=pool),
             perturbation_sweep(policy, params, spec, n, seed, steps, pool=pool),
             martingale_diagnostic(policy, params, n, seed, steps, pool=pool),
@@ -322,10 +325,9 @@ def test_multi_policy_cost_equals_separate_calls_bit_for_bit():
     assert [e.n_diverged for e in many[:2]] == [0, 0]
     assert 0 < many[2].n_diverged <= 20
     assert many[2].n_samples == n - many[2].n_diverged
-    uninformed = cost_mc_many(policies[:2], params, n, seed, steps,
-                              informed=False)
-    assert uninformed == [cost_mc(p, params, n, seed, steps, informed=False)
-                          for p in policies[:2]]
+    blind = [uninformed(p) for p in policies[:2]]
+    assert cost_mc_many(blind, params, n, seed, steps) == [
+        cost_mc(p, params, n, seed, steps) for p in blind]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def test_example_parity(tmp_path, example):
     assert results["value_mc"] == _pair(cost)
     assert results["value_closed_form"] == _pair(closed)
     if example == 2:
-        no_info = cost_mc(policy(params), params, n, seed, steps, informed=False)
+        no_info = cost_mc(uninformed(policy(params)), params, n, seed, steps)
         assert results["no_info_cost"] == _pair(no_info)
 
 

@@ -228,16 +228,13 @@ class TestExample1Value:
         assert abs(-est.mean - LN2 / 4.0) <= 3 * est.std_error
 
     def test_endowment_enters_linearly(self):
-        params = ModelParams.benchmark()
-        a = example1_value(params, 0.0, 2.0, 512, seed=13)
-        b = example1_value(params, 0.0, 0.0, 512, seed=13)
-        assert a.mean - b.mean == pytest.approx(-2.0 * params.b, abs=1e-12)
-
-    def test_uninformed_value_is_deterministic(self):
-        params = ModelParams.benchmark(r=0.2)
-        est = example1_value(params, 0.0, 1.5, 64, seed=17, informed=False)
-        assert est.std_error == 0.0
-        assert est.mean == pytest.approx(-1.5 * math.exp(0.2), rel=1e-13)
+        # the x-term is the discounted endowment -x b e^{-r(t-T)}
+        for r in (0.0, 0.2):
+            params = ModelParams.benchmark(r=r)
+            a = example1_value(params, 0.0, 2.0, 512, seed=13)
+            b = example1_value(params, 0.0, 0.0, 512, seed=13)
+            gap = -2.0 * params.b * math.exp(r * params.T)
+            assert a.mean - b.mean == pytest.approx(gap, abs=1e-12)
 
     def test_terminal_centering(self):
         # G(T, X_T) + b X_T = g_T pathwise, so the terminal condition
@@ -269,13 +266,6 @@ class TestExample2:
         # (1/4) E int (alpha+1)^2 = (ln 2 + 1) / 4
         est = example2_value(example2_params(), 0.0, 0.0, 20_000, seed=23)
         assert abs(-est.mean - (LN2 + 1.0) / 4.0) <= 3 * est.std_error
-
-    def test_uninformed_value_closed_form(self):
-        # alpha == 0: V(0, x) = -b x - b^2 T / (4a)
-        est = example2_value(example2_params(), 0.0, 1.5, 64, seed=29,
-                             informed=False)
-        assert est.std_error == 0.0
-        assert est.mean == pytest.approx(-1.5 - 0.25, abs=1e-13)
 
     def test_endowment_enters_linearly(self):
         p = example2_params(b=2.0)

@@ -11,6 +11,7 @@ from insiderlab.controlled_sde import (
     feedback_policy,
     formula_policy,
     make_wealth_setup,
+    uninformed,
     wealth_paths_chunk,
 )
 from insiderlab.enlargement import InfoDriftField, chunk_context, decompose
@@ -95,10 +96,10 @@ class TestCostMc:
         assert abs(est.mean - EX1_TARGET) <= 3 * est.std_error
 
     def test_uninformed_flag_kills_alpha(self):
-        # with alpha forced to 0 the optimal rule trades nothing
+        # the uninformed rule sees alpha = 0, so the optimal rule trades nothing
         params = ModelParams.benchmark(x0=1.0)
-        est = cost_mc(example1_policy(params), params, 64, seed=7,
-                      n_steps=256, informed=False)
+        est = cost_mc(uninformed(example1_policy(params)), params, 64, seed=7,
+                      n_steps=256)
         assert est.mean == -1.0
         assert est.std_error == 0.0
 
@@ -207,25 +208,27 @@ class TestSweepCoefficients:
     RTOL = 1e-12
 
     @pytest.mark.parametrize(
-        "r, t0, window, theta0, informed",
+        "r, t0, window, theta0, blind",
         [
-            (0.0, 0.0, WINDOW, 1.0, True),
-            (0.2, 0.0, WINDOW, 1.0, True),
-            (0.2, 0.5, (0.5, 0.75), 1.0, True),
-            (0.2, 0.0, WINDOW, clipped_theta, True),
-            (0.2, 0.0, WINDOW, -0.7, False),
-            (0.2, 0.25, (0.25, 1.0), 1.0, True),
+            (0.0, 0.0, WINDOW, 1.0, False),
+            (0.2, 0.0, WINDOW, 1.0, False),
+            (0.2, 0.5, (0.5, 0.75), 1.0, False),
+            (0.2, 0.0, WINDOW, clipped_theta, False),
+            (0.2, 0.0, WINDOW, -0.7, True),
+            (0.2, 0.25, (0.25, 1.0), 1.0, False),
         ],
         ids=["r0", "r0.2", "window-at-t0", "callable-theta", "uninformed",
              "window-to-T"],
     )
-    def test_matches_direct_kernel(self, r, t0, window, theta0, informed):
+    def test_matches_direct_kernel(self, r, t0, window, theta0, blind):
         params = ModelParams.benchmark(r=r, t0=t0)
-        setup = make_wealth_setup(params, 512, informed=informed)
+        setup = make_wealth_setup(params, 512)
         spec = PerturbationSpec(window, theta0=theta0)
         ilo_ihi = window_indices(setup.grid, window, params.t0, params.T)
         dB = increment_chunk(setup.grid, 61, 0, 256)
         pol = example1_policy(params)
+        if blind:
+            pol = uninformed(pol)
         (c0, c1, c2), bad = sweep_coefficients(setup, dB, chunk_context(setup, dB),
                                                pol, spec, ilo_ihi)
         assert not bad.any()
@@ -323,7 +326,6 @@ class TestPerturbationSweep:
         spec = PerturbationSpec(WINDOW)
         sweep = perturbation_sweep(
             constant_policy(0.0), params, spec, 4_000, seed=29, n_steps=512,
-            informed=False,
         )
         by_y = {r["y"]: r for r in sweep["rows"]}
         for y in (0.1, 0.3, 0.5):
@@ -363,11 +365,16 @@ class TestMartingaleDiagnostic:
         assert len(cells) == 16
         assert all(c["pass"] for c in cells)
 
-    def test_short_horizon_uninformed_fails(self):
-        # T1 barely past T makes the drift huge; ignoring it is visible
+    @pytest.mark.parametrize("make_policy", [
+        lambda params: constant_policy(0.0),
+        lambda params: uninformed(example1_policy(params)),
+    ], ids=["zero", "uninformed-example1"])
+    def test_short_horizon_uninformed_fails(self, make_policy):
+        # T1 barely past T makes the drift huge; ignoring it is visible, and
+        # the test functions phi(B_t, L) still see L when the policy does not
         params = ModelParams.benchmark(t1=1.05)
         cells = martingale_diagnostic(
-            constant_policy(0.0), params, 4_000, seed=37, n_steps=1680
+            make_policy(params), params, 4_000, seed=37, n_steps=1680
         )
         ratios = [abs(c["mean"]) / c["std_error"] for c in cells]
         assert not all(c["pass"] for c in cells)
