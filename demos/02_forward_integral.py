@@ -30,8 +30,7 @@ def left_sum_agreement() -> None:
     candidates = {
         "v = 1": Integrand(B.grid, np.ones(B.grid.n_steps + 1)),
         "v = B": Integrand(B.grid, B.values),
-        "v = alpha (anticipating)": Integrand(B.grid, field.alpha,
-                                              adapted=False),
+        "v = alpha (anticipating)": Integrand(B.grid, field.alpha),
     }
     print("forward(eps=dt) vs the Ito left sum:")
     for name, v in candidates.items():

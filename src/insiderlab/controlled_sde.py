@@ -67,26 +67,19 @@ class CoefficientSpec:
     """Drift b(t, x, u) and diffusion sigma(t, x, u) with a growth envelope.
 
     ``growth_c`` is the constant of the linear-growth condition
-    |b| + |sigma| <= C (1 + |x| + |u|); ``check_growth`` spot-checks it on
-    random probes rather than proving it.
+    |b| + |sigma| <= C (1 + |x| + |u|); ``check_growth`` spot-checks it at
+    64 random (t, x, u) in [0, 1] x [-10, 10]^2 rather than proving it.
     """
 
     b: Callable[[float, float, float], float]
     sigma: Callable[[float, float, float], float]
     growth_c: float
 
-    def check_growth(
-        self,
-        rng: np.random.Generator,
-        t_range: tuple[float, float] = (0.0, 1.0),
-        x_range: tuple[float, float] = (-10.0, 10.0),
-        u_range: tuple[float, float] = (-10.0, 10.0),
-        n_probes: int = 64,
-    ) -> None:
-        for _ in range(n_probes):
-            t = rng.uniform(*t_range)
-            x = rng.uniform(*x_range)
-            u = rng.uniform(*u_range)
+    def check_growth(self, rng: np.random.Generator) -> None:
+        for _ in range(64):
+            t = rng.uniform(0.0, 1.0)
+            x = rng.uniform(-10.0, 10.0)
+            u = rng.uniform(-10.0, 10.0)
             lhs = abs(self.b(t, x, u)) + abs(self.sigma(t, x, u))
             if lhs > self.growth_c * (1.0 + abs(x) + abs(u)) + 1e-12:
                 raise ValueError(
@@ -152,9 +145,9 @@ def _constant_formula(c: float, t, alpha, L):
     return c + 0.0 * alpha
 
 
-def constant_policy(c: float, name: str | None = None) -> ControlPolicy:
+def constant_policy(c: float) -> ControlPolicy:
     c = float(c)
-    return formula_policy(name or f"const({c:g})", partial(_constant_formula, c))
+    return formula_policy(f"const({c:g})", partial(_constant_formula, c))
 
 
 def _uninformed_rule(rule, ctx: ChunkContext, *args) -> np.ndarray:

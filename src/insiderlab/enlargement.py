@@ -211,17 +211,14 @@ class InfoDriftField:
         horizon: float,
         L: float | None = None,
     ):
-        m = as_weight(m)
         setup = drift_setup(m, path.grid, horizon)
         db = np.diff(path.values)
         if L is None:
             L = float(np.sum(setup.m_nodes[:-1] * db))
         alpha, _ = drift_matrix(db[None, :], setup.m_nodes, setup.q_tail,
                                 setup.i_last, np.array([L]))
-        self.m = m
         self.path = path
         self.horizon = float(horizon)
-        self.t1 = path.grid.t_end
         self.L = L
         self.i_last = setup.i_last
         self.alpha = alpha[0]
@@ -230,13 +227,10 @@ class InfoDriftField:
     def zero(cls, path: BrownianPath, horizon: float) -> "InfoDriftField":
         """Drift identically zero: the agent holds no extra information."""
         obj = cls.__new__(cls)
-        grid = path.grid
-        obj.m = as_weight(1.0)  # placeholder, never evaluated
         obj.path = path
         obj.horizon = float(horizon)
-        obj.t1 = grid.t_end
         obj.L = 0.0
-        obj.i_last = grid.index_of(horizon)
+        obj.i_last = path.grid.index_of(horizon)
         obj.alpha = np.zeros(obj.i_last + 1)
         return obj
 
@@ -266,7 +260,7 @@ def decompose(path: BrownianPath, field: InfoDriftField) -> BrownianPath:
     dt = path.grid.dt
     drift_cum = running_sum(field.alpha[:i_last] * dt)
     values = path.values[: i_last + 1] - drift_cum
-    return BrownianPath(path.grid.prefix(i_last), values, seed=path.seed)
+    return BrownianPath(path.grid.prefix(i_last), values)
 
 
 def drift_second_moment(

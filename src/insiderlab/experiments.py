@@ -49,6 +49,7 @@ from .hjb import (
     hjb_pointwise_infimum,
 )
 from .optimality import (
+    DivergenceError,
     PerturbationSpec,
     martingale_diagnostic,
     perturbation_sweep,
@@ -100,6 +101,8 @@ def load_config(path: str | Path) -> dict:
             f"config is not valid JSON (line {e.lineno}, column {e.colno}): "
             f"{e.msg}"
         ) from e
+    except ValueError as e:  # e.g. an integer past Python's digit limit
+        raise InvalidConfigError(f"config cannot be parsed: {e}") from e
     return resolve_config(raw)
 
 
@@ -163,7 +166,7 @@ def resolve_config(raw: dict) -> dict:
     params = params_from_config(cfg)
     try:
         grid = params.grid(cfg["n_steps"])
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: n_steps past 1e308
         raise InvalidConfigError(f"'n_steps': {e}") from e
     try:
         drift_setup(params.m, grid, params.T, params.t0)
@@ -180,7 +183,17 @@ def resolve_config(raw: dict) -> dict:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A number other than a boolean, NaN or an int beyond the float range."""
+    try:
+        return not (isinstance(v, bool) or math.isnan(v))
+    except (TypeError, OverflowError):  # not a number, or too large an int
+        return False
+
+
+def _number(spec: dict, key: str, field: str) -> float:
+    if not _is_number(spec[key]):
+        raise InvalidConfigError(f"'{field}.{key}' must be a number")
+    return float(spec[key])
 
 
 def _is_int(v) -> bool:
@@ -233,8 +246,8 @@ def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
             raise InvalidConfigError("'y_grid' must be a list of numbers")
         if 0.0 not in y_grid:
             raise InvalidConfigError("'y_grid' must contain 0")
-        if cfg["expected_argmin"] not in y_grid:
-            raise InvalidConfigError("'expected_argmin' must be on 'y_grid'")
+        if not _is_number(cfg["expected_argmin"]) or cfg["expected_argmin"] not in y_grid:
+            raise InvalidConfigError("'expected_argmin' must be a number on 'y_grid'")
         _policy_from_config(cfg["policy"], params)
     elif kind == "martingale":
         if cfg["windows"] is None:
@@ -246,8 +259,8 @@ def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
                 window_indices(grid, w, params.t0, params.T)
             except ValueError as e:
                 raise InvalidConfigError(f"'windows': {e}") from e
-        if not (_is_number(cfg["threshold"]) and cfg["threshold"] > 0):
-            raise InvalidConfigError("'threshold' must be a positive number")
+        if not (_is_number(cfg["threshold"]) and 0 < cfg["threshold"] < math.inf):
+            raise InvalidConfigError("'threshold' must be a finite positive number")
         if not isinstance(cfg["expect_pass"], bool):
             raise InvalidConfigError("'expect_pass' must be true or false")
         _policy_from_config(cfg["policy"], params)
@@ -260,12 +273,13 @@ def _weight_from_config(spec, field: str):
         kind = spec.get("type")
         try:
             if kind == "constant":
-                return Constant(float(spec["value"]))
+                return Constant(_number(spec, "value", field))
             if kind == "affine":
-                return Affine(float(spec["intercept"]), float(spec["slope"]))
+                return Affine(*(_number(spec, k, field) for k in ("intercept", "slope")))
             if kind == "sin":
-                return Sin(float(spec["base"]), float(spec["amplitude"]),
-                           float(spec.get("frequency", 1.0)))
+                spec = {"frequency": 1.0, **spec}
+                return Sin(*(_number(spec, k, field)
+                             for k in ("base", "amplitude", "frequency")))
         except KeyError as e:
             raise InvalidConfigError(f"'{field}': missing key {e}") from e
     raise InvalidConfigError(
@@ -274,29 +288,26 @@ def _weight_from_config(spec, field: str):
 
 
 def params_from_config(cfg: dict) -> ModelParams:
-    p = cfg["params"]
-    if cfg["experiment"] == "example2":
-        fixed = {"r": 0.0, "sigma": 1.0, "rtilde": 1.0}
-    else:
-        fixed = {}
     merged = {
         "r": 0.0, "sigma": 1.0, "a": 1.0, "b": 1.0, "T": 1.0, "t1": 2.0,
         "m": 1.0, "x0": 0.0, "t0": 0.0, "rtilde": None,
     }
-    merged.update(p)
-    merged.update(fixed)
+    merged.update(cfg["params"])
+    if cfg["experiment"] == "example2":
+        merged.update(r=0.0, sigma=1.0, rtilde=1.0)
     try:
         return ModelParams(
-            r=float(merged["r"]),
+            r=_number(merged, "r", "params"),
             sigma_fn=_weight_from_config(merged["sigma"], "params.sigma"),
-            a=float(merged["a"]),
-            b=float(merged["b"]),
-            T=float(merged["T"]),
-            t1=float(merged["t1"]),
+            a=_number(merged, "a", "params"),
+            b=_number(merged, "b", "params"),
+            T=_number(merged, "T", "params"),
+            t1=_number(merged, "t1", "params"),
             m=_weight_from_config(merged["m"], "params.m"),
-            x0=float(merged["x0"]),
-            t0=float(merged["t0"]),
-            rtilde=None if merged["rtilde"] is None else float(merged["rtilde"]),
+            x0=_number(merged, "x0", "params"),
+            t0=_number(merged, "t0", "params"),
+            rtilde=(None if merged["rtilde"] is None
+                    else _number(merged, "rtilde", "params")),
         )
     except InvalidConfigError:
         raise
@@ -384,11 +395,8 @@ def _forward_chunk(grid, T, ladder, dB, ctx):
     devs = np.array(
         [np.abs(forward_estimate(vB, B, eps=k * dt) - target) for k in ladder]
     )
-    exact = []
-    for label, vals in zip(_FORWARD_INTEGRANDS,
-                           (np.ones(i_last + 1), values, ctx.alpha)):
-        v = Integrand(B.grid, vals, adapted=(label != "drift"))
-        exact.append(forward_estimate(v, B, eps=dt) == ito_left_sum(v, B))
+    integrands = [Integrand(B.grid, v) for v in (np.ones(i_last + 1), values, ctx.alpha)]
+    exact = [forward_estimate(v, B, eps=dt) == ito_left_sum(v, B) for v in integrands]
     return devs, np.array(exact)
 
 
@@ -428,28 +436,31 @@ def _run_hjb_residual(cfg, pool):
     params = params_from_config(cfg)
     grid = params.grid(cfg["n_steps"])
     rng = np.random.default_rng(cfg["seed"])
-    fields = []
-    for ss in np.random.SeedSequence(cfg["seed"]).spawn(cfg["n_fields"]):
-        f = InfoDriftField(params.m, sample_brownian(grid, ss), horizon=params.T)
-        fields.append((f, Example1ValueField(params, f)))
-    rows = []
-    max_resid = 0.0
-    max_gap = 0.0
-    for p in range(cfg["n_probes"]):
-        w = int(rng.integers(0, len(fields)))
-        field, vf = fields[w]
-        i = int(rng.integers(0, field.i_last + 1))
-        x = float(rng.normal(scale=2.0))
-        t = float(grid.times[i])
-        sig = float(params.sigma_fn(t))
-        alpha = float(field.alpha[i])
-        u_min, resid = hjb_pointwise_infimum(
-            vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, sig, params, x, t
-        )
-        u_star = float(example1_control(alpha, sig, t, params))
-        max_resid = max(max_resid, abs(resid))
-        max_gap = max(max_gap, abs(u_min - u_star) / max(1.0, abs(u_star)))
-        rows.append([p, w, i, t, x, alpha, u_min, u_star, resid])
+    fields, rows = [], []
+    max_resid = max_gap = 0.0
+    # overflow is caught by the finite check below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ss in np.random.SeedSequence(cfg["seed"]).spawn(cfg["n_fields"]):
+            f = InfoDriftField(params.m, sample_brownian(grid, ss), horizon=params.T)
+            fields.append((f, Example1ValueField(params, f)))
+        for p in range(cfg["n_probes"]):
+            w = int(rng.integers(0, len(fields)))
+            field, vf = fields[w]
+            i = int(rng.integers(0, field.i_last + 1))
+            x = float(rng.normal(scale=2.0))
+            t = float(grid.times[i])
+            sig = float(params.sigma_fn(t))
+            alpha = float(field.alpha[i])
+            u_min, resid = hjb_pointwise_infimum(
+                vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, sig, params, x, t
+            )
+            u_star = float(example1_control(alpha, sig, t, params))
+            gap = abs(u_min - u_star) / max(1.0, abs(u_star))
+            if not (math.isfinite(resid) and math.isfinite(gap)):
+                raise DivergenceError(1, p + 1, f"probe {p}: residual {resid:g}, "
+                                      f"minimizer gap {gap:g}; not finite")
+            max_resid, max_gap = max(max_resid, abs(resid)), max(max_gap, gap)
+            rows.append([p, w, i, t, x, alpha, u_min, u_star, resid])
     results = {"max_abs_residual": max_resid, "max_rel_minimizer_gap": max_gap}
     checks = [
         _check("residual_below_1e-10", max_resid <= 1e-10,

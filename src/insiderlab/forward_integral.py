@@ -30,11 +30,10 @@ __all__ = ["Integrand", "forward_estimate", "ito_left_sum", "compare_forward_ito
 @dataclass(frozen=True, eq=False)
 class Integrand:
     """Node values of v on a grid, ``(n_nodes,)`` or ``(rows, n_nodes)``;
-    ``adapted`` is descriptive metadata."""
+    the estimators treat adapted and anticipating v alike."""
 
     grid: TimeGrid
     values: np.ndarray
-    adapted: bool = True
 
     def __post_init__(self) -> None:
         shape = self.values.shape

@@ -38,7 +38,7 @@ from .controlled_sde import (
     uninformed,
 )
 from .enlargement import InfoDriftField, map_reducers
-from .optimality import EstimateWithError, cost_chunk
+from .optimality import DivergenceError, EstimateWithError, cost_chunk
 from .paths import TimeGrid, WeightFunction, as_weight, running_sum
 
 __all__ = [
@@ -98,7 +98,6 @@ class ModelParams:
             raise ValueError("sigma must stay away from 0 on [0, T]")
         if not np.all(np.isfinite(probes)):
             raise ValueError("sigma must be bounded on [0, T]")
-        object.__setattr__(self, "sigma_inf", float(probes.min()))
         object.__setattr__(self, "sigma_sup", float(probes.max()))
 
     @property
@@ -145,11 +144,14 @@ def hjb_pointwise_infimum(
         [Gt + r x Gx] + [(excess + alpha sigma) Gx] u + [a + sigma^2 Gxx / 2] u^2
     and requires sigma^2 Gxx + 2a > 0 (second-derivative criterion); the
     minimizer is u_min = -(excess + alpha sigma) Gx / (sigma^2 Gxx + 2a).
+    A curvature that overflows raises DivergenceError.
 
     Returns (u_min, minimized value); the value is the HJB residual when G
     solves the equation.
     """
     curv = sigma * sigma * Gxx + 2.0 * params.a
+    if not math.isfinite(curv):
+        raise DivergenceError(1, 1, f"sigma^2 Gxx + 2a = {curv:g} is not finite")
     if not curv > 0.0:
         raise NonConvexError(
             f"sigma^2 Gxx + 2a = {curv:.3g} <= 0: quadratic not strictly convex"
@@ -164,6 +166,15 @@ def hjb_pointwise_infimum(
 # ---------------------------------------------------------------------------
 # Example: discounted wealth, dX = r X dt + u sigma dB
 # ---------------------------------------------------------------------------
+
+def _discount(params: ModelParams, t: float) -> float:
+    """e^{-r(t-T)}; one that overflows raises DivergenceError."""
+    try:
+        return math.exp(-params.r * (t - params.T))
+    except OverflowError:
+        raise DivergenceError(1, 1, f"e^(-r(t-T)) overflowed at r = "
+                              f"{params.r:g}, t = {t:g}") from None
+
 
 def example1_control(alpha: float, sigma: float, t: float, params: ModelParams):
     """u* = alpha sigma b e^{-r(t-T)} / (2a); arrays broadcast."""
@@ -223,6 +234,7 @@ def example_estimates(example: int, params: ModelParams, t: float, x: float,
     per path.  With ``costs`` it appends the cost J(t0, x0; u*) of the
     optimal policy and, for example 2, the cost of ``uninformed(u*)``.
     Each equals its own ``example{1,2}_value`` or ``cost_mc`` bit for bit.
+    A value that overflows raises DivergenceError, as every estimate does.
     """
     setup = make_wealth_setup(params, n_steps)
     i_from = setup.grid.index_of(t)
@@ -230,7 +242,7 @@ def example_estimates(example: int, params: ModelParams, t: float, x: float,
         raise ValueError(f"need t < T, got t={t}")
     if example == 1:
         integrand, policy = partial(_example1_integrand, params), example1_policy
-        det = x * params.b * math.exp(-params.r * (t - params.T))
+        det = x * params.b * _discount(params, t)
     else:
         c = params.b * params.b / (4.0 * params.a)
         integrand, policy = partial(_example2_integrand, c), example2_policy
@@ -241,8 +253,9 @@ def example_estimates(example: int, params: ModelParams, t: float, x: float,
         if example == 2:
             reducers.append(partial(cost_chunk, setup,
                                     policy=uninformed(policy(params))))
-    out = [EstimateWithError.from_rows(vals, bad, seed)
+    out = [EstimateWithError.from_rows(vals, bad)
            for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
+    # replace() rebuilds the estimate, which refuses a value that is not finite
     out[0] = replace(out[0], mean=-(det + out[0].mean))
     return out
 
@@ -285,15 +298,13 @@ class Example1ValueField:
         self._g = cum - rho0
 
     def f(self, i: int) -> float:
-        return -self.params.b * math.exp(-self.params.r * (self._times[i] - self.params.T))
+        return -self.params.b * _discount(self.params, self._times[i])
 
     def G(self, i: int, x: float) -> float:
         return self.f(i) * x + self._g[i]
 
     def Gt(self, i: int, x: float) -> float:
-        fprime = self.params.r * self.params.b * math.exp(
-            -self.params.r * (self._times[i] - self.params.T)
-        )
+        fprime = self.params.r * self.params.b * _discount(self.params, self._times[i])
         return fprime * x + self._integrand[i]
 
     def Gx(self, i: int) -> float:

@@ -10,8 +10,8 @@ Four instruments, all statistical, all seeded:
   one kernel pass with the base policy (``sweep_coefficients``).
 * ``directional_derivative`` is F'(y) = c1 + 2 y c2, the exact derivative
   of the discrete cost.
-* ``martingale_diagnostic`` tests E[phi * (N_u(t+h) - N_u(t))] = 0 for a
-  dictionary of bounded information functions phi, where
+* ``martingale_diagnostic`` tests E[phi * (N_u(t+h) - N_u(t))] = 0 for
+  four bounded information functions phi, where
 
       N_u(t) = int_0^t [2 a u_s - e^{-b_s}(rtilde - r)] ds
              - int_0^t e^{-b_s} sigma_s dB_s .
@@ -72,6 +72,8 @@ __all__ = [
 # refuse the estimate when more than this fraction of paths diverge
 MAX_DIVERGED_FRACTION = 1e-3
 
+CLIP = 10.0  # theta0 and every test function phi are clipped to [-CLIP, CLIP]
+
 
 class DivergenceError(RuntimeError):
     """Too many paths diverged, or a moment overflowed: no trusted estimate."""
@@ -87,43 +89,43 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """Monte Carlo point estimate with its standard error."""
+    """Monte Carlo mean and standard error of ``n_samples`` finite samples;
+    ``n_diverged`` diverged paths were dropped.  A mean or standard error
+    that is not finite raises DivergenceError."""
 
     mean: float
     std_error: float
     n_samples: int
-    seed: int
     n_diverged: int = 0
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples for a standard error")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_error)):
+            raise DivergenceError(self.n_diverged, self.n_samples + self.n_diverged, (
+                f"a moment of {self.n_samples} finite samples overflowed (mean "
+                f"{self.mean:g}, standard error {self.std_error:g}); estimate refused"))
         if not self.std_error >= 0.0:
             raise ValueError("standard error must be nonnegative")
 
     @classmethod
-    def from_samples(
-        cls, samples: np.ndarray, seed: int, n_diverged: int = 0
-    ) -> "EstimateWithError":
+    def from_samples(cls, samples: np.ndarray,
+                     n_diverged: int = 0) -> "EstimateWithError":
         n = len(samples)
         if n < 2:
             raise ValueError("need at least 2 samples")
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(samples.mean())
             std_error = float(samples.std(ddof=1) / math.sqrt(n))
-        if not (math.isfinite(mean) and math.isfinite(std_error)):
-            raise DivergenceError(n_diverged, n + n_diverged, (
-                f"a moment of {n} finite samples overflowed (mean {mean:g}, "
-                f"standard error {std_error:g}); estimate refused"))
-        return cls(mean, std_error, n, seed, n_diverged)
+        return cls(mean, std_error, n, n_diverged)
 
     @classmethod
-    def from_rows(cls, values: np.ndarray, diverged: np.ndarray,
-                  seed: int) -> "EstimateWithError":
+    def from_rows(cls, values: np.ndarray,
+                  diverged: np.ndarray) -> "EstimateWithError":
         """The estimate from per-row values, diverged rows dropped and
         counted by ``collect_samples``."""
         samples, n_diverged = collect_samples(values, diverged)
-        return cls.from_samples(samples, seed, n_diverged)
+        return cls.from_samples(samples, n_diverged)
 
 
 def pooled_se(e1: EstimateWithError, e2: EstimateWithError) -> float:
@@ -172,7 +174,7 @@ def cost_mc_many(policies: Sequence[ControlPolicy], params, n_paths: int,
     with its own diverged rows dropped and counted."""
     setup = make_wealth_setup(params, n_steps)
     reducers = [partial(cost_chunk, setup, policy=p) for p in policies]
-    return [EstimateWithError.from_rows(vals, bad, seed)
+    return [EstimateWithError.from_rows(vals, bad)
             for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
 
 
@@ -186,8 +188,8 @@ class PerturbationSpec:
 
     ``theta0`` is either a constant or a rule of the information at the
     window start, called as theta0(B_t, L) on arrays; values are clipped to
-    [-theta_bound, theta_bound] to enforce boundedness.  ``y_grid`` is the
-    amplitude grid of the sweep and must contain 0.
+    [-CLIP, CLIP] to enforce boundedness.  ``y_grid`` is the amplitude grid
+    of the sweep and must contain 0.
     """
 
     window: tuple[float, float]
@@ -195,14 +197,11 @@ class PerturbationSpec:
     y_grid: tuple[float, ...] = (
         -0.5, -0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
     )
-    theta_bound: float = 10.0
 
     def __post_init__(self) -> None:
         lo, hi = self.window
         if not lo < hi:
             raise ValueError(f"empty window ({lo}, {hi}]")
-        if not math.isfinite(self.theta_bound) or self.theta_bound <= 0:
-            raise ValueError("theta0 must be bounded: theta_bound finite positive")
 
     def theta_values(self, ctx: ChunkContext, ilo: int) -> np.ndarray:
         if callable(self.theta0):
@@ -210,7 +209,7 @@ class PerturbationSpec:
             th = np.broadcast_to(th, ctx.L.shape).copy()
         else:
             th = np.full(ctx.L.shape, float(self.theta0))
-        return np.clip(th, -self.theta_bound, self.theta_bound)
+        return np.clip(th, -CLIP, CLIP)
 
 
 def window_indices(grid: TimeGrid, window: Sequence[float], t0: float,
@@ -332,7 +331,7 @@ def directional_derivative(
     (_, c1, c2), n_div = _sweep_samples(
         policy, params, spec, n_paths, seed, n_steps, pool,
     )
-    return EstimateWithError.from_samples(c1 + 2.0 * y * c2, seed, n_diverged=n_div)
+    return EstimateWithError.from_samples(c1 + 2.0 * y * c2, n_diverged=n_div)
 
 
 def perturbation_sweep(
@@ -362,13 +361,13 @@ def perturbation_sweep(
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # from_samples refuses inf
         for y in spec.y_grid:
-            est = EstimateWithError.from_samples(c0 + y * (c1 + y * c2), seed)
+            est = EstimateWithError.from_samples(c0 + y * (c1 + y * c2))
             rows.append({"y": y, "mean": est.mean, "std_error": est.std_error})
     order = sorted(rows, key=lambda r: (r["mean"], abs(r["y"])))
     return {
         "rows": rows,
         "argmin_y": order[0]["y"],
-        "derivative_at_zero": EstimateWithError.from_samples(c1, seed,
+        "derivative_at_zero": EstimateWithError.from_samples(c1,
                                                              n_diverged=n_div),
     }
 
@@ -377,17 +376,17 @@ def perturbation_sweep(
 # Martingale diagnostic
 # ---------------------------------------------------------------------------
 
-def _phi(name: str, c: float, Bt: np.ndarray, L: np.ndarray) -> np.ndarray:
+def _phi(name: str, Bt: np.ndarray, L: np.ndarray) -> np.ndarray:
     if name == "one":
         return np.ones_like(L)
     x = {"clip_L": L, "clip_B": Bt, "clip_LB": L * Bt}[name]
-    return np.clip(x, -c, c)
+    return np.clip(x, -CLIP, CLIP)
 
 
-def default_test_functions(bound: float = 10.0) -> list[tuple[str, Callable]]:
-    """Bounded information functions of (B_t, L) evaluated at window start."""
+def default_test_functions() -> list[tuple[str, Callable]]:
+    """phi(B_t, L) at window start: 1, and L, B_t, L B_t clipped to +-CLIP."""
     names = ("one", "clip_L", "clip_B", "clip_LB")
-    return [(name, partial(_phi, name, float(bound))) for name in names]
+    return [(name, partial(_phi, name)) for name in names]
 
 
 def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
@@ -445,25 +444,21 @@ def martingale_diagnostic(
     seed: int,
     n_steps: int,
     windows: Sequence[tuple[float, float]] | None = None,
-    test_fns: Sequence[tuple[str, Callable]] | None = None,
     threshold: float = 3.0,
     pool=None,
 ) -> list[dict]:
-    """E[phi * (N_u increment)] for every (window, phi) cell.
+    """E[phi * (N_u increment)] for every (window, phi) cell, phi from
+    ``default_test_functions``.
 
     A cell passes when |estimate| <= threshold * SE.  Under the optimal
     control the increments are conditionally centered given the window-start
-    information, so every phi in the dictionary is uncorrelated with them.
+    information, so every phi is uncorrelated with them.
     Rows whose state or any product goes non-finite are dropped from every
     cell and counted; too many raise DivergenceError.
     """
     if windows is None:
         windows = quarter_windows(params.T, params.t0)
-    if test_fns is None:
-        test_fns = default_test_functions()
-    test_fns = list(test_fns)
-    if not test_fns:
-        raise ValueError("need at least one test function")
+    test_fns = default_test_functions()
     setup = make_wealth_setup(params, n_steps)
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
@@ -474,7 +469,7 @@ def martingale_diagnostic(
     out = []
     cells = ((w, name) for w in windows for name, _ in test_fns)
     for (w, fname), row in zip(cells, samples):
-        est = EstimateWithError.from_samples(row, seed, n_diverged=n_div)
+        est = EstimateWithError.from_samples(row, n_diverged=n_div)
         out.append({"window": w, "test_fn": fname, "mean": est.mean,
                     "std_error": est.std_error, "n": est.n_samples,
                     "pass": abs(est.mean) <= threshold * est.std_error})
@@ -490,22 +485,21 @@ def discounted_diffusion(B: BrownianPath, params) -> BrownianPath:
     t = B.grid.times[:-1]
     w = np.exp(-params.r * t) * as_weight(params.sigma_fn).nodes(t)
     values = running_sum(w * np.diff(B.values))
-    return BrownianPath(B.grid, values, seed=B.seed)
+    return BrownianPath(B.grid, values)
 
 
-def semimartingale_recovery(R: BrownianPath, params,
-                            sigma_floor: float = 1e-8) -> BrownianPath:
+def semimartingale_recovery(R: BrownianPath, params) -> BrownianPath:
     """Reconstruct B from R through  int_0^t e^{b_s} sigma_s^{-1} dR.
 
     Inverts ``discounted_diffusion`` step by step; on the same grid the
     composition is exact up to floating roundoff (bit-exact whenever the
     node weights are exact reciprocals, e.g. constant sigma in {1, 2} and
-    r = 0).  The diffusion must stay above ``sigma_floor``.
+    r = 0).  |sigma| must stay above 1e-8 at every node.
     """
     t = R.grid.times[:-1]
     sig = as_weight(params.sigma_fn).nodes(t)
-    if np.any(np.abs(sig) <= sigma_floor):
+    if np.any(np.abs(sig) <= 1e-8):
         raise ValueError("sigma falls below the invertibility floor")
     w = np.exp(params.r * t) / sig
     values = running_sum(w * np.diff(R.values))
-    return BrownianPath(R.grid, values, seed=R.seed)
+    return BrownianPath(R.grid, values)

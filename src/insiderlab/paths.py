@@ -119,7 +119,6 @@ class BrownianPath:
 
     grid: TimeGrid
     values: np.ndarray
-    seed: int | np.random.SeedSequence | None = None
 
     def __post_init__(self) -> None:
         shape = self.values.shape
@@ -134,7 +133,7 @@ class BrownianPath:
         i = self.grid.index_of(t_end)
         if i == self.grid.n_steps:
             return self
-        return BrownianPath(self.grid.prefix(i), self.values[..., : i + 1], self.seed)
+        return BrownianPath(self.grid.prefix(i), self.values[..., : i + 1])
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,6 @@ class WeightFunction:
     """
 
     fn: Callable[[float], float]
-    label: str = "m"
 
     def __call__(self, t: float) -> float:
         return float(self.fn(t))
@@ -199,8 +197,8 @@ class Sin:
         return self.base + self.amplitude * np.sin(self.frequency * s)
 
 
-def constant_weight(c: float, label: str | None = None) -> WeightFunction:
-    return WeightFunction(Constant(c), label or f"const({c})")
+def constant_weight(c: float) -> WeightFunction:
+    return WeightFunction(Constant(c))
 
 
 def as_weight(m: WeightFunction | Callable[[float], float] | float) -> WeightFunction:
@@ -240,7 +238,7 @@ def sample_brownian(grid: TimeGrid, seed: int | np.random.SeedSequence) -> Brown
     """
     rng = np.random.default_rng(seed)
     db = rng.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
-    return BrownianPath(grid, running_sum(db), seed=seed)
+    return BrownianPath(grid, running_sum(db))
 
 
 def eval_L(m: WeightFunction | Callable | float, path: BrownianPath,

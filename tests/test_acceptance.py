@@ -97,12 +97,8 @@ def test_criterion_02_forward_integral():
         vB = Integrand(B.grid, B.values)
         for j, k in enumerate(ladder):
             devs[i, j] = abs(forward_estimate(vB, B, eps=k * dt) - target)
-        for vals, adapted in (
-            (np.ones(n + 1), True),
-            (B.values, True),
-            (field.alpha, False),
-        ):
-            v = Integrand(B.grid, vals, adapted=adapted)
+        for vals in (np.ones(n + 1), B.values, field.alpha):
+            v = Integrand(B.grid, vals)
             exact = exact and (
                 forward_estimate(v, B, eps=dt) == ito_left_sum(v, B)
             )
@@ -261,7 +257,7 @@ def test_criterion_09_semimartingale_recovery():
     B = sample_brownian(fine, 1019)
     R = discounted_diffusion(B, params)
     coarse = make_grid(0.0, 1.0, 1024)
-    Rc = type(R)(coarse, R.values[::4], seed=R.seed)
+    Rc = type(R)(coarse, R.values[::4])
     got = semimartingale_recovery(Rc, params)
     err = float(np.max(np.abs(got.values - B.values[::4])))
     lam = params.r + 0.5 / 1.0  # sup |d/ds log(e^{-rs} sigma_s)| bound

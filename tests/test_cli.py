@@ -70,6 +70,14 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_integer_past_the_digit_limit_is_invalid_config(tmp_path, capsys):
+    # json.loads raises a plain ValueError there, not a JSONDecodeError
+    p = tmp_path / "long.json"
+    p.write_text('{"experiment": "perturbation", "theta0": 1' + "0" * 5000 + "}")
+    assert main(["run", str(p)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -251,17 +259,45 @@ def test_malformed_fields_are_invalid_config(tmp_path, capsys, raw):
     assert "invalid config" in capsys.readouterr().err
 
 
+_HUGE_INT = 10**400  # a JSON integer that float() cannot convert
+
+
 @pytest.mark.parametrize("kind, field, value", [
     ("martingale", "expect_pass", "no"),
     ("martingale", "threshold", True),
     ("forward-convergence", "eps_ladder", [True]),
     ("hjb-residual", "n_fields", True),
     ("hjb-residual", "n_probes", True),
+    # each of these used to raise OverflowError, run, or exit 3
+    pytest.param("perturbation", "theta0", _HUGE_INT, id="theta0-huge-int"),
+    pytest.param("perturbation", "y_grid", [0.0, _HUGE_INT], id="y_grid-huge-int"),
+    pytest.param("perturbation", "window", [0.25, _HUGE_INT], id="window-huge-int"),
+    pytest.param("martingale", "threshold", _HUGE_INT, id="threshold-huge-int"),
+    pytest.param("perturbation", "policy", {"kind": "constant", "value": _HUGE_INT},
+                 id="policy-value-huge-int"),
+    pytest.param("example1", "params.x0", _HUGE_INT, id="params-huge-int"),
+    pytest.param("decomposition", "n_steps", _HUGE_INT, id="n_steps-huge-int"),
+    pytest.param("example1", "params.x0", "1.5", id="params-string"),
+    pytest.param("example1", "params.a", True, id="params-bool"),
+    pytest.param("example1", "params.r", math.nan, id="params-nan"),
+    pytest.param("perturbation", "theta0", math.nan, id="theta0-nan"),
+    pytest.param("perturbation", "y_grid", [0.0, math.nan], id="y_grid-nan"),
+    pytest.param("perturbation", "expected_argmin", False, id="expected_argmin-bool"),
+    pytest.param("martingale", "threshold", math.inf, id="threshold-inf"),
+    pytest.param("decomposition", "params.m", {"type": "constant", "value": True},
+                 id="weight-entry-bool"),
+    pytest.param("example1", "params.sigma", {"type": "sin", "base": "1",
+                                              "amplitude": 0.5},
+                 id="weight-entry-string"),
 ])
 def test_json_booleans_and_strings_are_not_numbers_or_flags(
         tmp_path, capsys, kind, field, value):
-    raw = {"experiment": kind, field: value, "n_paths": 64, "n_steps": 64,
+    raw = {"experiment": kind, "n_paths": 64, "n_steps": 64,
            "out": str(tmp_path / "out")}
+    if field.startswith("params."):
+        raw["params"] = {field.removeprefix("params."): value}
+    else:
+        raw[field] = value
     assert main(["run", write_cfg(tmp_path, "bad.json", raw),
                  "--workers", "1"]) == 2
     assert field in capsys.readouterr().err
@@ -532,3 +568,77 @@ def test_a_cost_weight_whose_square_overflows_exits_3(tmp_path, capsys, kind):
     assert main(["run", write_cfg(tmp_path, "b.json", raw),
                  "--workers", "1"]) == 3
     assert "divergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("hjb-residual", {"b": 1e200}),  # every residual nan: used to pass
+    ("hjb-residual", {"sigma": 1e200}),  # sigma^2 Gxx = inf * 0: NonConvexError
+    ("hjb-residual", {"r": 1000}),  # e^{-r(t-T)}: OverflowError
+    ("example1", {"r": 1000}),
+], ids=["hjb-b", "hjb-sigma", "hjb-r", "example1-r"])
+def test_a_closed_form_that_overflows_exits_3(tmp_path, capsys, kind, params):
+    raw = {"experiment": kind, "params": params, "n_steps": 8, "n_paths": 64,
+           "out": str(tmp_path / "out")}
+    if kind == "hjb-residual":
+        raw.update(n_probes=20, n_fields=3)
+    assert main(["run", write_cfg(tmp_path, "big.json", raw),
+                 "--workers", "1"]) == 3
+    assert "divergence" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _csv_numbers_are_finite(path):
+    for line in path.read_text().splitlines()[1:]:
+        for field in line.split(","):
+            try:
+                value = float(field)
+            except ValueError:
+                continue  # a label
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+_POSITIVE = st.sampled_from([0.5, 1000.0, 1e-300, 1e200, 1e300])
+_SIGNED = st.one_of(_POSITIVE, st.sampled_from([-2.0, -1e300]))
+# valid overrides only, or one invalid override (which exits 2) alone
+_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from([[], ["--seed", "0"], ["--seed", str(2**70)]]),
+              st.sampled_from([[], ["--n-paths", "2"], ["--n-paths", "1025"]]),
+              st.sampled_from([["--workers", "1"], ["--workers", "2"]]),
+              ).map(lambda parts: sum(parts, [])),
+    st.sampled_from([["--seed", "-1"], ["--n-paths", "1"], ["--workers", "0"]]),
+)
+
+
+@given(
+    kind=st.sampled_from(["decomposition", "hjb-residual"]),
+    n_steps=st.sampled_from([8, 16, 24, 32]),  # t0, T on a node of [0, 2]
+    t0=st.sampled_from([0.0, 0.25]),
+    horizon=st.sampled_from([(1.0, 2.0), (0.5, 2.0), (1.5, 2.0)]),
+    m=_WEIGHTS,
+    sizes=st.fixed_dictionaries({}, optional={
+        "r": _SIGNED, "a": _POSITIVE, "b": _POSITIVE, "x0": _SIGNED,
+        "sigma": _SIGNED}),
+    overrides=_OVERRIDES,
+)
+# every residual used to be nan, and the run passed
+@example(kind="hjb-residual", n_steps=8, t0=0.0, horizon=(1.0, 2.0), m=1.0,
+         sizes={"b": 1e200}, overrides=["--workers", "1"])
+@settings(max_examples=40, deadline=None)
+def test_decomposition_hjb_residual_and_overrides_are_rejected_or_run(
+        kind, n_steps, t0, horizon, m, sizes, overrides):
+    T, t1 = horizon
+    raw = {"experiment": kind, "n_steps": n_steps, "n_paths": 16,
+           "params": {"t0": t0, "T": T, "t1": t1, "m": m, **sizes}}
+    if kind == "hjb-residual":
+        raw.update(n_probes=8, n_fields=2)
+    with tempfile.TemporaryDirectory() as d:
+        raw["out"] = d
+        path = Path(d) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", str(path), *overrides])
+        csv = Path(d) / f"{kind}.csv"
+        assert code in (0, 1, 2, 3)
+        assert csv.exists() == (code in (0, 1))
+        assert code not in (0, 1) or _csv_numbers_are_finite(csv)

@@ -41,7 +41,7 @@ class TestInformationDrift:
 
     def test_zero_path_zero_L_gives_zero_drift(self):
         g = make_grid(0, 2, 64)
-        p = BrownianPath(g, np.zeros(65), seed=None)
+        p = BrownianPath(g, np.zeros(65))
         f = InfoDriftField(ONE, p, horizon=1.0)
         assert np.all(f.alpha == 0.0)
 
@@ -86,7 +86,7 @@ class TestInformationDrift:
         i = 100
         tampered_values = p.values.copy()
         tampered_values[i + 1 :] += 3.0
-        tampered = BrownianPath(p.grid, tampered_values, seed=None)
+        tampered = BrownianPath(p.grid, tampered_values)
         f2 = InfoDriftField(ONE, tampered, horizon=1.0, L=f.L)
         assert np.array_equal(f.alpha[: i + 1], f2.alpha[: i + 1])
 

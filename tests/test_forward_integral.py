@@ -32,8 +32,8 @@ from insiderlab.paths import (
 )
 
 
-def const_integrand(grid, c=1.0, adapted=True):
-    return Integrand(grid, np.full(grid.n_nodes, c), adapted=adapted)
+def const_integrand(grid, c=1.0):
+    return Integrand(grid, np.full(grid.n_nodes, c))
 
 
 def test_zero_integrand_all_eps():
@@ -95,7 +95,7 @@ def test_adapted_agreement_is_bit_exact():
     assert forward_estimate(vB, Br, Br.grid.dt) == ito_left_sum(vB, Br)
 
     f = InfoDriftField(constant_weight(1.0), B, horizon=1.0)
-    va = Integrand(Br.grid, f.alpha, adapted=True)
+    va = Integrand(Br.grid, f.alpha)
     assert forward_estimate(va, Br, Br.grid.dt) == ito_left_sum(va, Br)
 
 
@@ -221,7 +221,7 @@ def _forward_chunk_rows(grid, T, m_nodes, q, ladder, dB):
             ("brownian", B.values),
             ("drift", alpha[i]),
         ):
-            v = Integrand(B.grid, vals, adapted=(label != "drift"))
+            v = Integrand(B.grid, vals)
             if forward_estimate(v, B, eps=dt) != ito_left_sum(v, B):
                 exact[label] = False
     return devs, exact
@@ -237,7 +237,7 @@ def test_batched_estimates_equal_per_row_calls_bit_for_bit():
     integrands = {
         "one": Integrand(B.grid, np.ones(n + 1)),  # broadcast against B
         "brownian": Integrand(B.grid, B.values),
-        "drift": Integrand(B.grid, alpha, adapted=False),
+        "drift": Integrand(B.grid, alpha),
     }
     for label, v in integrands.items():
         ito = ito_left_sum(v, B)

@@ -20,7 +20,7 @@ from insiderlab.hjb import (
     generator_Au,
     hjb_pointwise_infimum,
 )
-from insiderlab.optimality import pooled_se
+from insiderlab.optimality import DivergenceError, pooled_se
 from insiderlab.paths import constant_weight, make_grid, sample_brownian
 
 LN2 = math.log(2.0)
@@ -34,7 +34,7 @@ class TestModelParams:
         p = ModelParams.benchmark()
         assert (p.r, p.a, p.b, p.T, p.t1) == (0.0, 1.0, 1.0, 1.0, 2.0)
         assert p.excess_rate == 0.0
-        assert p.sigma_inf == p.sigma_sup == 1.0
+        assert p.sigma_sup == 1.0
 
     def test_rejects_bad_cost_weights(self):
         with pytest.raises(ValueError):
@@ -245,6 +245,11 @@ class TestExample1Value:
         b = example1_value(params, 0.0, 0.0, 40_000, seed=202)
         assert abs(a.mean - b.mean) <= 3 * pooled_se(a, b)
 
+    def test_a_value_that_overflows_is_refused(self):
+        # the x-term b x = inf used to give mean = -inf past the finite check
+        with pytest.raises(DivergenceError, match="overflowed"):
+            example1_value(ModelParams.benchmark(b=10.0), 0.0, 1e308, 64, 1, 64)
+
 
 class TestExample2:
     def test_control_values(self):
@@ -256,7 +261,7 @@ class TestExample2:
     def test_params_shape(self):
         p = example2_params(a=2.0)
         assert p.r == 0.0 and p.rtilde == 1.0 and p.excess_rate == 1.0
-        assert p.sigma_inf == 1.0
+        assert p.sigma_sup == 1.0
 
     def test_benchmark_value(self):
         est = example2_value(example2_params(), 0.0, 0.0, 20_000, seed=19)

@@ -114,7 +114,7 @@ def test_eval_L_refinement_invariance():
     # aggregating fine increments onto a coarser grid leaves the m == 1
     # integral unchanged: both telescope to the same terminal value
     fine = sample_brownian(make_grid(0, 2, 256), 11)
-    coarse = BrownianPath(make_grid(0, 2, 32), fine.values[::8], seed=11)
+    coarse = BrownianPath(make_grid(0, 2, 32), fine.values[::8])
     one = constant_weight(1.0)
     assert eval_L(one, fine) == pytest.approx(eval_L(one, coarse), abs=1e-13)
 
