@@ -8,31 +8,20 @@ martingale diagnostics.
 """
 
 from .controlled_sde import (
-    CoefficientSpec,
     ControlPolicy,
-    Domain,
-    SimulationDiverged,
-    StatePath,
     constant_policy,
-    feedback_policy,
-    first_exit,
     formula_policy,
     make_wealth_setup,
-    simulate_forward,
-    simulate_insider,
     uninformed,
-    wealth_coefficients,
 )
 from .enlargement import (
     InfoDriftField,
     decompose,
     decomposition_stats,
     drift_second_moment,
-    information_drift,
 )
 from .forward_integral import (
     Integrand,
-    compare_forward_ito,
     forward_estimate,
     ito_left_sum,
 )
@@ -40,7 +29,6 @@ from .hjb import (
     Example1ValueField,
     ModelParams,
     NonConvexError,
-    example1_G,
     example1_control,
     example1_policy,
     example1_value,
@@ -48,7 +36,6 @@ from .hjb import (
     example2_params,
     example2_policy,
     example2_value,
-    generator_Au,
     hjb_pointwise_infimum,
 )
 from .optimality import (
@@ -69,7 +56,6 @@ from .paths import (
     WeightFunction,
     as_weight,
     constant_weight,
-    eval_L,
     make_grid,
     sample_brownian,
 )
@@ -78,10 +64,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrownianPath",
-    "CoefficientSpec",
     "ControlPolicy",
     "DivergenceError",
-    "Domain",
     "EstimateWithError",
     "Example1ValueField",
     "InfoDriftField",
@@ -89,12 +73,9 @@ __all__ = [
     "ModelParams",
     "NonConvexError",
     "PerturbationSpec",
-    "SimulationDiverged",
-    "StatePath",
     "TimeGrid",
     "WeightFunction",
     "as_weight",
-    "compare_forward_ito",
     "constant_policy",
     "constant_weight",
     "cost_mc",
@@ -103,8 +84,6 @@ __all__ = [
     "directional_derivative",
     "discounted_diffusion",
     "drift_second_moment",
-    "eval_L",
-    "example1_G",
     "example1_control",
     "example1_policy",
     "example1_value",
@@ -112,13 +91,9 @@ __all__ = [
     "example2_params",
     "example2_policy",
     "example2_value",
-    "feedback_policy",
-    "first_exit",
     "formula_policy",
     "forward_estimate",
-    "generator_Au",
     "hjb_pointwise_infimum",
-    "information_drift",
     "ito_left_sum",
     "make_grid",
     "make_wealth_setup",
@@ -127,9 +102,6 @@ __all__ = [
     "pooled_se",
     "sample_brownian",
     "semimartingale_recovery",
-    "simulate_forward",
-    "simulate_insider",
     "uninformed",
-    "wealth_coefficients",
     "__version__",
 ]

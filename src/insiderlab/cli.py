@@ -12,6 +12,7 @@ import sys
 
 from .experiments import (
     InvalidConfigError,
+    check_cap,
     list_experiments,
     load_config,
     run_experiment,
@@ -56,6 +57,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.n_paths is not None:
             if args.n_paths < 2:
                 raise InvalidConfigError("'--n-paths' must be >= 2")
+            check_cap("n_paths", args.n_paths, "--n-paths")
             cfg["n_paths"] = args.n_paths
         if args.out is not None:
             cfg["out"] = args.out

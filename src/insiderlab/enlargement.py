@@ -7,8 +7,10 @@ motion with a drift.  For Gaussian L the drift has the classical closed form
 
 and  Btilde_t = B_t - int_0^t alpha_s ds  is again a Brownian motion in the
 enlarged filtration.  This module evaluates alpha along sampled paths,
-performs the discrete decomposition, and exposes the analytic second moment
-E[alpha_s^2] = m(s)^2 / int_s^{T1} m^2 du used as a test oracle.
+performs the discrete decomposition, and gives the analytic second moment
+E[alpha_s^2] = m(s)^2 / int_s^{T1} m^2 du.  The agent without the extra
+information is not a drift field but a policy,
+``controlled_sde.uninformed``.
 
 The drift is only ever evaluated up to a decision horizon T strictly before
 T1; at T1 the conditioning denominator vanishes.
@@ -48,10 +50,8 @@ __all__ = [
     "chunk_context",
     "map_reducers",
     "InfoDriftField",
-    "information_drift",
     "decompose",
     "drift_second_moment",
-    "expected_squared_drift_integral",
     "tail_square_integral",
     "drift_matrix",
     "decomposition_stats",
@@ -199,9 +199,6 @@ class InfoDriftField:
     Built from a path on the full grid [0, T1].  ``alpha[i]`` depends on the
     path only through values up to node i plus the scalar L, which is the
     discrete counterpart of alpha being adapted to the enlarged filtration.
-
-    ``InfoDriftField.zero`` gives the no-information limit (alpha == 0,
-    L = 0), used to model the honest agent.
     """
 
     def __init__(
@@ -218,31 +215,9 @@ class InfoDriftField:
         alpha, _ = drift_matrix(db[None, :], setup.m_nodes, setup.q_tail,
                                 setup.i_last, np.array([L]))
         self.path = path
-        self.horizon = float(horizon)
         self.L = L
         self.i_last = setup.i_last
         self.alpha = alpha[0]
-
-    @classmethod
-    def zero(cls, path: BrownianPath, horizon: float) -> "InfoDriftField":
-        """Drift identically zero: the agent holds no extra information."""
-        obj = cls.__new__(cls)
-        obj.path = path
-        obj.horizon = float(horizon)
-        obj.L = 0.0
-        obj.i_last = path.grid.index_of(horizon)
-        obj.alpha = np.zeros(obj.i_last + 1)
-        return obj
-
-
-def information_drift(field: InfoDriftField, i: int) -> float:
-    """alpha at node i; defined only for t_i <= T < T1."""
-    if not 0 <= i <= field.i_last:
-        raise ValueError(
-            f"node {i} past the decision horizon (last drift node "
-            f"{field.i_last}, T1 excluded because the denominator vanishes)"
-        )
-    return float(field.alpha[i])
 
 
 def decompose(path: BrownianPath, field: InfoDriftField) -> BrownianPath:
@@ -274,13 +249,6 @@ def drift_second_moment(
     if denom <= 0.0:
         raise ValueError("int_s^{T1} m^2 du must be positive")
     return m(s) ** 2 / denom
-
-
-def expected_squared_drift_integral(
-    m: WeightFunction | Callable[[float], float] | float, T: float, t1: float
-) -> float:
-    """int_0^T E[alpha_s^2] ds; equals log 2 on the m == 1, T=1, T1=2 benchmark."""
-    return integrate.quad(lambda s: drift_second_moment(m, s, t1), 0.0, T)[0]
 
 
 def _decomposition_chunk(dB, ctx):

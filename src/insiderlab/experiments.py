@@ -67,6 +67,8 @@ from .paths import (
 from .paths import increment_chunk  # noqa: F401
 
 __all__ = [
+    "CAPS",
+    "check_cap",
     "KINDS",
     "InvalidConfigError",
     "list_experiments",
@@ -86,6 +88,12 @@ class InvalidConfigError(ValueError):
 
 _PARAM_KEYS = {"r", "sigma", "a", "b", "T", "t1", "m", "x0", "t0", "rtilde"}
 _DEFAULTS = {"n_paths": 10_000, "n_steps": 2048, "seed": 0, "out": "results"}
+
+# The most work one config may ask for, checked before anything is
+# allocated: at the n_steps cap one chunk of increments (1024 rows of
+# float64) takes 512 MiB.  ``--n-paths`` is held to the n_paths cap too.
+CAPS = {"n_steps": 65_536, "n_paths": 10_000_000, "n_fields": 1_024,
+        "n_probes": 1_000_000}
 
 
 def load_config(path: str | Path) -> dict:
@@ -150,6 +158,9 @@ def resolve_config(raw: dict) -> dict:
         raise InvalidConfigError("'n_paths' must be >= 2")
     if cfg["n_steps"] < 1:
         raise InvalidConfigError("'n_steps' must be >= 1")
+    for key in CAPS:  # before anything is built from the config
+        if _is_int(cfg.get(key)):
+            check_cap(key, cfg[key])
 
     for key in cfg["params"]:
         if key not in _PARAM_KEYS:
@@ -166,7 +177,7 @@ def resolve_config(raw: dict) -> dict:
     params = params_from_config(cfg)
     try:
         grid = params.grid(cfg["n_steps"])
-    except (ValueError, OverflowError) as e:  # OverflowError: n_steps past 1e308
+    except ValueError as e:
         raise InvalidConfigError(f"'n_steps': {e}") from e
     try:
         drift_setup(params.m, grid, params.T, params.t0)
@@ -198,6 +209,13 @@ def _number(spec: dict, key: str, field: str) -> float:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_cap(key: str, value: int, field: str | None = None) -> None:
+    """Reject ``value`` above ``CAPS[key]``, naming ``field`` (default key)."""
+    if value > CAPS[key]:
+        raise InvalidConfigError(f"'{field or key}' must be at most "
+                                 f"{CAPS[key]}")
 
 
 def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
@@ -743,4 +761,6 @@ def list_experiments() -> str:
     lines.append(
         "take a number or {type: constant|affine|sin, ...}."
     )
+    lines.append("caps: " + ", ".join(f"{k} <= {v}" for k, v in CAPS.items())
+                 + " (--n-paths too)")
     return "\n".join(lines)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .paths import BrownianPath, TimeGrid
 
-__all__ = ["Integrand", "forward_estimate", "ito_left_sum", "compare_forward_ito"]
+__all__ = ["Integrand", "forward_estimate", "ito_left_sum"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +92,3 @@ def ito_left_sum(v: Integrand, B: BrownianPath) -> float | np.ndarray:
     """sum_i v_i (B_{i+1} - B_i), the adapted benchmark."""
     _check_same_grid(v, B)
     return _row_sums(v.values[..., :-1] * np.diff(B.values, axis=-1))
-
-
-def compare_forward_ito(
-    v: Integrand, B: BrownianPath, eps_list: list[float]
-) -> list[tuple[float, float]]:
-    """|forward(eps) - ito| for each eps, largest first is conventional.
-
-    The table is a convergence diagnostic: for integrands in the forward
-    domain the gap shrinks with eps and vanishes identically at eps = dt.
-    """
-    if len(eps_list) == 0:
-        raise ValueError("eps_list must not be empty")
-    base = ito_left_sum(v, B)
-    return [(eps, abs(forward_estimate(v, B, eps) - base)) for eps in eps_list]

@@ -44,10 +44,8 @@ from .paths import TimeGrid, WeightFunction, as_weight, running_sum
 __all__ = [
     "ModelParams",
     "NonConvexError",
-    "generator_Au",
     "example1_control",
     "example1_policy",
-    "example1_G",
     "example1_value",
     "Example1ValueField",
     "example2_control",
@@ -98,7 +96,6 @@ class ModelParams:
             raise ValueError("sigma must stay away from 0 on [0, T]")
         if not np.all(np.isfinite(probes)):
             raise ValueError("sigma must be bounded on [0, T]")
-        object.__setattr__(self, "sigma_sup", float(probes.max()))
 
     @property
     def excess_rate(self) -> float:
@@ -119,13 +116,6 @@ class ModelParams:
         )
         defaults.update(overrides)
         return cls(**defaults)
-
-
-def generator_Au(
-    Gt: float, Gx: float, Gxx: float, b_val: float, sigma_val: float, alpha: float
-) -> float:
-    """A^u G for given derivative values and coefficients at (t, x, u)."""
-    return Gt + 0.5 * sigma_val * sigma_val * Gxx + (b_val + alpha * sigma_val) * Gx
 
 
 def hjb_pointwise_infimum(
@@ -198,25 +188,6 @@ def _example1_integrand(params: ModelParams, times: np.ndarray,
     return (params.b * params.b / (4.0 * params.a)) * w * alpha * alpha
 
 
-def example1_G(
-    params: ModelParams,
-    t: float,
-    x: float,
-    field: InfoDriftField,
-    rho0: float = 0.0,
-) -> float:
-    """G(t, x) = f(t) x + g_t with f(t) = -b e^{-r(t-T)} and trapezoid g,
-    as ``Example1ValueField`` computes it at the node of t.
-
-    g_t accumulates the running integrand along the field's own path and
-    subtracts rho0 (the centering constant E[g_T], estimated separately).
-    """
-    i = field.path.grid.index_of(t)
-    if i > field.i_last:
-        raise ValueError(f"t={t} beyond the decision horizon {field.horizon}")
-    return float(Example1ValueField(params, field, rho0).G(i, x))
-
-
 def _integral_chunk(i_from, integrand_fn, dB, ctx):
     with np.errstate(over="ignore", invalid="ignore"):
         block = integrand_fn(ctx.times[i_from : ctx.i_last + 1],
@@ -273,14 +244,17 @@ def example1_value(
 
     The x-term is deterministic; the standard error comes entirely from the
     Monte Carlo integral.  At t = 0, x = 0 it is -rho0, the centering
-    constant of ``example1_G``.
+    constant of ``Example1ValueField``.
     """
     return example_estimates(1, params, t, x, n_paths, seed, n_steps, pool)[0]
 
 
 class Example1ValueField:
-    """G and its partial derivatives along one drift field's path.
+    """G and its partial derivatives along one drift field's path, at node i.
 
+    G(i, x) = f(t_i) x + g_i with f(t) = -b e^{-r(t-T)}; g accumulates the
+    running integrand by the trapezoid rule along the field's own path and
+    subtracts rho0 (the centering constant E[g_T], estimated separately).
     Gt is analytic: f'(t) x + g'(t) with f' = r b e^{-r(t-T)} and
     g'(t) the running integrand, so residual checks carry no
     finite-difference error.  Gxx vanishes because G is affine in x.
@@ -288,8 +262,6 @@ class Example1ValueField:
 
     def __init__(self, params: ModelParams, field: InfoDriftField, rho0: float = 0.0):
         self.params = params
-        self.field = field
-        self.rho0 = rho0
         grid = field.path.grid
         self._times = grid.times[: field.i_last + 1]
         self._integrand = _example1_integrand(params, self._times, field.alpha)

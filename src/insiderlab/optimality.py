@@ -51,7 +51,6 @@ __all__ = [
     "EstimateWithError",
     "DivergenceError",
     "PerturbationSpec",
-    "NuPath",
     "pooled_se",
     "collect_samples",
     "window_indices",
@@ -60,7 +59,6 @@ __all__ = [
     "cost_mc_many",
     "directional_derivative",
     "perturbation_sweep",
-    "perturbed_policy",
     "sweep_coefficients",
     "martingale_diagnostic",
     "default_test_functions",
@@ -222,39 +220,6 @@ def window_indices(grid: TimeGrid, window: Sequence[float], t0: float,
     return ilo, ihi
 
 
-@dataclass(frozen=True)
-class NuPath:
-    """Discrete N_u along one path; N(0) = 0 by construction."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-
-def perturbed_policy(
-    base: ControlPolicy, spec: PerturbationSpec, y: float, params
-) -> ControlPolicy:
-    """u + y * chi_window * theta0 as a new policy.
-
-    theta0 freezes at the window-start node: it is measurable for the
-    information available when the perturbation switches on.
-    """
-
-    def matrix_rule(ctx: ChunkContext) -> np.ndarray:
-        u = base.matrix_rule(ctx)
-        ilo, ihi = window_indices(
-            TimeGrid(ctx.times[0], ctx.times[-1], len(ctx.times) - 1),
-            spec.window, params.t0, params.T,
-        )
-        out = u.copy()
-        th = spec.theta_values(ctx, ilo)
-        out[:, ilo - ctx.i0 : ihi - ctx.i0] += y * th[:, None]
-        return out
-
-    if base.matrix_rule is None:
-        raise ValueError("perturbation requires a state-free base policy")
-    return ControlPolicy(f"{base.name}+{y:g}*step", matrix_rule=matrix_rule)
-
-
 def sweep_coefficients(
     setup: WealthSetup,
     dB: np.ndarray,
@@ -265,17 +230,16 @@ def sweep_coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path coefficients of the discrete cost F(y) = c0 + c1 y + c2 y^2.
 
-    F(y) is the cost of ``perturbed_policy(policy, spec, y)``: trapezoid
-    quadrature of a u^2 minus b X_T.  A state-free policy makes the
-    Euler recursion of X linear in u, so one kernel pass with the base
-    policy gives c0 = F(0), c1 = theta (2 a sum_win w_k u_k - b K)
-    and c2 = a theta^2 sum_win w_k, with w the trapezoid weights (dt/2 at
-    t0) and K = sum_win (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)
+    F(y) is the cost of the control u + y theta chi_window, with theta
+    frozen at the window-start node: trapezoid quadrature of a u^2 minus
+    b X_T.  The policy is state-free, so the Euler recursion of X is
+    linear in u, and one kernel pass with the base policy gives c0 = F(0),
+    c1 = theta (2 a sum_win w_k u_k - b K) and c2 = a theta^2 sum_win w_k,
+    with w the trapezoid weights (dt/2 at t0) and
+    K = sum_win (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)
     over the window nodes k in [ilo, ihi).  Returns the (3, rows) array of
     (c0, c1, c2) and the mask of rows that diverge, at every y alike.
     """
-    if policy.matrix_rule is None:
-        raise ValueError("perturbation requires a state-free base policy")
     ilo, ihi = window
     dt = setup.grid.dt
     w = np.full(ihi - ilo, dt)
@@ -323,8 +287,7 @@ def directional_derivative(
     Per path this is c1 + 2 y c2 from ``sweep_coefficients``: the exact
     derivative of the discrete cost (trapezoid quadrature, Euler growth
     1 + r dt), taken from one kernel pass, not by differencing two cost
-    estimates.  The policy must be state-free, which is what the
-    laboratory ships.
+    estimates.
     """
     if not (min(spec.y_grid) <= y <= max(spec.y_grid)):
         raise ValueError(f"amplitude y={y} outside spec.y_grid")
@@ -407,20 +370,6 @@ def nu_increments(
     ds_part = (2.0 * setup.a * u_w - disc * setup.excess).sum(axis=1) * setup.grid.dt
     db_part = (disc * setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi]).sum(axis=1)
     return ds_part - db_part
-
-
-def nu_path(setup: WealthSetup, ctx: ChunkContext, u: np.ndarray,
-            dB: np.ndarray, row: int = 0) -> NuPath:
-    """Full N_u trajectory for one row of a chunk (diagnostics, plots)."""
-    i0, iL = ctx.i0, ctx.i_last
-    t = setup.grid.times[i0:iL]
-    disc = np.exp(-setup.r * t)
-    steps = (
-        (2.0 * setup.a * u[row, : iL - i0] - disc * setup.excess) * setup.grid.dt
-        - disc * setup.sigma_nodes[i0:iL] * dB[row, i0:iL]
-    )
-    values = running_sum(steps)
-    return NuPath(TimeGrid(float(t[0]), setup.grid.times[iL], iL - i0), values)
 
 
 def _martingale_chunk(setup, policy, bounds, test_fns, dB, ctx):

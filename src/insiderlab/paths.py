@@ -32,7 +32,6 @@ __all__ = [
     "Sin",
     "make_grid",
     "sample_brownian",
-    "eval_L",
     "constant_weight",
     "as_weight",
     "chunk_rng",
@@ -239,21 +238,6 @@ def sample_brownian(grid: TimeGrid, seed: int | np.random.SeedSequence) -> Brown
     rng = np.random.default_rng(seed)
     db = rng.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
     return BrownianPath(grid, running_sum(db))
-
-
-def eval_L(m: WeightFunction | Callable | float, path: BrownianPath,
-           t1: float | None = None) -> float:
-    """Left-point Ito sum  L = sum_i m(t_i) (B_{i+1} - B_i)  over [0, T1].
-
-    ``t1`` defaults to the path's own horizon; a path ending before ``t1``
-    is rejected because L conditions on information up to T1.
-    """
-    m = as_weight(m)
-    horizon = path.grid.t_end
-    if t1 is not None and horizon < t1 * (1.0 - _NODE_RTOL):
-        raise ValueError(f"path ends at {horizon}, before the horizon T1={t1}")
-    mv = m.nodes(path.grid.times)
-    return float(np.sum(mv[:-1] * np.diff(path.values)))
 
 
 # ---------------------------------------------------------------------------

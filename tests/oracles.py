@@ -1,0 +1,142 @@
+"""Single-path oracles of what ``insiderlab`` computes in bulk.
+
+Each function here is the direct form of a batch estimator or kernel: one
+path, one node at a time, or one closed-form integral.  The tests compare
+the library against them; the library itself never calls them.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+from scipy import integrate
+
+from insiderlab.controlled_sde import ControlPolicy
+from insiderlab.enlargement import drift_second_moment
+from insiderlab.optimality import window_indices
+from insiderlab.paths import TimeGrid, as_weight, running_sum
+
+
+# ---------------------------------------------------------------------------
+# The two state equations, node by node on one path
+# ---------------------------------------------------------------------------
+
+class StepInfo(NamedTuple):
+    t: float
+    L: float
+    alpha: float
+
+
+def formula_node_rule(fn):
+    """The node form of ``formula_policy(name, fn)``: u = fn(t, alpha, L)."""
+    return lambda info: float(fn(info.t, info.alpha, info.L))
+
+
+def wealth_coefficients(params):
+    """(b, sigma) of dX = [r X + (rtilde - r) u] dt + sigma(t) u dB, each
+    called as (t, x, u)."""
+    r, excess, sig = params.r, params.excess_rate, params.sigma_fn
+    return (lambda t, x, u: r * x + excess * u,
+            lambda t, x, u: sig(t) * u)
+
+
+def reference_loop(coeffs, node_rule, times, dt, increments, drift_extra, x0,
+                   info_of):
+    """X_{i+1} = X_i + (b + sigma extra_i) dt + sigma dW_i with a scalar
+    state; returns the node values and the control of each step."""
+    b, sigma = coeffs
+    n = len(increments)
+    values = np.empty(n + 1)
+    control = np.empty(n)
+    values[0] = x = x0
+    for i in range(n):
+        u = node_rule(info_of(i))
+        s = sigma(times[i], x, u)
+        x = x + (b(times[i], x, u) + s * drift_extra[i]) * dt + s * increments[i]
+        control[i] = u
+        values[i + 1] = x
+    return values, control
+
+
+def reference_forward(coeffs, node_rule, B, x0, t0=0.0, drift_field=None):
+    """dX = b dt + sigma dB on B's grid from t0, driven by the raw increments
+    of B; the drift field, when given, only feeds alpha and L to the rule."""
+    i0 = B.grid.index_of(t0)
+    times = B.grid.times
+    n = B.grid.n_steps - i0
+
+    def info_of(i):
+        j = i0 + i
+        if drift_field is None:
+            return StepInfo(times[j], 0.0, 0.0)
+        return StepInfo(times[j], drift_field.L, float(drift_field.alpha[j]))
+
+    return reference_loop(coeffs, node_rule, times[i0:], B.grid.dt,
+                          np.diff(B.values)[i0:], np.zeros(n), x0, info_of)
+
+
+def reference_insider(coeffs, node_rule, drift_field, btilde, x0, t0=0.0):
+    """dX = (b + sigma alpha) dt + sigma dBtilde on the decomposed path."""
+    i0 = btilde.grid.index_of(t0)
+    times = btilde.grid.times
+    n = btilde.grid.n_steps - i0
+
+    def info_of(i):
+        j = i0 + i
+        return StepInfo(times[j], drift_field.L, float(drift_field.alpha[j]))
+
+    return reference_loop(coeffs, node_rule, times[i0:], btilde.grid.dt,
+                          np.diff(btilde.values)[i0:],
+                          drift_field.alpha[i0 : i0 + n], x0, info_of)
+
+
+# ---------------------------------------------------------------------------
+# Oracles of the estimators
+# ---------------------------------------------------------------------------
+
+def eval_L(m, path, t1=None):
+    """Left-point Ito sum  L = sum_i m(t_i) (B_{i+1} - B_i)  over one path;
+    a path ending before ``t1`` is rejected."""
+    horizon = path.grid.t_end
+    if t1 is not None and horizon < t1 * (1.0 - 1e-9):
+        raise ValueError(f"path ends at {horizon}, before the horizon T1={t1}")
+    mv = as_weight(m).nodes(path.grid.times)
+    return float(np.sum(mv[:-1] * np.diff(path.values)))
+
+
+def expected_squared_drift_integral(m, T, t1):
+    """int_0^T E[alpha_s^2] ds by quadrature; log 2 on the m == 1, T = 1,
+    T1 = 2 benchmark."""
+    return integrate.quad(lambda s: drift_second_moment(m, s, t1), 0.0, T)[0]
+
+
+def generator_Au(Gt, Gx, Gxx, b_val, sigma_val, alpha):
+    """A^u G = Gt + sigma^2 Gxx / 2 + (b + alpha sigma) Gx at one point."""
+    return Gt + 0.5 * sigma_val * sigma_val * Gxx + (b_val + alpha * sigma_val) * Gx
+
+
+def nu_path(setup, u, dB, row=0):
+    """N_u at every node of [t0, T] for one row of a chunk, N_u(t0) = 0:
+    left-point sums of [2 a u - e^{-r s} excess] ds - e^{-r s} sigma dB."""
+    i0, iL = setup.i0, setup.i_last
+    t = setup.grid.times[i0:iL]
+    disc = np.exp(-setup.r * t)
+    steps = (
+        (2.0 * setup.a * u[row, : iL - i0] - disc * setup.excess) * setup.grid.dt
+        - disc * setup.sigma_nodes[i0:iL] * dB[row, i0:iL]
+    )
+    return running_sum(steps)
+
+
+def perturbed_policy(base, spec, y, params):
+    """u + y * chi_window * theta0 as a policy of its own, theta0 frozen at
+    the window-start node: the control whose cost ``sweep_coefficients``
+    reads off one pass with ``base``."""
+
+    def rule(ctx):
+        grid = TimeGrid(ctx.times[0], ctx.times[-1], len(ctx.times) - 1)
+        ilo, ihi = window_indices(grid, spec.window, params.t0, params.T)
+        out = base.rule(ctx).copy()
+        out[:, ilo - ctx.i0 : ihi - ctx.i0] += y * spec.theta_values(ctx, ilo)[:, None]
+        return out
+
+    return ControlPolicy(f"{base.name}+{y:g}*step", rule)

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: exit codes, overrides, and byte determinism."""
 
+import io
 import json
 import math
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,8 @@ def test_list_names_all_kinds(capsys):
     for kind in ("decomposition", "forward-convergence", "hjb-residual",
                  "example1", "example2", "perturbation", "martingale"):
         assert kind in out
+    for key, cap in experiments.CAPS.items():
+        assert f"{key} <= {cap}" in out
 
 
 def test_run_example1_pass(tmp_path, capsys):
@@ -607,7 +611,16 @@ _OVERRIDES = st.one_of(
               st.sampled_from([[], ["--n-paths", "2"], ["--n-paths", "1025"]]),
               st.sampled_from([["--workers", "1"], ["--workers", "2"]]),
               ).map(lambda parts: sum(parts, [])),
-    st.sampled_from([["--seed", "-1"], ["--n-paths", "1"], ["--workers", "0"]]),
+    st.sampled_from([["--seed", "-1"], ["--n-paths", "1"], ["--workers", "0"],
+                     ["--n-paths", str(experiments.CAPS["n_paths"] + 1)]]),
+)
+# a config field above its cap, by one or by far (the hjb-residual fields
+# count as unknown for decomposition, which exits 2 as well)
+_ABOVE_CAP = st.one_of(
+    st.just({}),
+    st.builds(lambda key, excess: {key: experiments.CAPS[key] + excess},
+              st.sampled_from(sorted(experiments.CAPS)),
+              st.sampled_from([1, 10**13, 10**400])),
 )
 
 
@@ -621,24 +634,39 @@ _OVERRIDES = st.one_of(
         "r": _SIGNED, "a": _POSITIVE, "b": _POSITIVE, "x0": _SIGNED,
         "sigma": _SIGNED}),
     overrides=_OVERRIDES,
+    above_cap=_ABOVE_CAP,
 )
 # every residual used to be nan, and the run passed
 @example(kind="hjb-residual", n_steps=8, t0=0.0, horizon=(1.0, 2.0), m=1.0,
-         sizes={"b": 1e200}, overrides=["--workers", "1"])
+         sizes={"b": 1e200}, overrides=["--workers", "1"], above_cap={})
+# accepted, and the run could never finish
+@example(kind="hjb-residual", n_steps=8, t0=0.0, horizon=(1.0, 2.0), m=1.0,
+         sizes={}, overrides=["--workers", "1"], above_cap={"n_fields": 10**400})
+# escaped as numpy's MemoryError ("Unable to allocate 72.8 TiB")
+@example(kind="decomposition", n_steps=8, t0=0.0, horizon=(1.0, 2.0), m=1.0,
+         sizes={}, overrides=["--n-paths", "2"], above_cap={"n_steps": 10**13})
 @settings(max_examples=40, deadline=None)
 def test_decomposition_hjb_residual_and_overrides_are_rejected_or_run(
-        kind, n_steps, t0, horizon, m, sizes, overrides):
+        kind, n_steps, t0, horizon, m, sizes, overrides, above_cap):
     T, t1 = horizon
     raw = {"experiment": kind, "n_steps": n_steps, "n_paths": 16,
            "params": {"t0": t0, "T": T, "t1": t1, "m": m, **sizes}}
     if kind == "hjb-residual":
         raw.update(n_probes=8, n_fields=2)
+    raw.update(above_cap)
+    over = [f"'{key}'" for key in above_cap]
+    if overrides == ["--n-paths", str(experiments.CAPS["n_paths"] + 1)]:
+        over.append("'--n-paths'")
     with tempfile.TemporaryDirectory() as d:
         raw["out"] = d
         path = Path(d) / "cfg.json"
         path.write_text(json.dumps(raw))
-        code = main(["run", str(path), *overrides])
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["run", str(path), *overrides])
         csv = Path(d) / f"{kind}.csv"
         assert code in (0, 1, 2, 3)
         assert csv.exists() == (code in (0, 1))
         assert code not in (0, 1) or _csv_numbers_are_finite(csv)
+        if over:  # above a cap: exit 2, naming the field
+            assert code == 2 and over[0] in err.getvalue()

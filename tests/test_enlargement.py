@@ -11,19 +11,17 @@ from insiderlab.enlargement import (
     decomposition_stats,
     drift_matrix,
     drift_second_moment,
-    expected_squared_drift_integral,
-    information_drift,
     tail_square_integral,
 )
 from insiderlab.paths import (
     BrownianPath,
     as_weight,
     constant_weight,
-    eval_L,
     make_grid,
     map_chunks,
     sample_brownian,
 )
+from oracles import eval_L, expected_squared_drift_integral
 
 ONE = constant_weight(1.0)
 
@@ -37,7 +35,7 @@ class TestInformationDrift:
         # m == 1: alpha_0 = (L - 0)/(T1 - 0) = B_{T1}/T1
         p = bench_path(3)
         f = InfoDriftField(ONE, p, horizon=1.0)
-        assert information_drift(f, 0) == pytest.approx(p.values[-1] / 2.0, rel=1e-12)
+        assert f.alpha[0] == pytest.approx(p.values[-1] / 2.0, rel=1e-12)
 
     def test_zero_path_zero_L_gives_zero_drift(self):
         g = make_grid(0, 2, 64)
@@ -72,12 +70,6 @@ class TestInformationDrift:
         with pytest.raises(ValueError):
             InfoDriftField(ONE, p, horizon=2.0)
 
-    def test_rejects_nodes_past_horizon(self):
-        p = bench_path(0)
-        f = InfoDriftField(ONE, p, horizon=1.0)
-        with pytest.raises(ValueError):
-            information_drift(f, f.i_last + 1)
-
     def test_adaptedness(self):
         # tampering with the path after node i must not move alpha_i when L
         # is held fixed
@@ -98,8 +90,11 @@ class TestInformationDrift:
 
 class TestDecompose:
     def test_zero_drift_leaves_path_unchanged(self):
+        # a weight that vanishes on [0, T] says nothing about B up to T
         p = bench_path(9)
-        f = InfoDriftField.zero(p, horizon=1.0)
+        blind = as_weight(lambda s: np.where(s > 1.0, 1.0, 0.0))
+        f = InfoDriftField(blind, p, horizon=1.0)
+        assert not f.alpha.any()
         bt = decompose(p, f)
         assert np.array_equal(bt.values, p.values[: f.i_last + 1])
 
@@ -154,7 +149,7 @@ class TestMomentOracles:
         assert val == pytest.approx(math.log(2.0), rel=1e-9)
 
     def test_monte_carlo_drift_energy_matches_log2(self):
-        # trapezoid of alpha^2 along 2e4 paths vs the quadrature value
+        # trapezoid of alpha^2 along 2e4 paths vs the quadrature oracle
         g = make_grid(0, 2, 512)
         iT = g.index_of(1.0)
         mv = ONE.nodes(g.times)
@@ -165,7 +160,9 @@ class TestMomentOracles:
 
         vals = np.concatenate(map_chunks(energy, g, 29, 20_000))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - math.log(2.0)) < 3 * se
+        target = expected_squared_drift_integral(ONE, 1.0, 2.0)
+        assert target == pytest.approx(math.log(2.0), rel=1e-9)
+        assert abs(vals.mean() - target) < 3 * se
 
 
 def test_tail_square_integral_constant():

@@ -17,7 +17,6 @@ from insiderlab.enlargement import (
 from insiderlab.experiments import _forward_chunk
 from insiderlab.forward_integral import (
     Integrand,
-    compare_forward_ito,
     forward_estimate,
     ito_left_sum,
 )
@@ -156,17 +155,6 @@ def test_linearity(a, c, seed):
     lhs = forward_estimate(combo, B, 2 * g.dt)
     rhs = a * forward_estimate(v, B, 2 * g.dt) + c * forward_estimate(w, B, 2 * g.dt)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
-
-
-def test_compare_table_and_errors():
-    g = make_grid(0, 1, 64)
-    B = sample_brownian(g, 8)
-    v = Integrand(g, B.values.copy())
-    table = compare_forward_ito(v, B, [4 * g.dt, 2 * g.dt, g.dt])
-    assert len(table) == 3
-    assert table[-1][1] == 0.0  # eps = dt coincides with the Ito sum
-    with pytest.raises(ValueError):
-        compare_forward_ito(v, B, [])
 
 
 def test_eps_validation():

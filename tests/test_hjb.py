@@ -10,18 +10,17 @@ from insiderlab.hjb import (
     Example1ValueField,
     ModelParams,
     NonConvexError,
-    example1_G,
     example1_control,
     example1_policy,
     example1_value,
     example2_control,
     example2_params,
     example2_value,
-    generator_Au,
     hjb_pointwise_infimum,
 )
 from insiderlab.optimality import DivergenceError, pooled_se
-from insiderlab.paths import constant_weight, make_grid, sample_brownian
+from insiderlab.paths import as_weight, constant_weight, make_grid, sample_brownian
+from oracles import generator_Au
 
 LN2 = math.log(2.0)
 EX1_TARGET = -LN2 / 4.0          # -0.17328679513998632
@@ -34,7 +33,6 @@ class TestModelParams:
         p = ModelParams.benchmark()
         assert (p.r, p.a, p.b, p.T, p.t1) == (0.0, 1.0, 1.0, 1.0, 2.0)
         assert p.excess_rate == 0.0
-        assert p.sigma_sup == 1.0
 
     def test_rejects_bad_cost_weights(self):
         with pytest.raises(ValueError):
@@ -87,6 +85,24 @@ class TestPointwiseInfimum:
         p = ModelParams.benchmark()
         u, val = hjb_pointwise_infimum(0.0, 0.0, 0.0, 1.0, 1.0, p, 0.0, 0.0)
         assert u == 0.0 and val == 0.0
+
+    def test_value_is_the_generator_plus_cost_at_the_minimizer(self):
+        # inf_u {A^u G + a u^2} for the wealth coefficients b = r x +
+        # excess u and sigma u: attained at u_min, never undercut nearby
+        p = ModelParams.benchmark(r=0.07, rtilde=0.1, a=0.8)
+        rng = np.random.default_rng(5)
+        for _ in range(32):
+            Gt, Gx, alpha, x = rng.normal(size=4)
+            Gxx, sig = rng.uniform(0.0, 2.0), rng.uniform(0.5, 1.5)
+
+            def objective(u):
+                return (generator_Au(Gt, Gx, Gxx, p.r * x + p.excess_rate * u,
+                                     sig * u, alpha) + p.a * u * u)
+
+            u_min, val = hjb_pointwise_infimum(Gt, Gx, Gxx, alpha, sig, p, x, 0.0)
+            assert val == pytest.approx(objective(u_min), rel=1e-12, abs=1e-12)
+            for du in (-1e-3, 1e-3):
+                assert objective(u_min + du) >= val
 
     def test_nonconvex_raises(self):
         p = ModelParams.benchmark()
@@ -149,33 +165,35 @@ class TestResidual:
 
 
 class TestExample1G:
+    """G(t, x) = f(t) x + g_t of ``Example1ValueField`` at the node of t."""
+
     def test_affine_slope_is_discount_factor(self):
         params = ModelParams.benchmark(r=0.1)
         field = residual_field(params, 4)
+        vf = Example1ValueField(params, field)
         t = 0.5
-        slope = example1_G(params, t, 2.0, field) - example1_G(params, t, 1.0, field)
+        i = field.path.grid.index_of(t)
+        slope = vf.G(i, 2.0) - vf.G(i, 1.0)
         assert slope == pytest.approx(-params.b * math.exp(-params.r * (t - 1.0)),
                                       rel=1e-14)
 
     def test_zero_field_kills_running_term(self):
+        # a weight that vanishes on [0, T] gives alpha == 0 up to T
         params = ModelParams.benchmark()
         B = sample_brownian(make_grid(0.0, 2.0, 256), 5)
-        field = InfoDriftField.zero(B, horizon=1.0)
-        assert example1_G(params, 0.5, 3.0, field) == pytest.approx(-3.0, abs=1e-15)
+        blind = as_weight(lambda s: np.where(s > 1.0, 1.0, 0.0))
+        field = InfoDriftField(blind, B, horizon=1.0)
+        vf = Example1ValueField(params, field)
+        i = B.grid.index_of(0.5)
+        assert vf.G(i, 3.0) == pytest.approx(-3.0, abs=1e-15)
 
     def test_rho0_is_a_pure_shift(self):
         params = ModelParams.benchmark()
         field = residual_field(params, 6)
-        base = example1_G(params, 0.25, 1.0, field)
-        assert example1_G(params, 0.25, 1.0, field, rho0=0.7) == pytest.approx(
-            base - 0.7, abs=1e-14
-        )
-
-    def test_beyond_horizon_rejected(self):
-        params = ModelParams.benchmark()
-        field = residual_field(params, 7)
-        with pytest.raises(ValueError):
-            example1_G(params, 1.5, 0.0, field)
+        i = field.path.grid.index_of(0.25)
+        base = Example1ValueField(params, field).G(i, 1.0)
+        shifted = Example1ValueField(params, field, rho0=0.7).G(i, 1.0)
+        assert shifted == pytest.approx(base - 0.7, abs=1e-14)
 
 
 class TestValueFieldCalculus:
@@ -261,7 +279,6 @@ class TestExample2:
     def test_params_shape(self):
         p = example2_params(a=2.0)
         assert p.r == 0.0 and p.rtilde == 1.0 and p.excess_rate == 1.0
-        assert p.sigma_sup == 1.0
 
     def test_benchmark_value(self):
         est = example2_value(example2_params(), 0.0, 0.0, 20_000, seed=19)
@@ -290,5 +307,5 @@ def test_example1_policy_matches_half_alpha_on_benchmark():
         i_last=field.i_last, L=np.array([field.L]),
         alpha=field.alpha[None, :], B=field.path.values[None, : field.i_last + 1],
     )
-    u = pol.matrix_rule(ctx)
+    u = pol.rule(ctx)
     assert np.array_equal(u[0], field.alpha / 2.0)

@@ -8,7 +8,6 @@ import pytest
 
 from insiderlab.controlled_sde import (
     constant_policy,
-    feedback_policy,
     formula_policy,
     make_wealth_setup,
     uninformed,
@@ -31,9 +30,7 @@ from insiderlab.optimality import (
     discounted_diffusion,
     martingale_diagnostic,
     nu_increments,
-    nu_path,
     perturbation_sweep,
-    perturbed_policy,
     pooled_se,
     quarter_windows,
     semimartingale_recovery,
@@ -47,6 +44,7 @@ from insiderlab.paths import (
     map_chunks,
     sample_brownian,
 )
+from oracles import nu_path, perturbed_policy
 
 EX1_TARGET = -math.log(2.0) / 4.0
 ONE = constant_weight(1.0)
@@ -106,7 +104,7 @@ class TestCostMc:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_total_divergence_raises(self):
         params = example2_params(x0=5.0)
-        explode = feedback_policy("explode", lambda t, x, a, L: np.exp(x))
+        explode = formula_policy("explode", lambda t, a, L: np.exp(1e3 * t + 0 * a))
         with pytest.raises(DivergenceError):
             cost_mc(explode, params, 512, seed=9, n_steps=512)
 
@@ -275,18 +273,6 @@ class TestSweepCoefficients:
                                      n_steps=512)
         assert est.n_diverged == n_bad
 
-    def test_feedback_base_rejected(self):
-        params = ModelParams.benchmark()
-        setup = make_wealth_setup(params, 256)
-        spec = PerturbationSpec(WINDOW)
-        fb = feedback_policy("prop", lambda t, x, a, L: 0.1 * x)
-        dB = increment_chunk(setup.grid, 65, 0, 8)
-        with pytest.raises(ValueError):
-            sweep_coefficients(setup, dB, chunk_context(setup, dB), fb, spec,
-                               (64, 128))
-        with pytest.raises(ValueError):
-            perturbation_sweep(fb, params, spec, 64, 65, 256)
-
 
 class TestPerturbationSweep:
     def test_optimum_sits_at_zero(self):
@@ -344,12 +330,6 @@ class TestPerturbationSweep:
         with pytest.raises(ValueError):
             perturbation_sweep(example1_policy(params), params, spec, 64, 33,
                                256)
-
-    def test_perturbation_needs_state_free_base(self):
-        fb = feedback_policy("prop", lambda t, x, a, L: 0.1 * x)
-        with pytest.raises(ValueError):
-            perturbed_policy(fb, PerturbationSpec(WINDOW), 0.1,
-                             ModelParams.benchmark())
 
 
 class TestMartingaleDiagnostic:
@@ -421,7 +401,7 @@ class TestNuPath:
 
     def test_starts_at_zero(self):
         setup, B, dB, ctx, u = self.make_chunk(example2_params(), 43)
-        assert nu_path(setup, ctx, u, dB).values[0] == 0.0
+        assert nu_path(setup, u, dB)[0] == 0.0
 
     def test_optimal_nu_is_minus_btilde(self):
         # for dX = u dt + u dB with a = b = 1: N_{u*} = -Btilde node by node
@@ -429,16 +409,16 @@ class TestNuPath:
         setup, B, dB, ctx, u = self.make_chunk(params, 45)
         field = InfoDriftField(params.m, B, horizon=params.T)
         btilde = decompose(B, field)
-        nu = nu_path(setup, ctx, u, dB)
-        assert np.max(np.abs(nu.values + btilde.values)) < 1e-12
+        nu = nu_path(setup, u, dB)
+        assert np.max(np.abs(nu + btilde.values)) < 1e-12
 
     def test_increments_match_path_differences(self):
         params = example2_params()
         setup, B, dB, ctx, u = self.make_chunk(params, 47)
         ilo, ihi = setup.grid.index_of(0.25), setup.grid.index_of(0.75)
         inc = nu_increments(setup, ctx, u, dB, ilo, ihi)
-        nu = nu_path(setup, ctx, u, dB)
-        assert inc[0] == pytest.approx(nu.values[ihi] - nu.values[ilo],
+        nu = nu_path(setup, u, dB)
+        assert inc[0] == pytest.approx(nu[ihi] - nu[ilo],
                                        abs=1e-13)
 
 

@@ -11,11 +11,11 @@ from insiderlab.paths import (
     BrownianPath,
     as_weight,
     constant_weight,
-    eval_L,
     make_grid,
     map_chunks,
     sample_brownian,
 )
+from oracles import eval_L
 
 
 def test_make_grid_nodes():
