@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from insiderlab.controlled_sde import (
     constant_policy,
@@ -78,6 +79,30 @@ def test_insider_and_forward_routes_match_pathwise():
                 coeffs, formula_node_rule(_formula), f, decompose(B, f), 0.5, t0)
             assert np.max(np.abs(X[row] - values)) < 1e-10
             assert np.array_equal(u[row, :-1], control)
+
+
+ROUTE_POLICIES = {
+    "formula": (formula_policy("example1", _formula), formula_node_rule(_formula)),
+}
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+@pytest.mark.parametrize("kind", sorted(ROUTE_POLICIES))
+def test_single_path_routes_match_the_per_node_reference(kind, t0):
+    # each kernel row against the per-node forward route on the raw path,
+    # the drift field feeding alpha and L to the rule only
+    policy, node_rule = ROUTE_POLICIES[kind]
+    coeffs = wealth_coefficients(PARAMS)
+    params = replace(PARAMS, x0=0.5, t0=t0)
+    for seed in range(3):
+        setup, dB, L, u, X = kernel(params, 128, policy, seed, 2)
+        for row in range(len(dB)):
+            B = row_path(setup, dB, row)
+            f = InfoDriftField(ONE, B, horizon=params.T, L=float(L[row]))
+            values, control = reference_forward(
+                coeffs, node_rule, B.restrict(params.T), 0.5, t0, f)
+            assert np.max(np.abs(X[row] - values)) < 1e-12
+            assert np.max(np.abs(u[row, :-1] - control)) < 1e-12
 
 
 def test_route_terminal_means_agree():
