@@ -8,9 +8,9 @@ motion with a drift.  For Gaussian L the drift has the classical closed form
 and  Btilde_t = B_t - int_0^t alpha_s ds  is again a Brownian motion in the
 enlarged filtration.  This module evaluates alpha along sampled paths,
 performs the discrete decomposition, and gives the analytic second moment
-E[alpha_s^2] = m(s)^2 / int_s^{T1} m^2 du.  The agent without the extra
-information is not a drift field but a policy,
-``controlled_sde.uninformed``.
+E[alpha_s^2] = m(s)^2 / int_s^{T1} m^2 du and its exact value on the grid,
+``drift_square_mean``.  The agent without the extra information is not a
+drift field but a policy, ``controlled_sde.uninformed``.
 
 The drift is only ever evaluated up to a decision horizon T strictly before
 T1; at T1 the conditioning denominator vanishes.
@@ -53,6 +53,7 @@ __all__ = [
     "decompose",
     "drift_second_moment",
     "tail_square_integral",
+    "drift_square_mean",
     "drift_matrix",
     "decomposition_stats",
 ]
@@ -63,6 +64,19 @@ def tail_square_integral(m_nodes: np.ndarray, dt: float) -> np.ndarray:
     w = m_nodes * m_nodes
     cum = running_sum(0.5 * (w[:-1] + w[1:]) * dt)
     return cum[-1] - cum
+
+
+def drift_square_mean(setup: DriftSetup) -> np.ndarray:
+    """E[alpha_i^2] on nodes 0..i_last, exact for the sums of ``drift_matrix``.
+
+    alpha_i = m_i (L - sum_{j<i} m_j dB_j) / q_i, and the numerator is
+    sum_{j>=i} m_j dB_j, so E[alpha_i^2] = m_i^2 S_i / q_i^2 with
+    S_i = sum_{j>=i} m_j^2 dt.
+    """
+    m = setup.m_nodes
+    cum = running_sum(m[:-1] * m[:-1] * setup.grid.dt)
+    i = setup.i_last + 1
+    return (m[:i] / setup.q_tail[:i]) ** 2 * (cum[-1] - cum[:i])
 
 
 def drift_matrix(

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .controlled_sde import ControlPolicy, constant_policy
+from .controlled_sde import ControlPolicy, constant_policy, uninformed
 from .enlargement import (
     InfoDriftField,
     decomposition_stats,
@@ -43,14 +43,16 @@ from .hjb import (
     ModelParams,
     example1_control,
     example1_policy,
+    example1_value,
     example2_control,
     example2_policy,
-    example_estimates,
+    example2_value,
     hjb_pointwise_infimum,
 )
 from .optimality import (
     DivergenceError,
     PerturbationSpec,
+    cost_mc_many,
     martingale_diagnostic,
     perturbation_sweep,
     quarter_windows,
@@ -491,16 +493,20 @@ def _run_hjb_residual(cfg, pool):
 
 def _run_example(cfg, pool, example: int):
     params = params_from_config(cfg)
-    closed, cost, *no_info = example_estimates(
-        example, params, params.t0, params.x0, cfg["n_paths"], cfg["seed"],
-        cfg["n_steps"], pool=pool, costs=True,
-    )
-    diff = cost.mean - closed.mean
-    pooled = math.hypot(cost.std_error, closed.std_error)
+    value, policy = ((example1_value, example1_policy) if example == 1
+                     else (example2_value, example2_policy))
+    closed = value(params, params.t0, params.x0, cfg["n_steps"])
+    policies = [policy(params)]
+    if example == 2:
+        policies.append(uninformed(policies[0]))
+    cost, *no_info = cost_mc_many(policies, params, cfg["n_paths"],
+                                  cfg["seed"], cfg["n_steps"], pool)
+    # the value is exact on the grid: the cost's SE is the whole pooled SE
+    diff = cost.mean - closed
+    pooled = cost.std_error
     results = {
         "value_mc": {"mean": cost.mean, "std_error": cost.std_error},
-        "value_closed_form": {"mean": closed.mean,
-                              "std_error": closed.std_error},
+        "value_closed_form": {"mean": closed, "std_error": 0.0},
         "diff": diff,
         "pooled_se": pooled,
     }
@@ -513,16 +519,16 @@ def _run_example(cfg, pool, example: int):
     ]
     rows = [
         ["value_mc", cost.mean, cost.std_error, cost.n_samples],
-        ["value_closed_form", closed.mean, closed.std_error,
-         closed.n_samples],
+        ["value_closed_form", closed, 0.0, cost.n_samples],
     ]
     if example == 2:
         (no_info,) = no_info
+        # u = h = b/2a throughout: E[cost] = a H h^2 - b (x0 + h H excess)
         half = params.b / (2.0 * params.a)
         horizon = params.T - params.t0
         target = (
             params.a * horizon * half * half
-            - half * horizon * params.excess_rate
+            - params.b * (params.x0 + half * horizon * params.excess_rate)
         )
         results["no_info_cost"] = {
             "mean": no_info.mean, "std_error": no_info.std_error,

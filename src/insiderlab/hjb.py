@@ -20,25 +20,22 @@ Both examples are instances of the wealth dynamics
 dX = [r X + (rtilde - r) u] dt + sigma u dB: the first with rtilde = r, the
 second with r = 0, rtilde = 1, sigma = 1.
 
-The value integrals are reducers over each chunk's shared ``chunk_context``;
-``example_estimates`` takes an example's value and costs from one draw.
+The values need no simulation: E[alpha^2] is known exactly on the grid
+(``enlargement.drift_square_mean``), so each value is a trapezoid sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
+from typing import Callable
+
 import numpy as np
 
-from .controlled_sde import (
-    ControlPolicy,
-    formula_policy,
-    make_wealth_setup,
-    uninformed,
-)
-from .enlargement import InfoDriftField, map_reducers
-from .optimality import DivergenceError, EstimateWithError, cost_chunk
+from .controlled_sde import ControlPolicy, formula_policy
+from .enlargement import InfoDriftField, drift_setup, drift_square_mean
+from .optimality import DivergenceError
 from .paths import TimeGrid, WeightFunction, as_weight, running_sum
 
 __all__ = [
@@ -51,7 +48,6 @@ __all__ = [
     "example2_control",
     "example2_policy",
     "example2_value",
-    "example_estimates",
     "hjb_pointwise_infimum",
 ]
 
@@ -180,73 +176,48 @@ def example1_policy(params: ModelParams) -> ControlPolicy:
     return formula_policy("example1-optimal", partial(_example1_formula, params))
 
 
-def _example1_integrand(params: ModelParams, times: np.ndarray,
-                        alpha: np.ndarray) -> np.ndarray:
-    """(b^2/4a) sigma^2 alpha^2 e^{-2r(s-T)} at the given nodes."""
+def _example1_weight(params: ModelParams, times: np.ndarray) -> np.ndarray:
+    """(b^2/4a) sigma^2 e^{-2r(s-T)}: the value integrand per unit alpha^2."""
     sig = params.sigma_fn.nodes(times)
     w = np.exp(-2.0 * params.r * (times - params.T)) * sig * sig
-    return (params.b * params.b / (4.0 * params.a)) * w * alpha * alpha
+    return (params.b * params.b / (4.0 * params.a)) * w
 
 
-def _integral_chunk(i_from, integrand_fn, dB, ctx):
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = integrand_fn(ctx.times[i_from : ctx.i_last + 1],
-                             ctx.alpha[:, i_from:])
-        vals = np.trapezoid(block, dx=ctx.dt, axis=1)
-    return vals, ~np.isfinite(vals)
+def _grid_value(params: ModelParams, t: float, x: float, n_steps: int,
+                det: float, weight: Callable, shift: float) -> float:
+    """-(det + int_t^T weight(s) (E[alpha_s^2] + shift) ds) on the grid.
 
-
-def example_estimates(example: int, params: ModelParams, t: float, x: float,
-                      n_paths: int, seed: int, n_steps: int = 2048,
-                      pool=None, costs: bool = False) -> list[EstimateWithError]:
-    """Estimates of example 1 or 2, all from one draw of the paths.
-
-    Returns [V(t, x)], by trapezoid quadrature of the example's integrand
-    per path.  With ``costs`` it appends the cost J(t0, x0; u*) of the
-    optimal policy and, for example 2, the cost of ``uninformed(u*)``.
-    Each equals its own ``example{1,2}_value`` or ``cost_mc`` bit for bit.
-    A value that overflows raises DivergenceError, as every estimate does.
+    The integral is the trapezoid sum over the nodes of [t, T], with the
+    exact E[alpha_i^2] of ``drift_square_mean``: the mean of the per-path
+    trapezoid sums of the drift the simulations draw.  A value that is not
+    finite raises DivergenceError.
     """
-    setup = make_wealth_setup(params, n_steps)
-    i_from = setup.grid.index_of(t)
-    if not i_from < setup.i_last:
+    setup = drift_setup(params.m, params.grid(n_steps), params.T, t)
+    if not setup.i0 < setup.i_last:
         raise ValueError(f"need t < T, got t={t}")
-    if example == 1:
-        integrand, policy = partial(_example1_integrand, params), example1_policy
-        det = x * params.b * _discount(params, t)
-    else:
-        c = params.b * params.b / (4.0 * params.a)
-        integrand, policy = partial(_example2_integrand, c), example2_policy
-        det = params.b * x
-    reducers = [partial(_integral_chunk, i_from, integrand)]
-    if costs:
-        reducers.append(partial(cost_chunk, setup, policy=policy(params)))
-        if example == 2:
-            reducers.append(partial(cost_chunk, setup,
-                                    policy=uninformed(policy(params))))
-    out = [EstimateWithError.from_rows(vals, bad)
-           for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
-    # replace() rebuilds the estimate, which refuses a value that is not finite
-    out[0] = replace(out[0], mean=-(det + out[0].mean))
-    return out
+    times = setup.grid.times[setup.i0 : setup.i_last + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = drift_square_mean(setup)[setup.i0 :]
+        integral = np.trapezoid(weight(times) * (moment + shift),
+                                dx=setup.grid.dt)
+        value = -(det + float(integral))
+    if not math.isfinite(value):
+        raise DivergenceError(1, 1, f"V({t:g}, {x:g}) = {value:g}: the value "
+                              f"overflowed; refused")
+    return value
 
 
-def example1_value(
-    params: ModelParams,
-    t: float,
-    x: float,
-    n_paths: int,
-    seed: int,
-    n_steps: int = 2048,
-    pool=None,
-) -> EstimateWithError:
+def example1_value(params: ModelParams, t: float, x: float,
+                   n_steps: int = 2048) -> float:
     """V(t, x) = -x b e^{-r(t-T)} - (b^2/4a) E int_t^T sigma^2 alpha^2 e^{-2r(s-T)} ds.
 
-    The x-term is deterministic; the standard error comes entirely from the
-    Monte Carlo integral.  At t = 0, x = 0 it is -rho0, the centering
-    constant of ``Example1ValueField``.
+    Exact on the grid of ``n_steps`` steps (see ``_grid_value``).  At
+    t = 0, x = 0 it is -rho0, the centering constant of
+    ``Example1ValueField``.
     """
-    return example_estimates(1, params, t, x, n_paths, seed, n_steps, pool)[0]
+    det = x * params.b * _discount(params, t)
+    return _grid_value(params, t, x, n_steps, det,
+                       partial(_example1_weight, params), 0.0)
 
 
 class Example1ValueField:
@@ -254,7 +225,8 @@ class Example1ValueField:
 
     G(i, x) = f(t_i) x + g_i with f(t) = -b e^{-r(t-T)}; g accumulates the
     running integrand by the trapezoid rule along the field's own path and
-    subtracts rho0 (the centering constant E[g_T], estimated separately).
+    subtracts rho0 (the centering constant E[g_T] = -V(0, 0), which
+    ``example1_value`` gives exactly on the grid).
     Gt is analytic: f'(t) x + g'(t) with f' = r b e^{-r(t-T)} and
     g'(t) the running integrand, so residual checks carry no
     finite-difference error.  Gxx vanishes because G is affine in x.
@@ -264,7 +236,8 @@ class Example1ValueField:
         self.params = params
         grid = field.path.grid
         self._times = grid.times[: field.i_last + 1]
-        self._integrand = _example1_integrand(params, self._times, field.alpha)
+        self._integrand = (_example1_weight(params, self._times)
+                           * field.alpha * field.alpha)
         trapezoids = 0.5 * (self._integrand[:-1] + self._integrand[1:])
         cum = running_sum(trapezoids) * grid.dt
         self._g = cum - rho0
@@ -311,22 +284,13 @@ def example2_params(a: float = 1.0, b: float = 1.0, T: float = 1.0,
     )
 
 
-def _example2_integrand(c: float, times: np.ndarray,
-                        alpha: np.ndarray) -> np.ndarray:
-    return c * (alpha + 1.0) ** 2
-
-
-def example2_value(
-    params: ModelParams,
-    t: float,
-    x: float,
-    n_paths: int,
-    seed: int,
-    n_steps: int = 2048,
-    pool=None,
-) -> EstimateWithError:
+def example2_value(params: ModelParams, t: float, x: float,
+                   n_steps: int = 2048) -> float:
     """V(t, x) = -b x - (b^2/4a) E int_t^T (alpha + 1)^2 ds (derived form).
 
-    At t = 0, x = 0 it is -rho0.
+    E[alpha] = 0, so the integrand's mean is (b^2/4a) (E[alpha^2] + 1);
+    exact on the grid of ``n_steps`` steps.  At t = 0, x = 0 it is -rho0.
     """
-    return example_estimates(2, params, t, x, n_paths, seed, n_steps, pool)[0]
+    c = params.b * params.b / (4.0 * params.a)
+    return _grid_value(params, t, x, n_steps, params.b * x,
+                       lambda times: c, 1.0)

@@ -484,11 +484,26 @@ def test_example1_after_t0_uses_the_value_at_t0(tmp_path, capsys):
     assert main(["run", cfg, "--workers", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "example1.json").read_text())
     params = experiments.params_from_config(summary["config"])
-    want = example1_value(params, 0.5, params.x0, 3000, 4, 512)
+    want = example1_value(params, 0.5, params.x0, 512)
     got = summary["results"]["value_closed_form"]
-    assert got == {"mean": want.mean, "std_error": want.std_error}
+    assert got == {"mean": want, "std_error": 0.0}
     assert summary["verdict"] == "pass"
 
+
+
+@pytest.mark.parametrize("params, target", [
+    ({"b": 2.0}, -1.0),  # a H h^2 - b h H = 1 - 2
+    ({"x0": 1.0}, -1.25),  # 0.25 - (1 + 0.5)
+], ids=["b-2", "x0-1"])
+def test_example2_no_info_target_counts_b_and_x0(tmp_path, params, target):
+    # the target used to be a H h^2 - h H excess: right only at b = 1, x0 = 0
+    raw = {"experiment": "example2", "params": params, "n_paths": 20000,
+           "n_steps": 256, "seed": 1, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "e2.json", raw),
+                 "--workers", "1"]) == 0
+    summary = json.loads((tmp_path / "out" / "example2.json").read_text())
+    assert summary["results"]["no_info_target"] == target
+    assert summary["verdict"] == "pass"
 
 _HUGE = [1e200, -1e300, math.inf, -math.inf]
 _POLICIES = st.one_of(

@@ -30,8 +30,6 @@ from insiderlab.enlargement import (
 )
 from insiderlab.hjb import (
     ModelParams,
-    _example1_integrand,
-    _integral_chunk,
     example1_policy,
     example1_value,
     example2_params,
@@ -167,8 +165,6 @@ def _row_block_cases(setup, params):
               for w in quarter_windows(params.T, params.t0)]
     return {
         "cost_chunk": partial(cost_chunk, setup, policy=policy),
-        "integral_chunk": partial(_integral_chunk, setup.i0,
-                                  partial(_example1_integrand, params)),
         "sweep_coefficients": partial(
             sweep_coefficients, setup, policy=policy,
             spec=PerturbationSpec(window),
@@ -183,9 +179,9 @@ def _row_block_cases(setup, params):
 
 @pytest.mark.parametrize("n_paths", [1500, 1025],
                          ids=["476-row chunk", "1-row chunk"])
-@pytest.mark.parametrize("name", ["cost_chunk", "integral_chunk",
-                                  "sweep_coefficients", "martingale_chunk",
-                                  "decomposition_chunk", "forward_chunk"])
+@pytest.mark.parametrize("name", ["cost_chunk", "sweep_coefficients",
+                                  "martingale_chunk", "decomposition_chunk",
+                                  "forward_chunk"])
 def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths):
     params = ModelParams.benchmark(r=0.2, t0=0.25, sigma_fn=Affine(1.0, 0.5),
                                    m=Sin(1.0, 0.5, 2.0))
@@ -273,7 +269,6 @@ def test_a_process_pool_changes_no_library_value():
     serial = (
         cost_mc(policy, params, n, seed, steps),
         cost_mc(uninformed(policy), params, n, seed, steps),
-        example1_value(params, 0.0, 0.0, n, seed, steps),
         perturbation_sweep(policy, params, spec, n, seed, steps),
         martingale_diagnostic(policy, params, n, seed, steps),
         decomposition_stats(params.m, params.T, params.grid(steps), n, seed),
@@ -282,7 +277,6 @@ def test_a_process_pool_changes_no_library_value():
         pooled = (
             cost_mc(policy, params, n, seed, steps, pool=pool),
             cost_mc(uninformed(policy), params, n, seed, steps, pool=pool),
-            example1_value(params, 0.0, 0.0, n, seed, steps, pool=pool),
             perturbation_sweep(policy, params, spec, n, seed, steps, pool=pool),
             martingale_diagnostic(policy, params, n, seed, steps, pool=pool),
             decomposition_stats(params.m, params.T, params.grid(steps), n, seed,
@@ -293,8 +287,8 @@ def test_a_process_pool_changes_no_library_value():
 
 @pytest.mark.parametrize("kind", experiments.KINDS)
 def test_every_kind_draws_each_chunk_once(tmp_path, monkeypatch, kind):
-    # example2 takes its cost, its value and its no-information cost from one
-    # draw: 10 increment chunks at 10 000 paths, not 30
+    # example2 takes its cost and its no-information cost from one draw: 10
+    # increment chunks at 10 000 paths, not 20
     calls = []
 
     def counting(*args):
@@ -362,9 +356,11 @@ def test_example_parity(tmp_path, example):
     policy, value = ((example1_policy, example1_value) if example == 1
                      else (example2_policy, example2_value))
     cost = cost_mc(policy(params), params, n, seed, steps)
-    closed = value(params, params.t0, params.x0, n, seed, steps)
+    closed = value(params, params.t0, params.x0, steps)
     assert results["value_mc"] == _pair(cost)
-    assert results["value_closed_form"] == _pair(closed)
+    assert results["value_closed_form"] == {"mean": closed, "std_error": 0.0}
+    assert results["diff"] == cost.mean - closed
+    assert results["pooled_se"] == cost.std_error
     if example == 2:
         no_info = cost_mc(uninformed(policy(params)), params, n, seed, steps)
         assert results["no_info_cost"] == _pair(no_info)

@@ -5,16 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from insiderlab.controlled_sde import make_wealth_setup
 from insiderlab.enlargement import (
     InfoDriftField,
     decompose,
     decomposition_stats,
     drift_matrix,
     drift_second_moment,
+    drift_square_mean,
+    map_reducers,
     tail_square_integral,
 )
+from insiderlab.hjb import ModelParams
 from insiderlab.paths import (
+    Affine,
     BrownianPath,
+    Sin,
     as_weight,
     constant_weight,
     make_grid,
@@ -171,3 +177,23 @@ def test_tail_square_integral_constant():
     assert q[0] == pytest.approx(2.0, abs=1e-12)
     assert q[-1] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(q, 2.0 - g.times, atol=1e-12)
+
+
+def _alpha_squared(dB, ctx):
+    return ((ctx.alpha * ctx.alpha).T,)
+
+
+@pytest.mark.parametrize("m", [Sin(1.0, 0.5, 1.0), Affine(1.0, 1.0)],
+                         ids=["sin", "affine"])
+def test_drift_square_mean_matches_the_simulated_drift_at_every_node(m):
+    # the exact grid moment against per-node Monte Carlo of the drift the
+    # engine draws; r and t0 do not enter alpha, and must not matter
+    params = ModelParams.benchmark(r=0.2, t0=0.25, sigma_fn=Affine(1.0, 0.5),
+                                   m=m)
+    setup = make_wealth_setup(params, 32)
+    ((sq,),) = map_reducers(setup, [_alpha_squared], 41, 100_000)
+    exact = drift_square_mean(setup)
+    assert exact.shape == (setup.i_last + 1,)
+    se = sq.std(axis=1, ddof=1) / math.sqrt(sq.shape[1])
+    assert np.all(np.abs(sq.mean(axis=1) - exact) <= 4 * se)
+
