@@ -6,10 +6,10 @@ the drift alpha, L and the Brownian history in its ``ChunkContext``.  Every
 policy is state-free: the optimal controls of both of the paper's examples
 depend on t and alpha only, never on the wealth.  The wealth kernel
 ``wealth_paths_chunk`` for dX = [r X + (rtilde - r) u] dt + sigma(t) u dB
-therefore needs no per-node policy call: at r = 0 it is a cumulative sum of
-gains, otherwise a linear recursion over the nodes.  The agent without the
-extra information is a policy too: ``uninformed(policy)`` plays ``policy``
-with alpha = 0 and L = 0.
+therefore needs no per-node policy call; it returns X_T, the one node the
+cost reads, as one matrix-vector product of the gains with powers of
+1 + r dt at every r.  The agent without the extra information is a policy
+too: ``uninformed(policy)`` plays ``policy`` with alpha = 0 and L = 0.
 """
 
 from __future__ import annotations
@@ -89,34 +89,37 @@ def uninformed(policy: ControlPolicy) -> ControlPolicy:
                          partial(_uninformed_rule, policy.rule))
 
 
-def _control_matrix(policy: ControlPolicy, ctx: ChunkContext) -> np.ndarray:
-    u = policy.rule(ctx)
-    shape = (len(ctx.L), ctx.i_last - ctx.i0 + 1)
-    if u.shape != shape:
-        raise ValueError(f"policy rule returned shape {u.shape}, need {shape}")
-    return u
-
-
 # ---------------------------------------------------------------------------
 # Wealth dynamics: the batch kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class WealthSetup(DriftSetup):
-    """The drift's node data plus the wealth coefficients on the same grid."""
+    """The drift's node data plus the wealth coefficients on the nodes
+    i0 + j, j = 0..N = i_last - i0: ``growth[j] = (1 + r dt)^(N - j)`` (inf
+    beyond the float range), ``endowment`` = x0 growth[0] (0 at x0 = 0) and
+    the ``trapezoid`` quadrature weights, dt and dt/2 at both ends."""
 
     sigma_nodes: np.ndarray
     r: float
     excess: float
     a: float
     b_weight: float
-    x0: float
+    growth: np.ndarray
+    endowment: float
+    trapezoid: np.ndarray
 
 
 def make_wealth_setup(params, n_steps: int) -> WealthSetup:
     """Resolve model parameters on a fresh [0, T1] grid with n_steps steps."""
     grid = TimeGrid(0.0, params.t1, int(n_steps))
     drift = drift_setup(params.m, grid, params.T, params.t0)
+    with np.errstate(over="ignore"):  # an array power: inf, not OverflowError
+        growth = (1.0 + params.r * grid.dt) ** np.arange(
+            drift.i_last - drift.i0, -1, -1)
+        endowment = float(params.x0 * growth[0]) if params.x0 else 0.0
+    trapezoid = np.full(len(growth), grid.dt)
+    trapezoid[[0, -1]] = 0.5 * grid.dt
     return WealthSetup(
         **vars(drift),
         sigma_nodes=as_weight(params.sigma_fn).nodes(grid.times),
@@ -124,14 +127,16 @@ def make_wealth_setup(params, n_steps: int) -> WealthSetup:
         excess=params.excess_rate,
         a=params.a,
         b_weight=params.b,
-        x0=params.x0,
+        growth=growth,
+        endowment=endowment,
+        trapezoid=trapezoid,
     )
 
 
 def wealth_paths_chunk(
     setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext, policy: ControlPolicy
 ) -> tuple[ChunkContext, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one chunk of wealth paths.
+    """Simulate one chunk of wealth paths to their terminal wealth.
 
     Parameters
     ----------
@@ -141,30 +146,24 @@ def wealth_paths_chunk(
 
     Returns
     -------
-    (ctx, u, X, diverged) where u and X have shape (rows, i_last - i0 + 1),
-    X[:, 0] = x0 exactly, and ``diverged`` flags rows that went non-finite
-    (their later values are meaningless and the caller must exclude and
-    report them).
+    (ctx, u, x_T, diverged): u has shape (rows, i_last - i0 + 1); x_T, the
+    Euler recursion X_{k+1} = (1 + r dt) X_k + u_k (excess dt + sigma_k dB_k)
+    at T, and ``diverged``, the rows whose x_T is not finite (the caller
+    must exclude and report them), have shape (rows,).  An ``einsum`` sums
+    each row in an order that, unlike a BLAS product's, ignores the others.
     """
     i0, iL = setup.i0, setup.i_last
-    rows = dB.shape[0]
-    n_nodes = iL - i0 + 1
-    dt = setup.grid.dt
-
-    X = np.empty((rows, n_nodes))
-    X[:, 0] = setup.x0
-    u = _control_matrix(policy, ctx)
-    gains = (setup.excess * u[:, :-1] * dt
-             + setup.sigma_nodes[i0:iL] * u[:, :-1] * dB[:, i0:iL])
-    if setup.r == 0.0:
-        np.cumsum(gains, axis=1, out=X[:, 1:])
-        X[:, 1:] += setup.x0
-    else:
-        growth = 1.0 + setup.r * dt
-        x = X[:, 0]
-        for k in range(n_nodes - 1):
-            x = x * growth + gains[:, k]
-            X[:, k + 1] = x
-
-    diverged = ~np.all(np.isfinite(X), axis=1)
-    return ctx, u, X, diverged
+    u = policy.rule(ctx)
+    if u.shape != (len(dB), iL - i0 + 1):
+        raise ValueError(f"policy rule returned shape {u.shape}, "
+                         f"need {(len(dB), iL - i0 + 1)}")
+    gains = setup.sigma_nodes[i0:iL] * dB[:, i0:iL]
+    gains += setup.excess * setup.grid.dt
+    gains *= u[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # x_T shows overflow
+        if np.isfinite(setup.growth[0]):
+            x_T = np.einsum("ij,j->i", gains, setup.growth[1:])
+        else:  # the powers overflowed: a zero gain still adds 0, not 0 * inf
+            x_T = np.where(gains == 0.0, 0.0, gains * setup.growth[1:]).sum(1)
+        x_T += setup.endowment
+    return ctx, u, x_T, ~np.isfinite(x_T)

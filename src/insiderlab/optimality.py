@@ -147,9 +147,9 @@ def cost_chunk(setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext,
     a u^2 minus b X_T, and the mask of diverged rows."""
     # overflow is handled by detection below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
-        vals = run - setup.b_weight * X[:, -1]
+        _, u, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
+        run = np.einsum("ij,ij,j->i", u, u, setup.a * setup.trapezoid)
+        vals = run - setup.b_weight * x_T
     # a non-finite sample with finite state is still a numerical blow-up
     return vals, diverged | ~np.isfinite(vals)
 
@@ -241,21 +241,19 @@ def sweep_coefficients(
     (c0, c1, c2) and the mask of rows that diverge, at every y alike.
     """
     ilo, ihi = window
-    dt = setup.grid.dt
-    w = np.full(ihi - ilo, dt)
-    if ilo == setup.i0:
-        w[0] = 0.5 * dt
-    growth = (1.0 + setup.r * dt) ** (setup.i_last - 1 - np.arange(ilo, ihi))
+    w = setup.trapezoid[ilo - setup.i0 : ihi - setup.i0]
     # overflow is handled by detection below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        c0 = np.trapezoid(setup.a * u * u, dx=dt, axis=1)
-        c0 -= setup.b_weight * X[:, -1]
+        _, u, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
+        c0 = np.einsum("ij,ij,j->i", u, u, setup.a * setup.trapezoid)
+        c0 -= setup.b_weight * x_T
         th = spec.theta_values(ctx, ilo)
-        gain = setup.excess * dt + setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi]
-        kick = gain @ growth
-        u_w = u[:, ilo - setup.i0 : ihi - setup.i0]
-        c1 = th * (2.0 * setup.a * (u_w @ w) - setup.b_weight * kick)
+        gain = (setup.excess * setup.grid.dt
+                + setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi])
+        kick = np.einsum("ij,j->i", gain,
+                         setup.growth[ilo - setup.i0 + 1 : ihi - setup.i0 + 1])
+        u_w = np.einsum("ij,j->i", u[:, ilo - setup.i0 : ihi - setup.i0], w)
+        c1 = th * (2.0 * setup.a * u_w - setup.b_weight * kick)
         c2 = setup.a * w.sum() * th * th
         bad = diverged | ~np.isfinite(c0) | ~np.isfinite(c1)
     return np.stack([c0, c1, c2]), bad
@@ -376,8 +374,7 @@ def _martingale_chunk(setup, policy, bounds, test_fns, dB, ctx):
     """(cells, rows) products phi * (N_u increment), window-major, and the
     mask of rows whose state or any product is non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        del X  # not needed, and freeing it lowers the peak of the products
+        ctx, u, _, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
         prods = []
         for ilo, ihi in bounds:
             dn = nu_increments(setup, ctx, u, dB, ilo, ihi)

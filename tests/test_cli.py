@@ -490,6 +490,27 @@ def test_example1_after_t0_uses_the_value_at_t0(tmp_path, capsys):
     assert summary["verdict"] == "pass"
 
 
+def test_example1_target_grows_x0_as_the_kernel_does(tmp_path):
+    # the kernel grows x0 by (1 + r dt)^N, the closed form by e^{r(T - t0)}:
+    # b x0 times their gap is 2.4e-2 here, and the check against the closed
+    # form failed with diff 2.865e-2 > 3 SE = 1.273e-2
+    cfg = write_cfg(tmp_path, "e1x0.json", {
+        "experiment": "example1", "params": {"x0": 1000.0, "r": 0.2},
+        "seed": 1, "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 0
+    summary = json.loads((tmp_path / "out" / "example1.json").read_text())
+    params = experiments.params_from_config(summary["config"])
+    n = summary["config"]["n_steps"]
+    results = summary["results"]
+    assert results["value_closed_form"]["mean"] == example1_value(
+        params, 0.0, 1000.0, n)
+    growth = (1.0 + 0.2 * 2.0 / n) ** (n // 2)  # T = 1 is node n/2 of [0, 2]
+    target = example1_value(params, 0.0, 0.0, n) - 1000.0 * growth
+    assert results["diff"] == pytest.approx(results["value_mc"]["mean"] - target,
+                                            abs=1e-9)
+
+
 
 @pytest.mark.parametrize("params, target", [
     ({"b": 2.0}, -1.0),  # a H h^2 - b h H = 1 - 2
@@ -519,6 +540,7 @@ _EDGES = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 1e300,
     kind=st.sampled_from(["perturbation", "martingale"]),
     n_steps=st.sampled_from([4, 8, 16, 32]),
     t0=st.sampled_from([0.0, 0.25]),
+    r=st.sampled_from([0.0, 0.2, -2.0, 1e300, -1e300]),
     windows=st.one_of(st.none(), st.lists(st.lists(_EDGES, min_size=2,
                                                    max_size=2),
                                           min_size=1, max_size=2)),
@@ -529,13 +551,18 @@ _EDGES = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 1e300,
     policy=_POLICIES,
 )
 # an infinite window edge used to raise OverflowError in TimeGrid.index_of
-@example(kind="martingale", n_steps=32, t0=0.0, windows=[[0.25, math.inf]],
-         y_grid=[0.0], theta0=1.0, threshold=3.0, policy="zero")
+@example(kind="martingale", n_steps=32, t0=0.0, r=0.0,
+         windows=[[0.25, math.inf]], y_grid=[0.0], theta0=1.0, threshold=3.0,
+         policy="zero")
+# the sweep's growth powers overflowed outside np.errstate: a RuntimeWarning
+@example(kind="perturbation", n_steps=64, t0=0.0, r=1e300, windows=None,
+         y_grid=[0.0], theta0=1.0, threshold=3.0,
+         policy={"kind": "constant", "value": 0.0})
 @settings(max_examples=60, deadline=None)
 def test_perturbation_and_martingale_configs_are_rejected_or_run(
-        kind, n_steps, t0, windows, y_grid, theta0, threshold, policy):
+        kind, n_steps, t0, r, windows, y_grid, theta0, threshold, policy):
     raw = {"experiment": kind, "n_steps": n_steps, "n_paths": 16,
-           "params": {"t0": t0}, "policy": policy}
+           "params": {"t0": t0, "r": r}, "policy": policy}
     if kind == "perturbation":
         raw.update(y_grid=y_grid, theta0=theta0)
         if windows is not None:

@@ -49,13 +49,14 @@ def _formula(t, alpha, L):
 
 
 def kernel(params, n_steps, policy, seed, rows):
-    """One chunk of the wealth kernel: its setup, increments, L, u and X."""
+    """One chunk of the wealth kernel: its setup, increments, L, u and x_T."""
     setup = make_wealth_setup(params, n_steps)
     dB = increment_chunk(setup.grid, seed, 0, rows)
-    ctx, u, X, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
-                                        policy)
+    ctx, u, x_T, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+                                          policy)
+    assert x_T.shape == div.shape == (rows,)
     assert not div.any()
-    return setup, dB, ctx.L, u, X
+    return setup, dB, ctx.L, u, x_T
 
 
 def row_path(setup, dB, row):
@@ -69,15 +70,15 @@ def test_insider_and_forward_routes_match_pathwise():
     coeffs = wealth_coefficients(PARAMS)
     for t0 in (0.0, 0.25):
         params = replace(PARAMS, x0=0.5, t0=t0)
-        setup, dB, L, u, X = kernel(params, 128, formula_policy("example1",
-                                                                _formula), 3, 5)
+        setup, dB, L, u, x_T = kernel(params, 128, formula_policy("example1",
+                                                                  _formula), 3, 5)
         for row in range(len(dB)):
             # the chunk's L, not one summed again in another order
             B = row_path(setup, dB, row)
             f = InfoDriftField(ONE, B, horizon=params.T, L=float(L[row]))
             values, control = reference_insider(
                 coeffs, formula_node_rule(_formula), f, decompose(B, f), 0.5, t0)
-            assert np.max(np.abs(X[row] - values)) < 1e-10
+            assert abs(x_T[row] - values[-1]) < 1e-10
             assert np.array_equal(u[row, :-1], control)
 
 
@@ -95,13 +96,13 @@ def test_single_path_routes_match_the_per_node_reference(kind, t0):
     coeffs = wealth_coefficients(PARAMS)
     params = replace(PARAMS, x0=0.5, t0=t0)
     for seed in range(3):
-        setup, dB, L, u, X = kernel(params, 128, policy, seed, 2)
+        setup, dB, L, u, x_T = kernel(params, 128, policy, seed, 2)
         for row in range(len(dB)):
             B = row_path(setup, dB, row)
             f = InfoDriftField(ONE, B, horizon=params.T, L=float(L[row]))
             values, control = reference_forward(
                 coeffs, node_rule, B.restrict(params.T), 0.5, t0, f)
-            assert np.max(np.abs(X[row] - values)) < 1e-12
+            assert abs(x_T[row] - values[-1]) < 1e-12
             assert np.max(np.abs(u[row, :-1] - control)) < 1e-12
 
 
@@ -109,14 +110,13 @@ def test_route_terminal_means_agree():
     params = ModelParams.benchmark()
     rule = formula_node_rule(lambda t, alpha, L: _example1_formula(params, t,
                                                                    alpha, L))
-    setup, dB, _, _, X = kernel(params, 128, example1_policy(params), 4, 300)
+    setup, dB, _, _, fwd_T = kernel(params, 128, example1_policy(params), 4, 300)
     ins_T = np.empty(300)
     for row in range(300):
         B = row_path(setup, dB, row)
         f = InfoDriftField(ONE, B, horizon=1.0)
         ins_T[row] = reference_insider(wealth_coefficients(params), rule, f,
                                        decompose(B, f), 0.0)[0][-1]
-    fwd_T = X[:, -1]
     se = math.hypot(fwd_T.std(ddof=1), ins_T.std(ddof=1)) / math.sqrt(300)
     assert abs(fwd_T.mean() - ins_T.mean()) <= 3 * se
 
@@ -137,33 +137,72 @@ def test_zero_drift_field_routes_agree_bitwise():
 
 
 def test_frozen_dynamics_hold_state():
-    *_, X = kernel(ModelParams.benchmark(x0=1.25), 128, constant_policy(0.0),
-                   0, 8)
-    assert np.all(X == 1.25)
+    *_, x_T = kernel(ModelParams.benchmark(x0=1.25), 128, constant_policy(0.0),
+                     0, 8)
+    assert np.all(x_T == 1.25)
 
 
 def test_initial_condition_exact():
+    # x0 enters X_T as x0 (1 + r dt)^N, N the steps from t0 to T, on top of
+    # the gains of the same paths started at 0
     for t0 in (0.0, 0.25):
         params = ModelParams.benchmark(r=0.1, sigma_fn=0.2, x0=-3.5, t0=t0)
-        *_, X = kernel(params, 128, constant_policy(0.3), 1, 8)
-        assert np.all(X[:, 0] == -3.5)
+        setup, *_, x_T = kernel(params, 128, constant_policy(0.3), 1, 8)
+        *_, from_0 = kernel(replace(params, x0=0.0), 128, constant_policy(0.3),
+                            1, 8)
+        n = setup.i_last - setup.i0
+        endowment = -3.5 * (1.0 + 0.1 * setup.grid.dt) ** n
+        assert setup.endowment == pytest.approx(endowment, rel=1e-15)
+        assert np.max(np.abs(x_T - from_0 - endowment)) <= 1e-14
 
 
 def test_deterministic_growth_oracle():
     # u == 0 wealth: X = x0 prod(1 + r dt), within r^2 T dt of x0 e^{rT}
     r = 0.5
-    setup, *_, X = kernel(ModelParams.benchmark(r=r, x0=1.0), 512,
-                          constant_policy(0.0), 2, 8)
+    setup, *_, x_T = kernel(ModelParams.benchmark(r=r, x0=1.0), 512,
+                            constant_policy(0.0), 2, 8)
     target = math.exp(r)
-    assert np.all(np.abs(X[:, -1] - target) / target <= r * r * 1.0 * setup.grid.dt)
+    assert np.all(np.abs(x_T - target) / target <= r * r * 1.0 * setup.grid.dt)
+
+
+def test_overflowing_growth_keeps_zero_gains_at_zero():
+    # (1 + r dt)^N is inf at r = 1e300: a zero gain still adds 0, not
+    # 0 * inf = NaN, so a u == 0 path from x0 = 0 stays at 0, as the Euler
+    # recursion keeps it; from x0 = 1 it diverges, as the recursion does
+    setup, *_, x_T = kernel(ModelParams.benchmark(r=1e300), 64,
+                            constant_policy(0.0), 5, 4)
+    assert np.isinf(setup.growth[0]) and np.all(x_T == 0.0)
+    setup = make_wealth_setup(ModelParams.benchmark(r=1e300, x0=1.0), 64)
+    dB = increment_chunk(setup.grid, 5, 0, 4)
+    *_, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+                                 constant_policy(0.0))
+    assert div.all()
 
 
 def test_unit_control_telescoping():
     # dX = u dt + u dB with u == 1: X_T = x0 + T + B_T on the nose
-    setup, dB, *_, X = kernel(example2_params(x0=0.5), 256,
-                              constant_policy(1.0), 3, 8)
+    setup, dB, *_, x_T = kernel(example2_params(x0=0.5), 256,
+                                constant_policy(1.0), 3, 8)
     B_T = dB[:, : setup.i_last].sum(axis=1)
-    assert np.max(np.abs(X[:, -1] - (0.5 + 1.0 + B_T))) <= 1e-12
+    assert np.max(np.abs(x_T - (0.5 + 1.0 + B_T))) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.0, 0.2])
+def test_terminal_wealth_of_a_row_does_not_depend_on_the_other_rows(r):
+    # each row alone, and in blocks at offsets that are not multiples of 4,
+    # gives the bits of the whole chunk
+    params = ModelParams.benchmark(r=r, x0=0.5, sigma_fn=Affine(1.0, 0.5))
+    setup = make_wealth_setup(params, 256)
+    policy = example1_policy(params)
+    dB = increment_chunk(setup.grid, 6, 0, 13)
+
+    def x_T(rows):
+        return wealth_paths_chunk(setup, rows, chunk_context(setup, rows),
+                                  policy)[2]
+
+    whole = x_T(dB)
+    for lo, hi in [(row, row + 1) for row in range(13)] + [(1, 6), (3, 13)]:
+        assert x_T(dB[lo:hi]).tobytes() == whole[lo:hi].tobytes()
 
 
 def test_policy_moment_condition_proxy():
@@ -175,7 +214,7 @@ def test_policy_moment_condition_proxy():
     moments = {2: [], 4: [], 8: []}
     for c, rows in ((0, 1024), (1, 976)):
         dB = increment_chunk(setup.grid, 10, c, rows)
-        ctx, u, X, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+        ctx, u, _, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
                                             pol)
         for k in moments:
             moments[k].append(
@@ -194,7 +233,7 @@ def test_matrix_kernel_matches_single_path_loop():
     pol = example2_policy(params)
     B = sample_brownian(setup.grid, 12)
     dB = np.diff(B.values)[None, :]
-    ctx, u, X, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), pol)
+    ctx, u, x_T, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), pol)
 
     f = InfoDriftField(ONE, B, horizon=params.T)
     rule = formula_node_rule(lambda t, alpha, L: example2_control(alpha, params))
@@ -202,5 +241,6 @@ def test_matrix_kernel_matches_single_path_loop():
         wealth_coefficients(params), rule, B.restrict(params.T), x0=0.0,
         drift_field=f,
     )
-    assert np.max(np.abs(X[0] - values)) < 1e-12
+    assert x_T.shape == (1,)
+    assert abs(x_T[0] - values[-1]) < 1e-12
     assert np.max(np.abs(u[0, :-1] - control)) < 1e-12

@@ -21,6 +21,7 @@ from insiderlab.controlled_sde import (
     formula_policy,
     make_wealth_setup,
     uninformed,
+    wealth_paths_chunk,
 )
 from insiderlab.enlargement import (
     _decomposition_chunk,
@@ -158,12 +159,19 @@ def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
 # Reducers see row blocks: the engine joins their rows into the whole batch
 # ---------------------------------------------------------------------------
 
+def _terminal_wealth(setup, policy, dB, ctx):
+    *_, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
+    assert x_T.shape == (len(dB),)
+    return x_T, diverged
+
+
 def _row_block_cases(setup, params):
     policy = example1_policy(params)
     window = (0.5, 0.75)
     bounds = [window_indices(setup.grid, w, params.t0, params.T)
               for w in quarter_windows(params.T, params.t0)]
     return {
+        "wealth_paths_chunk": partial(_terminal_wealth, setup, policy),
         "cost_chunk": partial(cost_chunk, setup, policy=policy),
         "sweep_coefficients": partial(
             sweep_coefficients, setup, policy=policy,
@@ -179,31 +187,33 @@ def _row_block_cases(setup, params):
 
 @pytest.mark.parametrize("n_paths", [1500, 1025],
                          ids=["476-row chunk", "1-row chunk"])
-@pytest.mark.parametrize("name", ["cost_chunk", "sweep_coefficients",
-                                  "martingale_chunk", "decomposition_chunk",
-                                  "forward_chunk"])
+@pytest.mark.parametrize("name", ["wealth_paths_chunk", "cost_chunk",
+                                  "sweep_coefficients", "martingale_chunk",
+                                  "decomposition_chunk", "forward_chunk"])
 def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths):
-    params = ModelParams.benchmark(r=0.2, t0=0.25, sigma_fn=Affine(1.0, 0.5),
-                                   m=Sin(1.0, 0.5, 2.0))
-    setup = make_wealth_setup(params, 64)
-    reduce = _row_block_cases(setup, params)[name]
-    seed = 17
-    block_rows = []
+    # r = 0 too: the wealth kernel's product takes the same path at every r
+    for r in (0.0, 0.2):
+        params = ModelParams.benchmark(r=r, t0=0.25, sigma_fn=Affine(1.0, 0.5),
+                                       m=Sin(1.0, 0.5, 2.0))
+        setup = make_wealth_setup(params, 64)
+        reduce = _row_block_cases(setup, params)[name]
+        seed = 17
+        block_rows = []
 
-    def counting(dB, ctx):
-        block_rows.append(len(dB))
-        return reduce(dB, ctx)
+        def counting(dB, ctx):
+            block_rows.append(len(dB))
+            return reduce(dB, ctx)
 
-    (joined,) = map_reducers(setup, [counting], seed, n_paths)
-    rows = _chunk_rows(n_paths)
-    assert block_rows == [min(BLOCK, r - start) for r in rows
-                          for start in range(0, r, BLOCK)]
-    whole = []
-    for c, r in enumerate(rows):
-        dB = increment_chunk(setup.grid, seed, c, r)
-        whole.append(reduce(dB, chunk_context(setup, dB)))
-    assert _same_bits(joined,
-                      tuple(np.concatenate(a, axis=-1) for a in zip(*whole)))
+        (joined,) = map_reducers(setup, [counting], seed, n_paths)
+        rows = _chunk_rows(n_paths)
+        assert block_rows == [min(BLOCK, n - start) for n in rows
+                              for start in range(0, n, BLOCK)]
+        whole = []
+        for c, n in enumerate(rows):
+            dB = increment_chunk(setup.grid, seed, c, n)
+            whole.append(reduce(dB, chunk_context(setup, dB)))
+        assert _same_bits(joined,
+                          tuple(np.concatenate(a, axis=-1) for a in zip(*whole)))
 
 
 def _misshapen(kind, dB, ctx):

@@ -24,6 +24,7 @@ from insiderlab.optimality import (
     DivergenceError,
     EstimateWithError,
     PerturbationSpec,
+    cost_chunk,
     cost_mc,
     default_test_functions,
     directional_derivative,
@@ -179,12 +180,21 @@ class TestDirectionalDerivative:
 def direct_costs(setup, dB, policy, spec, y, params):
     """Oracle: per-path cost of the perturbed policy from its own kernel pass."""
     pert = perturbed_policy(policy, spec, y, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, X, diverged = wealth_paths_chunk(setup, dB,
-                                                 chunk_context(setup, dB), pert)
-        run = np.trapezoid(setup.a * u * u, dx=setup.grid.dt, axis=1)
-        vals = run - setup.b_weight * X[:, -1]
-    return vals, diverged | ~np.isfinite(vals)
+    return cost_chunk(setup, dB, chunk_context(setup, dB), pert)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.2])
+def test_cost_chunk_is_the_trapezoid_cost_of_the_terminal_wealth(r):
+    params = ModelParams.benchmark(r=r, t0=0.25, a=2.0, b=1.5, x0=0.5)
+    setup = make_wealth_setup(params, 512)
+    dB = increment_chunk(setup.grid, 7, 0, 64)
+    ctx = chunk_context(setup, dB)
+    pol = example1_policy(params)
+    vals, bad = cost_chunk(setup, dB, ctx, pol)
+    _, u, x_T, _ = wealth_paths_chunk(setup, dB, ctx, pol)
+    want = np.trapezoid(2.0 * u * u, dx=setup.grid.dt, axis=1) - 1.5 * x_T
+    assert not bad.any()
+    assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def clipped_theta(Bt, L):
@@ -395,7 +405,7 @@ class TestNuPath:
         setup = make_wealth_setup(params, n_steps)
         B = sample_brownian(setup.grid, seed)
         dB = np.diff(B.values)[None, :]
-        ctx, u, X, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+        ctx, u, _, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
                                           example2_policy(params))
         return setup, B, dB, ctx, u
 
