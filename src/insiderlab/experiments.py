@@ -273,6 +273,9 @@ def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
     elif kind == "martingale":
         if cfg["windows"] is None:
             cfg["windows"] = [list(w) for w in quarter_windows(params.T, params.t0)]
+        if not (isinstance(cfg["windows"], list) and cfg["windows"]):
+            raise InvalidConfigError("'windows' must be a non-empty list of "
+                                     "[lo, hi] windows")
         for w in cfg["windows"]:
             if not (isinstance(w, list) and len(w) == 2 and all(map(_is_number, w))):
                 raise InvalidConfigError("'windows' entries must be [lo, hi]")

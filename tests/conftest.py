@@ -1,8 +1,12 @@
 """Fixtures shared by every test module."""
 
+import os
 import threading
+from pathlib import Path
 
 import pytest
+
+import insiderlab
 
 
 @pytest.fixture(autouse=True)
@@ -17,3 +21,15 @@ def no_thread_outlives_its_test():
     alive = [t.name for t in left if t.is_alive()]
     if alive:
         pytest.fail(f"threads left alive by the test: {alive}")
+
+
+@pytest.fixture
+def package_env():
+    """The environment for a subprocess that must import this checkout's
+    package: ``PYTHONPATH`` led by its ``src``."""
+    src = str(Path(insiderlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env

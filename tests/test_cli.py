@@ -558,6 +558,9 @@ _EDGES = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 1e300,
 @example(kind="perturbation", n_steps=64, t0=0.0, r=1e300, windows=None,
          y_grid=[0.0], theta0=1.0, threshold=3.0,
          policy={"kind": "constant", "value": 0.0})
+# no window: np.stack in the martingale reducer raised a ValueError
+@example(kind="martingale", n_steps=64, t0=0.0, r=0.0, windows=[],
+         y_grid=[0.0], theta0=1.0, threshold=3.0, policy="zero")
 @settings(max_examples=60, deadline=None)
 def test_perturbation_and_martingale_configs_are_rejected_or_run(
         kind, n_steps, t0, r, windows, y_grid, theta0, threshold, policy):
@@ -580,6 +583,18 @@ def test_perturbation_and_martingale_configs_are_rejected_or_run(
         code = main(["run", str(path), "--workers", "1"])
         assert code in (0, 1, 3)
         assert (Path(d) / f"{kind}.csv").exists() == (code != 3)
+
+
+@pytest.mark.parametrize("windows", [[], {}], ids=["list", "object"])
+def test_martingale_without_windows_is_invalid_config(tmp_path, capsys,
+                                                      windows):
+    # both passed validation, then np.stack raised on no window at all
+    raw = {"experiment": "martingale", "windows": windows, "n_paths": 64,
+           "n_steps": 64, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "w.json", raw),
+                 "--workers", "1"]) == 2
+    assert "'windows'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_martingale_with_overflowing_moments_exits_3(tmp_path, capsys):

@@ -135,6 +135,17 @@ class TestDecompose:
             decomposition_stats(0.0, 1.0, make_grid(0, 2, 64), 100, seed=1)
 
 
+def _sin_square_integral(m, s, t1):
+    """int_s^{T1} (b + a sin(f u))^2 du in closed form."""
+    b, a, f = m.base, m.amplitude, m.frequency
+
+    def antiderivative(u):
+        return (b * b * u - 2 * a * b * math.cos(f * u) / f
+                + a * a * (u / 2 - math.sin(2 * f * u) / (4 * f)))
+
+    return antiderivative(t1) - antiderivative(s)
+
+
 class TestMomentOracles:
     def test_second_moment_constant_weight(self):
         assert drift_second_moment(ONE, 0.0, 2.0) == pytest.approx(0.5, rel=1e-10)
@@ -144,6 +155,30 @@ class TestMomentOracles:
         # m(s) = s+1: m(0)^2 / int_0^2 (u+1)^2 du = 1/(26/3) = 3/26
         m = as_weight(lambda s: s + 1.0)
         assert drift_second_moment(m, 0.0, 2.0) == pytest.approx(3.0 / 26.0, rel=1e-9)
+
+    @pytest.mark.parametrize("t1", [1.05, 2.0, 5.0])
+    @pytest.mark.parametrize("frequency", [1.0, 10.0, 40.0])
+    @pytest.mark.parametrize("at_half", [False, True], ids=["s-0", "s-half"])
+    def test_second_moment_sin_weight(self, t1, frequency, at_half):
+        s = t1 / 2 if at_half else 0.0
+        m = Sin(1.0, 0.5, frequency)
+        assert drift_second_moment(m, s, t1) == pytest.approx(
+            m(s) ** 2 / _sin_square_integral(m, s, t1), rel=1e-12)
+
+    def test_second_moment_sin_weight_at_high_frequency(self):
+        # quad missed this by 4e-3, with an IntegrationWarning
+        m = Sin(1.0, 0.5, 200.0)
+        assert drift_second_moment(m, 0.0, 5.0) == pytest.approx(
+            m(0.0) ** 2 / _sin_square_integral(m, 0.0, 5.0), rel=1e-8)
+
+    @pytest.mark.parametrize("t1", [1.05, 2.0, 5.0])
+    def test_second_moment_affine_weight_closed_form(self, t1):
+        # int_s^{T1} (a + b u)^2 du = ((a + b T1)^3 - (a + b s)^3) / (3 b)
+        m = Affine(0.5, -1.5)
+        s = t1 / 2
+        denom = (m(t1) ** 3 - m(s) ** 3) / (3 * m.slope)
+        assert drift_second_moment(m, s, t1) == pytest.approx(
+            m(s) ** 2 / denom, rel=1e-12)
 
     def test_second_moment_rejects_s_at_t1(self):
         with pytest.raises(ValueError):
