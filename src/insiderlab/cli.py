@@ -47,23 +47,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_overrides(args: argparse.Namespace) -> None:
+    """Reject a command-line override that no config could make valid."""
+    if args.seed is not None and args.seed < 0:
+        raise InvalidConfigError("'--seed' must be >= 0")
+    if args.n_paths is not None:
+        if args.n_paths < 2:
+            raise InvalidConfigError("'--n-paths' must be >= 2")
+        check_cap("n_paths", args.n_paths, "--n-paths")
+    if args.workers is not None and args.workers < 1:
+        raise InvalidConfigError("'--workers' must be >= 1")
+
+
 def _run(args: argparse.Namespace) -> int:
+    # the overrides are checked before the config is read; the config is
+    # read all the same, so that a fault in it is named as well
+    errors = []
+    try:
+        _check_overrides(args)
+    except InvalidConfigError as e:
+        errors.append(str(e))
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise InvalidConfigError("'--seed' must be >= 0")
-            cfg["seed"] = args.seed
-        if args.n_paths is not None:
-            if args.n_paths < 2:
-                raise InvalidConfigError("'--n-paths' must be >= 2")
-            check_cap("n_paths", args.n_paths, "--n-paths")
-            cfg["n_paths"] = args.n_paths
-        if args.out is not None:
-            cfg["out"] = args.out
-        if args.workers is not None and args.workers < 1:
-            raise InvalidConfigError("'--workers' must be >= 1")
-        workers = args.workers or os.cpu_count() or 1
+    except InvalidConfigError as e:
+        errors.append(str(e))
+    if errors:
+        print(f"invalid config: {'; '.join(errors)}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.n_paths is not None:
+        cfg["n_paths"] = args.n_paths
+    if args.out is not None:
+        cfg["out"] = args.out
+    workers = args.workers or os.cpu_count() or 1
+    try:
         summary = run_experiment(cfg, workers=workers)
     except InvalidConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)

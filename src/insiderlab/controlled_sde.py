@@ -140,7 +140,8 @@ def wealth_paths_chunk(
 
     Parameters
     ----------
-    dB : (rows, n_steps) increments on the full [0, T1] grid.
+    dB : (rows, i_last + 1) increments on the drift's ``draw_grid``; the
+        kernel reads those on [t0, T).
     ctx : the chunk's ``chunk_context``, read and never written.
     policy : its control matrix drives the gains.
 

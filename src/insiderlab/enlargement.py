@@ -21,6 +21,16 @@ draws each chunk of increments once, cuts it into row blocks of at most
 every reducer of an op to that one context.  Every reducer is row-wise and
 returns arrays whose last axis is the block's rows, so ``map_reducers``
 joins them into whole-batch arrays in path order.
+
+Every control, wealth path and check lives on [0, T], so the path after T
+enters only through the scalar int_T^{T1} m dB.  Given the path on [0, T]
+its grid sum sum_{j>=i_T} m_j dB_j is exactly Normal(0, S) with
+S = sum_{j>=i_T} m_j^2 dt, the left-point tail that ``drift_square_mean``
+assumes.  The batch engine therefore draws each path on
+``DriftSetup.draw_grid``: the i_T increments on [0, T) and one Normal(0, dt)
+increment more, the carrier, which ``tail`` = sqrt(S / dt) turns into that
+sum.  The single-path ``InfoDriftField`` still takes a path on all of
+[0, T1].
 """
 
 from __future__ import annotations
@@ -80,31 +90,37 @@ def drift_square_mean(setup: DriftSetup) -> np.ndarray:
 
 def drift_matrix(
     dB: np.ndarray,
-    m_nodes: np.ndarray,
-    q_tail: np.ndarray,
-    i_last: int,
-    L: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized drift for a batch of paths.
+    setup: DriftSetup,
+    L: np.ndarray | float | None = None,
+    run: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """Vectorized drift for one path (1-D ``dB``) or a batch (rows last-but-one).
 
     Parameters
     ----------
-    dB : (rows, n_steps) Brownian increments on the full [0, T1] grid.
-    m_nodes, q_tail : weight values and tail integrals at the grid nodes.
-    i_last : last node index at which the drift is evaluated (time T).
-    L : optional precomputed functional values, one per row.
+    dB : (..., n) increments with n > i_last; only the i_last increments on
+        [0, T) are read, and, when ``L`` is not given, the carrier column
+        i_last of a block drawn on ``setup.draw_grid``.
+    setup : the drift's node data.
+    L : the functional, per row; by default
+        sum_{j<i_last} m_j dB_j + tail * dB_{i_last}.
+    run : the running sums of m dB on nodes 0..i_last, if the caller holds
+        them already (B itself when m is 1 on [0, T)).
 
     Returns
     -------
-    (alpha, L) with alpha of shape (rows, i_last + 1); column i holds
+    (alpha, L) with alpha of shape (..., i_last + 1); column i holds
     m(t_i) * (L - int_0^{t_i} m dB) / q_tail[i].
     """
-    weighted = m_nodes[:-1] * dB
+    i_last = setup.i_last
+    if run is None:
+        run = running_sum(setup.m_nodes[:i_last] * dB[..., :i_last])
     if L is None:
-        L = weighted.sum(axis=1)
-    run = running_sum(weighted[:, :i_last])
-    del weighted  # full width: freed before the result is allocated
-    return m_nodes[: i_last + 1] * (L[:, None] - run) / q_tail[: i_last + 1], L
+        L = run[..., -1] + setup.tail * dB[..., i_last]
+    alpha = np.subtract(np.asarray(L)[..., None], run)
+    alpha *= setup.m_nodes[: i_last + 1]
+    alpha /= setup.q_tail[: i_last + 1]
+    return alpha, L
 
 
 @dataclass(frozen=True)
@@ -128,14 +144,27 @@ class ChunkContext:
 @dataclass(frozen=True, eq=False)
 class DriftSetup:
     """Node data of the drift on one [0, T1] grid: t0 is node ``i0``, the
-    decision horizon T node ``i_last``.  An agent without L is a policy,
-    ``controlled_sde.uninformed``, not a property of the grid."""
+    decision horizon T node ``i_last``, and ``tail`` is
+    sqrt(sum_{j>=i_last} m_j^2), the factor of the carrier increment in L.
+    An agent without L is a policy, ``controlled_sde.uninformed``, not a
+    property of the grid."""
 
     grid: TimeGrid
     i0: int
     i_last: int
     m_nodes: np.ndarray
     q_tail: np.ndarray
+    tail: float
+
+    @property
+    def draw_grid(self) -> TimeGrid:
+        """The grid a chunk is drawn on: [0, T) plus the carrier step."""
+        return self.grid.prefix(self.i_last + 1)
+
+    @property
+    def unit_weight(self) -> bool:
+        """m is exactly 1 on [0, T): the running sum of m dB is B itself."""
+        return bool(np.all(self.m_nodes[: self.i_last] == 1.0))
 
 
 def drift_setup(m: WeightFunction | Callable[[float], float] | float,
@@ -154,16 +183,23 @@ def drift_setup(m: WeightFunction | Callable[[float], float] | float,
         raise ValueError("int_0^T1 m^2 ds is not finite: the weight overflows")
     if not q[i_last] > 0.0:
         raise ValueError("int_t^T1 m^2 ds must stay positive for t <= T")
-    return DriftSetup(grid, grid.index_of(t0), i_last, m_nodes, q)
+    # a scaled sum: finite whenever q is, where a plain sum of m^2 may not be
+    tail = math.hypot(*m_nodes[i_last:-1])
+    return DriftSetup(grid, grid.index_of(t0), i_last, m_nodes, q, tail)
 
 
 def chunk_context(setup: DriftSetup, dB: np.ndarray) -> ChunkContext:
-    """B and alpha on nodes 0..i_last, and L, of one (rows, n_steps) block
-    of increments: the block's one ``drift_matrix`` call.  Every reducer of
-    the block reads these arrays, so they are made read-only."""
+    """B and alpha on nodes 0..i_last, and L, of one (rows, i_last + 1)
+    block of increments drawn on ``setup.draw_grid``: the block's one
+    ``drift_matrix`` call.  Every reducer of the block reads these arrays,
+    so they are made read-only.  A block of any other width raises
+    ValueError: its column i_last would be read as the carrier."""
     i_last = setup.i_last
+    if dB.shape[-1] != i_last + 1:
+        raise ValueError(f"a block of {dB.shape[-1]} increments per row; the "
+                         f"draw grid has i_last + 1 = {i_last + 1}")
     B = running_sum(dB[:, :i_last])
-    alpha, L = drift_matrix(dB, setup.m_nodes, setup.q_tail, i_last)
+    alpha, L = drift_matrix(dB, setup, run=B if setup.unit_weight else None)
     for a in (B, alpha, L):
         a.flags.writeable = False
     return ChunkContext(setup.grid.times, setup.grid.dt, setup.i0, i_last,
@@ -190,7 +226,8 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
                  n_paths: int, pool=None) -> list[tuple[np.ndarray, ...]]:
     """Apply every reducer ``(dB, ctx) -> arrays`` to each block of one draw.
 
-    ``map_chunks`` draws each chunk once; each row block of at most
+    ``map_chunks`` draws each chunk once, on ``setup.draw_grid``, so a
+    block has shape (rows, i_last + 1); each row block of at most
     ``BLOCK`` rows of it gets one ``chunk_context``, and every reducer sees
     the block and that context.  A reducer returns a tuple of arrays whose
     last axis is the block's rows, and must be row-wise (row k depends on
@@ -200,7 +237,7 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
     pickle); an output of the wrong shape raises ``ValueError``.
     """
     chunks = map_chunks(partial(_reduce_chunk, setup, tuple(reducers)),
-                        setup.grid, seed, n_paths, pool)
+                        setup.draw_grid, seed, n_paths, pool)
     blocks = [block for chunk in chunks for block in chunk]
     return [tuple(np.concatenate(a, axis=-1) for a in zip(*block_outputs))
             for block_outputs in zip(*blocks)]
@@ -225,12 +262,10 @@ class InfoDriftField:
         db = np.diff(path.values)
         if L is None:
             L = float(np.sum(setup.m_nodes[:-1] * db))
-        alpha, _ = drift_matrix(db[None, :], setup.m_nodes, setup.q_tail,
-                                setup.i_last, np.array([L]))
+        self.alpha, _ = drift_matrix(db, setup, L)
         self.path = path
         self.L = L
         self.i_last = setup.i_last
-        self.alpha = alpha[0]
 
 
 def decompose(path: BrownianPath, field: InfoDriftField) -> BrownianPath:

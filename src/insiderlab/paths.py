@@ -1,7 +1,10 @@
 """Time grids, seeded Brownian paths, and the Gaussian functional L.
 
 Everything downstream (drift fields, SDE schemes, Monte Carlo batches) runs on
-one uniform grid over the extended horizon ``[0, T1]``.  Paths are pure
+one uniform grid over the extended horizon ``[0, T1]``.  Monte Carlo batches
+draw only a prefix of it: the steps before the decision horizon T and one
+step more, whose increment carries the rest of L
+(``enlargement.DriftSetup.draw_grid``).  Paths are pure
 functions of ``(grid, seed)``: the same inputs always reproduce the same
 trajectory bit for bit, which is what makes common-random-number comparisons
 and byte-identical experiment reruns possible.  ``map_chunks`` is the one
@@ -292,8 +295,9 @@ def map_chunks(
 ) -> list:
     """``reduce_chunk(dB)`` for every increment chunk of the batch, in chunk order.
 
-    ``dB`` has shape (rows, n_steps) with iid Normal(0, dt) entries; row k of
-    chunk c is path ``c*CHUNK + k`` of the batch.  With a ``pool`` and more
+    ``dB`` has shape (rows, grid.n_steps) with iid Normal(0, dt) entries; row
+    k of chunk c is path ``c*CHUNK + k`` of the batch.  The Monte Carlo
+    estimators pass their draw grid, so there dB is (rows, i_last + 1).  With a ``pool`` and more
     than one chunk, the chunks are drawn and reduced in its workers, so
     ``reduce_chunk`` must pickle.  Otherwise the calling thread reduces chunk
     c while one helper thread draws chunk c + 1 (a lookahead of one chunk,

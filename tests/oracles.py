@@ -103,6 +103,17 @@ def eval_L(m, path, t1=None):
     return float(np.sum(mv[:-1] * np.diff(path.values)))
 
 
+def fold_tail(setup, dB):
+    """The block that ``chunk_context`` takes for full-grid increments
+    ``dB`` (paths on the last-but-one axis): the increments on [0, T) as
+    they are, then the carrier increment that ``setup.tail`` turns back
+    into the path's own sum_{j>=i_last} m_j dB_j."""
+    i_last = setup.i_last
+    carrier = (setup.m_nodes[i_last:-1] * dB[..., i_last:]).sum(axis=-1)
+    return np.concatenate([dB[..., :i_last], carrier[..., None] / setup.tail],
+                          axis=-1)
+
+
 def expected_squared_drift_integral(m, T, t1):
     """int_0^T E[alpha_s^2] ds by quadrature; log 2 on the m == 1, T = 1,
     T1 = 2 benchmark."""

@@ -178,7 +178,7 @@ def test_criterion_06_no_information_limit():
     control_exact = example2_control(0.0, params) == half
     blind = uninformed(example2_policy(params))
     setup = make_wealth_setup(params, 512)
-    dB = increment_chunk(setup.grid, 1006, 0, 64)
+    dB = increment_chunk(setup.draw_grid, 1006, 0, 64)
     _, u, _, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), blind)
     u_const = bool(np.all(u == half))
     est = cost_mc(blind, params, 100_000, seed=1006, n_steps=2048)

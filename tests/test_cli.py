@@ -702,6 +702,11 @@ _ABOVE_CAP = st.one_of(
 # escaped as numpy's MemoryError ("Unable to allocate 72.8 TiB")
 @example(kind="decomposition", n_steps=8, t0=0.0, horizon=(1.0, 2.0), m=1.0,
          sizes={}, overrides=["--n-paths", "2"], above_cap={"n_steps": 10**13})
+# named the invalid weight, not the --n-paths above its cap
+@example(kind="decomposition", n_steps=8, t0=0.0, horizon=(1.0, 2.0),
+         m={"type": "affine", "intercept": 0.0, "slope": 0.0}, sizes={},
+         overrides=["--n-paths", str(experiments.CAPS["n_paths"] + 1)],
+         above_cap={})
 @settings(max_examples=40, deadline=None)
 def test_decomposition_hjb_residual_and_overrides_are_rejected_or_run(
         kind, n_steps, t0, horizon, m, sizes, overrides, above_cap):

@@ -32,6 +32,7 @@ from insiderlab.paths import (
     sample_brownian,
 )
 from oracles import (
+    fold_tail,
     formula_node_rule,
     reference_forward,
     reference_insider,
@@ -49,11 +50,13 @@ def _formula(t, alpha, L):
 
 
 def kernel(params, n_steps, policy, seed, rows):
-    """One chunk of the wealth kernel: its setup, increments, L, u and x_T."""
+    """One chunk of the wealth kernel: its setup, full-grid increments, L, u
+    and x_T; the kernel sees the increments with their tail folded."""
     setup = make_wealth_setup(params, n_steps)
     dB = increment_chunk(setup.grid, seed, 0, rows)
-    ctx, u, x_T, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
-                                          policy)
+    block = fold_tail(setup, dB)
+    ctx, u, x_T, div = wealth_paths_chunk(setup, block,
+                                          chunk_context(setup, block), policy)
     assert x_T.shape == div.shape == (rows,)
     assert not div.any()
     return setup, dB, ctx.L, u, x_T
@@ -173,7 +176,7 @@ def test_overflowing_growth_keeps_zero_gains_at_zero():
                             constant_policy(0.0), 5, 4)
     assert np.isinf(setup.growth[0]) and np.all(x_T == 0.0)
     setup = make_wealth_setup(ModelParams.benchmark(r=1e300, x0=1.0), 64)
-    dB = increment_chunk(setup.grid, 5, 0, 4)
+    dB = increment_chunk(setup.draw_grid, 5, 0, 4)
     *_, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
                                  constant_policy(0.0))
     assert div.all()
@@ -194,7 +197,7 @@ def test_terminal_wealth_of_a_row_does_not_depend_on_the_other_rows(r):
     params = ModelParams.benchmark(r=r, x0=0.5, sigma_fn=Affine(1.0, 0.5))
     setup = make_wealth_setup(params, 256)
     policy = example1_policy(params)
-    dB = increment_chunk(setup.grid, 6, 0, 13)
+    dB = increment_chunk(setup.draw_grid, 6, 0, 13)
 
     def x_T(rows):
         return wealth_paths_chunk(setup, rows, chunk_context(setup, rows),
@@ -213,7 +216,7 @@ def test_policy_moment_condition_proxy():
 
     moments = {2: [], 4: [], 8: []}
     for c, rows in ((0, 1024), (1, 976)):
-        dB = increment_chunk(setup.grid, 10, c, rows)
+        dB = increment_chunk(setup.draw_grid, 10, c, rows)
         ctx, u, _, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
                                             pol)
         for k in moments:
@@ -232,7 +235,7 @@ def test_matrix_kernel_matches_single_path_loop():
     setup = make_wealth_setup(params, 256)
     pol = example2_policy(params)
     B = sample_brownian(setup.grid, 12)
-    dB = np.diff(B.values)[None, :]
+    dB = fold_tail(setup, np.diff(B.values)[None, :])
     ctx, u, x_T, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), pol)
 
     f = InfoDriftField(ONE, B, horizon=params.T)

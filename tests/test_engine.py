@@ -210,7 +210,7 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths):
                               for start in range(0, n, BLOCK)]
         whole = []
         for c, n in enumerate(rows):
-            dB = increment_chunk(setup.grid, seed, c, n)
+            dB = increment_chunk(setup.draw_grid, seed, c, n)
             whole.append(reduce(dB, chunk_context(setup, dB)))
         assert _same_bits(joined,
                           tuple(np.concatenate(a, axis=-1) for a in zip(*whole)))

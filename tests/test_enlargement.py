@@ -8,10 +8,12 @@ import pytest
 from insiderlab.controlled_sde import make_wealth_setup
 from insiderlab.enlargement import (
     InfoDriftField,
+    chunk_context,
     decompose,
     decomposition_stats,
     drift_matrix,
     drift_second_moment,
+    drift_setup,
     drift_square_mean,
     map_reducers,
     tail_square_integral,
@@ -23,8 +25,8 @@ from insiderlab.paths import (
     Sin,
     as_weight,
     constant_weight,
+    increment_chunk,
     make_grid,
-    map_chunks,
     sample_brownian,
 )
 from oracles import eval_L, expected_squared_drift_integral
@@ -62,13 +64,9 @@ class TestInformationDrift:
         # E[alpha_{0.5}^2] = 1/(2 - 0.5); sample over 1e5 chunked paths
         g = make_grid(0, 2, 64)
         i = g.index_of(0.5)
-        mv = ONE.nodes(g.times)
-        q = tail_square_integral(mv, g.dt)
-        acc = map_chunks(
-            lambda dB: drift_matrix(dB, mv, q, g.index_of(1.0))[0][:, i] ** 2,
-            g, 21, 100_000,
-        )
-        samples = np.concatenate(acc)
+        ((samples,),) = map_reducers(
+            drift_setup(ONE, g, 1.0),
+            [lambda dB, ctx: (ctx.alpha[:, i] ** 2,)], 21, 100_000)
         assert abs(samples.mean() - 1 / 1.5) / (1 / 1.5) < 0.05
 
     def test_rejects_horizon_at_t1(self):
@@ -192,14 +190,12 @@ class TestMomentOracles:
     def test_monte_carlo_drift_energy_matches_log2(self):
         # trapezoid of alpha^2 along 2e4 paths vs the quadrature oracle
         g = make_grid(0, 2, 512)
-        iT = g.index_of(1.0)
-        mv = ONE.nodes(g.times)
-        q = tail_square_integral(mv, g.dt)
-        def energy(dB):
-            alpha, _ = drift_matrix(dB, mv, q, iT)
-            return np.trapezoid(alpha * alpha, dx=g.dt, axis=1)
 
-        vals = np.concatenate(map_chunks(energy, g, 29, 20_000))
+        def energy(dB, ctx):
+            return (np.trapezoid(ctx.alpha * ctx.alpha, dx=g.dt, axis=1),)
+
+        ((vals,),) = map_reducers(drift_setup(ONE, g, 1.0), [energy], 29,
+                                  20_000)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         target = expected_squared_drift_integral(ONE, 1.0, 2.0)
         assert target == pytest.approx(math.log(2.0), rel=1e-9)
@@ -232,3 +228,73 @@ def test_drift_square_mean_matches_the_simulated_drift_at_every_node(m):
     se = sq.std(axis=1, ddof=1) / math.sqrt(sq.shape[1])
     assert np.all(np.abs(sq.mean(axis=1) - exact) <= 4 * se)
 
+
+# The collapsed draw: [0, T) plus one carrier increment per path
+# ---------------------------------------------------------------------------
+
+def _L_and_B_T(dB, ctx):
+    return ctx.L, ctx.B[:, -1]
+
+
+class TestCollapsedDraw:
+    """L drawn on ``draw_grid`` against the laws of the full-grid sum
+    sum_j m_j dB_j, under a Sin weight on a coarse grid, each estimate
+    within 3 SE.  A wrong carrier factor (tail = 1, say) moves Var(L) and
+    Corr(L, B_T) by many SE."""
+
+    M = Sin(1.0, 0.5, 3.0)
+    N = 200_000
+
+    def samples(self):
+        setup = drift_setup(self.M, make_grid(0, 2, 32), 1.0)
+        ((L, B_T),) = map_reducers(setup, [_L_and_B_T], 43, self.N)
+        return setup, L, B_T
+
+    def test_draw_grid_ends_one_step_after_T(self):
+        setup = drift_setup(self.M, make_grid(0, 2, 32), 1.0)
+        assert setup.draw_grid == make_grid(0, 2, 32).prefix(17)
+        assert setup.tail ** 2 == pytest.approx(
+            np.sum(setup.m_nodes[16:-1] ** 2), rel=1e-15)
+
+    def test_variance_of_L_is_the_grid_sum(self):
+        setup, L, _ = self.samples()
+        dt = setup.grid.dt
+        target = float(np.sum(setup.m_nodes[:-1] ** 2) * dt)
+        sq = L * L
+        assert abs(sq.mean() - target) <= 3 * sq.std(ddof=1) / math.sqrt(self.N)
+
+    def test_covariance_of_L_and_B_T_is_the_grid_sum(self):
+        setup, L, B_T = self.samples()
+        dt, i_last = setup.grid.dt, setup.i_last
+        target = float(np.sum(setup.m_nodes[:i_last]) * dt)
+        prod = L * B_T
+        assert abs(prod.mean() - target) <= (
+            3 * prod.std(ddof=1) / math.sqrt(self.N))
+        # the covariance alone does not see the carrier; the correlation does
+        rho = target / math.sqrt(np.sum(setup.m_nodes[:-1] ** 2) * dt
+                                 * i_last * dt)
+        corr = np.corrcoef(L, B_T)[0, 1]
+        assert abs(corr - rho) <= 3 * (1 - rho * rho) / math.sqrt(self.N)
+
+
+def test_a_block_of_another_width_is_rejected():
+    # a full-width block would have its column i_last read as the carrier
+    setup = drift_setup(Sin(1.0, 0.5, 3.0), make_grid(0, 2, 32), 1.0)
+    full = increment_chunk(setup.grid, 3, 0, 4)
+    with pytest.raises(ValueError, match="32 increments.*17"):
+        chunk_context(setup, full)
+    chunk_context(setup, increment_chunk(setup.draw_grid, 3, 0, 4))
+
+
+@pytest.mark.parametrize("m, unit", [(ONE, True), (Affine(1.0, 0.0), True),
+                                     (Sin(1.0, 0.5, 3.0), False)],
+                         ids=["one", "flat-affine", "sin"])
+def test_the_context_reuses_B_exactly_when_m_is_one(m, unit):
+    setup = drift_setup(m, make_grid(0, 2, 64), 1.0)
+    assert setup.unit_weight == unit
+    dB = increment_chunk(setup.draw_grid, 5, 0, 9)
+    ctx = chunk_context(setup, dB)
+    # the general path: the running sum of m dB formed from the increments
+    alpha, L = drift_matrix(dB, setup)
+    assert ctx.alpha.tobytes() == alpha.tobytes()
+    assert ctx.L.tobytes() == L.tobytes()

@@ -12,7 +12,6 @@ from insiderlab.enlargement import (
     chunk_context,
     drift_matrix,
     drift_setup,
-    tail_square_integral,
 )
 from insiderlab.experiments import _forward_chunk
 from insiderlab.forward_integral import (
@@ -29,6 +28,7 @@ from insiderlab.paths import (
     make_grid,
     sample_brownian,
 )
+from oracles import fold_tail
 
 
 def const_integrand(grid, c=1.0):
@@ -181,20 +181,24 @@ def test_grid_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def _sin_chunk(rows=7, n_steps=128, seed=12):
-    """A chunk of increments at t0 = 0.5 under a Sin weight, its grid and
-    the weight's node values and tail integrals."""
+    """A chunk of full-grid increments at t0 = 0.5 under a Sin weight, and
+    the drift's node data."""
     params = ModelParams.benchmark(t0=0.5, m=Sin(1.0, 0.5, 3.0))
-    grid = params.grid(n_steps)
-    m_nodes = params.m.nodes(grid.times)
-    q = tail_square_integral(m_nodes, grid.dt)
-    return params, grid, m_nodes, q, increment_chunk(grid, seed, 0, rows)
+    setup = drift_setup(params.m, params.grid(n_steps), params.T)
+    return params, setup, increment_chunk(setup.grid, seed, 0, rows)
 
 
-def _forward_chunk_rows(grid, T, m_nodes, q, ladder, dB):
+def _full_path_drift(setup, dB):
+    """alpha of every row's path, with L summed over all of [0, T1]."""
+    return drift_matrix(dB, setup, (setup.m_nodes[:-1] * dB).sum(axis=1))[0]
+
+
+def _forward_chunk_rows(setup, T, ladder, dB):
     """The per-row loop that ``_forward_chunk`` replaced, kept as its oracle."""
+    grid = setup.grid
     dt = grid.dt
     i_last = grid.index_of(T)
-    alpha, _ = drift_matrix(dB, m_nodes, q, i_last)
+    alpha = _full_path_drift(setup, dB)
     devs = np.empty((dB.shape[0], len(ladder)))
     exact = {"one": True, "brownian": True, "drift": True}
     for i in range(dB.shape[0]):
@@ -216,12 +220,13 @@ def _forward_chunk_rows(grid, T, m_nodes, q, ladder, dB):
 
 
 def test_batched_estimates_equal_per_row_calls_bit_for_bit():
-    params, grid, m_nodes, q, dB = _sin_chunk()
+    params, setup, dB = _sin_chunk()
+    grid = setup.grid
     full = np.zeros((dB.shape[0], grid.n_nodes))
     np.cumsum(dB, axis=1, out=full[:, 1:])
     B = BrownianPath(grid, full).restrict(params.T)
     n = B.grid.n_steps
-    alpha, _ = drift_matrix(dB, m_nodes, q, n)
+    alpha = _full_path_drift(setup, dB)
     integrands = {
         "one": Integrand(B.grid, np.ones(n + 1)),  # broadcast against B
         "brownian": Integrand(B.grid, B.values),
@@ -257,11 +262,11 @@ def test_batched_shapes_are_validated():
 
 @pytest.mark.parametrize("ladder", [[8, 4, 2, 1], [63, 2, 1]])
 def test_forward_chunk_matches_the_per_row_loop(ladder):
-    params, grid, m_nodes, q, dB = _sin_chunk(rows=9)
-    ctx = chunk_context(drift_setup(params.m, grid, params.T), dB)
-    devs, exact = _forward_chunk(grid, params.T, ladder, dB, ctx)
-    want_devs, want_exact = _forward_chunk_rows(grid, params.T, m_nodes, q,
-                                                ladder, dB)
+    params, setup, dB = _sin_chunk(rows=9)
+    block = fold_tail(setup, dB)
+    devs, exact = _forward_chunk(setup.grid, params.T, ladder, block,
+                                 chunk_context(setup, block))
+    want_devs, want_exact = _forward_chunk_rows(setup, params.T, ladder, dB)
     assert devs.shape == (len(ladder), dB.shape[0])
     assert np.array_equal(devs, want_devs.T)
     assert exact.shape == (3, dB.shape[0]) and exact.dtype == bool

@@ -45,7 +45,7 @@ from insiderlab.paths import (
     map_chunks,
     sample_brownian,
 )
-from oracles import nu_path, perturbed_policy
+from oracles import fold_tail, nu_path, perturbed_policy
 
 EX1_TARGET = -math.log(2.0) / 4.0
 ONE = constant_weight(1.0)
@@ -187,7 +187,7 @@ def direct_costs(setup, dB, policy, spec, y, params):
 def test_cost_chunk_is_the_trapezoid_cost_of_the_terminal_wealth(r):
     params = ModelParams.benchmark(r=r, t0=0.25, a=2.0, b=1.5, x0=0.5)
     setup = make_wealth_setup(params, 512)
-    dB = increment_chunk(setup.grid, 7, 0, 64)
+    dB = increment_chunk(setup.draw_grid, 7, 0, 64)
     ctx = chunk_context(setup, dB)
     pol = example1_policy(params)
     vals, bad = cost_chunk(setup, dB, ctx, pol)
@@ -229,7 +229,7 @@ class TestSweepCoefficients:
         setup = make_wealth_setup(params, 512)
         spec = PerturbationSpec(window, theta0=theta0)
         ilo_ihi = window_indices(setup.grid, window, params.t0, params.T)
-        dB = increment_chunk(setup.grid, 61, 0, 256)
+        dB = increment_chunk(setup.draw_grid, 61, 0, 256)
         pol = example1_policy(params)
         if blind:
             pol = uninformed(pol)
@@ -277,7 +277,7 @@ class TestSweepCoefficients:
                 assert np.array_equal(bad, want_bad)
             return int(bad.sum())
 
-        n_bad = sum(map_chunks(bad_rows, setup.grid, 11, 20_000))
+        n_bad = sum(map_chunks(bad_rows, setup.draw_grid, 11, 20_000))
         assert 0 < n_bad <= 20
         est = directional_derivative(pol, params, spec, 0.0, 20_000, seed=11,
                                      n_steps=512)
@@ -404,7 +404,7 @@ class TestNuPath:
     def make_chunk(self, params, seed, n_steps=512):
         setup = make_wealth_setup(params, n_steps)
         B = sample_brownian(setup.grid, seed)
-        dB = np.diff(B.values)[None, :]
+        dB = fold_tail(setup, np.diff(B.values)[None, :])
         ctx, u, _, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
                                           example2_policy(params))
         return setup, B, dB, ctx, u
