@@ -16,11 +16,13 @@ The drift is only ever evaluated up to a decision horizon T strictly before
 T1; at T1 the conditioning denominator vanishes.
 
 Batch estimators see the drift through ``chunk_context``: ``map_reducers``
-draws each chunk of increments once, cuts it into row blocks of at most
-``paths.BLOCK`` rows, builds each block's B, alpha and L once and applies
-every reducer of an op to that one context.  Every reducer is row-wise and
-returns arrays whose last axis is the block's rows, so ``map_reducers``
-joins them into whole-batch arrays in path order.
+draws each chunk of increments once, cuts it into row blocks of about
+``paths.BLOCK_BYTES`` bytes each, builds each block's B, alpha and L once
+and applies every reducer of an op to that one context.  In process two
+threads each draw and reduce one chunk, so the reducers run off the calling
+thread, two at a time.  Every reducer is row-wise and returns arrays whose
+last axis is the block's rows, so ``map_reducers`` joins them into
+whole-batch arrays in path order.
 
 Every control, wealth path and check lives on [0, T], so the path after T
 enters only through the scalar int_T^{T1} m dB.  Given the path on [0, T]
@@ -43,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .paths import (
-    BLOCK,
+    BLOCK_BYTES,
     BrownianPath,
     TimeGrid,
     WeightFunction,
@@ -208,8 +210,9 @@ def chunk_context(setup: DriftSetup, dB: np.ndarray) -> ChunkContext:
 
 def _reduce_chunk(setup, reducers, dB):
     outputs = []
-    for start in range(0, len(dB), BLOCK):
-        block = dB[start : start + BLOCK]
+    rows = max(1, BLOCK_BYTES // (8 * dB.shape[1]))
+    for start in range(0, len(dB), rows):
+        block = dB[start : start + rows]
         ctx = chunk_context(setup, block)
         # each reducer's block-sized arrays die with its frame, before the next
         outputs.append([reduce(block, ctx) for reduce in reducers])
@@ -227,11 +230,15 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
     """Apply every reducer ``(dB, ctx) -> arrays`` to each block of one draw.
 
     ``map_chunks`` draws each chunk once, on ``setup.draw_grid``, so a
-    block has shape (rows, i_last + 1); each row block of at most
-    ``BLOCK`` rows of it gets one ``chunk_context``, and every reducer sees
+    chunk has shape (rows, i_last + 1).  It is cut into row blocks of
+    ``max(1, BLOCK_BYTES // (8 * (i_last + 1)))`` rows, the last one
+    ragged; each block gets one ``chunk_context``, and every reducer sees
     the block and that context.  A reducer returns a tuple of arrays whose
     last axis is the block's rows, and must be row-wise (row k depends on
     row k of the block alone), so the block size changes no result.
+    In process the reducers run on ``map_chunks``' two threads, two chunks
+    at a time: each must be thread-safe and set its own ``np.errstate``,
+    as the shipped ones do, because the caller's does not reach them.
     Returns, per reducer, its arrays joined over all ``n_paths`` rows in
     path order, with or without a process ``pool`` (the reducers must then
     pickle); an output of the wrong shape raises ``ValueError``.

@@ -54,6 +54,7 @@ from .optimality import (
     DivergenceError,
     PerturbationSpec,
     cost_mc_many,
+    default_test_functions,
     martingale_diagnostic,
     perturbation_sweep,
     quarter_windows,
@@ -260,8 +261,7 @@ def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
             window_indices(grid, window, params.t0, params.T)
         except ValueError as e:
             raise InvalidConfigError(f"'window': {e}") from e
-        if not _is_number(cfg["theta0"]):
-            raise InvalidConfigError("'theta0' must be a number")
+        _theta0_from_config(cfg["theta0"])
         y_grid = cfg["y_grid"]
         if not (isinstance(y_grid, list) and all(map(_is_number, y_grid))):
             raise InvalidConfigError("'y_grid' must be a list of numbers")
@@ -337,6 +337,18 @@ def params_from_config(cfg: dict) -> ModelParams:
         raise
     except (TypeError, ValueError) as e:
         raise InvalidConfigError(f"params: {e}") from e
+
+
+def _theta0_from_config(spec):
+    """A constant direction, or the name of a clipped martingale test
+    function phi(B_t, L), read at the window start."""
+    if _is_number(spec):
+        return float(spec)
+    rules = {name: fn for name, fn in default_test_functions() if name != "one"}
+    if isinstance(spec, str) and spec in rules:
+        return rules[spec]
+    raise InvalidConfigError(
+        f"'theta0' must be a number or one of {', '.join(rules)}")
 
 
 def _policy_from_config(spec, params: ModelParams) -> ControlPolicy:
@@ -416,11 +428,13 @@ def _forward_chunk(grid, T, ladder, dB, ctx):
     B = BrownianPath(grid.prefix(i_last), values)
     target = 0.5 * (values[:, -1] ** 2 - T)
     vB = Integrand(B.grid, values)
-    devs = np.array(
-        [np.abs(forward_estimate(vB, B, eps=k * dt) - target) for k in ladder]
-    )
-    integrands = [Integrand(B.grid, v) for v in (np.ones(i_last + 1), values, ctx.alpha)]
-    exact = [forward_estimate(v, B, eps=dt) == ito_left_sum(v, B) for v in integrands]
+    # one estimate per distinct multiple; k = 1 also serves the exact check
+    est = {k: forward_estimate(vB, B, eps=k * dt) for k in {*ladder, 1}}
+    devs = np.array([np.abs(est[k] - target) for k in ladder])
+    integrands = (Integrand(B.grid, np.ones(i_last + 1)), vB,
+                  Integrand(B.grid, ctx.alpha))
+    exact = [(est[1] if v is vB else forward_estimate(v, B, eps=dt))
+             == ito_left_sum(v, B) for v in integrands]
     return devs, np.array(exact)
 
 
@@ -567,7 +581,8 @@ def _run_example(cfg, pool, example: int):
 def _run_perturbation(cfg, pool):
     params = params_from_config(cfg)
     y_grid = [float(y) for y in cfg["y_grid"]]
-    spec = PerturbationSpec(tuple(cfg["window"]), theta0=float(cfg["theta0"]),
+    spec = PerturbationSpec(tuple(cfg["window"]),
+                            theta0=_theta0_from_config(cfg["theta0"]),
                             y_grid=tuple(y_grid))
     sweep = perturbation_sweep(
         _policy_from_config(cfg["policy"], params), params, spec,
@@ -681,6 +696,8 @@ _KINDS = {
             "policy": "example1",
             "expected_argmin": 0.0,
         },
+        note="theta0: a number, or clip_L, clip_B or clip_LB of (B_t, L) at "
+        "the window start; of these only clip_L tells u* from u = 0",
     ),
     "martingale": _Kind(
         _run_martingale,

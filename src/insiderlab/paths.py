@@ -9,14 +9,15 @@ functions of ``(grid, seed)``: the same inputs always reproduce the same
 trajectory bit for bit, which is what makes common-random-number comparisons
 and byte-identical experiment reruns possible.  ``map_chunks`` is the one
 engine every Monte Carlo estimator runs on, in process or through a pool.
-In process it draws one chunk ahead on a helper thread while the calling
-thread reduces the current one; the draw releases the interpreter lock, so
-the two overlap.
+In process two threads each draw and reduce one chunk, so two chunks are in
+flight at a time; the draw and most of numpy's array work release the
+interpreter lock, so the two overlap.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -25,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 __all__ = [
-    "BLOCK",
+    "BLOCK_BYTES",
     "CHUNK",
     "TimeGrid",
     "BrownianPath",
@@ -50,11 +51,13 @@ __all__ = [
 # how many workers processed the batch.
 CHUNK = 1024
 
-# Rows of a drawn chunk that its reducers see at a time
-# (``enlargement.map_reducers``).  Block-sized temporaries reuse heap pages,
+# Bytes of one float64 row block of a drawn chunk, the unit its reducers
+# see at a time (``enlargement.map_reducers``): 63 rows at 4096 steps, 127
+# at 2048.  A block's arrays then fit in a 2 MiB L2 cache, and they stay the
+# same size at every n_steps.  Block-sized temporaries reuse heap pages,
 # where chunk-sized ones (32 MiB at 4096 steps) are mapped and faulted in
 # anew by malloc.  Draws and streams stay per CHUNK.
-BLOCK = 256
+BLOCK_BYTES = 1 << 20
 
 # Relative slack when matching a time to a grid node.
 _NODE_RTOL = 1e-9
@@ -281,9 +284,9 @@ def increment_chunk(
 
 def _reduce_increments(
     reduce_chunk: Callable[[np.ndarray], Any], grid: TimeGrid, seed: int,
-    chunk_index: int, rows: int,
+    chunk_index: int, rows: int, out: np.ndarray | None = None,
 ):
-    return reduce_chunk(increment_chunk(grid, seed, chunk_index, rows))
+    return reduce_chunk(increment_chunk(grid, seed, chunk_index, rows, out))
 
 
 def map_chunks(
@@ -297,34 +300,34 @@ def map_chunks(
 
     ``dB`` has shape (rows, grid.n_steps) with iid Normal(0, dt) entries; row
     k of chunk c is path ``c*CHUNK + k`` of the batch.  The Monte Carlo
-    estimators pass their draw grid, so there dB is (rows, i_last + 1).  With a ``pool`` and more
-    than one chunk, the chunks are drawn and reduced in its workers, so
-    ``reduce_chunk`` must pickle.  Otherwise the calling thread reduces chunk
-    c while one helper thread draws chunk c + 1 (a lookahead of one chunk,
-    so at most two chunks are alive); the helper has stopped when this
-    returns or raises.  The results come back in chunk order either way, and
-    neither the pool nor the lookahead changes a value.  A reducer should
-    return fresh arrays, not views into its chunk, which would keep the
-    whole chunk alive until the batch is combined.
+    estimators pass their draw grid, so there dB is (rows, i_last + 1).  With
+    a ``pool`` and more than one chunk, the chunks are drawn and reduced in
+    its workers, so ``reduce_chunk`` must pickle.  Otherwise two threads each
+    draw and reduce one chunk, and chunk c + 2 is started only once the
+    result of chunk c is in, so at most two chunks are in flight.  A failing
+    reducer raises here; no chunk after the one in flight beside it is
+    started, and both threads have stopped when this returns or raises.
+
+    The reducer runs off the calling thread, two calls at a time: it must be
+    thread-safe, and it must set its own ``np.errstate``, since the caller's
+    does not reach the threads.  The results come back in chunk order
+    either way, and neither the pool nor the threads change a value.  A
+    reducer should return fresh arrays, not views into its chunk, which
+    would keep the whole chunk alive until the batch is combined.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     plan = [(c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))]
+    task = partial(_reduce_increments, reduce_chunk, grid, seed)
     if pool is not None and len(plan) > 1:
-        task = partial(_reduce_increments, reduce_chunk, grid, seed)
         return list(pool.map(task, *zip(*plan)))
-    with ThreadPoolExecutor(1) as helper:
-
-        def draw_ahead(c, rows):
-            # the buffer is allocated on this thread: one allocated on the
-            # helper would land in a second malloc arena and raise the RSS
-            return helper.submit(increment_chunk, grid, seed, c, rows,
-                                 np.empty((rows, grid.n_steps)))
-
-        results = []
-        ahead = draw_ahead(*plan[0])
-        for following in plan[1:] + [None]:
-            dB = ahead.result()
-            ahead = draw_ahead(*following) if following else None
-            results.append(reduce_chunk(dB))
-        return results
+    with ThreadPoolExecutor(2) as threads:
+        results, in_flight = [], deque()
+        for c, rows in plan:
+            if len(in_flight) == 2:
+                results.append(in_flight.popleft().result())
+            # the buffer is allocated on this thread: one allocated on a pool
+            # thread would land in another malloc arena and raise the RSS
+            in_flight.append(threads.submit(task, c, rows,
+                                            np.empty((rows, grid.n_steps))))
+        return results + [future.result() for future in in_flight]

@@ -12,7 +12,7 @@ import insiderlab
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
     """Fail a test that leaves more threads alive than it started with, such
-    as a chunk engine's drawing thread that was never joined."""
+    as one of the chunk engine's threads that was never joined."""
     before = set(threading.enumerate())
     yield
     left = [t for t in threading.enumerate() if t not in before]

@@ -40,6 +40,7 @@ from insiderlab.optimality import (
     PerturbationSpec,
     cost_mc,
     cost_mc_many,
+    default_test_functions,
     directional_derivative,
     discounted_diffusion,
     martingale_diagnostic,
@@ -217,6 +218,32 @@ def test_criterion_07_optimality_sweep():
         sweep["argmin_y"] == 0.0 and edges_ok and deriv_ok,
         f"argmin={sweep['argmin_y']:g}; " + "; ".join(gaps)
         + f"; F'(0)={deriv.mean:.2e} <= 3SE={3 * deriv.std_error:.2e}",
+    )
+
+
+def test_criterion_07_informed_direction():
+    # theta0 = 1 above is F-measurable: its dB term has mean zero, so u = 0
+    # is flat in that direction too.  theta0 = clip(L) uses the
+    # information: u* stays flat, and u = 0, which ignores L, must fail
+    params = ModelParams.benchmark()
+    spec = PerturbationSpec((0.25, 0.5),
+                            theta0=dict(default_test_functions())["clip_L"])
+    sweeps = {
+        name: perturbation_sweep(policy, params, spec, 10_000, seed=1027,
+                                 n_steps=2048)
+        for name, policy in (("u*", example1_policy(params)),
+                             ("u=0", constant_policy(0.0)))
+    }
+    z = {name: s["derivative_at_zero"].mean / s["derivative_at_zero"].std_error
+         for name, s in sweeps.items()}
+    optimal_ok = sweeps["u*"]["argmin_y"] == 0.0 and abs(z["u*"]) <= 3
+    control_ok = sweeps["u=0"]["argmin_y"] != 0.0 and abs(z["u=0"]) > 3
+    report(
+        "07 informed direction",
+        optimal_ok and control_ok,
+        "theta0 = clip_L: " + "; ".join(
+            f"{name} argmin={sweeps[name]['argmin_y']:g}, F'(0) z={z[name]:.1f}"
+            for name in sweeps) + " (u=0 needs |z| > 3 and argmin != 0)",
     )
 
 

@@ -546,7 +546,7 @@ _EDGES = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 1e300,
                                           min_size=1, max_size=2)),
     y_grid=st.lists(st.sampled_from([0.0, 0.5, -0.25, *_HUGE]), min_size=1,
                     max_size=4),
-    theta0=st.sampled_from([1.0, -0.7, 1e300, *_HUGE]),
+    theta0=st.sampled_from([1.0, -0.7, 1e300, *_HUGE, "clip_L", "clip_LB"]),
     threshold=st.sampled_from([3.0, 0.5, 1e300, math.inf]),
     policy=_POLICIES,
 )
@@ -583,6 +583,30 @@ def test_perturbation_and_martingale_configs_are_rejected_or_run(
         code = main(["run", str(path), "--workers", "1"])
         assert code in (0, 1, 3)
         assert (Path(d) / f"{kind}.csv").exists() == (code != 3)
+
+
+@pytest.mark.parametrize("policy, code", [("example1", 0), ("zero", 1)])
+def test_an_informed_direction_tells_the_optimum_from_no_control(
+        tmp_path, capsys, policy, code):
+    # theta0 = 1, the default, cannot: u = 0 passes all three checks there
+    raw = {"experiment": "perturbation", "policy": policy, "theta0": "clip_L",
+           "n_paths": 4096, "n_steps": 256, "seed": 5,
+           "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "p.json", raw),
+                 "--workers", "1"]) == code
+    summary = json.loads((tmp_path / "out" / "perturbation.json").read_text())
+    assert summary["config"]["theta0"] == "clip_L"
+    # u = 0 fails all three: argmin, edges and a flat derivative
+    assert [c["passed"] for c in summary["checks"]] == [code == 0] * 3
+
+
+@pytest.mark.parametrize("theta0", ["clip_X", "one", ["clip_L"]])
+def test_an_unknown_direction_is_invalid_config(tmp_path, capsys, theta0):
+    raw = {"experiment": "perturbation", "theta0": theta0, "n_paths": 64,
+           "n_steps": 64, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "t.json", raw)]) == 2
+    assert "'theta0' must be a number or one of clip_L, clip_B, clip_LB" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("windows", [[], {}], ids=["list", "object"])

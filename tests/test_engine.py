@@ -7,7 +7,9 @@ same numbers bit for bit, and a process pool changes no value.
 
 import math
 import pickle
+import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -15,7 +17,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from insiderlab import experiments, paths
+from insiderlab import enlargement, experiments, paths
 from insiderlab.controlled_sde import (
     constant_policy,
     formula_policy,
@@ -51,7 +53,6 @@ from insiderlab.optimality import (
     window_indices,
 )
 from insiderlab.paths import (
-    BLOCK,
     CHUNK,
     Affine,
     Constant,
@@ -139,19 +140,98 @@ def test_drawing_ahead_equals_drawing_in_turn_bit_for_bit(n_paths):
     assert _same_bits(ahead, in_turn)
 
 
+def _chunk_index(g, seed, n):
+    """Which of the first ``n`` chunks a drawn chunk is, by its first value."""
+    firsts = {increment_chunk(g, seed, c, 1)[0, 0]: c for c in range(n)}
+    return lambda dB: firsts[dB[0, 0]]
+
+
+def test_results_come_back_in_chunk_order_when_chunk_0_finishes_last():
+    g = make_grid(0, 1, 64)
+    which = _chunk_index(g, 5, 3)
+    chunk_1_done = threading.Event()
+    finished = []
+
+    def reduce(dB):
+        c = which(dB)
+        if c == 0:
+            assert chunk_1_done.wait(timeout=10)
+        finished.append(c)
+        if c == 1:
+            chunk_1_done.set()
+        return c
+
+    assert map_chunks(reduce, g, 5, 2 * CHUNK + 5) == [0, 1, 2]
+    assert finished == [1, 0, 2]
+
+
+def test_two_reducers_run_at_once_and_never_more():
+    lock, both = threading.Lock(), threading.Event()
+    running, peak = [0], [0]
+
+    def reduce(dB):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            if running[0] == 2:
+                both.set()
+        both.wait(timeout=10)
+        time.sleep(0.005)  # a third reducer would overlap these two
+        with lock:
+            running[0] -= 1
+        return len(dB)
+
+    assert map_chunks(reduce, make_grid(0, 1, 8), 5, 6 * CHUNK) == [CHUNK] * 6
+    assert peak == [2]
+
+
+def test_the_threads_change_no_value_under_a_short_switch_interval():
+    # both threads reduce with the shipped reducers while the interpreter
+    # switches between them as often as it can
+    params = ModelParams.benchmark(r=0.2, sigma_fn=Affine(1.0, 0.5))
+    setup = make_wealth_setup(params, 16)
+    reducers = [partial(cost_chunk, setup, policy=example1_policy(params)),
+                _decomposition_chunk]
+    n_paths, seed = 16 * CHUNK + 3, 9
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = map_reducers(setup, reducers, seed, n_paths)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = []
+    for c, rows in enumerate(_chunk_rows(n_paths)):
+        dB = increment_chunk(setup.draw_grid, seed, c, rows)
+        ctx = chunk_context(setup, dB)
+        serial.append([reduce(dB, ctx) for reduce in reducers])
+    assert _same_bits(threaded, [
+        tuple(np.concatenate(a, axis=-1) for a in zip(*outputs))
+        for outputs in zip(*serial)])
+
+
 def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
+    # chunk 1 fails once chunk 2 has started beside it; chunk 3 must never
+    # start, though a thread is free for it once chunk 2 is done
+    g = make_grid(0, 1, 64)
+    which = _chunk_index(g, 5, 4)
+    lock, chunk_2_started = threading.Lock(), threading.Event()
     seen = []
 
     def reduce(dB):
-        seen.append(len(seen))
-        if len(seen) == 2:
+        c = which(dB)
+        with lock:
+            seen.append(c)
+        if c == 2:
+            chunk_2_started.set()
+        if c == 1:
+            chunk_2_started.wait(timeout=10)
             raise RuntimeError("reducer failed on chunk 1")
         return len(dB)
 
     threads = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="chunk 1"):
-        map_chunks(reduce, make_grid(0, 1, 64), 5, 4000)
-    assert seen == [0, 1]
+        map_chunks(reduce, g, 5, 4 * CHUNK)
+    assert sorted(seen) == [0, 1, 2]
     assert set(threading.enumerate()) == threads
 
 
@@ -190,15 +270,20 @@ def _row_block_cases(setup, params):
 @pytest.mark.parametrize("name", ["wealth_paths_chunk", "cost_chunk",
                                   "sweep_coefficients", "martingale_chunk",
                                   "decomposition_chunk", "forward_chunk"])
-def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths):
+def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
+                                                        monkeypatch):
+    # at 64 steps a whole chunk fits the byte budget: shrink it to 300 rows
+    # of the 33-column draw grid, so each chunk is cut into several blocks
+    monkeypatch.setattr(enlargement, "BLOCK_BYTES", 300 * 8 * 33 + 7)
     # r = 0 too: the wealth kernel's product takes the same path at every r
     for r in (0.0, 0.2):
         params = ModelParams.benchmark(r=r, t0=0.25, sigma_fn=Affine(1.0, 0.5),
                                        m=Sin(1.0, 0.5, 2.0))
         setup = make_wealth_setup(params, 64)
+        assert setup.draw_grid.n_steps == 33
         reduce = _row_block_cases(setup, params)[name]
         seed = 17
-        block_rows = []
+        block_rows = []  # list.append is atomic: two chunks reduce at once
 
         def counting(dB, ctx):
             block_rows.append(len(dB))
@@ -206,8 +291,8 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths):
 
         (joined,) = map_reducers(setup, [counting], seed, n_paths)
         rows = _chunk_rows(n_paths)
-        assert block_rows == [min(BLOCK, n - start) for n in rows
-                              for start in range(0, n, BLOCK)]
+        assert sorted(block_rows) == sorted(
+            [min(300, n - start) for n in rows for start in range(0, n, 300)])
         whole = []
         for c, n in enumerate(rows):
             dB = increment_chunk(setup.draw_grid, seed, c, n)
@@ -311,7 +396,7 @@ def test_every_kind_draws_each_chunk_once(tmp_path, monkeypatch, kind):
         raw["n_probes"] = 10  # it samples its few fields whole, unchunked
     experiments.run_experiment(experiments.resolve_config(raw), tmp_path)
     want = [] if kind == "hjb-residual" else list(range(n_chunks(10_000)))
-    assert calls == want
+    assert sorted(calls) == want  # two threads draw, in either order
 
 
 def test_multi_policy_cost_equals_separate_calls_bit_for_bit():
