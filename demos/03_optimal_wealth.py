@@ -42,7 +42,7 @@ def example_one() -> None:
 def example_two() -> None:
     # dX = u dt + u dB: the asset also carries excess drift, so even an
     # uninformed agent trades; information adds the alpha tilt.  The agent
-    # without the signal plays uninformed(u*): the same rule with alpha = 0
+    # without the signal plays uninformed(u*): the same policy with gain 0
     params = example2_params()
     est = cost_mc(example2_policy(params), params, N_PATHS, seed=5,
                   n_steps=N_STEPS)
@@ -55,7 +55,7 @@ def example_two() -> None:
 
     blind = cost_mc(uninformed(example2_policy(params)), params, N_PATHS,
                     seed=7, n_steps=N_STEPS)
-    print(f"  without the signal the same rule freezes at u = b/2a = 0.5:")
+    print(f"  without the signal the same policy freezes at u = b/2a = 0.5:")
     print(f"  uninformed cost {blind.mean:+.5f} +- {blind.std_error:.5f}"
           f"   (analytic -0.25)")
     print(f"  information premium ~ {blind.mean - est.mean:+.5f}"

@@ -10,7 +10,6 @@ martingale diagnostics.
 from .controlled_sde import (
     ControlPolicy,
     constant_policy,
-    formula_policy,
     make_wealth_setup,
     uninformed,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "example2_params",
     "example2_policy",
     "example2_value",
-    "formula_policy",
     "forward_estimate",
     "hjb_pointwise_infimum",
     "ito_left_sum",

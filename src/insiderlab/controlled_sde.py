@@ -1,32 +1,30 @@
 """Control policies and the batch wealth kernel.
 
-A policy is vectorised over the rows of a chunk: ``rule(ctx)`` returns the
-whole (rows, nodes) control matrix of a block at once, from the node times,
-the drift alpha, L and the Brownian history in its ``ChunkContext``.  Every
-policy is state-free: the optimal controls of both of the paper's examples
-depend on t and alpha only, never on the wealth.  The wealth kernel
+A policy is affine in the information drift with deterministic
+coefficients: u_i = gain(t_i) alpha_i + offset(t_i) on the nodes
+i0..i_last.  The optimal controls of both of the paper's examples have
+this form, and so does every policy the lab ships or certifies.  It is
+G-adapted by construction, since alpha_i depends on the path up to node i
+and on L alone, and it is state-free, so the wealth kernel
 ``wealth_paths_chunk`` for dX = [r X + (rtilde - r) u] dt + sigma(t) u dB
-therefore needs no per-node policy call; it returns X_T, the one node the
-cost reads, as one matrix-vector product of the gains with powers of
-1 + r dt at every r.  The agent without the extra information is a policy
-too: ``uninformed(policy)`` plays ``policy`` with alpha = 0 and L = 0.
+needs no per-node policy call; it returns X_T, the one node the cost
+reads, as one matrix-vector product of the gains with powers of 1 + r dt
+at every r.  The agent without the extra information is a policy too:
+``uninformed(policy)`` keeps the offset and drops the gain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .enlargement import ChunkContext, DriftSetup, drift_setup
-from .paths import TimeGrid, as_weight
+from .paths import TimeGrid, WeightFunction, as_weight
 
 __all__ = [
     "ControlPolicy",
     "ChunkContext",
-    "formula_policy",
     "constant_policy",
     "uninformed",
     "WealthSetup",
@@ -37,56 +35,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControlPolicy:
-    """A named control rule: ``rule(ctx)`` returns the (rows, nodes) control
-    matrix of a chunk's rows on the nodes i0..i_last."""
+    """The control u_i = gain(t_i) alpha_i + offset(t_i) on nodes i0..i_last.
+
+    ``gain`` and ``offset`` are coerced with ``paths.as_weight``: a float, a
+    callable of t or a WeightFunction.  The policy pickles, and so runs in
+    a process pool, whenever both coefficients do.
+    """
 
     name: str
-    rule: Callable[[ChunkContext], np.ndarray]
+    gain: WeightFunction
+    offset: WeightFunction = 0.0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gain", as_weight(self.gain))
+        object.__setattr__(self, "offset", as_weight(self.offset))
 
-def _formula_matrix(fn, ctx: ChunkContext) -> np.ndarray:
-    t = ctx.times[ctx.i0 : ctx.i_last + 1][None, :]
-    alpha = ctx.alpha[:, ctx.i0 : ctx.i_last + 1]
-    out = fn(t, alpha, ctx.L[:, None])
-    return np.broadcast_to(out, alpha.shape).astype(float, copy=False)
-
-
-def formula_policy(
-    name: str, fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-) -> ControlPolicy:
-    """Policy u = fn(t, alpha, L).
-
-    ``fn`` must broadcast: t is a row of node times, alpha a (rows, nodes)
-    block and L a (rows, 1) column.  The policy pickles, and so runs in a
-    process pool, whenever ``fn`` does.
-    """
-    return ControlPolicy(name, partial(_formula_matrix, fn))
-
-
-def _constant_formula(c: float, t, alpha, L):
-    return c + 0.0 * alpha
+    def control(self, ctx: ChunkContext) -> np.ndarray:
+        """The (rows, i_last - i0 + 1) control matrix of a block."""
+        t = ctx.times[ctx.i0 : ctx.i_last + 1]
+        u = ctx.alpha[:, ctx.i0 : ctx.i_last + 1] * self.gain.nodes(t)
+        u += self.offset.nodes(t)
+        return u
 
 
 def constant_policy(c: float) -> ControlPolicy:
     c = float(c)
-    return formula_policy(f"const({c:g})", partial(_constant_formula, c))
-
-
-def _uninformed_rule(rule, ctx: ChunkContext) -> np.ndarray:
-    zero = np.float64(0.0)  # read-only views of one zero: no chunk-sized memory
-    blind = replace(ctx, alpha=np.broadcast_to(zero, ctx.alpha.shape),
-                    L=np.broadcast_to(zero, ctx.L.shape))
-    return rule(blind)
+    return ControlPolicy(f"const({c:g})", 0.0, c)
 
 
 def uninformed(policy: ControlPolicy) -> ControlPolicy:
-    """``policy`` played by the agent without the extra information: its
-    rule sees every chunk with alpha = 0 and L = 0, and the same B, times
-    and increments.  Whatever else reads the chunk (a perturbation
-    direction, the martingale test functions) still sees L.  The result
-    pickles whenever ``policy`` does."""
-    return ControlPolicy(f"uninformed({policy.name})",
-                         partial(_uninformed_rule, policy.rule))
+    """``policy`` played by the agent without the extra information: the
+    same offset with gain 0, which is the policy at alpha = 0.  Whatever
+    else reads the chunk (a perturbation direction, the martingale test
+    functions) still sees L."""
+    return ControlPolicy(f"uninformed({policy.name})", 0.0, policy.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +125,7 @@ def wealth_paths_chunk(
     dB : (rows, i_last + 1) increments on the drift's ``draw_grid``; the
         kernel reads those on [t0, T).
     ctx : the chunk's ``chunk_context``, read and never written.
-    policy : its control matrix drives the gains.
+    policy : ``policy.control(ctx)``, the control matrix, drives the gains.
 
     Returns
     -------
@@ -154,9 +136,9 @@ def wealth_paths_chunk(
     each row in an order that, unlike a BLAS product's, ignores the others.
     """
     i0, iL = setup.i0, setup.i_last
-    u = policy.rule(ctx)
+    u = policy.control(ctx)
     if u.shape != (len(dB), iL - i0 + 1):
-        raise ValueError(f"policy rule returned shape {u.shape}, "
+        raise ValueError(f"policy control returned shape {u.shape}, "
                          f"need {(len(dB), iL - i0 + 1)}")
     gains = setup.sigma_nodes[i0:iL] * dB[:, i0:iL]
     gains += setup.excess * setup.grid.dt

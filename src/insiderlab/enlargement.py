@@ -127,11 +127,11 @@ def drift_matrix(
 
 @dataclass(frozen=True)
 class ChunkContext:
-    """Per-chunk arrays a vectorized policy or a reducer may read.
+    """Per-block arrays a policy or a reducer may read.
 
-    Policies must only use columns up to the node they are evaluated at
-    (plus L); that discipline is what G-adaptedness means here, and the
-    adaptedness tests enforce it for the shipped policies.
+    G-adaptedness means that a value at node i uses only the columns up to
+    i and L.  A ``controlled_sde.ControlPolicy`` reads alpha at its own node
+    and nothing else, so every policy is G-adapted by construction.
     """
 
     times: np.ndarray

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controlled_sde import ControlPolicy, formula_policy
+from .controlled_sde import ControlPolicy
 from .enlargement import InfoDriftField, drift_setup, drift_square_mean
 from .optimality import DivergenceError
 from .paths import TimeGrid, WeightFunction, as_weight, running_sum
@@ -167,13 +167,13 @@ def example1_control(alpha: float, sigma: float, t: float, params: ModelParams):
     return alpha * sigma * params.b * np.exp(-params.r * (t - params.T)) / (2 * params.a)
 
 
-def _example1_formula(params: ModelParams, t, alpha, L):
-    sig = params.sigma_fn.nodes(np.asarray(t, dtype=float))
-    return example1_control(alpha, sig, t, params)
+def _example1_gain(params: ModelParams, t):
+    return example1_control(1.0, params.sigma_fn.nodes(t), t, params)
 
 
 def example1_policy(params: ModelParams) -> ControlPolicy:
-    return formula_policy("example1-optimal", partial(_example1_formula, params))
+    """u* as a policy: gain ``example1_control`` at alpha = 1, offset 0."""
+    return ControlPolicy("example1-optimal", partial(_example1_gain, params))
 
 
 def _example1_weight(params: ModelParams, times: np.ndarray) -> np.ndarray:
@@ -268,12 +268,10 @@ def example2_control(alpha, params: ModelParams):
     return params.b * (alpha + 1.0) / (2.0 * params.a)
 
 
-def _example2_formula(params: ModelParams, t, alpha, L):
-    return example2_control(alpha, params)
-
-
 def example2_policy(params: ModelParams) -> ControlPolicy:
-    return formula_policy("example2-optimal", partial(_example2_formula, params))
+    """u* as a policy: gain and offset both ``example2_control`` at alpha = 0."""
+    c = example2_control(0.0, params)
+    return ControlPolicy("example2-optimal", c, c)
 
 
 def example2_params(a: float = 1.0, b: float = 1.0, T: float = 1.0,

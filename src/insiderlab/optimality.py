@@ -160,7 +160,7 @@ def cost_mc(policy: ControlPolicy, params, n_paths: int, seed: int,
     a u_s^2 over [t0, T] minus b X_T.
 
     No-information limits price ``controlled_sde.uninformed(policy)``, the
-    same rule with alpha = 0 and L = 0.  ``pool`` (an executor) spreads the
+    same policy with gain 0.  ``pool`` (an executor) spreads the
     chunks over its workers; the estimate does not change.
     """
     return cost_mc_many([policy], params, n_paths, seed, n_steps, pool)[0]
@@ -357,29 +357,41 @@ def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
             (t0 + s / 2, t0 + 3 * s / 4), (t0 + 3 * s / 4, T)]
 
 
+def window_rows(setup: WealthSetup, ilo: int,
+                ihi: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-r t} (rtilde - r) and e^{-r t} sigma on the nodes [ilo, ihi):
+    the node rows of N_u's ds and dB parts over one window."""
+    # overflow is detected in the products, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = np.exp(-setup.r * setup.grid.times[ilo:ihi])
+        return disc * setup.excess, disc * setup.sigma_nodes[ilo:ihi]
+
+
 def nu_increments(
-    setup: WealthSetup, ctx: ChunkContext, u: np.ndarray, dB: np.ndarray,
-    ilo: int, ihi: int,
+    setup: WealthSetup, u: np.ndarray, dB: np.ndarray, ilo: int, ihi: int,
+    rows: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """N_u(t_hi) - N_u(t_lo) per path, left-point sums throughout."""
-    t = setup.grid.times[ilo:ihi]
-    disc = np.exp(-setup.r * t)
-    u_w = u[:, ilo - ctx.i0 : ihi - ctx.i0]
-    ds_part = (2.0 * setup.a * u_w - disc * setup.excess).sum(axis=1) * setup.grid.dt
-    db_part = (disc * setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi]).sum(axis=1)
+    """N_u(t_hi) - N_u(t_lo) per path, left-point sums throughout; ``rows``
+    is the window's ``window_rows``."""
+    ds_row, db_row = rows
+    u_w = u[:, ilo - setup.i0 : ihi - setup.i0]
+    ds_part = (2.0 * setup.a * u_w - ds_row).sum(axis=1) * setup.grid.dt
+    db_part = (db_row * dB[:, ilo:ihi]).sum(axis=1)
     return ds_part - db_part
 
 
-def _martingale_chunk(setup, policy, bounds, test_fns, dB, ctx):
+def _martingale_chunk(setup, policy, windows, test_fns, dB, ctx):
     """(cells, rows) products phi * (N_u increment), window-major, and the
-    mask of rows whose state or any product is non-finite."""
+    mask of rows whose state or any product is non-finite.  ``windows``
+    holds (ilo, ihi, window_rows) per window."""
     with np.errstate(over="ignore", invalid="ignore"):
         ctx, u, _, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        prods = []
-        for ilo, ihi in bounds:
-            dn = nu_increments(setup, ctx, u, dB, ilo, ihi)
-            prods += [fn(ctx.B[:, ilo], ctx.L) * dn for _, fn in test_fns]
-        prods = np.stack(prods)
+        prods = np.empty((len(windows) * len(test_fns), len(dB)))
+        cells = iter(prods)
+        for ilo, ihi, rows in windows:
+            dn = nu_increments(setup, u, dB, ilo, ihi, rows)
+            for _, fn in test_fns:
+                np.multiply(fn(ctx.B[:, ilo], ctx.L), dn, out=next(cells))
     return prods, diverged | ~np.all(np.isfinite(prods), axis=0)
 
 
@@ -408,7 +420,8 @@ def martingale_diagnostic(
     setup = make_wealth_setup(params, n_steps)
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
-    reduce_chunk = partial(_martingale_chunk, setup, policy, bounds, test_fns)
+    node_rows = [(ilo, ihi, window_rows(setup, ilo, ihi)) for ilo, ihi in bounds]
+    reduce_chunk = partial(_martingale_chunk, setup, policy, node_rows, test_fns)
     ((prods, bad),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
     samples, n_div = collect_samples(prods, bad)
 

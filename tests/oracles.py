@@ -5,13 +5,13 @@ path, one node at a time, or one closed-form integral.  The tests compare
 the library against them; the library itself never calls them.
 """
 
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
 
-from insiderlab.controlled_sde import ControlPolicy
-from insiderlab.enlargement import drift_second_moment
+from insiderlab.enlargement import drift_second_moment, drift_square_mean
 from insiderlab.optimality import window_indices
 from insiderlab.paths import TimeGrid, as_weight, running_sum
 
@@ -27,8 +27,13 @@ class StepInfo(NamedTuple):
 
 
 def formula_node_rule(fn):
-    """The node form of ``formula_policy(name, fn)``: u = fn(t, alpha, L)."""
+    """A node rule u = fn(t, alpha, L)."""
     return lambda info: float(fn(info.t, info.alpha, info.L))
+
+
+def policy_node_rule(policy):
+    """The node form of a ``ControlPolicy``: u = gain(t) alpha + offset(t)."""
+    return lambda info: policy.gain(info.t) * info.alpha + policy.offset(info.t)
 
 
 def wealth_coefficients(params):
@@ -138,6 +143,56 @@ def nu_path(setup, u, dB, row=0):
     return running_sum(steps)
 
 
+# ---------------------------------------------------------------------------
+# Policies that are not affine in alpha
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RulePolicy:
+    """A stand-in for ``ControlPolicy`` with any rule: ``control(ctx)``
+    returns ``rule(ctx)`` as the block's control matrix.  The library's
+    policies are affine in alpha; the tests use this one for controls that
+    are not."""
+
+    name: str
+    rule: Callable
+
+    def control(self, ctx):
+        return self.rule(ctx)
+
+
+def _mostly_flat(ctx):
+    u = np.where(ctx.L > 4.8, np.inf, 0.5)[:, None]
+    return np.broadcast_to(u, (len(ctx.L), ctx.i_last - ctx.i0 + 1))
+
+
+# u = 0.5, but inf on the rows with L > 4.8 (P ~ 3e-4): those few rows
+# diverge while the rest keep finite moments, which no affine policy does
+MOSTLY_FLAT = RulePolicy("mostly-flat", _mostly_flat)
+
+
+def affine_cost_mean(setup, policy):
+    """The exact mean of the cost that ``cost_chunk`` sums per path, for an
+    affine ``ControlPolicy`` with coefficients g, o on the nodes
+    k = i0..i_last (N = i_last - i0):
+
+        a sum_k w_k (g_k^2 E[alpha_k^2] + o_k^2)
+        - b (endowment + sum_{k<N} growth[k+1] (o_k excess dt
+                                               + sigma_k g_k m_k^2 dt / q_k)),
+
+    from E[alpha_k] = 0, E[alpha_k^2] of ``drift_square_mean`` and
+    E[alpha_k dB_k] = m_k^2 dt / q_k; w is the trapezoid weights."""
+    i0, iL, dt = setup.i0, setup.i_last, setup.grid.dt
+    t = setup.grid.times[i0 : iL + 1]
+    g, o = policy.gain.nodes(t), policy.offset.nodes(t)
+    square = g * g * drift_square_mean(setup)[i0:] + o * o
+    m, q = setup.m_nodes[i0:iL], setup.q_tail[i0:iL]
+    gains = (o[:-1] * setup.excess * dt
+             + setup.sigma_nodes[i0:iL] * g[:-1] * m * m * dt / q)
+    x_T = setup.endowment + np.sum(setup.growth[1:] * gains)
+    return setup.a * np.sum(setup.trapezoid * square) - setup.b_weight * x_T
+
+
 def perturbed_policy(base, spec, y, params):
     """u + y * chi_window * theta0 as a policy of its own, theta0 frozen at
     the window-start node: the control whose cost ``sweep_coefficients``
@@ -146,8 +201,8 @@ def perturbed_policy(base, spec, y, params):
     def rule(ctx):
         grid = TimeGrid(ctx.times[0], ctx.times[-1], len(ctx.times) - 1)
         ilo, ihi = window_indices(grid, spec.window, params.t0, params.T)
-        out = base.rule(ctx).copy()
+        out = base.control(ctx).copy()
         out[:, ilo - ctx.i0 : ihi - ctx.i0] += y * spec.theta_values(ctx, ilo)[:, None]
         return out
 
-    return ControlPolicy(f"{base.name}+{y:g}*step", rule)
+    return RulePolicy(f"{base.name}+{y:g}*step", rule)

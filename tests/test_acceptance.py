@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from insiderlab.controlled_sde import (
+    ControlPolicy,
     constant_policy,
-    formula_policy,
     make_wealth_setup,
     uninformed,
     wealth_paths_chunk,
@@ -305,17 +305,16 @@ def test_criterion_10_dominance():
     rivals1 = [
         constant_policy(0.0),
         constant_policy(0.3),
-        formula_policy("half-optimal", lambda t, a, L: a / 4.0),
-        formula_policy("double-optimal", lambda t, a, L: a),
-        formula_policy("late-start",
-                       lambda t, a, L: np.where(t > 0.5, a / 2.0, 0.0)),
+        ControlPolicy("half-optimal", 0.25),
+        ControlPolicy("double-optimal", 1.0),
+        ControlPolicy("late-start", lambda t: np.where(t > 0.5, 0.5, 0.0)),
     ]
     rivals2 = [
         constant_policy(0.0),
         constant_policy(0.5),
-        formula_policy("half-optimal", lambda t, a, L: (a + 1.0) / 4.0),
-        formula_policy("double-optimal", lambda t, a, L: a + 1.0),
-        formula_policy("drift-blind", lambda t, a, L: a / 2.0),
+        ControlPolicy("half-optimal", 0.25, 0.25),
+        ControlPolicy("double-optimal", 1.0, 1.0),
+        ControlPolicy("drift-blind", 0.5),
     ]
     lines = []
     ok = True

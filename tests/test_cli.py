@@ -106,6 +106,17 @@ def test_divergent_policy_exits_3(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_martingale_whose_discount_overflows_exits_3(tmp_path, capsys):
+    # e^{-r t} of N_u is inf at r = -1e300: every path diverges, and the
+    # overflow is detected, not warned about
+    cfg = write_cfg(tmp_path, "disc.json", {
+        "experiment": "martingale", "params": {"r": -1e300},
+        "n_paths": 64, "n_steps": 16, "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 3
+    assert "divergence" in capsys.readouterr().err
+
+
 def test_failed_check_exits_1(tmp_path, capsys):
     # ignoring a near-terminal information drift: martingale cells blow up
     cfg = write_cfg(tmp_path, "fail.json", {

@@ -8,14 +8,13 @@ import pytest
 
 from insiderlab.controlled_sde import (
     constant_policy,
-    formula_policy,
     make_wealth_setup,
     wealth_paths_chunk,
 )
 from insiderlab.enlargement import InfoDriftField, chunk_context, decompose
 from insiderlab.hjb import (
     ModelParams,
-    _example1_formula,
+    example1_control,
     example1_policy,
     example2_control,
     example2_params,
@@ -32,8 +31,10 @@ from insiderlab.paths import (
     sample_brownian,
 )
 from oracles import (
+    RulePolicy,
     fold_tail,
     formula_node_rule,
+    policy_node_rule,
     reference_forward,
     reference_insider,
     wealth_coefficients,
@@ -46,7 +47,7 @@ PARAMS = ModelParams(r=0.05, rtilde=0.08, sigma_fn=Affine(1.0, 0.5), a=1.0,
 
 
 def _formula(t, alpha, L):
-    return _example1_formula(PARAMS, t, alpha, L)
+    return example1_control(alpha, PARAMS.sigma_fn(t), t, PARAMS)
 
 
 def kernel(params, n_steps, policy, seed, rows):
@@ -71,22 +72,22 @@ def test_insider_and_forward_routes_match_pathwise():
     # the kernel, driven by dB, is the insider route on that row's
     # decomposed path, dX = (b + sigma alpha) dt + sigma dBtilde
     coeffs = wealth_coefficients(PARAMS)
+    policy = example1_policy(PARAMS)
     for t0 in (0.0, 0.25):
         params = replace(PARAMS, x0=0.5, t0=t0)
-        setup, dB, L, u, x_T = kernel(params, 128, formula_policy("example1",
-                                                                  _formula), 3, 5)
+        setup, dB, L, u, x_T = kernel(params, 128, policy, 3, 5)
         for row in range(len(dB)):
             # the chunk's L, not one summed again in another order
             B = row_path(setup, dB, row)
             f = InfoDriftField(ONE, B, horizon=params.T, L=float(L[row]))
             values, control = reference_insider(
-                coeffs, formula_node_rule(_formula), f, decompose(B, f), 0.5, t0)
+                coeffs, policy_node_rule(policy), f, decompose(B, f), 0.5, t0)
             assert abs(x_T[row] - values[-1]) < 1e-10
             assert np.array_equal(u[row, :-1], control)
 
 
 ROUTE_POLICIES = {
-    "formula": (formula_policy("example1", _formula), formula_node_rule(_formula)),
+    "formula": (example1_policy(PARAMS), formula_node_rule(_formula)),
 }
 
 
@@ -111,8 +112,8 @@ def test_single_path_routes_match_the_per_node_reference(kind, t0):
 
 def test_route_terminal_means_agree():
     params = ModelParams.benchmark()
-    rule = formula_node_rule(lambda t, alpha, L: _example1_formula(params, t,
-                                                                   alpha, L))
+    rule = formula_node_rule(
+        lambda t, alpha, L: example1_control(alpha, params.sigma_fn(t), t, params))
     setup, dB, _, _, fwd_T = kernel(params, 128, example1_policy(params), 4, 300)
     ins_T = np.empty(300)
     for row in range(300):
@@ -247,3 +248,11 @@ def test_matrix_kernel_matches_single_path_loop():
     assert x_T.shape == (1,)
     assert abs(x_T[0] - values[-1]) < 1e-12
     assert np.max(np.abs(u[0, :-1] - control)) < 1e-12
+
+
+def test_a_control_matrix_of_the_wrong_shape_raises():
+    setup = make_wealth_setup(ModelParams.benchmark(), 64)
+    dB = increment_chunk(setup.draw_grid, 3, 0, 4)
+    short = RulePolicy("short", lambda ctx: np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"shape \(4, 3\), need \(4, 33\)"):
+        wealth_paths_chunk(setup, dB, chunk_context(setup, dB), short)

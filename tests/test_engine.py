@@ -19,8 +19,8 @@ import pytest
 
 from insiderlab import enlargement, experiments, paths
 from insiderlab.controlled_sde import (
+    ControlPolicy,
     constant_policy,
-    formula_policy,
     make_wealth_setup,
     uninformed,
     wealth_paths_chunk,
@@ -51,6 +51,7 @@ from insiderlab.optimality import (
     quarter_windows,
     sweep_coefficients,
     window_indices,
+    window_rows,
 )
 from insiderlab.paths import (
     CHUNK,
@@ -63,6 +64,7 @@ from insiderlab.paths import (
     map_chunks,
     n_chunks,
 )
+from oracles import MOSTLY_FLAT
 
 SMALL = {"n_paths": 2100, "n_steps": 128, "seed": 3}
 
@@ -250,6 +252,7 @@ def _row_block_cases(setup, params):
     window = (0.5, 0.75)
     bounds = [window_indices(setup.grid, w, params.t0, params.T)
               for w in quarter_windows(params.T, params.t0)]
+    node_rows = [(ilo, ihi, window_rows(setup, ilo, ihi)) for ilo, ihi in bounds]
     return {
         "wealth_paths_chunk": partial(_terminal_wealth, setup, policy),
         "cost_chunk": partial(cost_chunk, setup, policy=policy),
@@ -257,8 +260,8 @@ def _row_block_cases(setup, params):
             sweep_coefficients, setup, policy=policy,
             spec=PerturbationSpec(window),
             window=window_indices(setup.grid, window, params.t0, params.T)),
-        "martingale_chunk": partial(_martingale_chunk, setup, policy, bounds,
-                                    default_test_functions()),
+        "martingale_chunk": partial(_martingale_chunk, setup, policy,
+                                    node_rows, default_test_functions()),
         "decomposition_chunk": _decomposition_chunk,
         "forward_chunk": partial(experiments._forward_chunk, setup.grid,
                                  params.T, [8, 4, 2, 1]),
@@ -351,7 +354,8 @@ def test_weights_policies_and_test_functions_pickle():
     assert np.array_equal(back.m.nodes(t), params.m.nodes(t))
     assert np.array_equal(back.sigma_fn.nodes(t), params.sigma_fn.nodes(t))
     assert np.array_equal(Constant(2.0)(t), np.full(9, 2.0))
-    for policy in (example1_policy(params), example2_policy(params)):
+    for policy in (example1_policy(params), example2_policy(params),
+                   ControlPolicy("half-optimal", 0.25)):
         pickle.dumps(policy)
     pickle.dumps(default_test_functions())
 
@@ -359,11 +363,13 @@ def test_weights_policies_and_test_functions_pickle():
 def test_a_process_pool_changes_no_library_value():
     params = ModelParams.benchmark(r=0.2, sigma_fn=Affine(1.0, 0.5))
     policy = example1_policy(params)
+    rival = ControlPolicy("half-optimal", 0.25)
     spec = PerturbationSpec((0.25, 0.5), y_grid=(-0.5, 0.0, 0.5))
     n, seed, steps = 2100, 7, 64
     serial = (
         cost_mc(policy, params, n, seed, steps),
         cost_mc(uninformed(policy), params, n, seed, steps),
+        cost_mc(rival, params, n, seed, steps),
         perturbation_sweep(policy, params, spec, n, seed, steps),
         martingale_diagnostic(policy, params, n, seed, steps),
         decomposition_stats(params.m, params.T, params.grid(steps), n, seed),
@@ -372,6 +378,7 @@ def test_a_process_pool_changes_no_library_value():
         pooled = (
             cost_mc(policy, params, n, seed, steps, pool=pool),
             cost_mc(uninformed(policy), params, n, seed, steps, pool=pool),
+            cost_mc(rival, params, n, seed, steps, pool=pool),
             perturbation_sweep(policy, params, spec, n, seed, steps, pool=pool),
             martingale_diagnostic(policy, params, n, seed, steps, pool=pool),
             decomposition_stats(params.m, params.T, params.grid(steps), n, seed,
@@ -404,9 +411,7 @@ def test_multi_policy_cost_equals_separate_calls_bit_for_bit():
     policies = [
         example2_policy(params),
         constant_policy(0.5),
-        # infinite control on the rows with a large L: they diverge
-        formula_policy("mostly-flat",
-                       lambda t, alpha, L: np.where(L > 4.8, np.inf, 0.5)),
+        MOSTLY_FLAT,  # infinite control on the rows with a large L: they diverge
     ]
     n, seed, steps = 20_000, 11, 64
     many = cost_mc_many(policies, params, n, seed, steps)

@@ -319,5 +319,5 @@ def test_example1_policy_matches_half_alpha_on_benchmark():
         i_last=field.i_last, L=np.array([field.L]),
         alpha=field.alpha[None, :], B=field.path.values[None, : field.i_last + 1],
     )
-    u = pol.rule(ctx)
+    u = pol.control(ctx)
     assert np.array_equal(u[0], field.alpha / 2.0)

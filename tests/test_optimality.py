@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from insiderlab.controlled_sde import (
+    ControlPolicy,
     constant_policy,
-    formula_policy,
     make_wealth_setup,
     uninformed,
     wealth_paths_chunk,
@@ -37,15 +37,24 @@ from insiderlab.optimality import (
     semimartingale_recovery,
     sweep_coefficients,
     window_indices,
+    window_rows,
 )
 from insiderlab.paths import (
+    Affine,
+    Sin,
     constant_weight,
     increment_chunk,
     make_grid,
     map_chunks,
     sample_brownian,
 )
-from oracles import fold_tail, nu_path, perturbed_policy
+from oracles import (
+    MOSTLY_FLAT,
+    affine_cost_mean,
+    fold_tail,
+    nu_path,
+    perturbed_policy,
+)
 
 EX1_TARGET = -math.log(2.0) / 4.0
 ONE = constant_weight(1.0)
@@ -95,7 +104,7 @@ class TestCostMc:
         assert abs(est.mean - EX1_TARGET) <= 3 * est.std_error
 
     def test_uninformed_flag_kills_alpha(self):
-        # the uninformed rule sees alpha = 0, so the optimal rule trades nothing
+        # the uninformed policy has gain 0, so the optimal one trades nothing
         params = ModelParams.benchmark(x0=1.0)
         est = cost_mc(uninformed(example1_policy(params)), params, 64, seed=7,
                       n_steps=256)
@@ -105,7 +114,7 @@ class TestCostMc:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_total_divergence_raises(self):
         params = example2_params(x0=5.0)
-        explode = formula_policy("explode", lambda t, a, L: np.exp(1e3 * t + 0 * a))
+        explode = ControlPolicy("explode", 0.0, lambda t: np.exp(1e3 * t))
         with pytest.raises(DivergenceError):
             cost_mc(explode, params, 512, seed=9, n_steps=512)
 
@@ -113,12 +122,24 @@ class TestCostMc:
     def test_rare_divergence_excluded_but_counted(self):
         # a few paths (P ~ 3e-4) get an infinite control and are dropped
         params = example2_params()
-        pol = formula_policy(
-            "mostly-flat", lambda t, alpha, L: np.where(L > 4.8, np.inf, 0.5)
-        )
-        est = cost_mc(pol, params, 20_000, seed=11, n_steps=512)
+        est = cost_mc(MOSTLY_FLAT, params, 20_000, seed=11, n_steps=512)
         assert 0 < est.n_diverged <= 20
         assert math.isfinite(est.mean)
+
+    @pytest.mark.parametrize("r, seed", [(0.0, 69), (0.2, 71)])
+    def test_exact_discrete_mean_of_affine_policies(self, r, seed):
+        # the cost of every affine policy against its exact mean on a
+        # coarse grid, with an excess return and an endowment
+        params = ModelParams.benchmark(
+            r=r, rtilde=r + 0.5, t0=0.25, x0=0.5, a=2.0, b=1.5,
+            sigma_fn=Affine(1.0, 0.5), m=Sin(1.0, 0.5, 3.0))
+        setup = make_wealth_setup(params, 64)
+        for policy in (example1_policy(params), example2_policy(params),
+                       constant_policy(0.3),
+                       ControlPolicy("half-optimal", 0.25, 0.25)):
+            est = cost_mc(policy, params, 20_000, seed, 64)
+            exact = affine_cost_mean(setup, policy)
+            assert abs(est.mean - exact) <= 3 * est.std_error, policy.name
 
     def test_too_few_paths(self):
         with pytest.raises(ValueError):
@@ -262,9 +283,7 @@ class TestSweepCoefficients:
 
     def test_divergent_rows_match_at_every_y(self):
         params = example2_params()
-        pol = formula_policy(
-            "mostly-flat", lambda t, alpha, L: np.where(L > 4.8, np.inf, 0.5)
-        )
+        pol = MOSTLY_FLAT
         spec = PerturbationSpec(WINDOW)
         setup = make_wealth_setup(params, 512)
         ilo_ihi = window_indices(setup.grid, WINDOW, params.t0, params.T)
@@ -426,7 +445,8 @@ class TestNuPath:
         params = example2_params()
         setup, B, dB, ctx, u = self.make_chunk(params, 47)
         ilo, ihi = setup.grid.index_of(0.25), setup.grid.index_of(0.75)
-        inc = nu_increments(setup, ctx, u, dB, ilo, ihi)
+        inc = nu_increments(setup, u, dB, ilo, ihi,
+                            window_rows(setup, ilo, ihi))
         nu = nu_path(setup, u, dB)
         assert inc[0] == pytest.approx(nu[ihi] - nu[ilo],
                                        abs=1e-13)
@@ -487,8 +507,7 @@ class TestDominance:
                        n_steps=1024)
         rivals = [
             constant_policy(0.3),
-            formula_policy("late", lambda t, alpha, L: np.where(t > 0.5,
-                                                                alpha, 0.0)),
+            ControlPolicy("late", lambda t: np.where(t > 0.5, 1.0, 0.0)),
         ]
         for pol in rivals:
             est = cost_mc(pol, params, 10_000, seed=59, n_steps=1024)
