@@ -240,6 +240,11 @@ def _validate_kind_fields(cfg: dict, params: ModelParams, grid) -> None:
                 "'eps_ladder' must be a non-empty list of positive integer "
                 "multiples of dt"
             )
+        # median_deviation_decreasing reads the medians in ladder order
+        if any(a <= b for a, b in zip(ladder, ladder[1:])):
+            raise InvalidConfigError(
+                f"'eps_ladder' must be strictly decreasing, got {ladder}"
+            )
         # the estimates run on the path restricted to [0, T]; the grid
         # starts at 0, so T's node index is that path's step count
         steps_to_T = grid.index_of(params.T)
@@ -428,14 +433,18 @@ def _forward_chunk(grid, T, ladder, dB, ctx):
     B = BrownianPath(grid.prefix(i_last), values)
     target = 0.5 * (values[:, -1] ** 2 - T)
     vB = Integrand(B.grid, values)
-    # one estimate per distinct multiple; k = 1 also serves the exact check
-    est = {k: forward_estimate(vB, B, eps=k * dt) for k in {*ladder, 1}}
-    devs = np.array([np.abs(est[k] - target) for k in ladder])
     integrands = (Integrand(B.grid, np.ones(i_last + 1)), vB,
                   Integrand(B.grid, ctx.alpha))
-    exact = [(est[1] if v is vB else forward_estimate(v, B, eps=dt))
-             == ito_left_sum(v, B) for v in integrands]
-    return devs, np.array(exact)
+    # one increment matrix alive at a time: the one at k = 1 serves every
+    # integrand of the exact check and v = B on the ladder
+    at_dt = forward_estimate(integrands, B, eps=dt)
+    devs = np.array([
+        np.abs((at_dt[1] if k == 1 else forward_estimate(vB, B, eps=k * dt))
+               - target)
+        for k in ladder
+    ])
+    exact = np.array(at_dt) == np.array(ito_left_sum(integrands, B))
+    return devs, exact
 
 
 def _run_forward(cfg, pool):
@@ -669,8 +678,8 @@ _KINDS = {
     "forward-convergence": _Kind(
         _run_forward, "k,eps,median_abs_dev",
         {"eps_ladder": [8, 4, 2, 1]},
-        note="eps_ladder: int multiples of dt, each below the steps up to T; "
-        "params.t0 must be 0",
+        note="eps_ladder: strictly decreasing int multiples of dt, each "
+        "below the steps up to T; params.t0 must be 0",
     ),
     "hjb-residual": _Kind(
         _run_hjb_residual, "probe,path,node,t,x,alpha,u_min,u_star,residual",

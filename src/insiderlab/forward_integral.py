@@ -10,10 +10,20 @@ coincide term for term with the Ito left sum.  Agreement for adapted
 integrands is then an exact identity on the grid, and convergence as eps
 shrinks is certified statistically through an eps ladder.
 
+Each estimator is two parts: the increments of B it weighs the integrand
+by, B_{min(i+k, n)} - B_i for ``forward_estimate`` and ``np.diff(B)`` for
+``ito_left_sum``, and one row contraction ``sum_i v_i increments_i`` that
+reads both operands once and allocates only its result.  So the eps = dt
+equality that ``left_sum_bit_exact`` checks certifies the two ways of
+forming the increments, the slices at k = 1 against ``np.diff``, through
+the same contraction.
+
 The estimators take one path or a batch: node values of shape
 ``(n_nodes,)`` give a float, and ``(rows, n_nodes)`` values (integrand,
 path or both, broadcast against each other) give one sum per row, each
-equal bit for bit to the one-path call on that row.
+equal bit for bit to the one-path call on that row.  A tuple of
+integrands gives a tuple of such results, one per integrand, from a
+single increment matrix.
 """
 
 from __future__ import annotations
@@ -46,9 +56,13 @@ class Integrand:
             raise ValueError("integrand values must be finite")
 
 
-def _check_same_grid(v: Integrand, path: BrownianPath) -> None:
-    if v.grid != path.grid:
+def _integrands(
+    v: Integrand | tuple[Integrand, ...], path: BrownianPath
+) -> tuple[Integrand, ...]:
+    vs = v if isinstance(v, tuple) else (v,)
+    if any(w.grid != path.grid for w in vs):
         raise ValueError("integrand and path live on different grids")
+    return vs
 
 
 def _eps_multiple(grid: TimeGrid, eps: float) -> int:
@@ -60,35 +74,58 @@ def _eps_multiple(grid: TimeGrid, eps: float) -> int:
     return k
 
 
-def _row_sums(terms: np.ndarray) -> float | np.ndarray:
-    """Sum over nodes: a float for one path, one value per row for a batch."""
-    total = np.sum(terms, axis=-1)
-    return float(total) if total.ndim == 0 else total
+# einsum's iterator cuts a row longer than its buffer at places that depend
+# on the row count, so a batch of such rows is contracted row by row
+_EINSUM_BUFFER = 8192
+
+
+def _row_dot(left: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """sum_i left_i increments_i over the last axis, in one pass."""
+    if (increments.shape[-1] <= _EINSUM_BUFFER
+            or max(left.ndim, increments.ndim) == 1):
+        return np.einsum("...i,...i->...", left, increments)
+    return np.array([np.einsum("...i,...i->...", a, b)
+                     for a, b in zip(*np.broadcast_arrays(left, increments))])
+
+
+def _contract(
+    v: Integrand | tuple[Integrand, ...],
+    vs: tuple[Integrand, ...],
+    increments: np.ndarray,
+    scale: float = 1.0,
+) -> float | np.ndarray | tuple:
+    """sum_i v_i increments_i per integrand, times ``scale``: a float for
+    one path, one value per row for a batch; a tuple when ``v`` is one."""
+    sums = []
+    for w in vs:
+        total = _row_dot(w.values[..., :-1], increments)
+        sums.append((float(total) if total.ndim == 0 else total) * scale)
+    return tuple(sums) if isinstance(v, tuple) else sums[0]
 
 
 def forward_estimate(
-    v: Integrand, B: BrownianPath, eps: float
-) -> float | np.ndarray:
+    v: Integrand | tuple[Integrand, ...], B: BrownianPath, eps: float
+) -> float | np.ndarray | tuple:
     """(1/eps) sum_i v_i (B_{min(i+k, n)} - B_i) dt  with  eps = k dt.
 
     At k = 1 the scale factor dt/eps is exactly one and the sum is the Ito
     left sum, unchanged bit for bit.
     """
-    _check_same_grid(v, B)
+    vs = _integrands(v, B)
     k = _eps_multiple(B.grid, eps)
     n = B.grid.n_steps
     b = B.values
-    # B_{i+k} - B_i while i + k <= n, then B_n - B_i for the last k - 1 nodes,
-    # multiplied by v_i in place (a fresh product array doubles the time)
-    rows = np.broadcast_shapes(v.values.shape, b.shape)[:-1]
-    terms = np.empty(rows + (n,))
-    np.subtract(b[..., k:], b[..., : n + 1 - k], out=terms[..., : n + 1 - k])
-    np.subtract(b[..., n:], b[..., n + 1 - k : n], out=terms[..., n + 1 - k :])
-    terms *= v.values[..., :-1]
-    return _row_sums(terms) * (B.grid.dt / eps)
+    # B_{i+k} - B_i while i + k <= n, then B_n - B_i for the last k - 1 nodes
+    increments = np.empty(b.shape[:-1] + (n,))
+    np.subtract(b[..., k:], b[..., : n + 1 - k],
+                out=increments[..., : n + 1 - k])
+    np.subtract(b[..., n:], b[..., n + 1 - k : n],
+                out=increments[..., n + 1 - k :])
+    return _contract(v, vs, increments, B.grid.dt / eps)
 
 
-def ito_left_sum(v: Integrand, B: BrownianPath) -> float | np.ndarray:
+def ito_left_sum(
+    v: Integrand | tuple[Integrand, ...], B: BrownianPath
+) -> float | np.ndarray | tuple:
     """sum_i v_i (B_{i+1} - B_i), the adapted benchmark."""
-    _check_same_grid(v, B)
-    return _row_sums(v.values[..., :-1] * np.diff(B.values, axis=-1))
+    return _contract(v, _integrands(v, B), np.diff(B.values, axis=-1))

@@ -346,6 +346,24 @@ def test_eps_ladder_reaching_T_is_invalid_config(tmp_path, capsys, ladder):
     assert (tmp_path / "out" / "forward-convergence.csv").exists()
 
 
+@pytest.mark.parametrize("ladder", [[1, 4, 8], [4, 4, 1], [8, 2, 4]])
+def test_eps_ladder_not_strictly_decreasing_is_invalid_config(tmp_path, capsys,
+                                                              ladder):
+    # median_deviation_decreasing reads the medians in ladder order, so such
+    # a ladder used to run and fail that check by construction (exit 1)
+    raw = {"experiment": "forward-convergence", "n_paths": 200, "n_steps": 64,
+           "seed": 2, "eps_ladder": ladder, "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "fc.json", raw),
+                 "--workers", "1"]) == 2
+    assert "'eps_ladder'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_list_states_the_eps_ladder_order(capsys):
+    assert main(["list"]) == 0
+    assert "eps_ladder: strictly decreasing" in capsys.readouterr().out
+
+
 _WEIGHTS = st.one_of(
     st.sampled_from([1.0, -0.5, 2.0]),
     st.builds(lambda a, b: {"type": "affine", "intercept": a, "slope": b},
@@ -364,6 +382,7 @@ _WEIGHTS = st.one_of(
     ladder=st.lists(st.integers(1, 24), min_size=1, max_size=4),
 )
 @example(n_steps=16, t0=0.0, horizon=(1.0, 2.0), m=1.0, ladder=[8, 1])
+@example(n_steps=32, t0=0.0, horizon=(1.0, 2.0), m=1.0, ladder=[8, 4, 1])
 @settings(max_examples=60, deadline=None)
 def test_forward_convergence_configs_are_rejected_or_run(n_steps, t0, horizon,
                                                          m, ladder):

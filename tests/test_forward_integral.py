@@ -1,6 +1,7 @@
 """Forward-integral estimates against Ito sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,3 +273,111 @@ def test_forward_chunk_matches_the_per_row_loop(ladder):
     assert exact.shape == (3, dB.shape[0]) and exact.dtype == bool
     assert exact.all()
     assert want_exact == {"one": True, "brownian": True, "drift": True}
+
+
+# ---------------------------------------------------------------------------
+# The row contraction: one pass per increment matrix, row-wise bit for bit
+# ---------------------------------------------------------------------------
+
+def _offset_block(n_steps, start, rows, seed):
+    """Paths and a drift-like integrand as views that start at an odd row
+    and an odd column of larger arrays, so no row is aligned like a fresh
+    one-path array."""
+    g = make_grid(0, 1, n_steps)
+    rng = np.random.default_rng(seed)
+    total = start + rows + 2
+    paths = np.zeros((total, n_steps + 2))
+    np.cumsum(rng.standard_normal((total, n_steps)) * math.sqrt(g.dt),
+              axis=1, out=paths[:, 2:])
+    other = rng.standard_normal((total, n_steps + 2))
+    B = BrownianPath(g, paths[start:start + rows, 1:])
+    integrands = (
+        Integrand(g, np.ones(n_steps + 1)),  # broadcast against the block
+        Integrand(g, B.values),
+        Integrand(g, other[start:start + rows, 1:]),
+    )
+    return g, B, integrands
+
+
+# lengths 127, 130 and 8195 are not multiples of 4; 8195 is also longer than
+# the rows that einsum contracts in one pass
+@pytest.mark.parametrize("n_steps, start, rows",
+                         [(127, 3, 5), (130, 1, 9), (8195, 1, 3)])
+def test_offset_blocks_equal_one_path_calls_bit_for_bit(n_steps, start, rows):
+    g, B, integrands = _offset_block(n_steps, start, rows, seed=n_steps)
+    for k in (1, 2, 5):
+        batch = [forward_estimate(v, B, k * g.dt) for v in integrands]
+        for v, got in zip(integrands, batch):
+            assert isinstance(got, np.ndarray) and got.shape == (rows,)
+            for i in range(rows):
+                vi = v.values if v.values.ndim == 1 else v.values[i]
+                for b, w in ((B.values[i], vi), (B.values[i].copy(), vi.copy())):
+                    one = forward_estimate(Integrand(g, w), BrownianPath(g, b),
+                                           k * g.dt)
+                    assert type(one) is float and one == got[i], (k, i)
+    ito = [ito_left_sum(v, B) for v in integrands]
+    for v, got in zip(integrands, ito):
+        for i in range(rows):
+            vi = v.values if v.values.ndim == 1 else v.values[i]
+            one = ito_left_sum(Integrand(g, vi.copy()),
+                               BrownianPath(g, B.values[i].copy()))
+            assert type(one) is float and one == got[i], i
+
+
+@pytest.mark.parametrize("n_steps, start, rows",
+                         [(127, 3, 5), (130, 1, 9), (8195, 1, 3)])
+def test_tuple_form_equals_single_integrand_calls(n_steps, start, rows):
+    g, B, integrands = _offset_block(n_steps, start, rows, seed=n_steps + 1)
+    for k in (1, 3):
+        together = forward_estimate(integrands, B, k * g.dt)
+        assert isinstance(together, tuple) and len(together) == 3
+        for v, got in zip(integrands, together):
+            assert np.array_equal(got, forward_estimate(v, B, k * g.dt))
+    together = ito_left_sum(integrands, B)
+    assert isinstance(together, tuple) and len(together) == 3
+    for v, got in zip(integrands, together):
+        assert np.array_equal(got, ito_left_sum(v, B))
+    # one path, one-element tuple: floats, as in the one-integrand call
+    Bi = BrownianPath(g, B.values[0])
+    (alone,) = ito_left_sum((integrands[0],), Bi)
+    assert type(alone) is float and alone == ito_left_sum(integrands[0], Bi)
+
+
+@pytest.mark.parametrize("n_steps, start, rows",
+                         [(127, 3, 5), (130, 1, 9), (8195, 1, 3)])
+def test_forward_at_dt_is_the_left_sum_on_offset_blocks(n_steps, start, rows):
+    g, B, integrands = _offset_block(n_steps, start, rows, seed=n_steps + 2)
+    for v in integrands:
+        assert np.array_equal(forward_estimate(v, B, g.dt), ito_left_sum(v, B))
+    assert all(np.array_equal(f, i) for f, i in
+               zip(forward_estimate(integrands, B, g.dt),
+                   ito_left_sum(integrands, B)))
+
+
+def test_tuple_form_checks_every_grid():
+    g = make_grid(0, 1, 64)
+    B = sample_brownian(g, 0)
+    stranger = const_integrand(make_grid(0, 1, 128))
+    with pytest.raises(ValueError):
+        forward_estimate((const_integrand(g), stranger), B, g.dt)
+    with pytest.raises(ValueError):
+        ito_left_sum((const_integrand(g), stranger), B)
+
+
+def test_forward_chunk_holds_one_increment_matrix_at_a_time():
+    # a 63-row block at 4096 steps to T, as map_reducers cuts one (1 MiB)
+    params = ModelParams.benchmark()
+    setup = drift_setup(params.m, params.grid(8192), params.T)
+    assert setup.i_last == 4096
+    block = increment_chunk(setup.draw_grid, 5, 0, 63)
+    ctx = chunk_context(setup, block)
+    size = ctx.B.nbytes
+    tracemalloc.start()
+    try:
+        _forward_chunk(setup.grid, params.T, [8, 4, 2, 1], block, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (rows, n) increment matrix and small arrays; forming a product
+    # temporary next to it, or two increment matrices, would take 2 blocks
+    assert peak <= 1.5 * size, peak / size
