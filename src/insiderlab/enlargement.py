@@ -16,13 +16,14 @@ The drift is only ever evaluated up to a decision horizon T strictly before
 T1; at T1 the conditioning denominator vanishes.
 
 Batch estimators see the drift through ``chunk_context``: ``map_reducers``
-draws each chunk of increments once, cuts it into row blocks of about
-``paths.BLOCK_BYTES`` bytes each, builds each block's B, alpha and L once
-and applies every reducer of an op to that one context.  In process two
-threads each draw and reduce one chunk, so the reducers run off the calling
-thread, two at a time.  Every reducer is row-wise and returns arrays whose
-last axis is the block's rows, so ``map_reducers`` joins them into
-whole-batch arrays in path order.
+has ``paths.map_chunks`` draw each chunk once, in row blocks of about
+``paths.BLOCK_BYTES`` bytes each, builds each block's B, alpha and L once,
+B and alpha in the same workspace as the block, and applies every reducer
+of an op to that one context before the next block is drawn.  In process
+two threads each draw and reduce one chunk, so the reducers run off the
+calling thread, two at a time.  Every reducer is row-wise and returns fresh
+arrays whose last axis is the block's rows, so ``map_reducers`` joins them
+into whole-batch arrays in path order.
 
 Every control, wealth path and check lives on [0, T], so the path after T
 enters only through the scalar int_T^{T1} m dB.  Given the path on [0, T]
@@ -45,7 +46,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .paths import (
-    BLOCK_BYTES,
     BrownianPath,
     TimeGrid,
     WeightFunction,
@@ -95,6 +95,7 @@ def drift_matrix(
     setup: DriftSetup,
     L: np.ndarray | float | None = None,
     run: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | float]:
     """Vectorized drift for one path (1-D ``dB``) or a batch (rows last-but-one).
 
@@ -108,6 +109,8 @@ def drift_matrix(
         sum_{j<i_last} m_j dB_j + tail * dB_{i_last}.
     run : the running sums of m dB on nodes 0..i_last, if the caller holds
         them already (B itself when m is 1 on [0, T)).
+    out : a float64 array of alpha's shape that receives alpha; by default
+        a new one.  It may be ``run`` itself.
 
     Returns
     -------
@@ -116,11 +119,13 @@ def drift_matrix(
     """
     i_last = setup.i_last
     if run is None:
-        run = running_sum(setup.m_nodes[:i_last] * dB[..., :i_last])
+        run = running_sum(setup.m_nodes[:i_last] * dB[..., :i_last], out)
     if L is None:
         L = run[..., -1] + setup.tail * dB[..., i_last]
-    alpha = np.subtract(np.asarray(L)[..., None], run)
-    alpha *= setup.m_nodes[: i_last + 1]
+    alpha = np.subtract(np.asarray(L)[..., None], run, out=out)
+    m = setup.m_nodes[: i_last + 1]
+    if not np.all(m == 1.0):  # x * 1.0 is x: skipped, the bits are the same
+        alpha *= m
     alpha /= setup.q_tail[: i_last + 1]
     return alpha, L
 
@@ -190,38 +195,45 @@ def drift_setup(m: WeightFunction | Callable[[float], float] | float,
     return DriftSetup(grid, grid.index_of(t0), i_last, m_nodes, q, tail)
 
 
-def chunk_context(setup: DriftSetup, dB: np.ndarray) -> ChunkContext:
+def chunk_context(setup: DriftSetup, dB: np.ndarray,
+                  out: np.ndarray | None = None) -> ChunkContext:
     """B and alpha on nodes 0..i_last, and L, of one (rows, i_last + 1)
     block of increments drawn on ``setup.draw_grid``: the block's one
-    ``drift_matrix`` call.  Every reducer of the block reads these arrays,
-    so they are made read-only.  A block of any other width raises
-    ValueError: its column i_last would be read as the carrier."""
+    ``drift_matrix`` call.  B and alpha are written into ``out``, two arrays
+    of the block's shape, or into new arrays by default.  Every reducer of
+    the block reads these arrays, so they are made read-only.  A block of
+    any other width raises ValueError: its column i_last would be read as
+    the carrier."""
     i_last = setup.i_last
     if dB.shape[-1] != i_last + 1:
         raise ValueError(f"a block of {dB.shape[-1]} increments per row; the "
                          f"draw grid has i_last + 1 = {i_last + 1}")
-    B = running_sum(dB[:, :i_last])
-    alpha, L = drift_matrix(dB, setup, run=B if setup.unit_weight else None)
+    B_out, alpha_out = (None, None) if out is None else out
+    B = running_sum(dB[:, :i_last], B_out)
+    alpha, L = drift_matrix(dB, setup, run=B if setup.unit_weight else None,
+                            out=alpha_out)
     for a in (B, alpha, L):
         a.flags.writeable = False
     return ChunkContext(setup.grid.times, setup.grid.dt, setup.i0, i_last,
                         L, alpha, B)
 
 
-def _reduce_chunk(setup, reducers, dB):
-    outputs = []
-    rows = max(1, BLOCK_BYTES // (8 * dB.shape[1]))
-    for start in range(0, len(dB), rows):
-        block = dB[start : start + rows]
-        ctx = chunk_context(setup, block)
-        # each reducer's block-sized arrays die with its frame, before the next
-        outputs.append([reduce(block, ctx) for reduce in reducers])
-        del ctx  # freed before the next block's context is built
-        for out in outputs[-1]:
-            if not isinstance(out, tuple) or any(
-                    np.shape(a)[-1:] != (len(block),) for a in out):
-                raise ValueError(f"a reducer must return a tuple of arrays "
-                                 f"with the block's {len(block)} rows last")
+def _reduce_block(setup, reducers, dB, work):
+    """Every reducer's outputs on one block, whose B and alpha go to
+    ``work``, the rest of the block's workspace."""
+    ctx = chunk_context(setup, dB, work)
+    # each reducer's block-sized arrays die with its frame, before the next
+    outputs = [reduce(dB, ctx) for reduce in reducers]
+    for out in outputs:
+        if not isinstance(out, tuple) or any(
+                np.shape(a)[-1:] != (len(dB),) for a in out):
+            raise ValueError(f"a reducer must return a tuple of arrays "
+                             f"with the block's {len(dB)} rows last")
+        if any(np.may_share_memory(a, dB) or np.may_share_memory(a, work)
+               for a in out):
+            raise ValueError("a reducer must return fresh arrays, not views "
+                             "of the block or its context: the next block "
+                             "overwrites them")
     return outputs
 
 
@@ -229,23 +241,24 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
                  n_paths: int, pool=None) -> list[tuple[np.ndarray, ...]]:
     """Apply every reducer ``(dB, ctx) -> arrays`` to each block of one draw.
 
-    ``map_chunks`` draws each chunk once, on ``setup.draw_grid``, so a
-    chunk has shape (rows, i_last + 1).  It is cut into row blocks of
-    ``max(1, BLOCK_BYTES // (8 * (i_last + 1)))`` rows, the last one
-    ragged; each block gets one ``chunk_context``, and every reducer sees
-    the block and that context.  A reducer returns a tuple of arrays whose
-    last axis is the block's rows, and must be row-wise (row k depends on
-    row k of the block alone), so the block size changes no result.
-    In process the reducers run on ``map_chunks``' two threads, two chunks
-    at a time: each must be thread-safe and set its own ``np.errstate``,
-    as the shipped ones do, because the caller's does not reach them.
-    Returns, per reducer, its arrays joined over all ``n_paths`` rows in
-    path order, with or without a process ``pool`` (the reducers must then
-    pickle); an output of the wrong shape raises ``ValueError``.
+    ``map_chunks`` draws each chunk once, on ``setup.draw_grid``, in row
+    blocks of ``paths.block_rows(i_last + 1)`` rows, the last one ragged,
+    into one workspace per chunk.  Each block gets one ``chunk_context``,
+    whose B and alpha share that workspace, and every reducer sees the
+    block and that context before the next block is drawn.  A reducer
+    returns a tuple of fresh arrays whose last axis is the block's rows, and
+    must be row-wise (row k depends on row k of the block alone), so the
+    block size changes no result.  In process the reducers run on
+    ``map_chunks``' two threads, two chunks at a time: each must be
+    thread-safe and set its own ``np.errstate``, as the shipped ones do,
+    because the caller's does not reach them.  Returns, per reducer, its
+    arrays joined over all ``n_paths`` rows in path order, with or without
+    a process ``pool`` (the reducers must then pickle).  An output of the
+    wrong shape, or one that shares memory with the block or its context,
+    raises ``ValueError``.
     """
-    chunks = map_chunks(partial(_reduce_chunk, setup, tuple(reducers)),
-                        setup.draw_grid, seed, n_paths, pool)
-    blocks = [block for chunk in chunks for block in chunk]
+    blocks = map_chunks(partial(_reduce_block, setup, tuple(reducers)),
+                        setup.draw_grid, seed, n_paths, pool, spare=2)
     return [tuple(np.concatenate(a, axis=-1) for a in zip(*block_outputs))
             for block_outputs in zip(*blocks)]
 

@@ -8,8 +8,9 @@ standard error, and named pass/fail checks.
 The runners only handle configs, checks and emission: every estimate comes
 from the library function that the config names, and the library runs its
 chunks through one engine, ``enlargement.map_reducers`` over
-``paths.map_chunks``, which draws each chunk of an op once and applies all
-of the op's reducers to it.  ``run_experiment`` opens
+``paths.map_chunks``, which draws each chunk of an op once, in row blocks
+of about 1 MiB, and applies all of the op's reducers to each block before
+it draws the next.  ``run_experiment`` opens
 one process pool per op when ``workers > 1`` and hands it to every estimate
 of that op.  Chunk streams are keyed by (seed, chunk index) alone and chunk
 results come back in chunk order, so the emitted bytes do not depend on the
@@ -24,7 +25,7 @@ import math
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -94,8 +95,10 @@ _PARAM_KEYS = {"r", "sigma", "a", "b", "T", "t1", "m", "x0", "t0", "rtilde"}
 _DEFAULTS = {"n_paths": 10_000, "n_steps": 2048, "seed": 0, "out": "results"}
 
 # The most work one config may ask for, checked before anything is
-# allocated: at the n_steps cap one chunk of increments (1024 rows of
-# float64) takes 512 MiB.  ``--n-paths`` is held to the n_paths cap too.
+# allocated.  The Monte Carlo kinds draw in row blocks of at most 1 MiB
+# at any n_steps up to its cap (2 rows or more there), so n_steps bounds
+# their time per path, not their memory; hjb-residual holds n_fields whole
+# paths and drifts.  ``--n-paths`` is held to the n_paths cap too.
 CAPS = {"n_steps": 65_536, "n_paths": 10_000_000, "n_fields": 1_024,
         "n_probes": 1_000_000}
 
@@ -432,9 +435,11 @@ def _forward_chunk(grid, T, ladder, dB, ctx):
     values = ctx.B
     B = BrownianPath(grid.prefix(i_last), values)
     target = 0.5 * (values[:, -1] ** 2 - T)
-    vB = Integrand(B.grid, values)
+    # B and alpha are finite by construction: dB is a scaled normal draw,
+    # and the drift divides by q_tail > 0
+    vB = Integrand._of_finite(B.grid, values)
     integrands = (Integrand(B.grid, np.ones(i_last + 1)), vB,
-                  Integrand(B.grid, ctx.alpha))
+                  Integrand._of_finite(B.grid, ctx.alpha))
     # one increment matrix alive at a time: the one at k = 1 serves every
     # integrand of the exact check and v = B on the ladder
     at_dt = forward_estimate(integrands, B, eps=dt)
@@ -732,6 +737,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@cache  # one git call per process, not one per op
 def _build_id() -> str:
     try:
         out = subprocess.run(

@@ -55,6 +55,16 @@ class Integrand:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("integrand values must be finite")
 
+    @classmethod
+    def _of_finite(cls, grid: TimeGrid, values: np.ndarray) -> "Integrand":
+        """An integrand of values that fit ``grid`` and are finite by
+        construction, such as a block's B and alpha from ``chunk_context``,
+        built without the checks, which would read every value again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "grid", grid)
+        object.__setattr__(v, "values", values)
+        return v
+
 
 def _integrands(
     v: Integrand | tuple[Integrand, ...], path: BrownianPath

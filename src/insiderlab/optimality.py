@@ -13,12 +13,14 @@ Four instruments, all statistical, all seeded:
 * ``martingale_diagnostic`` tests E[phi * (N_u(t+h) - N_u(t))] = 0 for
   four bounded information functions phi, where
 
-      N_u(t) = int_0^t [2 a u_s - e^{-b_s}(rtilde - r)] ds
-             - int_0^t e^{-b_s} sigma_s dB_s .
+      N_u(t) = int_0^t [2 a u_s - w_s (rtilde - r)] ds
+             - int_0^t w_s sigma_s dB_s ,     w_s = b e^{-r(s - T)} .
 
-  Under the optimal control the increments have conditional mean zero, so
-  every cell passes; a policy that ignores valuable information fails the
-  correlated cells by a wide margin.
+  w_s is -G_x for the value G(s, x) = -b e^{-r(s - T)} x + g(s), the weight
+  of the first-order condition 2 a u + G_x (rtilde - r + sigma alpha) = 0.
+  Under the optimal control the increments therefore have conditional mean
+  zero, at every b and r, so every cell passes; a policy that ignores
+  valuable information fails the correlated cells by a wide margin.
 
 Each estimator runs top-level reducers ``(dB, ctx) -> arrays`` through
 ``enlargement.map_reducers``, which draws each chunk once for all of them
@@ -359,12 +361,17 @@ def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
 
 def window_rows(setup: WealthSetup, ilo: int,
                 ihi: int) -> tuple[np.ndarray, np.ndarray]:
-    """e^{-r t} (rtilde - r) and e^{-r t} sigma on the nodes [ilo, ihi):
-    the node rows of N_u's ds and dB parts over one window."""
-    # overflow is detected in the products, not warned about
+    """w_t (rtilde - r) and w_t sigma on the nodes [ilo, ihi), with
+    w_t = b e^{rT} e^{-r t} = -G_x: the node rows of N_u's ds and dB parts
+    over one window.  At b = 1 and r = 0 the factor b e^{rT} is exactly 1."""
+    T = setup.grid.times[setup.i_last]
+    # overflow is detected in the products, not warned about; a product of
+    # two factors, so that one that overflows gives inf or nan there, where
+    # e^{-r(t - T)} would round to a finite 0
     with np.errstate(over="ignore", invalid="ignore"):
-        disc = np.exp(-setup.r * setup.grid.times[ilo:ihi])
-        return disc * setup.excess, disc * setup.sigma_nodes[ilo:ihi]
+        w = (np.exp(-setup.r * setup.grid.times[ilo:ihi])
+             * (setup.b_weight * np.exp(setup.r * T)))
+        return w * setup.excess, w * setup.sigma_nodes[ilo:ihi]
 
 
 def nu_increments(
@@ -409,7 +416,8 @@ def martingale_diagnostic(
     ``default_test_functions``.
 
     A cell passes when |estimate| <= threshold * SE.  Under the optimal
-    control the increments are conditionally centered given the window-start
+    control the increments, weighted by w_t = b e^{-r(t - T)}
+    (``window_rows``), are conditionally centered given the window-start
     information, so every phi is uncorrelated with them.
     Rows whose state or any product goes non-finite are dropped from every
     cell and counted; too many raise DivergenceError.

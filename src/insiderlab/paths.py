@@ -9,7 +9,9 @@ functions of ``(grid, seed)``: the same inputs always reproduce the same
 trajectory bit for bit, which is what makes common-random-number comparisons
 and byte-identical experiment reruns possible.  ``map_chunks`` is the one
 engine every Monte Carlo estimator runs on, in process or through a pool.
-In process two threads each draw and reduce one chunk, so two chunks are in
+Its task draws a chunk block by block into one workspace and reduces each
+block before it draws the next, so no array of a whole chunk is made.  In
+process two threads each run the task of one chunk, so two chunks are in
 flight at a time; the draw and most of numpy's array work release the
 interpreter lock, so the two overlap.
 """
@@ -38,6 +40,7 @@ __all__ = [
     "sample_brownian",
     "constant_weight",
     "as_weight",
+    "block_rows",
     "chunk_rng",
     "increment_chunk",
     "map_chunks",
@@ -51,12 +54,18 @@ __all__ = [
 # how many workers processed the batch.
 CHUNK = 1024
 
-# Bytes of one float64 row block of a drawn chunk, the unit its reducers
-# see at a time (``enlargement.map_reducers``): 63 rows at 4096 steps, 127
-# at 2048.  A block's arrays then fit in a 2 MiB L2 cache, and they stay the
-# same size at every n_steps.  Block-sized temporaries reuse heap pages,
-# where chunk-sized ones (32 MiB at 4096 steps) are mapped and faulted in
-# anew by malloc.  Draws and streams stay per CHUNK.
+# Bytes of one float64 row block of a chunk, the unit that ``map_chunks``
+# draws and its reducers see at a time: 63 rows at 4096 steps, 127 at 2048.
+# A block's arrays then fit in a 2 MiB L2 cache, and they stay the same size
+# at every n_steps.  Streams stay per CHUNK: the blocks of a chunk are
+# successive fills of its one generator.  Block-sized temporaries reuse heap
+# pages only because each chunk's workspace (``spare`` + 1 blocks, allocated
+# once) is larger than they are: freeing a buffer that glibc's malloc had
+# mapped raises its mmap threshold to that size and its heap trim threshold
+# to twice that.  With only block-sized buffers the trim threshold stays
+# near two blocks, and the heap is trimmed and faulted in again after every
+# block (a fresh workspace per block: about 10,700 minor faults per op of
+# perfbench's ``value`` cycle, against 7 for one per chunk).
 BLOCK_BYTES = 1 << 20
 
 # Relative slack when matching a time to a grid node.
@@ -226,10 +235,12 @@ def make_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
     return TimeGrid(float(t_start), float(t_end), int(n_steps))
 
 
-def running_sum(x: np.ndarray) -> np.ndarray:
+def running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Node values of paths with increments ``x`` (last axis), started at 0:
-    ``out[..., i] = x[..., 0] + ... + x[..., i-1]``, summed by ``np.cumsum``."""
-    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    ``out[..., i] = x[..., 0] + ... + x[..., i-1]``, summed by ``np.cumsum``
+    into ``out`` (a new array by default), which is returned."""
+    if out is None:
+        out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
     out[..., 0] = 0.0
     np.cumsum(x, axis=-1, out=out[..., 1:])
     return out
@@ -270,7 +281,8 @@ def increment_chunk(
     grid: TimeGrid, seed: int, chunk_index: int, rows: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The (rows, n_steps) increment block of one chunk, Normal(0, dt) iid.
+    """The (rows, n_steps) increments of one chunk, Normal(0, dt) iid, in
+    one call: the reference that ``map_chunks``' row blocks join to.
 
     With ``out`` (a float64 C-contiguous (rows, n_steps) array) the block is
     written into it and ``out`` is returned; the values are the same.
@@ -282,52 +294,79 @@ def increment_chunk(
     return out
 
 
-def _reduce_increments(
-    reduce_chunk: Callable[[np.ndarray], Any], grid: TimeGrid, seed: int,
-    chunk_index: int, rows: int, out: np.ndarray | None = None,
-):
-    return reduce_chunk(increment_chunk(grid, seed, chunk_index, rows, out))
+def block_rows(n_steps: int) -> int:
+    """Rows of one row block of a chunk with ``n_steps`` columns: as many as
+    fit in ``BLOCK_BYTES``, at least one."""
+    return max(1, BLOCK_BYTES // (8 * n_steps))
+
+
+def _reduce_blocks(
+    reduce_block: Callable[..., Any], grid: TimeGrid, seed: int, spare: int,
+    chunk_index: int, rows: int,
+) -> list:
+    """The task of one chunk: its stream is opened once, and each row block
+    is drawn into one workspace and reduced before the next is drawn."""
+    rng = chunk_rng(seed, chunk_index)
+    step = min(block_rows(grid.n_steps), rows)
+    work = np.empty((1 + spare, step, grid.n_steps))
+    scale = math.sqrt(grid.dt)
+    results = []
+    for start in range(0, rows, step):
+        block = work[:, : min(step, rows - start)]
+        dB = block[0]
+        rng.standard_normal(out=dB)
+        dB *= scale
+        results.append(reduce_block(dB, block[1:]) if spare
+                       else reduce_block(dB))
+    return results
 
 
 def map_chunks(
-    reduce_chunk: Callable[[np.ndarray], Any],
+    reduce_block: Callable[..., Any],
     grid: TimeGrid,
     seed: int,
     n_paths: int,
     pool: Executor | None = None,
+    spare: int = 0,
 ) -> list:
-    """``reduce_chunk(dB)`` for every increment chunk of the batch, in chunk order.
+    """``reduce_block(dB)`` for every row block of the batch, in path order.
 
-    ``dB`` has shape (rows, grid.n_steps) with iid Normal(0, dt) entries; row
-    k of chunk c is path ``c*CHUNK + k`` of the batch.  The Monte Carlo
-    estimators pass their draw grid, so there dB is (rows, i_last + 1).  With
-    a ``pool`` and more than one chunk, the chunks are drawn and reduced in
-    its workers, so ``reduce_chunk`` must pickle.  Otherwise two threads each
-    draw and reduce one chunk, and chunk c + 2 is started only once the
-    result of chunk c is in, so at most two chunks are in flight.  A failing
-    reducer raises here; no chunk after the one in flight beside it is
-    started, and both threads have stopped when this returns or raises.
+    Chunk c covers paths ``c*CHUNK`` to ``(c+1)*CHUNK`` and is cut into
+    blocks of ``block_rows(grid.n_steps)`` rows, the last one ragged; a
+    chunk that fits in ``BLOCK_BYTES`` is one block.  ``dB`` has shape
+    (rows, grid.n_steps) with iid Normal(0, dt) entries, and its rows, joined
+    over a chunk's blocks, are ``increment_chunk(grid, seed, c, rows)`` bit
+    for bit.  The Monte Carlo estimators pass their draw grid, so there dB
+    is (rows, i_last + 1).  With ``spare`` > 0 the call is
+    ``reduce_block(dB, work)``, where ``work`` holds ``spare`` more arrays of
+    dB's shape for the reducer's own use.  Each chunk's task allocates one
+    workspace, so dB and ``work`` are overwritten by the next block: a
+    reducer must return fresh arrays, never views of them.
+
+    With a ``pool`` and more than one chunk, the chunks are drawn and
+    reduced in its workers, so ``reduce_block`` must pickle.  Otherwise two
+    threads each run one chunk's task, and chunk c + 2 is started only once
+    the result of chunk c is in, so at most two chunks are in flight.  A
+    failing reducer raises here; no chunk after the one in flight beside it
+    is started, and both threads have stopped when this returns or raises.
 
     The reducer runs off the calling thread, two calls at a time: it must be
     thread-safe, and it must set its own ``np.errstate``, since the caller's
-    does not reach the threads.  The results come back in chunk order
-    either way, and neither the pool nor the threads change a value.  A
-    reducer should return fresh arrays, not views into its chunk, which
-    would keep the whole chunk alive until the batch is combined.
+    does not reach the threads.  The results come back in path order
+    either way, and neither the pool nor the threads change a value.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     plan = [(c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))]
-    task = partial(_reduce_increments, reduce_chunk, grid, seed)
+    task = partial(_reduce_blocks, reduce_block, grid, seed, spare)
     if pool is not None and len(plan) > 1:
-        return list(pool.map(task, *zip(*plan)))
-    with ThreadPoolExecutor(2) as threads:
-        results, in_flight = [], deque()
-        for c, rows in plan:
-            if len(in_flight) == 2:
-                results.append(in_flight.popleft().result())
-            # the buffer is allocated on this thread: one allocated on a pool
-            # thread would land in another malloc arena and raise the RSS
-            in_flight.append(threads.submit(task, c, rows,
-                                            np.empty((rows, grid.n_steps))))
-        return results + [future.result() for future in in_flight]
+        chunks = list(pool.map(task, *zip(*plan)))
+    else:
+        with ThreadPoolExecutor(2) as threads:
+            chunks, in_flight = [], deque()
+            for c, rows in plan:
+                if len(in_flight) == 2:
+                    chunks.append(in_flight.popleft().result())
+                in_flight.append(threads.submit(task, c, rows))
+            chunks += [future.result() for future in in_flight]
+    return [result for blocks in chunks for result in blocks]

@@ -132,13 +132,14 @@ def generator_Au(Gt, Gx, Gxx, b_val, sigma_val, alpha):
 
 def nu_path(setup, u, dB, row=0):
     """N_u at every node of [t0, T] for one row of a chunk, N_u(t0) = 0:
-    left-point sums of [2 a u - e^{-r s} excess] ds - e^{-r s} sigma dB."""
+    left-point sums of [2 a u - w_s excess] ds - w_s sigma dB, with
+    w_s = b e^{-r(s - T)}."""
     i0, iL = setup.i0, setup.i_last
     t = setup.grid.times[i0:iL]
-    disc = np.exp(-setup.r * t)
+    w = setup.b_weight * np.exp(-setup.r * (t - setup.grid.times[iL]))
     steps = (
-        (2.0 * setup.a * u[row, : iL - i0] - disc * setup.excess) * setup.grid.dt
-        - disc * setup.sigma_nodes[i0:iL] * dB[row, i0:iL]
+        (2.0 * setup.a * u[row, : iL - i0] - w * setup.excess) * setup.grid.dt
+        - w * setup.sigma_nodes[i0:iL] * dB[row, i0:iL]
     )
     return running_sum(steps)
 

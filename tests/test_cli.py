@@ -140,6 +140,39 @@ def test_martingale_after_t0_runs(tmp_path, capsys):
     assert min(w[0] for w in summary["config"]["windows"]) > 0.5
 
 
+@pytest.mark.parametrize("params", [{"b": 2}, {"r": 0.2}],
+                         ids=["b=2", "r=0.2"])
+@pytest.mark.parametrize("policy, code", [("example1", 0), ("zero", 1)])
+def test_martingale_tells_the_optimum_from_no_control_at_any_b_and_r(
+        tmp_path, capsys, params, policy, code):
+    # N_u weighs its parts by -G_x = b e^{rT} e^{-rt}; weighed by e^{-rt}
+    # alone, u* failed 4 of the 16 default cells at either setting
+    raw = {"experiment": "martingale", "policy": policy, "params": params,
+           "out": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "m.json", raw),
+                 "--workers", "1"]) == code
+    summary = json.loads((tmp_path / "out" / "martingale.json").read_text())
+    assert summary["results"]["n_passing"] == (16 if code == 0 else 12)
+
+
+def test_the_build_id_is_read_once_per_process(tmp_path, monkeypatch):
+    calls = []
+    run = experiments.subprocess.run
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.subprocess, "run", counting)
+    experiments._build_id.cache_clear()
+    cfg = experiments.resolve_config({"experiment": "decomposition",
+                                      "n_paths": 64, "n_steps": 16})
+    first = experiments.run_experiment(cfg, tmp_path / "a")
+    second = experiments.run_experiment(cfg, tmp_path / "b")
+    assert len(calls) == 1 and calls[0][:2] == ["git", "rev-parse"]
+    assert first["build_id"] == second["build_id"]
+
+
 def test_off_grid_default_windows_are_invalid_config(tmp_path, capsys):
     # dt = 0.02 puts the first default window edge T/8 between nodes
     cfg = write_cfg(tmp_path, "coarse.json", {

@@ -277,7 +277,7 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
                                                         monkeypatch):
     # at 64 steps a whole chunk fits the byte budget: shrink it to 300 rows
     # of the 33-column draw grid, so each chunk is cut into several blocks
-    monkeypatch.setattr(enlargement, "BLOCK_BYTES", 300 * 8 * 33 + 7)
+    monkeypatch.setattr(paths, "BLOCK_BYTES", 300 * 8 * 33 + 7)
     # r = 0 too: the wealth kernel's product takes the same path at every r
     for r in (0.0, 0.2):
         params = ModelParams.benchmark(r=r, t0=0.25, sigma_fn=Affine(1.0, 0.5),
@@ -304,6 +304,47 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
                           tuple(np.concatenate(a, axis=-1) for a in zip(*whole)))
 
 
+@pytest.mark.parametrize("n_paths", [1500, 1025, 2048],
+                         ids=["476-row chunk", "1-row chunk", "whole chunks"])
+def test_block_draws_join_to_increment_chunk_bit_for_bit(n_paths,
+                                                         monkeypatch):
+    # 100-row blocks of 40 columns: a chunk of 1024 rows is 11 blocks, the
+    # last one ragged
+    monkeypatch.setattr(paths, "BLOCK_BYTES", 100 * 8 * 40 + 5)
+    g = make_grid(0, 1, 40)
+    assert paths.block_rows(40) == 100
+    seed = 23
+    blocks = map_chunks(np.copy, g, seed, n_paths)
+    rows = _chunk_rows(n_paths)
+    assert [len(b) for b in blocks] == [
+        min(100, n - start) for n in rows for start in range(0, n, 100)]
+    whole = [increment_chunk(g, seed, c, n) for c, n in enumerate(rows)]
+    assert _same_bits(np.concatenate(blocks), np.concatenate(whole))
+    # the spare arrays of the workspace have the block's shape
+    shapes = map_chunks(lambda dB, work: (dB.shape, work.shape), g, seed,
+                        n_paths, spare=2)
+    assert shapes == [((len(b), 40), (2, len(b), 40)) for b in blocks]
+
+
+def _aliasing(kind, dB, ctx):
+    return {"block": (dB[:, 0],),
+            "context": (ctx.B[:, -1],),
+            "drift": (ctx.alpha[:, 0],)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["block", "context", "drift"])
+def test_a_reducer_output_that_shares_the_workspace_raises(kind):
+    # the next block is drawn into the same workspace: a view would change
+    setup = make_wealth_setup(ModelParams.benchmark(), 32)
+    reducers = [partial(cost_chunk, setup, policy=constant_policy(0.5)),
+                partial(_aliasing, kind)]
+    with pytest.raises(ValueError, match="fresh arrays"):
+        map_reducers(setup, reducers, 3, 2100)
+    with ProcessPoolExecutor(2) as pool:
+        with pytest.raises(ValueError, match="fresh arrays"):
+            map_reducers(setup, reducers, 3, 2100, pool)
+
+
 def _misshapen(kind, dB, ctx):
     return {"scalar": (float(dB.sum()),),
             "short": (ctx.L[:-1],),
@@ -323,26 +364,35 @@ def test_a_reducer_output_without_the_block_rows_last_raises(kind):
 
 
 @pytest.mark.parametrize("estimate", ["cost_mc", "martingale_diagnostic",
-                                      "decomposition_stats"])
+                                      "decomposition_stats", "forward"])
 def test_peak_memory_stays_within_three_chunks(estimate):
-    # the chunk being reduced, the one drawn ahead and one block's working set
+    # two chunks in flight, each drawn block by block into one 3-block
+    # workspace, beside at most 4 blocks of its reducers' temporaries: a
+    # bound in blocks, whatever n_steps is.  Each draw grid column count
+    # gives a ragged last block; 2049 columns is 63-row blocks.
     params = ModelParams.benchmark()
-    n, seed, steps = 2048, 1, 1024
-    run = {
-        "cost_mc": lambda: cost_mc(example1_policy(params), params, n, seed,
-                                   steps),
-        "martingale_diagnostic": lambda: martingale_diagnostic(
-            example1_policy(params), params, n, seed, steps),
-        "decomposition_stats": lambda: decomposition_stats(
-            params.m, params.T, params.grid(steps), n, seed),
-    }[estimate]
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.0 * CHUNK * steps * 8
+    n, seed = 2048, 1
+    for steps in (1024, 4096):
+        grid = params.grid(steps)
+        run = {
+            "cost_mc": lambda: cost_mc(example1_policy(params), params, n,
+                                       seed, steps),
+            "martingale_diagnostic": lambda: martingale_diagnostic(
+                example1_policy(params), params, n, seed, steps),
+            "decomposition_stats": lambda: decomposition_stats(
+                params.m, params.T, grid, n, seed),
+            "forward": lambda: map_reducers(
+                enlargement.drift_setup(params.m, grid, params.T),
+                [partial(experiments._forward_chunk, grid, params.T,
+                         [8, 4, 2, 1])], seed, n),
+        }[estimate]
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (3 + 4) * paths.BLOCK_BYTES, (steps, peak)
 
 
 def test_weights_policies_and_test_functions_pickle():
@@ -394,10 +444,10 @@ def test_every_kind_draws_each_chunk_once(tmp_path, monkeypatch, kind):
     calls = []
 
     def counting(*args):
-        calls.append(args[2])
-        return increment_chunk(*args)
+        calls.append(args[1])
+        return chunk_rng(*args)
 
-    monkeypatch.setattr(paths, "increment_chunk", counting)
+    monkeypatch.setattr(paths, "chunk_rng", counting)
     raw = {"experiment": kind, "n_paths": 10_000, "n_steps": 32}
     if kind == "hjb-residual":
         raw["n_probes"] = 10  # it samples its few fields whole, unchunked

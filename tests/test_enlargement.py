@@ -233,7 +233,7 @@ def test_drift_square_mean_matches_the_simulated_drift_at_every_node(m):
 # ---------------------------------------------------------------------------
 
 def _L_and_B_T(dB, ctx):
-    return ctx.L, ctx.B[:, -1]
+    return ctx.L, ctx.B[:, -1].copy()  # B is the block's workspace
 
 
 class TestCollapsedDraw:

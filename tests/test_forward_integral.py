@@ -261,6 +261,16 @@ def test_batched_shapes_are_validated():
             BrownianPath(g, bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_an_integrand_that_is_not_finite_is_rejected(bad):
+    # _forward_chunk skips this check on the engine's B and alpha only
+    g = make_grid(0, 1, 16)
+    for values in (np.ones(g.n_nodes), np.ones((3, g.n_nodes))):
+        values[..., 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Integrand(g, values)
+
+
 @pytest.mark.parametrize("ladder", [[8, 4, 2, 1], [63, 2, 1]])
 def test_forward_chunk_matches_the_per_row_loop(ladder):
     params, setup, dB = _sin_chunk(rows=9)
