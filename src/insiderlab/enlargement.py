@@ -242,10 +242,10 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
     """Apply every reducer ``(dB, ctx) -> arrays`` to each block of one draw.
 
     ``map_chunks`` draws each chunk once, on ``setup.draw_grid``, in row
-    blocks of ``paths.block_rows(i_last + 1)`` rows, the last one ragged,
-    into one workspace per chunk.  Each block gets one ``chunk_context``,
-    whose B and alpha share that workspace, and every reducer sees the
-    block and that context before the next block is drawn.  A reducer
+    blocks of ``max(1, paths.BLOCK_BYTES // (8 * (i_last + 1)))`` rows, the
+    last one ragged, into one workspace per chunk.  Each block gets one
+    ``chunk_context``, whose B and alpha share that workspace, and every
+    reducer sees the block and that context before the next block is drawn.  A reducer
     returns a tuple of fresh arrays whose last axis is the block's rows, and
     must be row-wise (row k depends on row k of the block alone), so the
     block size changes no result.  In process the reducers run on
@@ -258,7 +258,7 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
     raises ``ValueError``.
     """
     blocks = map_chunks(partial(_reduce_block, setup, tuple(reducers)),
-                        setup.draw_grid, seed, n_paths, pool, spare=2)
+                        setup.draw_grid, seed, n_paths, pool)
     return [tuple(np.concatenate(a, axis=-1) for a in zip(*block_outputs))
             for block_outputs in zip(*blocks)]
 

@@ -40,7 +40,6 @@ __all__ = [
     "sample_brownian",
     "constant_weight",
     "as_weight",
-    "block_rows",
     "chunk_rng",
     "increment_chunk",
     "map_chunks",
@@ -59,8 +58,8 @@ CHUNK = 1024
 # A block's arrays then fit in a 2 MiB L2 cache, and they stay the same size
 # at every n_steps.  Streams stay per CHUNK: the blocks of a chunk are
 # successive fills of its one generator.  Block-sized temporaries reuse heap
-# pages only because each chunk's workspace (``spare`` + 1 blocks, allocated
-# once) is larger than they are: freeing a buffer that glibc's malloc had
+# pages only because each chunk's workspace (three blocks, allocated once)
+# is larger than they are: freeing a buffer that glibc's malloc had
 # mapped raises its mmap threshold to that size and its heap trim threshold
 # to twice that.  With only block-sized buffers the trim threshold stays
 # near two blocks, and the heap is trimmed and faulted in again after every
@@ -294,21 +293,21 @@ def increment_chunk(
     return out
 
 
-def block_rows(n_steps: int) -> int:
+def _block_rows(n_steps: int) -> int:
     """Rows of one row block of a chunk with ``n_steps`` columns: as many as
     fit in ``BLOCK_BYTES``, at least one."""
     return max(1, BLOCK_BYTES // (8 * n_steps))
 
 
 def _reduce_blocks(
-    reduce_block: Callable[..., Any], grid: TimeGrid, seed: int, spare: int,
+    reduce_block: Callable[..., Any], grid: TimeGrid, seed: int,
     chunk_index: int, rows: int,
 ) -> list:
     """The task of one chunk: its stream is opened once, and each row block
     is drawn into one workspace and reduced before the next is drawn."""
     rng = chunk_rng(seed, chunk_index)
-    step = min(block_rows(grid.n_steps), rows)
-    work = np.empty((1 + spare, step, grid.n_steps))
+    step = min(_block_rows(grid.n_steps), rows)
+    work = np.empty((3, step, grid.n_steps))
     scale = math.sqrt(grid.dt)
     results = []
     for start in range(0, rows, step):
@@ -316,8 +315,7 @@ def _reduce_blocks(
         dB = block[0]
         rng.standard_normal(out=dB)
         dB *= scale
-        results.append(reduce_block(dB, block[1:]) if spare
-                       else reduce_block(dB))
+        results.append(reduce_block(dB, block[1:]))
     return results
 
 
@@ -327,21 +325,21 @@ def map_chunks(
     seed: int,
     n_paths: int,
     pool: Executor | None = None,
-    spare: int = 0,
 ) -> list:
-    """``reduce_block(dB)`` for every row block of the batch, in path order.
+    """``reduce_block(dB, work)`` for every row block of the batch, in path
+    order.
 
     Chunk c covers paths ``c*CHUNK`` to ``(c+1)*CHUNK`` and is cut into
-    blocks of ``block_rows(grid.n_steps)`` rows, the last one ragged; a
-    chunk that fits in ``BLOCK_BYTES`` is one block.  ``dB`` has shape
+    blocks of ``max(1, BLOCK_BYTES // (8 * grid.n_steps))`` rows, the last
+    one ragged; a chunk that fits in ``BLOCK_BYTES`` is one block.  ``dB``
+    has shape
     (rows, grid.n_steps) with iid Normal(0, dt) entries, and its rows, joined
     over a chunk's blocks, are ``increment_chunk(grid, seed, c, rows)`` bit
     for bit.  The Monte Carlo estimators pass their draw grid, so there dB
-    is (rows, i_last + 1).  With ``spare`` > 0 the call is
-    ``reduce_block(dB, work)``, where ``work`` holds ``spare`` more arrays of
-    dB's shape for the reducer's own use.  Each chunk's task allocates one
-    workspace, so dB and ``work`` are overwritten by the next block: a
-    reducer must return fresh arrays, never views of them.
+    is (rows, i_last + 1).  ``work`` holds two more arrays of dB's shape
+    for the reducer's own use.  Each chunk's task allocates one workspace,
+    so dB and ``work`` are overwritten by the next block: a reducer must
+    return fresh arrays, never views of them.
 
     With a ``pool`` and more than one chunk, the chunks are drawn and
     reduced in its workers, so ``reduce_block`` must pickle.  Otherwise two
@@ -358,7 +356,7 @@ def map_chunks(
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     plan = [(c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))]
-    task = partial(_reduce_blocks, reduce_block, grid, seed, spare)
+    task = partial(_reduce_blocks, reduce_block, grid, seed)
     if pool is not None and len(plan) > 1:
         chunks = list(pool.map(task, *zip(*plan)))
     else:

@@ -82,27 +82,31 @@ class CountingPool:
 
 def test_map_chunks_returns_chunks_in_order():
     g = make_grid(0, 1, 8)
-    rows = map_chunks(lambda dB: dB.shape[0], g, 5, 2500)
+    rows = map_chunks(lambda dB, work: dB.shape[0], g, 5, 2500)
     assert rows == [1024, 1024, 452]
-    firsts = map_chunks(lambda dB: dB[0].copy(), g, 5, 2500)
+    firsts = map_chunks(lambda dB, work: dB[0].copy(), g, 5, 2500)
     for c, first in enumerate(firsts):
         assert np.array_equal(first, increment_chunk(g, 5, c, 1)[0])
+
+
+def _block_sum(dB, work):
+    return dB.sum()
 
 
 def test_map_chunks_uses_the_pool_only_for_several_chunks():
     g = make_grid(0, 1, 8)
     pool = CountingPool()
-    one = map_chunks(np.sum, g, 5, 1024, pool)
+    one = map_chunks(_block_sum, g, 5, 1024, pool)
     assert pool.calls == 0
-    many = map_chunks(np.sum, g, 5, 2049, pool)
+    many = map_chunks(_block_sum, g, 5, 2049, pool)
     assert pool.calls == 1
-    assert many == map_chunks(np.sum, g, 5, 2049)
+    assert many == map_chunks(_block_sum, g, 5, 2049)
     assert one == many[:1]
 
 
 def test_map_chunks_rejects_an_empty_batch():
     with pytest.raises(ValueError):
-        map_chunks(np.sum, make_grid(0, 1, 8), 5, 0)
+        map_chunks(_block_sum, make_grid(0, 1, 8), 5, 0)
 
 
 def _same_bits(a, b) -> bool:
@@ -133,11 +137,11 @@ def test_increment_chunk_fills_a_given_buffer():
 def test_drawing_ahead_equals_drawing_in_turn_bit_for_bit(n_paths):
     g = make_grid(0, 1, 64)
 
-    def reduce(dB):
+    def reduce(dB, work):
         return dB.copy(), dB.sum(axis=1)
 
     ahead = map_chunks(reduce, g, 5, n_paths)
-    in_turn = [reduce(increment_chunk(g, 5, c, rows))
+    in_turn = [reduce(increment_chunk(g, 5, c, rows), None)
                for c, rows in enumerate(_chunk_rows(n_paths))]
     assert _same_bits(ahead, in_turn)
 
@@ -154,7 +158,7 @@ def test_results_come_back_in_chunk_order_when_chunk_0_finishes_last():
     chunk_1_done = threading.Event()
     finished = []
 
-    def reduce(dB):
+    def reduce(dB, work):
         c = which(dB)
         if c == 0:
             assert chunk_1_done.wait(timeout=10)
@@ -171,7 +175,7 @@ def test_two_reducers_run_at_once_and_never_more():
     lock, both = threading.Lock(), threading.Event()
     running, peak = [0], [0]
 
-    def reduce(dB):
+    def reduce(dB, work):
         with lock:
             running[0] += 1
             peak[0] = max(peak[0], running[0])
@@ -219,7 +223,7 @@ def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
     lock, chunk_2_started = threading.Lock(), threading.Event()
     seen = []
 
-    def reduce(dB):
+    def reduce(dB, work):
         c = which(dB)
         with lock:
             seen.append(c)
@@ -312,17 +316,17 @@ def test_block_draws_join_to_increment_chunk_bit_for_bit(n_paths,
     # last one ragged
     monkeypatch.setattr(paths, "BLOCK_BYTES", 100 * 8 * 40 + 5)
     g = make_grid(0, 1, 40)
-    assert paths.block_rows(40) == 100
+    assert paths._block_rows(40) == 100
     seed = 23
-    blocks = map_chunks(np.copy, g, seed, n_paths)
+    blocks = map_chunks(lambda dB, work: dB.copy(), g, seed, n_paths)
     rows = _chunk_rows(n_paths)
     assert [len(b) for b in blocks] == [
         min(100, n - start) for n in rows for start in range(0, n, 100)]
     whole = [increment_chunk(g, seed, c, n) for c, n in enumerate(rows)]
     assert _same_bits(np.concatenate(blocks), np.concatenate(whole))
-    # the spare arrays of the workspace have the block's shape
+    # the two spare arrays of the workspace have the block's shape
     shapes = map_chunks(lambda dB, work: (dB.shape, work.shape), g, seed,
-                        n_paths, spare=2)
+                        n_paths)
     assert shapes == [((len(b), 40), (2, len(b), 40)) for b in blocks]
 
 

@@ -288,7 +288,7 @@ class TestSweepCoefficients:
         setup = make_wealth_setup(params, 512)
         ilo_ihi = window_indices(setup.grid, WINDOW, params.t0, params.T)
 
-        def bad_rows(dB):
+        def bad_rows(dB, work):
             _, bad = sweep_coefficients(setup, dB, chunk_context(setup, dB), pol,
                                         spec, ilo_ihi)
             for y in spec.y_grid:

@@ -141,9 +141,12 @@ def test_restrict_shares_prefix_values():
 
 def test_increment_chunks_are_stream_stable():
     g = make_grid(0, 1, 16)
-    full = map_chunks(np.copy, g, 5, 2500)
+    def copy(db, work):
+        return db.copy()
+
+    full = map_chunks(copy, g, 5, 2500)
     # a shorter batch reproduces a row-for-row prefix of the longer one
-    for db, longer in zip(map_chunks(np.copy, g, 5, 1100), full):
+    for db, longer in zip(map_chunks(copy, g, 5, 1100), full):
         assert np.array_equal(db, longer[: db.shape[0]])
     assert [b.shape[0] for b in full] == [1024, 1024, 452]
 
@@ -151,7 +154,7 @@ def test_increment_chunks_are_stream_stable():
 def test_chunk_sampler_matches_moments():
     g = make_grid(0, 1, 4)
     total = np.concatenate(
-        map_chunks(lambda db: db.sum(axis=1), g, 9, 50_000)
+        map_chunks(lambda db, work: db.sum(axis=1), g, 9, 50_000)
     )
     assert abs(total.mean()) < 3.0 / math.sqrt(50_000)
     assert abs(total.var() - 1.0) < 0.05
