@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help="override the output directory")
     run.add_argument("--workers", type=int, default=None,
-                     help="process pool size (default: available cores)")
+                     help="process pool size; 1 runs the op in process on "
+                          "two threads (default: available cores)")
 
     sub.add_parser("list", help="list experiment kinds and their config schema")
     return parser

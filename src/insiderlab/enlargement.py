@@ -16,14 +16,17 @@ The drift is only ever evaluated up to a decision horizon T strictly before
 T1; at T1 the conditioning denominator vanishes.
 
 Batch estimators see the drift through ``chunk_context``: ``map_reducers``
-has ``paths.map_chunks`` draw each chunk once, in row blocks of about
-``paths.BLOCK_BYTES`` bytes each, builds each block's B, alpha and L once,
-B and alpha in the same workspace as the block, and applies every reducer
-of an op to that one context before the next block is drawn.  In process
-two threads each draw and reduce one chunk, so the reducers run off the
-calling thread, two at a time.  Every reducer is row-wise and returns fresh
-arrays whose last axis is the block's rows, so ``map_reducers`` joins them
-into whole-batch arrays in path order.
+is the one chunk engine of the library and the CLI.  Its task opens a
+chunk's stream once and draws the chunk in row blocks of about
+``BLOCK_BYTES`` bytes into one workspace, builds each block's B, alpha and
+L once, B and alpha in that same workspace, and applies every reducer of an
+op to that one context before the next block is drawn, so no array of a
+whole chunk is made.  In process two threads each run the task of one
+chunk, so the reducers run off the calling thread, two at a time; the draw
+and most of numpy's array work release the interpreter lock, so the two
+overlap.  Every reducer is row-wise and returns fresh arrays whose last
+axis is the block's rows, so ``map_reducers`` joins them into whole-batch
+arrays in path order.
 
 Every control, wealth path and check lives on [0, T], so the path after T
 enters only through the scalar int_T^{T1} m dB.  Given the path on [0, T]
@@ -39,6 +42,8 @@ sum.  The single-path ``InfoDriftField`` still takes a path on all of
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -46,15 +51,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .paths import (
+    CHUNK,
     BrownianPath,
     TimeGrid,
     WeightFunction,
     as_weight,
-    map_chunks,
+    chunk_rng,
+    n_chunks,
     running_sum,
 )
 
 __all__ = [
+    "BLOCK_BYTES",
     "ChunkContext",
     "DriftSetup",
     "drift_setup",
@@ -218,47 +226,104 @@ def chunk_context(setup: DriftSetup, dB: np.ndarray,
                         L, alpha, B)
 
 
-def _reduce_block(setup, reducers, dB, work):
-    """Every reducer's outputs on one block, whose B and alpha go to
-    ``work``, the rest of the block's workspace."""
-    ctx = chunk_context(setup, dB, work)
-    # each reducer's block-sized arrays die with its frame, before the next
-    outputs = [reduce(dB, ctx) for reduce in reducers]
-    for out in outputs:
-        if not isinstance(out, tuple) or any(
-                np.shape(a)[-1:] != (len(dB),) for a in out):
-            raise ValueError(f"a reducer must return a tuple of arrays "
-                             f"with the block's {len(dB)} rows last")
-        if any(np.may_share_memory(a, dB) or np.may_share_memory(a, work)
-               for a in out):
-            raise ValueError("a reducer must return fresh arrays, not views "
-                             "of the block or its context: the next block "
-                             "overwrites them")
-    return outputs
+# Bytes of one float64 row block of a chunk, the unit that ``map_reducers``
+# draws and its reducers see at a time: 63 rows at 4096 steps, 127 at 2048.
+# A block's arrays then fit in a 2 MiB L2 cache, and they stay the same size
+# at every n_steps.  Streams stay per CHUNK: the blocks of a chunk are
+# successive fills of its one generator.  Block-sized temporaries reuse heap
+# pages only because each chunk's workspace (three blocks, allocated once)
+# is larger than they are: freeing a buffer that glibc's malloc had
+# mapped raises its mmap threshold to that size and its heap trim threshold
+# to twice that.  With only block-sized buffers the trim threshold stays
+# near two blocks, and the heap is trimmed and faulted in again after every
+# block (a fresh workspace per block: about 10,700 minor faults per op of
+# perfbench's ``value`` cycle, against 7 for one per chunk).
+BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n_steps: int) -> int:
+    """Rows of one row block of a chunk with ``n_steps`` columns: as many as
+    fit in ``BLOCK_BYTES``, at least one."""
+    return max(1, BLOCK_BYTES // (8 * n_steps))
+
+
+def _reduce_chunk(setup, reducers, seed, chunk_index, rows):
+    """The task of one chunk: its stream is opened once, and each row block
+    is drawn into one workspace, gets its context there and goes through
+    every reducer before the next block is drawn.  Returns every reducer's
+    outputs, block by block."""
+    grid = setup.draw_grid
+    rng = chunk_rng(seed, chunk_index)
+    step = min(_block_rows(grid.n_steps), rows)
+    work = np.empty((3, step, grid.n_steps))
+    scale = math.sqrt(grid.dt)
+    blocks = []
+    for start in range(0, rows, step):
+        dB, B, alpha = work[:, : min(step, rows - start)]
+        rng.standard_normal(out=dB)
+        dB *= scale
+        ctx = chunk_context(setup, dB, (B, alpha))
+        # each reducer's block-sized arrays die with its frame, before the next
+        outputs = [reduce(dB, ctx) for reduce in reducers]
+        for out in outputs:
+            if not isinstance(out, tuple) or any(
+                    np.shape(a)[-1:] != (len(dB),) for a in out):
+                raise ValueError(f"a reducer must return a tuple of arrays "
+                                 f"with the block's {len(dB)} rows last")
+            if any(np.may_share_memory(a, work) for a in out):
+                raise ValueError("a reducer must return fresh arrays, not "
+                                 "views of the block or its context: the "
+                                 "next block overwrites them")
+        blocks.append(outputs)
+    return blocks
 
 
 def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
                  n_paths: int, pool=None) -> list[tuple[np.ndarray, ...]]:
     """Apply every reducer ``(dB, ctx) -> arrays`` to each block of one draw.
 
-    ``map_chunks`` draws each chunk once, on ``setup.draw_grid``, in row
-    blocks of ``max(1, paths.BLOCK_BYTES // (8 * (i_last + 1)))`` rows, the
-    last one ragged, into one workspace per chunk.  Each block gets one
-    ``chunk_context``, whose B and alpha share that workspace, and every
-    reducer sees the block and that context before the next block is drawn.  A reducer
-    returns a tuple of fresh arrays whose last axis is the block's rows, and
-    must be row-wise (row k depends on row k of the block alone), so the
-    block size changes no result.  In process the reducers run on
-    ``map_chunks``' two threads, two chunks at a time: each must be
-    thread-safe and set its own ``np.errstate``, as the shipped ones do,
-    because the caller's does not reach them.  Returns, per reducer, its
-    arrays joined over all ``n_paths`` rows in path order, with or without
-    a process ``pool`` (the reducers must then pickle).  An output of the
-    wrong shape, or one that shares memory with the block or its context,
-    raises ``ValueError``.
+    Chunk c covers paths ``c*CHUNK`` to ``(c+1)*CHUNK``.  Its task draws it
+    once, on ``setup.draw_grid``, in row blocks of
+    ``max(1, BLOCK_BYTES // (8 * (i_last + 1)))`` rows, the last one ragged,
+    into one workspace of three blocks: dB, then B and alpha.  The rows of
+    dB, joined over a chunk's blocks, are
+    ``paths.increment_chunk(setup.draw_grid, seed, c, rows)`` bit for bit.
+    Each block gets one ``chunk_context`` in that workspace, and every
+    reducer sees the block and that context before the next block is drawn.
+    A reducer returns a tuple of fresh arrays, never views of the
+    workspace, whose last axis is the block's rows, and must be row-wise
+    (row k depends on row k of the block alone), so the block size changes
+    no result.  An output of the wrong shape, or one that shares memory
+    with the workspace, raises ``ValueError``.
+
+    With a ``pool`` and more than one chunk, the chunks are drawn and
+    reduced in its workers, so the reducers must pickle.  Otherwise two
+    threads each run one chunk's task, and chunk c + 2 is started only once
+    the result of chunk c is in, so at most two chunks are in flight.  A
+    failing reducer raises here; no chunk after the one in flight beside it
+    is started, and both threads have stopped when this returns or raises.
+    The reducers then run off the calling thread, two at a time: each must
+    be thread-safe and set its own ``np.errstate``, as the shipped ones do,
+    because the caller's does not reach them.
+
+    Returns, per reducer, its arrays joined over all ``n_paths`` rows in
+    path order; neither the pool nor the threads change a value.
     """
-    blocks = map_chunks(partial(_reduce_block, setup, tuple(reducers)),
-                        setup.draw_grid, seed, n_paths, pool)
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    plan = [(c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))]
+    task = partial(_reduce_chunk, setup, tuple(reducers), seed)
+    if pool is not None and len(plan) > 1:
+        chunks = list(pool.map(task, *zip(*plan)))
+    else:
+        with ThreadPoolExecutor(2) as threads:
+            chunks, in_flight = [], deque()
+            for c, rows in plan:
+                if len(in_flight) == 2:
+                    chunks.append(in_flight.popleft().result())
+                in_flight.append(threads.submit(task, c, rows))
+            chunks += [future.result() for future in in_flight]
+    blocks = [outputs for chunk in chunks for outputs in chunk]
     return [tuple(np.concatenate(a, axis=-1) for a in zip(*block_outputs))
             for block_outputs in zip(*blocks)]
 

@@ -7,14 +7,15 @@ standard error, and named pass/fail checks.
 
 The runners only handle configs, checks and emission: every estimate comes
 from the library function that the config names, and the library runs its
-chunks through one engine, ``enlargement.map_reducers`` over
-``paths.map_chunks``, which draws each chunk of an op once, in row blocks
-of about 1 MiB, and applies all of the op's reducers to each block before
-it draws the next.  ``run_experiment`` opens
-one process pool per op when ``workers > 1`` and hands it to every estimate
-of that op.  Chunk streams are keyed by (seed, chunk index) alone and chunk
-results come back in chunk order, so the emitted bytes do not depend on the
-worker count, and the CLI returns the library's numbers bit for bit.
+chunks through one engine, ``enlargement.map_reducers``, which draws each
+chunk of an op once, in row blocks of about 1 MiB, and applies all of the
+op's reducers to each block before it draws the next.  ``run_experiment``
+opens one process pool per op when ``workers > 1`` and hands it to every
+estimate of that op; with ``workers == 1`` the op runs in process, on the
+engine's two threads.  Chunk streams are keyed by (seed, chunk index)
+alone and chunk results come back in chunk order, so the emitted bytes do
+not depend on the worker count, and the CLI returns the library's numbers
+bit for bit.
 """
 
 from __future__ import annotations
@@ -504,7 +505,7 @@ def _run_hjb_residual(cfg, pool):
             sig = float(params.sigma_fn(t))
             alpha = float(field.alpha[i])
             u_min, resid = hjb_pointwise_infimum(
-                vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, sig, params, x, t
+                vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, sig, params, x
             )
             u_star = float(example1_control(alpha, sig, t, params))
             gap = abs(u_min - u_star) / max(1.0, abs(u_star))

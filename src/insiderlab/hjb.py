@@ -122,7 +122,6 @@ def hjb_pointwise_infimum(
     sigma: float,
     params: ModelParams,
     x: float,
-    t: float,
 ) -> tuple[float, float]:
     """Minimize u -> A^u G + a u^2 over the wealth dynamics at one point.
 

@@ -7,28 +7,23 @@ step more, whose increment carries the rest of L
 (``enlargement.DriftSetup.draw_grid``).  Paths are pure
 functions of ``(grid, seed)``: the same inputs always reproduce the same
 trajectory bit for bit, which is what makes common-random-number comparisons
-and byte-identical experiment reruns possible.  ``map_chunks`` is the one
-engine every Monte Carlo estimator runs on, in process or through a pool.
-Its task draws a chunk block by block into one workspace and reduces each
-block before it draws the next, so no array of a whole chunk is made.  In
-process two threads each run the task of one chunk, so two chunks are in
-flight at a time; the draw and most of numpy's array work release the
-interpreter lock, so the two overlap.
+and byte-identical experiment reruns possible.  A batch is cut into chunks
+of ``CHUNK`` paths, each with its own stream ``chunk_rng(seed, c)``;
+``increment_chunk`` is the one-call draw of a chunk, the reference that the
+chunk engine ``enlargement.map_reducers`` matches bit for bit when it draws
+a chunk block by block.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Any, Callable
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "BLOCK_BYTES",
     "CHUNK",
     "TimeGrid",
     "BrownianPath",
@@ -42,7 +37,6 @@ __all__ = [
     "as_weight",
     "chunk_rng",
     "increment_chunk",
-    "map_chunks",
     "n_chunks",
     "running_sum",
 ]
@@ -52,20 +46,6 @@ __all__ = [
 # noise seen by path i depends only on (seed, i), never on batch size or on
 # how many workers processed the batch.
 CHUNK = 1024
-
-# Bytes of one float64 row block of a chunk, the unit that ``map_chunks``
-# draws and its reducers see at a time: 63 rows at 4096 steps, 127 at 2048.
-# A block's arrays then fit in a 2 MiB L2 cache, and they stay the same size
-# at every n_steps.  Streams stay per CHUNK: the blocks of a chunk are
-# successive fills of its one generator.  Block-sized temporaries reuse heap
-# pages only because each chunk's workspace (three blocks, allocated once)
-# is larger than they are: freeing a buffer that glibc's malloc had
-# mapped raises its mmap threshold to that size and its heap trim threshold
-# to twice that.  With only block-sized buffers the trim threshold stays
-# near two blocks, and the heap is trimmed and faulted in again after every
-# block (a fresh workspace per block: about 10,700 minor faults per op of
-# perfbench's ``value`` cycle, against 7 for one per chunk).
-BLOCK_BYTES = 1 << 20
 
 # Relative slack when matching a time to a grid node.
 _NODE_RTOL = 1e-9
@@ -276,95 +256,12 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def increment_chunk(
-    grid: TimeGrid, seed: int, chunk_index: int, rows: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def increment_chunk(grid: TimeGrid, seed: int, chunk_index: int,
+                    rows: int) -> np.ndarray:
     """The (rows, n_steps) increments of one chunk, Normal(0, dt) iid, in
-    one call: the reference that ``map_chunks``' row blocks join to.
-
-    With ``out`` (a float64 C-contiguous (rows, n_steps) array) the block is
-    written into it and ``out`` is returned; the values are the same.
-    """
-    if out is None:
-        out = np.empty((rows, grid.n_steps))
+    one call: the reference that the row blocks of
+    ``enlargement.map_reducers`` join to."""
+    out = np.empty((rows, grid.n_steps))
     chunk_rng(seed, chunk_index).standard_normal(out=out)
     out *= math.sqrt(grid.dt)
     return out
-
-
-def _block_rows(n_steps: int) -> int:
-    """Rows of one row block of a chunk with ``n_steps`` columns: as many as
-    fit in ``BLOCK_BYTES``, at least one."""
-    return max(1, BLOCK_BYTES // (8 * n_steps))
-
-
-def _reduce_blocks(
-    reduce_block: Callable[..., Any], grid: TimeGrid, seed: int,
-    chunk_index: int, rows: int,
-) -> list:
-    """The task of one chunk: its stream is opened once, and each row block
-    is drawn into one workspace and reduced before the next is drawn."""
-    rng = chunk_rng(seed, chunk_index)
-    step = min(_block_rows(grid.n_steps), rows)
-    work = np.empty((3, step, grid.n_steps))
-    scale = math.sqrt(grid.dt)
-    results = []
-    for start in range(0, rows, step):
-        block = work[:, : min(step, rows - start)]
-        dB = block[0]
-        rng.standard_normal(out=dB)
-        dB *= scale
-        results.append(reduce_block(dB, block[1:]))
-    return results
-
-
-def map_chunks(
-    reduce_block: Callable[..., Any],
-    grid: TimeGrid,
-    seed: int,
-    n_paths: int,
-    pool: Executor | None = None,
-) -> list:
-    """``reduce_block(dB, work)`` for every row block of the batch, in path
-    order.
-
-    Chunk c covers paths ``c*CHUNK`` to ``(c+1)*CHUNK`` and is cut into
-    blocks of ``max(1, BLOCK_BYTES // (8 * grid.n_steps))`` rows, the last
-    one ragged; a chunk that fits in ``BLOCK_BYTES`` is one block.  ``dB``
-    has shape
-    (rows, grid.n_steps) with iid Normal(0, dt) entries, and its rows, joined
-    over a chunk's blocks, are ``increment_chunk(grid, seed, c, rows)`` bit
-    for bit.  The Monte Carlo estimators pass their draw grid, so there dB
-    is (rows, i_last + 1).  ``work`` holds two more arrays of dB's shape
-    for the reducer's own use.  Each chunk's task allocates one workspace,
-    so dB and ``work`` are overwritten by the next block: a reducer must
-    return fresh arrays, never views of them.
-
-    With a ``pool`` and more than one chunk, the chunks are drawn and
-    reduced in its workers, so ``reduce_block`` must pickle.  Otherwise two
-    threads each run one chunk's task, and chunk c + 2 is started only once
-    the result of chunk c is in, so at most two chunks are in flight.  A
-    failing reducer raises here; no chunk after the one in flight beside it
-    is started, and both threads have stopped when this returns or raises.
-
-    The reducer runs off the calling thread, two calls at a time: it must be
-    thread-safe, and it must set its own ``np.errstate``, since the caller's
-    does not reach the threads.  The results come back in path order
-    either way, and neither the pool nor the threads change a value.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    plan = [(c, min(CHUNK, n_paths - c * CHUNK)) for c in range(n_chunks(n_paths))]
-    task = partial(_reduce_blocks, reduce_block, grid, seed)
-    if pool is not None and len(plan) > 1:
-        chunks = list(pool.map(task, *zip(*plan)))
-    else:
-        with ThreadPoolExecutor(2) as threads:
-            chunks, in_flight = [], deque()
-            for c, rows in plan:
-                if len(in_flight) == 2:
-                    chunks.append(in_flight.popleft().result())
-                in_flight.append(threads.submit(task, c, rows))
-            chunks += [future.result() for future in in_flight]
-    return [result for blocks in chunks for result in blocks]

@@ -133,7 +133,7 @@ def test_criterion_03_hjb_residual():
         t = float(grid.times[i])
         alpha = float(field.alpha[i])
         u_min, resid = hjb_pointwise_infimum(
-            vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, 1.0, params, x, t
+            vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, 1.0, params, x
         )
         u_star = example1_control(alpha, 1.0, t, params)
         max_resid = max(max_resid, abs(resid))

@@ -1,10 +1,12 @@
-"""The chunk engine shared by the library and the CLI.
+"""The chunk engine ``enlargement.map_reducers``, shared by the library and
+the CLI.
 
-``paths.map_chunks`` is the only place chunks are drawn and mapped; the CLI
-runners call the library estimators, so at the same seed they return the
-same numbers bit for bit, and a process pool changes no value.
+It is the only place chunks are drawn and mapped; the CLI runners call the
+library estimators, so at the same seed they return the same numbers bit
+for bit, and a process pool changes no value.
 """
 
+import ast
 import math
 import pickle
 import sys
@@ -13,11 +15,12 @@ import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from insiderlab import enlargement, experiments, paths
+from insiderlab import enlargement, experiments
 from insiderlab.controlled_sde import (
     ControlPolicy,
     constant_policy,
@@ -61,7 +64,6 @@ from insiderlab.paths import (
     chunk_rng,
     increment_chunk,
     make_grid,
-    map_chunks,
     n_chunks,
 )
 from oracles import MOSTLY_FLAT
@@ -80,33 +82,45 @@ class CountingPool:
         return map(fn, *iterables)
 
 
-def test_map_chunks_returns_chunks_in_order():
-    g = make_grid(0, 1, 8)
-    rows = map_chunks(lambda dB, work: dB.shape[0], g, 5, 2500)
-    assert rows == [1024, 1024, 452]
-    firsts = map_chunks(lambda dB, work: dB[0].copy(), g, 5, 2500)
-    for c, first in enumerate(firsts):
-        assert np.array_equal(first, increment_chunk(g, 5, c, 1)[0])
+def _draw_setup(width):
+    """A drift setup whose draw grid is [0, 1] in ``width`` steps."""
+    return enlargement.drift_setup(1.0, make_grid(0, 2, 2 * width),
+                                   1 - 1 / width)
 
 
-def _block_sum(dB, work):
-    return dB.sum()
+def _block_lengths(dB, ctx):
+    """Each row's block length, and the rows of the block on the last axis."""
+    return np.full(len(dB), len(dB)), dB.T.copy()
 
 
-def test_map_chunks_uses_the_pool_only_for_several_chunks():
-    g = make_grid(0, 1, 8)
+def test_map_reducers_returns_chunks_in_order():
+    setup = _draw_setup(8)
+    ((rows, dB),) = map_reducers(setup, [_block_lengths], 5, 2500)
+    sizes = [1024, 1024, 452]
+    assert np.array_equal(rows, np.repeat(sizes, sizes))
+    for c in range(3):
+        assert np.array_equal(dB[:, c * CHUNK],
+                              increment_chunk(setup.draw_grid, 5, c, 1)[0])
+
+
+def _row_sums(dB, ctx):
+    return (dB.sum(axis=1),)
+
+
+def test_map_reducers_uses_the_pool_only_for_several_chunks():
+    setup = _draw_setup(8)
     pool = CountingPool()
-    one = map_chunks(_block_sum, g, 5, 1024, pool)
+    ((one,),) = map_reducers(setup, [_row_sums], 5, 1024, pool)
     assert pool.calls == 0
-    many = map_chunks(_block_sum, g, 5, 2049, pool)
+    ((many,),) = map_reducers(setup, [_row_sums], 5, 2049, pool)
     assert pool.calls == 1
-    assert many == map_chunks(_block_sum, g, 5, 2049)
-    assert one == many[:1]
+    assert _same_bits(many, map_reducers(setup, [_row_sums], 5, 2049)[0][0])
+    assert _same_bits(one, many[:CHUNK])
 
 
-def test_map_chunks_rejects_an_empty_batch():
+def test_map_reducers_rejects_an_empty_batch():
     with pytest.raises(ValueError):
-        map_chunks(_block_sum, make_grid(0, 1, 8), 5, 0)
+        map_reducers(_draw_setup(8), [_row_sums], 5, 0)
 
 
 def _same_bits(a, b) -> bool:
@@ -123,27 +137,30 @@ def _chunk_rows(n_paths):
     return [min(CHUNK, n_paths - c * CHUNK) for c in range(n_chunks(n_paths))]
 
 
-def test_increment_chunk_fills_a_given_buffer():
+def test_increment_chunk_is_one_scaled_fill_of_the_chunk_stream():
     g = make_grid(0, 2, 96)
-    buf = np.empty((7, 96))
-    assert increment_chunk(g, 5, 3, 7, out=buf) is buf
-    assert _same_bits(buf, increment_chunk(g, 5, 3, 7))
-    # the draw before ``out`` existed, kept as the reference
-    assert _same_bits(buf, chunk_rng(5, 3).standard_normal((7, 96))
+    assert _same_bits(increment_chunk(g, 5, 3, 7),
+                      chunk_rng(5, 3).standard_normal((7, 96))
                       * math.sqrt(g.dt))
+
+
+def _joined(outputs):
+    """Per-block reducer outputs joined as ``map_reducers`` returns them."""
+    return [tuple(np.concatenate(a, axis=-1) for a in zip(*block_outputs))
+            for block_outputs in zip(*outputs)]
 
 
 @pytest.mark.parametrize("n_paths", [1, 1024, 2049, 2500])
 def test_drawing_ahead_equals_drawing_in_turn_bit_for_bit(n_paths):
-    g = make_grid(0, 1, 64)
+    setup = _draw_setup(64)
 
-    def reduce(dB, work):
-        return dB.copy(), dB.sum(axis=1)
+    def reduce(dB, ctx):
+        return dB.T.copy(), dB.sum(axis=1)
 
-    ahead = map_chunks(reduce, g, 5, n_paths)
-    in_turn = [reduce(increment_chunk(g, 5, c, rows), None)
+    ahead = map_reducers(setup, [reduce], 5, n_paths)
+    in_turn = [[reduce(increment_chunk(setup.draw_grid, 5, c, rows), None)]
                for c, rows in enumerate(_chunk_rows(n_paths))]
-    assert _same_bits(ahead, in_turn)
+    assert _same_bits(ahead, _joined(in_turn))
 
 
 def _chunk_index(g, seed, n):
@@ -153,21 +170,22 @@ def _chunk_index(g, seed, n):
 
 
 def test_results_come_back_in_chunk_order_when_chunk_0_finishes_last():
-    g = make_grid(0, 1, 64)
-    which = _chunk_index(g, 5, 3)
+    setup = _draw_setup(64)
+    which = _chunk_index(setup.draw_grid, 5, 3)
     chunk_1_done = threading.Event()
     finished = []
 
-    def reduce(dB, work):
+    def reduce(dB, ctx):
         c = which(dB)
         if c == 0:
             assert chunk_1_done.wait(timeout=10)
         finished.append(c)
         if c == 1:
             chunk_1_done.set()
-        return c
+        return (np.full(len(dB), c),)
 
-    assert map_chunks(reduce, g, 5, 2 * CHUNK + 5) == [0, 1, 2]
+    ((chunks,),) = map_reducers(setup, [reduce], 5, 2 * CHUNK + 5)
+    assert np.array_equal(chunks, np.repeat([0, 1, 2], [CHUNK, CHUNK, 5]))
     assert finished == [1, 0, 2]
 
 
@@ -175,7 +193,7 @@ def test_two_reducers_run_at_once_and_never_more():
     lock, both = threading.Lock(), threading.Event()
     running, peak = [0], [0]
 
-    def reduce(dB, work):
+    def reduce(dB, ctx):
         with lock:
             running[0] += 1
             peak[0] = max(peak[0], running[0])
@@ -185,9 +203,10 @@ def test_two_reducers_run_at_once_and_never_more():
         time.sleep(0.005)  # a third reducer would overlap these two
         with lock:
             running[0] -= 1
-        return len(dB)
+        return (np.full(len(dB), len(dB)),)
 
-    assert map_chunks(reduce, make_grid(0, 1, 8), 5, 6 * CHUNK) == [CHUNK] * 6
+    ((rows,),) = map_reducers(_draw_setup(8), [reduce], 5, 6 * CHUNK)
+    assert np.array_equal(rows, np.full(6 * CHUNK, CHUNK))
     assert peak == [2]
 
 
@@ -210,20 +229,18 @@ def test_the_threads_change_no_value_under_a_short_switch_interval():
         dB = increment_chunk(setup.draw_grid, seed, c, rows)
         ctx = chunk_context(setup, dB)
         serial.append([reduce(dB, ctx) for reduce in reducers])
-    assert _same_bits(threaded, [
-        tuple(np.concatenate(a, axis=-1) for a in zip(*outputs))
-        for outputs in zip(*serial)])
+    assert _same_bits(threaded, _joined(serial))
 
 
 def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
     # chunk 1 fails once chunk 2 has started beside it; chunk 3 must never
     # start, though a thread is free for it once chunk 2 is done
-    g = make_grid(0, 1, 64)
-    which = _chunk_index(g, 5, 4)
+    setup = _draw_setup(64)
+    which = _chunk_index(setup.draw_grid, 5, 4)
     lock, chunk_2_started = threading.Lock(), threading.Event()
     seen = []
 
-    def reduce(dB, work):
+    def reduce(dB, ctx):
         c = which(dB)
         with lock:
             seen.append(c)
@@ -232,11 +249,11 @@ def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
         if c == 1:
             chunk_2_started.wait(timeout=10)
             raise RuntimeError("reducer failed on chunk 1")
-        return len(dB)
+        return (np.zeros(len(dB)),)
 
     threads = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="chunk 1"):
-        map_chunks(reduce, g, 5, 4 * CHUNK)
+        map_reducers(setup, [reduce], 5, 4 * CHUNK)
     assert sorted(seen) == [0, 1, 2]
     assert set(threading.enumerate()) == threads
 
@@ -281,7 +298,7 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
                                                         monkeypatch):
     # at 64 steps a whole chunk fits the byte budget: shrink it to 300 rows
     # of the 33-column draw grid, so each chunk is cut into several blocks
-    monkeypatch.setattr(paths, "BLOCK_BYTES", 300 * 8 * 33 + 7)
+    monkeypatch.setattr(enlargement, "BLOCK_BYTES", 300 * 8 * 33 + 7)
     # r = 0 too: the wealth kernel's product takes the same path at every r
     for r in (0.0, 0.2):
         params = ModelParams.benchmark(r=r, t0=0.25, sigma_fn=Affine(1.0, 0.5),
@@ -314,20 +331,30 @@ def test_block_draws_join_to_increment_chunk_bit_for_bit(n_paths,
                                                          monkeypatch):
     # 100-row blocks of 40 columns: a chunk of 1024 rows is 11 blocks, the
     # last one ragged
-    monkeypatch.setattr(paths, "BLOCK_BYTES", 100 * 8 * 40 + 5)
-    g = make_grid(0, 1, 40)
-    assert paths._block_rows(40) == 100
+    monkeypatch.setattr(enlargement, "BLOCK_BYTES", 100 * 8 * 40 + 5)
+    setup = _draw_setup(40)
+    assert enlargement._block_rows(40) == 100
     seed = 23
-    blocks = map_chunks(lambda dB, work: dB.copy(), g, seed, n_paths)
+    workspaces = []  # list.append is atomic: two chunks reduce at once
+
+    def reduce(dB, ctx):
+        # B and alpha share the block's workspace of three blocks
+        assert ctx.B.base is dB.base and ctx.alpha.base is dB.base
+        workspaces.append((dB.shape, ctx.B.shape, ctx.alpha.shape,
+                           dB.base.shape))
+        return _block_lengths(dB, ctx)
+
+    ((lengths, dB),) = map_reducers(setup, [reduce], seed, n_paths)
     rows = _chunk_rows(n_paths)
-    assert [len(b) for b in blocks] == [
-        min(100, n - start) for n in rows for start in range(0, n, 100)]
-    whole = [increment_chunk(g, seed, c, n) for c, n in enumerate(rows)]
-    assert _same_bits(np.concatenate(blocks), np.concatenate(whole))
-    # the two spare arrays of the workspace have the block's shape
-    shapes = map_chunks(lambda dB, work: (dB.shape, work.shape), g, seed,
-                        n_paths)
-    assert shapes == [((len(b), 40), (2, len(b), 40)) for b in blocks]
+    blocks = [(n, min(100, n - start)) for n in rows
+              for start in range(0, n, 100)]
+    sizes = [b for _, b in blocks]
+    assert np.array_equal(lengths, np.repeat(sizes, sizes))
+    whole = [increment_chunk(setup.draw_grid, seed, c, n)
+             for c, n in enumerate(rows)]
+    assert _same_bits(dB.T, np.concatenate(whole))
+    assert sorted(workspaces) == sorted(
+        ((b, 40), (b, 40), (b, 40), (3, min(100, n), 40)) for n, b in blocks)
 
 
 def _aliasing(kind, dB, ctx):
@@ -396,7 +423,7 @@ def test_peak_memory_stays_within_three_chunks(estimate):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * (3 + 4) * paths.BLOCK_BYTES, (steps, peak)
+        assert peak <= 2 * (3 + 4) * enlargement.BLOCK_BYTES, (steps, peak)
 
 
 def test_weights_policies_and_test_functions_pickle():
@@ -451,13 +478,40 @@ def test_every_kind_draws_each_chunk_once(tmp_path, monkeypatch, kind):
         calls.append(args[1])
         return chunk_rng(*args)
 
-    monkeypatch.setattr(paths, "chunk_rng", counting)
+    monkeypatch.setattr(enlargement, "chunk_rng", counting)
     raw = {"experiment": kind, "n_paths": 10_000, "n_steps": 32}
     if kind == "hjb-residual":
         raw["n_probes"] = 10  # it samples its few fields whole, unchunked
     experiments.run_experiment(experiments.resolve_config(raw), tmp_path)
     want = [] if kind == "hjb-residual" else list(range(n_chunks(10_000)))
     assert sorted(calls) == want  # two threads draw, in either order
+
+
+def _uses(name):
+    """(module, top-level definition) of every reference to ``name`` in the
+    package's code, a call or otherwise; imports are not references."""
+    src = Path(__file__).resolve().parents[1] / "src" / "insiderlab"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == name) or (
+                        isinstance(node, ast.Attribute) and node.attr == name):
+                    found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_only_the_engine_task_draws_and_only_the_engine_runs_threads():
+    # increment_chunk is the one-call reference draw; every estimator draws
+    # through map_reducers' task
+    assert _uses("chunk_rng") == {("paths", "increment_chunk"),
+                                  ("enlargement", "_reduce_chunk")}
+    # run_experiment opens the process pool of an op; the engine alone
+    # runs threads
+    for executor in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        assert {(module, owner) for module, owner in _uses(executor)
+                if module != "enlargement"} <= {("experiments",
+                                                 "run_experiment")}
 
 
 def test_multi_policy_cost_equals_separate_calls_bit_for_bit():

@@ -76,14 +76,14 @@ class TestPointwiseInfimum:
         # curv = 1*3 + 2 = 5, lin = 0.5*2 = 1, const = 1
         p = ModelParams.benchmark()
         u, val = hjb_pointwise_infimum(
-            Gt=1.0, Gx=2.0, Gxx=3.0, alpha=0.5, sigma=1.0, params=p, x=0.0, t=0.0
+            Gt=1.0, Gx=2.0, Gxx=3.0, alpha=0.5, sigma=1.0, params=p, x=0.0
         )
         assert u == pytest.approx(-0.2, abs=1e-15)
         assert val == pytest.approx(0.9, abs=1e-15)
 
     def test_zero_slope_minimizer(self):
         p = ModelParams.benchmark()
-        u, val = hjb_pointwise_infimum(0.0, 0.0, 0.0, 1.0, 1.0, p, 0.0, 0.0)
+        u, val = hjb_pointwise_infimum(0.0, 0.0, 0.0, 1.0, 1.0, p, 0.0)
         assert u == 0.0 and val == 0.0
 
     def test_value_is_the_generator_plus_cost_at_the_minimizer(self):
@@ -99,7 +99,7 @@ class TestPointwiseInfimum:
                 return (generator_Au(Gt, Gx, Gxx, p.r * x + p.excess_rate * u,
                                      sig * u, alpha) + p.a * u * u)
 
-            u_min, val = hjb_pointwise_infimum(Gt, Gx, Gxx, alpha, sig, p, x, 0.0)
+            u_min, val = hjb_pointwise_infimum(Gt, Gx, Gxx, alpha, sig, p, x)
             assert val == pytest.approx(objective(u_min), rel=1e-12, abs=1e-12)
             for du in (-1e-3, 1e-3):
                 assert objective(u_min + du) >= val
@@ -107,7 +107,7 @@ class TestPointwiseInfimum:
     def test_nonconvex_raises(self):
         p = ModelParams.benchmark()
         with pytest.raises(NonConvexError):
-            hjb_pointwise_infimum(0.0, 1.0, -2.0, 0.5, 1.0, p, 0.0, 0.0)
+            hjb_pointwise_infimum(0.0, 1.0, -2.0, 0.5, 1.0, p, 0.0)
 
 
 class TestExample1Control:
@@ -145,7 +145,7 @@ class TestResidual:
                 sig = float(params.sigma_fn(t))
                 alpha = field.alpha[i]
                 u_min, resid = hjb_pointwise_infimum(
-                    vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, sig, params, x, t
+                    vf.Gt(i, x), vf.Gx(i), vf.Gxx(i), alpha, sig, params, x
                 )
                 u_star = example1_control(alpha, sig, t, params)
                 assert abs(resid) <= 1e-10
@@ -159,8 +159,7 @@ class TestResidual:
             vf = Example1ValueField(params, field, rho0=rho0)
             _, resid = hjb_pointwise_infimum(
                 vf.Gt(10, 1.0), vf.Gx(10), vf.Gxx(10), field.alpha[10], 1.0,
-                params, 1.0, float(field.path.grid.times[10]),
-            )
+                params, 1.0)
             assert abs(resid) <= 1e-12
 
 

@@ -13,7 +13,12 @@ from insiderlab.controlled_sde import (
     uninformed,
     wealth_paths_chunk,
 )
-from insiderlab.enlargement import InfoDriftField, chunk_context, decompose
+from insiderlab.enlargement import (
+    InfoDriftField,
+    chunk_context,
+    decompose,
+    map_reducers,
+)
 from insiderlab.hjb import (
     ModelParams,
     example1_policy,
@@ -45,7 +50,6 @@ from insiderlab.paths import (
     constant_weight,
     increment_chunk,
     make_grid,
-    map_chunks,
     sample_brownian,
 )
 from oracles import (
@@ -288,15 +292,15 @@ class TestSweepCoefficients:
         setup = make_wealth_setup(params, 512)
         ilo_ihi = window_indices(setup.grid, WINDOW, params.t0, params.T)
 
-        def bad_rows(dB, work):
-            _, bad = sweep_coefficients(setup, dB, chunk_context(setup, dB), pol,
-                                        spec, ilo_ihi)
+        def bad_rows(dB, ctx):
+            _, bad = sweep_coefficients(setup, dB, ctx, pol, spec, ilo_ihi)
             for y in spec.y_grid:
                 _, want_bad = direct_costs(setup, dB, pol, spec, y, params)
                 assert np.array_equal(bad, want_bad)
-            return int(bad.sum())
+            return (bad,)
 
-        n_bad = sum(map_chunks(bad_rows, setup.draw_grid, 11, 20_000))
+        ((bad,),) = map_reducers(setup, [bad_rows], 11, 20_000)
+        n_bad = int(bad.sum())
         assert 0 < n_bad <= 20
         est = directional_derivative(pol, params, spec, 0.0, 20_000, seed=11,
                                      n_steps=512)

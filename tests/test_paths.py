@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insiderlab.enlargement import drift_setup, map_reducers
 from insiderlab.paths import (
     BrownianPath,
     as_weight,
     constant_weight,
     make_grid,
-    map_chunks,
     sample_brownian,
 )
 from oracles import eval_L
@@ -139,22 +139,26 @@ def test_restrict_shares_prefix_values():
     assert np.array_equal(q.values, p.values[:65])
 
 
-def test_increment_chunks_are_stream_stable():
-    g = make_grid(0, 1, 16)
-    def copy(db, work):
-        return db.copy()
+def _draw_setup(width):
+    """A drift setup whose draw grid is [0, 1] in ``width`` steps."""
+    return drift_setup(1.0, make_grid(0, 2, 2 * width), 1 - 1 / width)
 
-    full = map_chunks(copy, g, 5, 2500)
+
+def test_increment_chunks_are_stream_stable():
+    setup = _draw_setup(16)
+
+    def copy(db, ctx):
+        return (db.T.copy(),)
+
+    ((full,),) = map_reducers(setup, [copy], 5, 2500)
     # a shorter batch reproduces a row-for-row prefix of the longer one
-    for db, longer in zip(map_chunks(copy, g, 5, 1100), full):
-        assert np.array_equal(db, longer[: db.shape[0]])
-    assert [b.shape[0] for b in full] == [1024, 1024, 452]
+    ((short,),) = map_reducers(setup, [copy], 5, 1100)
+    assert np.array_equal(short, full[:, :1100])
+    assert full.shape == (16, 2500)
 
 
 def test_chunk_sampler_matches_moments():
-    g = make_grid(0, 1, 4)
-    total = np.concatenate(
-        map_chunks(lambda db, work: db.sum(axis=1), g, 9, 50_000)
-    )
+    ((total,),) = map_reducers(_draw_setup(4), [lambda db, ctx: (db.sum(axis=1),)],
+                               9, 50_000)
     assert abs(total.mean()) < 3.0 / math.sqrt(50_000)
     assert abs(total.var() - 1.0) < 0.05
