@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import BrownianPath, TimeGrid
+from .paths import BrownianPath, TimeGrid, row_dot
 
 __all__ = ["Integrand", "forward_estimate", "ito_left_sum"]
 
@@ -84,20 +84,6 @@ def _eps_multiple(grid: TimeGrid, eps: float) -> int:
     return k
 
 
-# einsum's iterator cuts a row longer than its buffer at places that depend
-# on the row count, so a batch of such rows is contracted row by row
-_EINSUM_BUFFER = 8192
-
-
-def _row_dot(left: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """sum_i left_i increments_i over the last axis, in one pass."""
-    if (increments.shape[-1] <= _EINSUM_BUFFER
-            or max(left.ndim, increments.ndim) == 1):
-        return np.einsum("...i,...i->...", left, increments)
-    return np.array([np.einsum("...i,...i->...", a, b)
-                     for a, b in zip(*np.broadcast_arrays(left, increments))])
-
-
 def _contract(
     v: Integrand | tuple[Integrand, ...],
     vs: tuple[Integrand, ...],
@@ -108,7 +94,7 @@ def _contract(
     one path, one value per row for a batch; a tuple when ``v`` is one."""
     sums = []
     for w in vs:
-        total = _row_dot(w.values[..., :-1], increments)
+        total = row_dot(w.values[..., :-1], increments)
         sums.append((float(total) if total.ndim == 0 else total) * scale)
     return tuple(sums) if isinstance(v, tuple) else sums[0]
 

@@ -6,8 +6,9 @@ Four instruments, all statistical, all seeded:
   simulation of the wealth dynamics.
 * ``perturbation_sweep`` maps out F(y) = J(u + y theta) for a step
   perturbation theta = theta0 on a window; at an optimum the argmin sits at
-  y = 0.  Each path's discrete cost is exactly c0 + c1 y + c2 y^2, read off
-  one kernel pass with the base policy (``sweep_coefficients``).
+  y = 0.  Each path's discrete cost is exactly c0 + c1 y + c2 y^2: c0 is
+  the base policy's cost, c1 a window sum of alpha and dB
+  (``sweep_coefficients``).
 * ``directional_derivative`` is F'(y) = c1 + 2 y c2, the exact derivative
   of the discrete cost.
 * ``martingale_diagnostic`` tests E[phi * (N_u(t+h) - N_u(t))] = 0 for
@@ -27,7 +28,9 @@ Each estimator runs top-level reducers ``(dB, ctx) -> arrays`` through
 (``cost_mc_many`` prices several policies on the same paths) and returns
 each reducer's per-row arrays joined over the batch in path order, so every
 estimate is a deterministic function of (inputs, seed) whether or not a
-process ``pool`` is passed.
+process ``pool`` is passed.  No reducer forms a control matrix: each prices
+its policy with the row contractions of ``controlled_sde.price_chunk`` and
+``WindowSum``, from node weights computed once per op.
 """
 
 from __future__ import annotations
@@ -42,9 +45,13 @@ import numpy as np
 from .controlled_sde import (
     ChunkContext,
     ControlPolicy,
+    PolicyWeights,
     WealthSetup,
+    WindowSum,
     make_wealth_setup,
-    wealth_paths_chunk,
+    policy_weights,
+    price_chunk,
+    window_sum,
 )
 from .enlargement import map_reducers
 from .paths import BrownianPath, TimeGrid, as_weight, running_sum
@@ -62,6 +69,7 @@ __all__ = [
     "directional_derivative",
     "perturbation_sweep",
     "sweep_coefficients",
+    "sweep_window",
     "martingale_diagnostic",
     "default_test_functions",
     "quarter_windows",
@@ -143,15 +151,15 @@ def collect_samples(values: np.ndarray,
     return values[..., ~diverged], n_diverged
 
 
-def cost_chunk(setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext,
-               policy: ControlPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path cost of ``policy`` on one chunk, trapezoid quadrature of
-    a u^2 minus b X_T, and the mask of diverged rows."""
+def cost_chunk(weights: PolicyWeights, dB: np.ndarray,
+               ctx: ChunkContext) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path cost of the policy whose ``policy_weights`` these are, on
+    one block: trapezoid quadrature of a u^2 minus b X_T, and the mask of
+    diverged rows."""
+    run, x_T, diverged = price_chunk(weights, dB, ctx)
     # overflow is handled by detection below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _, u, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        run = np.einsum("ij,ij,j->i", u, u, setup.a * setup.trapezoid)
-        vals = run - setup.b_weight * x_T
+        vals = run - weights.setup.b_weight * x_T
     # a non-finite sample with finite state is still a numerical blow-up
     return vals, diverged | ~np.isfinite(vals)
 
@@ -173,7 +181,8 @@ def cost_mc_many(policies: Sequence[ControlPolicy], params, n_paths: int,
     """The ``cost_mc`` of every policy, all on one draw of the paths, each
     with its own diverged rows dropped and counted."""
     setup = make_wealth_setup(params, n_steps)
-    reducers = [partial(cost_chunk, setup, policy=p) for p in policies]
+    reducers = [partial(cost_chunk, policy_weights(setup, p))
+                for p in policies]
     return [EstimateWithError.from_rows(vals, bad)
             for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
 
@@ -222,43 +231,52 @@ def window_indices(grid: TimeGrid, window: Sequence[float], t0: float,
     return ilo, ihi
 
 
+def sweep_window(setup: WealthSetup, policy: ControlPolicy,
+                 window: tuple[int, int]) -> WindowSum:
+    """c1 / theta of ``sweep_coefficients`` as a window sum over the nodes
+    k in [ilo, ihi) of ``window``: 2 a sum w_k u_k - b K with
+    K = sum (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)."""
+    ilo, ihi = window
+    lo, hi = ilo - setup.i0, ihi - setup.i0
+    growth, b = setup.growth[lo + 1 : hi + 1], setup.b_weight
+    edt = setup.excess * setup.grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_dB = -b * growth * setup.sigma_nodes[ilo:ihi]
+        drift = float(np.sum(growth)) * edt if edt else 0.0  # not inf * 0
+        return window_sum(setup, policy, ilo, ihi,
+                          2.0 * setup.a * setup.trapezoid[lo:hi], on_dB,
+                          -b * drift)
+
+
 def sweep_coefficients(
-    setup: WealthSetup,
+    weights: PolicyWeights,
+    spec: PerturbationSpec,
+    window: WindowSum,
     dB: np.ndarray,
     ctx: ChunkContext,
-    policy: ControlPolicy,
-    spec: PerturbationSpec,
-    window: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path coefficients of the discrete cost F(y) = c0 + c1 y + c2 y^2.
 
     F(y) is the cost of the control u + y theta chi_window, with theta
     frozen at the window-start node: trapezoid quadrature of a u^2 minus
     b X_T.  The policy is state-free, so the Euler recursion of X is
-    linear in u, and one kernel pass with the base policy gives c0 = F(0),
-    c1 = theta (2 a sum_win w_k u_k - b K) and c2 = a theta^2 sum_win w_k,
-    with w the trapezoid weights (dt/2 at t0) and
+    linear in u: c0 = F(0) is the base policy's ``cost_chunk``,
+    c1 = theta (2 a sum_win w_k u_k - b K) is theta times the
+    ``sweep_window`` sum, and c2 = a theta^2 sum_win w_k, with w the
+    trapezoid weights (dt/2 at t0) and
     K = sum_win (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)
     over the window nodes k in [ilo, ihi).  Returns the (3, rows) array of
     (c0, c1, c2) and the mask of rows that diverge, at every y alike.
     """
-    ilo, ihi = window
-    w = setup.trapezoid[ilo - setup.i0 : ihi - setup.i0]
+    setup = weights.setup
+    c0, bad = cost_chunk(weights, dB, ctx)
+    th = spec.theta_values(ctx, window.lo)
+    w = setup.trapezoid[window.lo - setup.i0 : window.hi - setup.i0]
     # overflow is handled by detection below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _, u, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        c0 = np.einsum("ij,ij,j->i", u, u, setup.a * setup.trapezoid)
-        c0 -= setup.b_weight * x_T
-        th = spec.theta_values(ctx, ilo)
-        gain = (setup.excess * setup.grid.dt
-                + setup.sigma_nodes[ilo:ihi] * dB[:, ilo:ihi])
-        kick = np.einsum("ij,j->i", gain,
-                         setup.growth[ilo - setup.i0 + 1 : ihi - setup.i0 + 1])
-        u_w = np.einsum("ij,j->i", u[:, ilo - setup.i0 : ihi - setup.i0], w)
-        c1 = th * (2.0 * setup.a * u_w - setup.b_weight * kick)
+        c1 = th * window.rows(dB, ctx)
         c2 = setup.a * w.sum() * th * th
-        bad = diverged | ~np.isfinite(c0) | ~np.isfinite(c1)
-    return np.stack([c0, c1, c2]), bad
+    return np.stack([c0, c1, c2]), bad | ~np.isfinite(c1)
 
 
 def _sweep_samples(policy, params, spec, n_paths, seed, n_steps,
@@ -266,8 +284,8 @@ def _sweep_samples(policy, params, spec, n_paths, seed, n_steps,
     """(3, paths) array of the finite rows' (c0, c1, c2), and the diverged count."""
     setup = make_wealth_setup(params, n_steps)
     window = window_indices(setup.grid, spec.window, params.t0, params.T)
-    reduce_chunk = partial(sweep_coefficients, setup, policy=policy, spec=spec,
-                           window=window)
+    reduce_chunk = partial(sweep_coefficients, policy_weights(setup, policy),
+                           spec, sweep_window(setup, policy, window))
     ((coeffs, bad),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
     return collect_samples(coeffs, bad)
 
@@ -286,8 +304,8 @@ def directional_derivative(
 
     Per path this is c1 + 2 y c2 from ``sweep_coefficients``: the exact
     derivative of the discrete cost (trapezoid quadrature, Euler growth
-    1 + r dt), taken from one kernel pass, not by differencing two cost
-    estimates.
+    1 + r dt), read off the base policy's paths, not by differencing two
+    cost estimates.
     """
     if not (min(spec.y_grid) <= y <= max(spec.y_grid)):
         raise ValueError(f"amplitude y={y} outside spec.y_grid")
@@ -309,9 +327,9 @@ def perturbation_sweep(
     """F(y) over the amplitude grid with common random numbers.
 
     Each path's discrete cost is the exact quadratic c0 + c1 y + c2 y^2 of
-    ``sweep_coefficients``, so the whole grid comes from one kernel pass
-    with the base policy; every y sees the identical increment streams,
-    and the comparison across y is variance-reduced.  Returns the rows
+    ``sweep_coefficients``, so the whole grid comes from the base policy's
+    paths, with no pass per y; every y sees the identical increment
+    streams, and the comparison across y is variance-reduced.  Returns the rows
     (y, mean, std_error), the argmin (ties resolve toward the smallest |y|)
     and ``derivative_at_zero``, the estimate of F'(0) = c1 from the same
     pass.
@@ -374,31 +392,38 @@ def window_rows(setup: WealthSetup, ilo: int,
         return w * setup.excess, w * setup.sigma_nodes[ilo:ihi]
 
 
-def nu_increments(
-    setup: WealthSetup, u: np.ndarray, dB: np.ndarray, ilo: int, ihi: int,
-    rows: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """N_u(t_hi) - N_u(t_lo) per path, left-point sums throughout; ``rows``
-    is the window's ``window_rows``."""
-    ds_row, db_row = rows
-    u_w = u[:, ilo - setup.i0 : ihi - setup.i0]
-    ds_part = (2.0 * setup.a * u_w - ds_row).sum(axis=1) * setup.grid.dt
-    db_part = (db_row * dB[:, ilo:ihi]).sum(axis=1)
-    return ds_part - db_part
-
-
-def _martingale_chunk(setup, policy, windows, test_fns, dB, ctx):
-    """(cells, rows) products phi * (N_u increment), window-major, and the
-    mask of rows whose state or any product is non-finite.  ``windows``
-    holds (ilo, ihi, window_rows) per window."""
+def nu_window(setup: WealthSetup, policy: ControlPolicy, ilo: int,
+              ihi: int) -> WindowSum:
+    """N_u(t_hi) - N_u(t_lo) as a window sum, left-point sums throughout:
+    sum_k (2 a u_k - w_k (rtilde - r)) dt - w_k sigma_k dB_k over the nodes
+    k in [ilo, ihi), with the node rows of ``window_rows``."""
+    ds_row, db_row = window_rows(setup, ilo, ihi)
+    dt = setup.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx, u, _, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-        prods = np.empty((len(windows) * len(test_fns), len(dB)))
-        cells = iter(prods)
-        for ilo, ihi, rows in windows:
-            dn = nu_increments(setup, u, dB, ilo, ihi, rows)
+        return window_sum(setup, policy, ilo, ihi, 2.0 * setup.a * dt,
+                          -db_row, -float(np.sum(ds_row)) * dt)
+
+
+def nu_increments(windows: Sequence[WindowSum], dB: np.ndarray,
+                  ctx: ChunkContext) -> np.ndarray:
+    """N_u(t_hi) - N_u(t_lo) per window and path, of shape (windows, rows):
+    each window's ``nu_window`` sum, two row contractions, of alpha and dB."""
+    return np.array([window.rows(dB, ctx) for window in windows])
+
+
+def _martingale_chunk(weights, windows, test_fns, dB, ctx):
+    """(cells, rows) products phi * (N_u increment), window-major, and the
+    mask of rows whose wealth or any product is non-finite.  ``windows``
+    holds the ``nu_window`` of every window."""
+    _, _, diverged = price_chunk(weights, dB, ctx)
+    increments = nu_increments(windows, dB, ctx)
+    prods = np.empty((len(windows) * len(test_fns), len(dB)))
+    cells = iter(prods)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for window, dn in zip(windows, increments):
             for _, fn in test_fns:
-                np.multiply(fn(ctx.B[:, ilo], ctx.L), dn, out=next(cells))
+                np.multiply(fn(ctx.B[:, window.lo], ctx.L), dn,
+                            out=next(cells))
     return prods, diverged | ~np.all(np.isfinite(prods), axis=0)
 
 
@@ -428,8 +453,9 @@ def martingale_diagnostic(
     setup = make_wealth_setup(params, n_steps)
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
-    node_rows = [(ilo, ihi, window_rows(setup, ilo, ihi)) for ilo, ihi in bounds]
-    reduce_chunk = partial(_martingale_chunk, setup, policy, node_rows, test_fns)
+    sums = [nu_window(setup, policy, ilo, ihi) for ilo, ihi in bounds]
+    reduce_chunk = partial(_martingale_chunk, policy_weights(setup, policy),
+                           sums, test_fns)
     ((prods, bad),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
     samples, n_div = collect_samples(prods, bad)
 

@@ -8,10 +8,11 @@ step more, whose increment carries the rest of L
 functions of ``(grid, seed)``: the same inputs always reproduce the same
 trajectory bit for bit, which is what makes common-random-number comparisons
 and byte-identical experiment reruns possible.  A batch is cut into chunks
-of ``CHUNK`` paths, each with its own stream ``chunk_rng(seed, c)``;
+of ``CHUNK`` paths, each with its own SFC64 stream ``chunk_rng(seed, c)``;
 ``increment_chunk`` is the one-call draw of a chunk, the reference that the
 chunk engine ``enlargement.map_reducers`` matches bit for bit when it draws
-a chunk block by block.
+a chunk block by block.  Every per-path sum over the nodes goes through
+``row_dot``, whose result for a row does not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "chunk_rng",
     "increment_chunk",
     "n_chunks",
+    "row_dot",
     "running_sum",
 ]
 
@@ -225,6 +227,24 @@ def running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+# einsum's iterator cuts a row longer than its buffer at places that depend
+# on the row count, so a batch of such rows is contracted row by row
+_EINSUM_BUFFER = 8192
+
+
+def row_dot(*operands: np.ndarray) -> np.ndarray:
+    """sum_i of the product of ``operands`` over their last axis, which
+    broadcast against each other, in one pass that allocates only the
+    result.  Each row is summed in an order that depends on that row alone,
+    so a row gives the same bits in a batch of any size."""
+    shape = np.broadcast_shapes(*(np.shape(op) for op in operands))
+    spec = ",".join(["...i"] * len(operands)) + "->..."
+    if shape[-1] <= _EINSUM_BUFFER or len(shape) == 1:
+        return np.einsum(spec, *operands)
+    return np.array([np.einsum(spec, *row)
+                     for row in zip(*np.broadcast_arrays(*operands))])
+
+
 def sample_brownian(grid: TimeGrid, seed: int | np.random.SeedSequence) -> BrownianPath:
     """Draw one Brownian trajectory on ``grid``, started at 0.
 
@@ -245,15 +265,14 @@ def n_chunks(n_paths: int) -> int:
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent stream for one chunk of a batch.
+    """Independent SFC64 stream for one chunk of a batch.
 
     Streams are derived from (seed, chunk_index) through SeedSequence spawn
     keys, so any subset of chunks can be generated in any order, on any
     worker, and still reproduce the same numbers.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    )
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))))
 
 
 def increment_chunk(grid: TimeGrid, seed: int, chunk_index: int,

@@ -5,13 +5,17 @@ path, one node at a time, or one closed-form integral.  The tests compare
 the library against them; the library itself never calls them.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
 
+from insiderlab.controlled_sde import ControlPolicy, wealth_paths_chunk
 from insiderlab.enlargement import drift_second_moment, drift_square_mean
+from insiderlab.hjb import example2_params
 from insiderlab.optimality import window_indices
 from insiderlab.paths import TimeGrid, as_weight, running_sum
 
@@ -162,6 +166,27 @@ class RulePolicy:
         return self.rule(ctx)
 
 
+def reference_terms(setup, policy, dB, ctx):
+    """(u, run, x_T, diverged) of one block from the reference kernel
+    ``wealth_paths_chunk``, for any policy with a ``control(ctx)`` matrix:
+    the control matrix, the trapezoid running cost sum a w u^2 per row,
+    X_T and the rows whose X_T is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, u, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
+        run = np.einsum("ij,ij,j->i", u, u, setup.a * setup.trapezoid)
+    return u, run, x_T, diverged
+
+
+def reference_cost(setup, policy, dB, ctx):
+    """Per-path cost run - b X_T of ``reference_terms``, and the mask of the
+    rows whose X_T or cost is not finite: the direct form of
+    ``optimality.cost_chunk``, and a reducer for ``map_reducers``."""
+    _, run, x_T, diverged = reference_terms(setup, policy, dB, ctx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = run - setup.b_weight * x_T
+    return vals, diverged | ~np.isfinite(vals)
+
+
 def _mostly_flat(ctx):
     u = np.where(ctx.L > 4.8, np.inf, 0.5)[:, None]
     return np.broadcast_to(u, (len(ctx.L), ctx.i_last - ctx.i0 + 1))
@@ -170,6 +195,17 @@ def _mostly_flat(ctx):
 # u = 0.5, but inf on the rows with L > 4.8 (P ~ 3e-4): those few rows
 # diverge while the rest keep finite moments, which no affine policy does
 MOSTLY_FLAT = RulePolicy("mostly-flat", _mostly_flat)
+
+# An affine policy whose cost overflows on a few rows.  On the m == 1,
+# T = 1, T1 = 2 grid, S = sum_k w_k alpha_k^2 (trapezoid weights w) exceeds 8
+# on about 3.5e-4 of the paths; with the gain sqrt(max / (8 a)) the running
+# cost a g^2 S overflows exactly there.  At a = 100, u^2 stays far below the
+# float range at every node, so squaring u first, as ``reference_terms``
+# does, overflows on the same rows.  The other rows' costs reach max / 8 and
+# their moments overflow, so only per-row checks take this policy.
+RARE_PARAMS = example2_params(a=100.0)
+RARE_OVERFLOW = ControlPolicy("rare-overflow",
+                              math.sqrt(sys.float_info.max / (8 * 100.0)))
 
 
 def affine_cost_mean(setup, policy):
@@ -197,7 +233,7 @@ def affine_cost_mean(setup, policy):
 def perturbed_policy(base, spec, y, params):
     """u + y * chi_window * theta0 as a policy of its own, theta0 frozen at
     the window-start node: the control whose cost ``sweep_coefficients``
-    reads off one pass with ``base``."""
+    reads off ``base``'s weights and one window sum."""
 
     def rule(ctx):
         grid = TimeGrid(ctx.times[0], ctx.times[-1], len(ctx.times) - 1)

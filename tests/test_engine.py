@@ -14,6 +14,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from insiderlab.controlled_sde import (
     ControlPolicy,
     constant_policy,
     make_wealth_setup,
+    policy_weights,
     uninformed,
     wealth_paths_chunk,
 )
@@ -45,16 +47,18 @@ from insiderlab.hjb import (
 from insiderlab.optimality import (
     PerturbationSpec,
     _martingale_chunk,
+    collect_samples,
     cost_chunk,
     cost_mc,
     cost_mc_many,
     default_test_functions,
     martingale_diagnostic,
+    nu_window,
     perturbation_sweep,
     quarter_windows,
     sweep_coefficients,
+    sweep_window,
     window_indices,
-    window_rows,
 )
 from insiderlab.paths import (
     CHUNK,
@@ -66,7 +70,7 @@ from insiderlab.paths import (
     make_grid,
     n_chunks,
 )
-from oracles import MOSTLY_FLAT
+from oracles import RARE_OVERFLOW, RARE_PARAMS, reference_cost
 
 SMALL = {"n_paths": 2100, "n_steps": 128, "seed": 3}
 
@@ -215,8 +219,8 @@ def test_the_threads_change_no_value_under_a_short_switch_interval():
     # switches between them as often as it can
     params = ModelParams.benchmark(r=0.2, sigma_fn=Affine(1.0, 0.5))
     setup = make_wealth_setup(params, 16)
-    reducers = [partial(cost_chunk, setup, policy=example1_policy(params)),
-                _decomposition_chunk]
+    weights = policy_weights(setup, example1_policy(params))
+    reducers = [partial(cost_chunk, weights), _decomposition_chunk]
     n_paths, seed = 16 * CHUNK + 3, 9
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -270,19 +274,23 @@ def _terminal_wealth(setup, policy, dB, ctx):
 
 def _row_block_cases(setup, params):
     policy = example1_policy(params)
-    window = (0.5, 0.75)
+    weights = policy_weights(setup, policy)
+    # an offset too: all four contractions of the cost kernel
+    tilted = policy_weights(setup, ControlPolicy("tilted", 0.25,
+                                                 Affine(0.3, 0.2)))
+    window = window_indices(setup.grid, (0.5, 0.75), params.t0, params.T)
     bounds = [window_indices(setup.grid, w, params.t0, params.T)
               for w in quarter_windows(params.T, params.t0)]
-    node_rows = [(ilo, ihi, window_rows(setup, ilo, ihi)) for ilo, ihi in bounds]
+    sums = [nu_window(setup, policy, ilo, ihi) for ilo, ihi in bounds]
     return {
         "wealth_paths_chunk": partial(_terminal_wealth, setup, policy),
-        "cost_chunk": partial(cost_chunk, setup, policy=policy),
+        "cost_chunk": partial(cost_chunk, weights),
+        "cost_chunk_with_offset": partial(cost_chunk, tilted),
         "sweep_coefficients": partial(
-            sweep_coefficients, setup, policy=policy,
-            spec=PerturbationSpec(window),
-            window=window_indices(setup.grid, window, params.t0, params.T)),
-        "martingale_chunk": partial(_martingale_chunk, setup, policy,
-                                    node_rows, default_test_functions()),
+            sweep_coefficients, weights, PerturbationSpec((0.5, 0.75)),
+            sweep_window(setup, policy, window)),
+        "martingale_chunk": partial(_martingale_chunk, weights, sums,
+                                    default_test_functions()),
         "decomposition_chunk": _decomposition_chunk,
         "forward_chunk": partial(experiments._forward_chunk, setup.grid,
                                  params.T, [8, 4, 2, 1]),
@@ -292,6 +300,7 @@ def _row_block_cases(setup, params):
 @pytest.mark.parametrize("n_paths", [1500, 1025],
                          ids=["476-row chunk", "1-row chunk"])
 @pytest.mark.parametrize("name", ["wealth_paths_chunk", "cost_chunk",
+                                  "cost_chunk_with_offset",
                                   "sweep_coefficients", "martingale_chunk",
                                   "decomposition_chunk", "forward_chunk"])
 def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
@@ -323,6 +332,49 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
             whole.append(reduce(dB, chunk_context(setup, dB)))
         assert _same_bits(joined,
                           tuple(np.concatenate(a, axis=-1) for a in zip(*whole)))
+
+
+def test_a_row_longer_than_einsums_buffer_ignores_its_block():
+    # 10001 columns, past einsum's 8192-element buffer: path 1024 is the
+    # one row of chunk 1 at 1025 paths and the first of six at 1030, and its
+    # cost is the same bits either way, on the kernel (with all four of its
+    # contractions for the tilted policy) and on the reference
+    params = ModelParams.benchmark(r=0.2)
+    setup = make_wealth_setup(params, 20_000)
+    assert setup.draw_grid.n_steps == 10_001
+    policy = example1_policy(params)
+    excess = make_wealth_setup(replace(params, rtilde=0.7), 20_000)
+    tilted = ControlPolicy("tilted", 0.25, 0.3)
+    reducers = [partial(cost_chunk, policy_weights(setup, policy)),
+                partial(cost_chunk, policy_weights(excess, tilted)),
+                partial(reference_cost, setup, policy)]
+    one, six = (map_reducers(setup, reducers, 5, n) for n in (1025, 1030))
+    for (alone, _), (among, _) in zip(one, six):
+        assert alone[1024] == among[1024]
+        assert _same_bits(alone, among[:1025])
+
+
+def _refuse(self, ctx):
+    raise AssertionError("an estimator formed a control matrix")
+
+
+def test_no_estimator_forms_a_control_matrix(monkeypatch):
+    # ControlPolicy.control is the reference kernel's alone: the estimators
+    # price every policy from its node weights
+    monkeypatch.setattr(ControlPolicy, "control", _refuse)
+    params = ModelParams.benchmark(r=0.2, rtilde=0.5, x0=1.0)
+    policies = [example1_policy(params), example2_policy(params),
+                uninformed(example2_policy(params))]
+    n, seed, steps = 1100, 3, 32
+    assert len(cost_mc_many(policies, params, n, seed, steps)) == 3
+    spec = PerturbationSpec((0.25, 0.5), y_grid=(-0.5, 0.0, 0.5))
+    for policy in policies:
+        perturbation_sweep(policy, params, spec, n, seed, steps)
+        martingale_diagnostic(policy, params, n, seed, steps)
+    setup = make_wealth_setup(params, steps)
+    dB = increment_chunk(setup.draw_grid, seed, 0, 4)
+    with pytest.raises(AssertionError, match="control matrix"):
+        wealth_paths_chunk(setup, dB, chunk_context(setup, dB), policies[0])
 
 
 @pytest.mark.parametrize("n_paths", [1500, 1025, 2048],
@@ -367,7 +419,8 @@ def _aliasing(kind, dB, ctx):
 def test_a_reducer_output_that_shares_the_workspace_raises(kind):
     # the next block is drawn into the same workspace: a view would change
     setup = make_wealth_setup(ModelParams.benchmark(), 32)
-    reducers = [partial(cost_chunk, setup, policy=constant_policy(0.5)),
+    reducers = [partial(cost_chunk,
+                        policy_weights(setup, constant_policy(0.5))),
                 partial(_aliasing, kind)]
     with pytest.raises(ValueError, match="fresh arrays"):
         map_reducers(setup, reducers, 3, 2100)
@@ -385,7 +438,8 @@ def _misshapen(kind, dB, ctx):
 @pytest.mark.parametrize("kind", ["scalar", "short", "untupled"])
 def test_a_reducer_output_without_the_block_rows_last_raises(kind):
     setup = make_wealth_setup(ModelParams.benchmark(), 32)
-    reducers = [partial(cost_chunk, setup, policy=constant_policy(0.5)),
+    reducers = [partial(cost_chunk,
+                        policy_weights(setup, constant_policy(0.5))),
                 partial(_misshapen, kind)]
     with pytest.raises(ValueError, match="rows last"):
         map_reducers(setup, reducers, 3, 2100)
@@ -516,20 +570,28 @@ def test_only_the_engine_task_draws_and_only_the_engine_runs_threads():
 
 def test_multi_policy_cost_equals_separate_calls_bit_for_bit():
     params = example2_params()
-    policies = [
-        example2_policy(params),
-        constant_policy(0.5),
-        MOSTLY_FLAT,  # infinite control on the rows with a large L: they diverge
-    ]
+    policies = [example2_policy(params), constant_policy(0.5)]
     n, seed, steps = 20_000, 11, 64
     many = cost_mc_many(policies, params, n, seed, steps)
     assert many == [cost_mc(p, params, n, seed, steps) for p in policies]
-    assert [e.n_diverged for e in many[:2]] == [0, 0]
-    assert 0 < many[2].n_diverged <= 20
-    assert many[2].n_samples == n - many[2].n_diverged
-    blind = [uninformed(p) for p in policies[:2]]
+    assert [e.n_diverged for e in many] == [0, 0]
+    blind = [uninformed(p) for p in policies]
     assert cost_mc_many(blind, params, n, seed, steps) == [
         cost_mc(p, params, n, seed, steps) for p in blind]
+    # on one draw each policy keeps its own diverged rows: RARE_OVERFLOW's
+    # cost overflows on a few of them (and its other rows' moments overflow,
+    # so its rows are compared, not its estimate)
+    setup = make_wealth_setup(RARE_PARAMS, steps)
+    reducers = [partial(cost_chunk, policy_weights(setup, p))
+                for p in (example2_policy(RARE_PARAMS), constant_policy(0.5),
+                          RARE_OVERFLOW)]
+    together = map_reducers(setup, reducers, seed, n)
+    assert _same_bits(together, [map_reducers(setup, [reduce], seed, n)[0]
+                                 for reduce in reducers])
+    assert [int(bad.sum()) for _, bad in together[:2]] == [0, 0]
+    samples, n_diverged = collect_samples(*together[2])
+    assert 0 < n_diverged <= 20
+    assert len(samples) == n - n_diverged
 
 
 # ---------------------------------------------------------------------------

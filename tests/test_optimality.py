@@ -1,6 +1,7 @@
 """Cost estimation, perturbation calculus, martingale cells, and recovery."""
 
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from insiderlab.controlled_sde import (
     ControlPolicy,
     constant_policy,
     make_wealth_setup,
+    policy_weights,
     uninformed,
     wealth_paths_chunk,
 )
@@ -36,13 +38,14 @@ from insiderlab.optimality import (
     discounted_diffusion,
     martingale_diagnostic,
     nu_increments,
+    nu_window,
     perturbation_sweep,
     pooled_se,
     quarter_windows,
     semimartingale_recovery,
     sweep_coefficients,
+    sweep_window,
     window_indices,
-    window_rows,
 )
 from insiderlab.paths import (
     Affine,
@@ -54,10 +57,13 @@ from insiderlab.paths import (
 )
 from oracles import (
     MOSTLY_FLAT,
+    RARE_OVERFLOW,
+    RARE_PARAMS,
     affine_cost_mean,
     fold_tail,
     nu_path,
     perturbed_policy,
+    reference_cost,
 )
 
 EX1_TARGET = -math.log(2.0) / 4.0
@@ -124,9 +130,15 @@ class TestCostMc:
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_rare_divergence_excluded_but_counted(self):
-        # a few paths (P ~ 3e-4) get an infinite control and are dropped
+        # a few paths (P ~ 3e-4) get an infinite control and are dropped; no
+        # affine policy keeps the other rows' moments finite, so the rows
+        # come from the reference kernel, through cost_mc's own engine and
+        # estimate
         params = example2_params()
-        est = cost_mc(MOSTLY_FLAT, params, 20_000, seed=11, n_steps=512)
+        setup = make_wealth_setup(params, 512)
+        ((vals, bad),) = map_reducers(
+            setup, [partial(reference_cost, setup, MOSTLY_FLAT)], 11, 20_000)
+        est = EstimateWithError.from_rows(vals, bad)
         assert 0 < est.n_diverged <= 20
         assert math.isfinite(est.mean)
 
@@ -203,9 +215,19 @@ class TestDirectionalDerivative:
 
 
 def direct_costs(setup, dB, policy, spec, y, params):
-    """Oracle: per-path cost of the perturbed policy from its own kernel pass."""
+    """Oracle: per-path cost of the perturbed policy from its own pass of
+    the reference kernel."""
     pert = perturbed_policy(policy, spec, y, params)
-    return cost_chunk(setup, dB, chunk_context(setup, dB), pert)
+    return reference_cost(setup, pert, dB, chunk_context(setup, dB))
+
+
+def reference_cost_mc(policy, params, n_paths, seed, n_steps):
+    """``cost_mc`` of any policy with a control matrix, on the reference
+    kernel."""
+    setup = make_wealth_setup(params, n_steps)
+    ((vals, bad),) = map_reducers(
+        setup, [partial(reference_cost, setup, policy)], seed, n_paths)
+    return EstimateWithError.from_rows(vals, bad)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.2])
@@ -215,7 +237,7 @@ def test_cost_chunk_is_the_trapezoid_cost_of_the_terminal_wealth(r):
     dB = increment_chunk(setup.draw_grid, 7, 0, 64)
     ctx = chunk_context(setup, dB)
     pol = example1_policy(params)
-    vals, bad = cost_chunk(setup, dB, ctx, pol)
+    vals, bad = cost_chunk(policy_weights(setup, pol), dB, ctx)
     _, u, x_T, _ = wealth_paths_chunk(setup, dB, ctx, pol)
     want = np.trapezoid(2.0 * u * u, dx=setup.grid.dt, axis=1) - 1.5 * x_T
     assert not bad.any()
@@ -227,7 +249,8 @@ def clipped_theta(Bt, L):
 
 
 class TestSweepCoefficients:
-    """The exact quadratic c0 + c1 y + c2 y^2 against the direct per-y kernel.
+    """The exact quadratic c0 + c1 y + c2 y^2 against the direct per-y
+    reference kernel.
 
     Tolerance, fixed: per path, |closed form - oracle| <= 1e-12 times the
     chunk's largest |oracle cost| at that y (the cost's own scale; costs near
@@ -258,15 +281,17 @@ class TestSweepCoefficients:
         pol = example1_policy(params)
         if blind:
             pol = uninformed(pol)
-        (c0, c1, c2), bad = sweep_coefficients(setup, dB, chunk_context(setup, dB),
-                                               pol, spec, ilo_ihi)
+        ctx = chunk_context(setup, dB)
+        weights = policy_weights(setup, pol)
+        (c0, c1, c2), bad = sweep_coefficients(
+            weights, spec, sweep_window(setup, pol, ilo_ihi), dB, ctx)
         assert not bad.any()
         for y in spec.y_grid:
             want, want_bad = direct_costs(setup, dB, pol, spec, y, params)
             assert not want_bad.any()
             got = c0 + y * (c1 + y * c2)
-            if y == 0.0:
-                assert np.array_equal(got, want)
+            if y == 0.0:  # F(0) is the base policy's cost, bit for bit
+                assert np.array_equal(got, cost_chunk(weights, dB, ctx)[0])
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= self.RTOL * scale
 
@@ -276,24 +301,28 @@ class TestSweepCoefficients:
         spec = PerturbationSpec(WINDOW)
         pol = example1_policy(params)
         h = 0.1
-        plus = cost_mc(perturbed_policy(pol, spec, h, params), params, 512,
-                       seed=63, n_steps=512)
-        minus = cost_mc(perturbed_policy(pol, spec, -h, params), params, 512,
-                        seed=63, n_steps=512)
+        plus = reference_cost_mc(perturbed_policy(pol, spec, h, params),
+                                 params, 512, seed=63, n_steps=512)
+        minus = reference_cost_mc(perturbed_policy(pol, spec, -h, params),
+                                  params, 512, seed=63, n_steps=512)
         deriv = directional_derivative(pol, params, spec, 0.0, 512, seed=63,
                                        n_steps=512)
         fd = (plus.mean - minus.mean) / (2 * h)
         assert abs(deriv.mean - fd) <= 1e-12
 
     def test_divergent_rows_match_at_every_y(self):
-        params = example2_params()
-        pol = MOSTLY_FLAT
-        spec = PerturbationSpec(WINDOW)
+        # the cost overflows on a few rows; theta0 is small enough to keep
+        # F'(0)'s moments finite on the others, whose gain is about 5e152
+        params = RARE_PARAMS
+        pol = RARE_OVERFLOW
+        spec = PerturbationSpec(WINDOW, theta0=1e-150)
         setup = make_wealth_setup(params, 512)
         ilo_ihi = window_indices(setup.grid, WINDOW, params.t0, params.T)
+        weights = policy_weights(setup, pol)
+        window = sweep_window(setup, pol, ilo_ihi)
 
         def bad_rows(dB, ctx):
-            _, bad = sweep_coefficients(setup, dB, ctx, pol, spec, ilo_ihi)
+            _, bad = sweep_coefficients(weights, spec, window, dB, ctx)
             for y in spec.y_grid:
                 _, want_bad = direct_costs(setup, dB, pol, spec, y, params)
                 assert np.array_equal(bad, want_bad)
@@ -449,11 +478,12 @@ class TestNuPath:
         params = example2_params()
         setup, B, dB, ctx, u = self.make_chunk(params, 47)
         ilo, ihi = setup.grid.index_of(0.25), setup.grid.index_of(0.75)
-        inc = nu_increments(setup, u, dB, ilo, ihi,
-                            window_rows(setup, ilo, ihi))
+        window = nu_window(setup, example2_policy(params), ilo, ihi)
+        inc = nu_increments([window, window], dB, ctx)
         nu = nu_path(setup, u, dB)
-        assert inc[0] == pytest.approx(nu[ihi] - nu[ilo],
-                                       abs=1e-13)
+        assert inc.shape == (2, 1) and inc[0, 0] == inc[1, 0]
+        assert inc[0, 0] == pytest.approx(nu[ihi] - nu[ilo],
+                                          abs=1e-13)
 
 
 class TestSemimartingaleRecovery:
