@@ -11,6 +11,7 @@ import os
 import sys
 
 from .experiments import (
+    CAPS,
     InvalidConfigError,
     check_cap,
     list_experiments,
@@ -42,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the output directory")
     run.add_argument("--workers", type=int, default=None,
                      help="process pool size; 1 runs the op in process on "
-                          "two threads (default: available cores)")
+                          "two threads (default: available cores, at most "
+                          f"{CAPS['workers']})")
 
     sub.add_parser("list", help="list experiment kinds and their config schema")
     return parser
@@ -56,8 +58,10 @@ def _check_overrides(args: argparse.Namespace) -> None:
         if args.n_paths < 2:
             raise InvalidConfigError("'--n-paths' must be >= 2")
         check_cap("n_paths", args.n_paths, "--n-paths")
-    if args.workers is not None and args.workers < 1:
-        raise InvalidConfigError("'--workers' must be >= 1")
+    if args.workers is not None:
+        if args.workers < 1:
+            raise InvalidConfigError("'--workers' must be >= 1")
+        check_cap("workers", args.workers, "--workers")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -81,7 +85,7 @@ def _run(args: argparse.Namespace) -> int:
         cfg["n_paths"] = args.n_paths
     if args.out is not None:
         cfg["out"] = args.out
-    workers = args.workers or os.cpu_count() or 1
+    workers = args.workers or min(os.cpu_count() or 1, CAPS["workers"])
     try:
         summary = run_experiment(cfg, workers=workers)
     except InvalidConfigError as e:

@@ -7,12 +7,13 @@ this form, and so does every policy the lab ships or certifies.  It is
 G-adapted by construction, since alpha_i depends on the path up to node i
 and on L alone, and it is state-free: under the Euler scheme of
 dX = [r X + (rtilde - r) u] dt + sigma(t) u dB, X_T is x0 and the gains
-grown to T by powers of 1 + r dt.  So each path's running cost sum a w u^2
-and its X_T are sums over the nodes of alpha^2, alpha, alpha dB and dB with
-weights fixed per op (``policy_weights``), and the estimators price a block
-with at most four row contractions (``price_chunk``) without ever forming
-its control matrix.  ``WindowSum`` is the same idea for the linear
-functionals of a window that the perturbation and martingale checks read.
+grown to T by powers of 1 + r dt.  So every per-path functional that the
+estimators read (the running cost sum a w u^2, X_T, the perturbation's c1,
+the martingale's N_u increments) is a ``NodeSum``: a sum over a window of
+nodes of alpha^2, alpha, alpha dB and dB with weights fixed per op, which
+``node_sum`` builds from weights on u^2, u, u dB and dB.  A block is priced
+with at most four row contractions per sum, without ever forming its
+control matrix; ``policy_weights`` pairs the running cost and X_T.
 
 ``wealth_paths_chunk`` is the reference: it forms the block's control
 matrix u (``ControlPolicy.control``) and contracts the gains with the
@@ -37,11 +38,11 @@ __all__ = [
     "uninformed",
     "WealthSetup",
     "make_wealth_setup",
+    "NodeSum",
+    "node_sum",
     "PolicyWeights",
     "policy_weights",
     "price_chunk",
-    "WindowSum",
-    "window_sum",
     "wealth_paths_chunk",
 ]
 
@@ -53,7 +54,7 @@ class ControlPolicy:
     ``gain`` and ``offset`` are coerced with ``paths.as_weight``: a float, a
     callable of t or a WeightFunction.  The policy pickles, and so runs in
     a process pool, whenever both coefficients do.  The estimators read
-    only the coefficients (``policy_weights``); ``control`` forms the
+    only the coefficients (``node_sum``); ``control`` forms the
     control matrix for the reference kernel ``wealth_paths_chunk``.
     """
 
@@ -148,123 +149,106 @@ def _nonzero(weights: np.ndarray) -> np.ndarray | None:
 
 
 @dataclass(frozen=True, eq=False)
-class PolicyWeights:
-    """An affine policy's running cost and X_T as node weights.
+class NodeSum:
+    """The per-row sum over the nodes k in [lo, hi)
 
-    With u_j = g_j alpha_j + o_j on the nodes i0 + j, j = 0..N, the
-    trapezoid running cost sum_j a w_j u_j^2 and the Euler terminal wealth
-    X_T = endowment + sum_{j<N} G_{j+1} u_j (sigma_j dB_j + excess dt)
-    (w, G and the endowment from ``WealthSetup``) are, per row,
+        const + sum square_k alpha_k^2 + linear_k alpha_k
+              + cross_k alpha_k dB_k + noise_k dB_k,
 
-        run = sum a w g^2 alpha^2 + sum 2 a w g o alpha + sum a w o^2
-        X_T = sum G g sigma alpha dB + sum G g excess dt alpha
-              + sum G o sigma dB + endowment + sum G o excess dt.
+    its weights fixed per op (``node_sum``); a weight that is 0 throughout
+    is None, and its contraction is skipped."""
 
-    ``square`` holds a w g^2, ``drift`` the two rows 2 a w g o and
-    G g excess dt (0 at node N), ``cross`` G g sigma and ``noise``
-    G o sigma; each is None when it is 0 throughout, and its contraction
-    is skipped.  ``run_const`` and ``x_const`` are the two constant sums.
-    Every product is 0 where a factor is 0, even if another one overflowed.
-    """
-
-    setup: WealthSetup
+    lo: int
+    hi: int
+    const: float
     square: np.ndarray | None
-    drift: np.ndarray | None
+    linear: np.ndarray | None
     cross: np.ndarray | None
     noise: np.ndarray | None
-    run_const: float
-    x_const: float
+
+    def rows(self, dB: np.ndarray, ctx: ChunkContext) -> np.ndarray:
+        """The sum for every row of one block: at most four ``row_dot``s,
+        so a row's bits do not depend on the block."""
+        alpha = ctx.alpha[:, self.lo : self.hi]
+        noise = dB[:, self.lo : self.hi]
+        out = np.full(len(dB), self.const)
+        with np.errstate(over="ignore", invalid="ignore"):  # out shows overflow
+            if self.square is not None:
+                out += row_dot(alpha, alpha, self.square)
+            if self.linear is not None:
+                out += row_dot(alpha, self.linear)
+            if self.cross is not None:
+                out += row_dot(alpha, noise, self.cross)
+            if self.noise is not None:
+                out += row_dot(noise, self.noise)
+        return out
 
 
-def policy_weights(setup: WealthSetup, policy: ControlPolicy) -> PolicyWeights:
-    """The node weights of ``policy`` on ``setup``, computed once per op."""
-    i0, iL = setup.i0, setup.i_last
-    t = setup.grid.times[i0 : iL + 1]
-    G, sigma = setup.growth[1:], setup.sigma_nodes[i0:iL]
-    edt = setup.excess * setup.grid.dt
+def node_sum(setup: WealthSetup, policy: ControlPolicy, lo: int, hi: int, *,
+             uu=0.0, u=0.0, u_dB=0.0, dB=0.0, const: float = 0.0) -> NodeSum:
+    """const + sum_k uu_k u_k^2 + u_k u_k + u_dB_k u_k dB_k + dB_k dB_k over
+    the nodes k in [lo, hi) as a NodeSum, u being ``policy``'s control.
+    Each weight is a float or an array over the nodes.
+
+    The one place that expands u = g alpha + o: alpha^2 gets uu g^2, alpha
+    2 uu g o + u g, alpha dB u_dB g, dB u_dB o + dB, and the constant
+    sum uu o^2 + u o.  Each product is 0 where a factor is 0, even if
+    another one overflowed.
+    """
+    t = setup.grid.times[lo:hi]
     # overflow shows as inf or nan in the weights, and so in the rows
     with np.errstate(over="ignore", invalid="ignore"):
         g, o = policy.gain.nodes(t), policy.offset.nodes(t)
-        aw = setup.a * setup.trapezoid
-        drift = np.zeros((2, len(t)))
-        drift[0] = _product(2.0 * aw, g, o)
-        drift[1, :-1] = _product(G, g[:-1], edt)
+        return NodeSum(
+            lo, hi, const + float(np.sum(_product(uu, o, o) + _product(u, o))),
+            square=_nonzero(_product(uu, g, g)),
+            linear=_nonzero(_product(2.0 * uu, g, o) + _product(u, g)),
+            cross=_nonzero(_product(u_dB, g)),
+            noise=_nonzero(_product(u_dB, o) + dB),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class PolicyWeights:
+    """An affine policy's running cost and X_T on ``setup`` as two NodeSums.
+
+    On the nodes i0 + j, j = 0..N, the trapezoid running cost is
+    ``run`` = sum_j a w_j u_j^2 and the Euler terminal wealth is
+    ``wealth`` = endowment + sum_{j<N} G_{j+1} u_j (excess dt + sigma_j dB_j)
+    (w, G and the endowment from ``WealthSetup``): a policy priced without
+    its control matrix.
+    """
+
+    setup: WealthSetup
+    run: NodeSum
+    wealth: NodeSum
+
+
+def policy_weights(setup: WealthSetup, policy: ControlPolicy) -> PolicyWeights:
+    """The node sums of ``policy`` on ``setup``, computed once per op."""
+    i0, iL = setup.i0, setup.i_last
+    G = setup.growth[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
         return PolicyWeights(
             setup,
-            square=_nonzero(_product(aw, g, g)),
-            drift=_nonzero(drift),
-            cross=_nonzero(_product(G, g[:-1], sigma)),
-            noise=_nonzero(_product(G, o[:-1], sigma)),
-            run_const=float(np.sum(_product(aw, o, o))),
-            x_const=setup.endowment + float(np.sum(_product(G, o[:-1], edt))),
+            run=node_sum(setup, policy, i0, iL + 1,
+                         uu=setup.a * setup.trapezoid),
+            wealth=node_sum(setup, policy, i0, iL,
+                            u=_product(G, setup.excess * setup.grid.dt),
+                            u_dB=_product(G, setup.sigma_nodes[i0:iL]),
+                            const=setup.endowment),
         )
 
 
 def price_chunk(weights: PolicyWeights, dB: np.ndarray, ctx: ChunkContext
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The running cost and X_T of every row of one block, and ``diverged``.
-
-    At most four row contractions, of alpha^2, alpha (one pass for both
-    of its weight rows), alpha dB and dB over the nodes i0..i_last, each
-    through ``paths.row_dot``, so a row's bits do not depend on the block:
-    two for example 1's optimum (rtilde = r), one for an uninformed
-    policy.  Returns (run, x_T, diverged), all of shape (rows,);
-    ``diverged`` marks the rows whose x_T is not finite, which the caller
-    must exclude and report.
+    """The running cost and X_T of every row of one block, and ``diverged``,
+    the rows whose X_T is not finite, which the caller must exclude and
+    report; all of shape (rows,).  Example 1's optimum (rtilde = r) takes
+    two row contractions in all, an uninformed policy one.
     """
-    s = weights.setup
-    alpha = ctx.alpha[:, s.i0 : s.i_last + 1]
-    noise = dB[:, s.i0 : s.i_last]
-    run = np.full(len(dB), weights.run_const)
-    x_T = np.full(len(dB), weights.x_const)
-    with np.errstate(over="ignore", invalid="ignore"):  # x_T shows overflow
-        if weights.square is not None:
-            run += row_dot(alpha, alpha, weights.square)
-        if weights.drift is not None:
-            linear = row_dot(alpha[:, None], weights.drift)
-            run += linear[:, 0]
-            x_T += linear[:, 1]
-        if weights.cross is not None:
-            x_T += row_dot(alpha[:, :-1], noise, weights.cross)
-        if weights.noise is not None:
-            x_T += row_dot(noise, weights.noise)
-    return run, x_T, ~np.isfinite(x_T)
-
-
-@dataclass(frozen=True, eq=False)
-class WindowSum:
-    """The per-row sum  const + sum_k on_alpha_k alpha_k + on_dB_k dB_k
-    over the nodes k in [lo, hi), weights fixed per op; a weight array
-    that is 0 throughout is None, and its contraction is skipped."""
-
-    lo: int
-    hi: int
-    on_alpha: np.ndarray | None
-    on_dB: np.ndarray | None
-    const: float
-
-    def rows(self, dB: np.ndarray, ctx: ChunkContext) -> np.ndarray:
-        """The sum for every row of one block: at most two ``row_dot``s."""
-        out = np.full(len(dB), self.const)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.on_alpha is not None:
-                out += row_dot(ctx.alpha[:, self.lo : self.hi], self.on_alpha)
-            if self.on_dB is not None:
-                out += row_dot(dB[:, self.lo : self.hi], self.on_dB)
-        return out
-
-
-def window_sum(setup: WealthSetup, policy: ControlPolicy, lo: int, hi: int,
-               on_u, on_dB, const: float = 0.0) -> WindowSum:
-    """const + sum_{k in [lo, hi)} on_u_k u_k + on_dB_k dB_k as a WindowSum,
-    u being ``policy``'s control: u = g alpha + o puts on_u g on alpha and
-    adds sum on_u o to the constant.  ``on_u`` is a float or an array over
-    the window's nodes, ``on_dB`` an array over them."""
-    t = setup.grid.times[lo:hi]
-    with np.errstate(over="ignore", invalid="ignore"):
-        g, o = policy.gain.nodes(t), policy.offset.nodes(t)
-        return WindowSum(lo, hi, _nonzero(_product(on_u, g)), _nonzero(on_dB),
-                         const + float(np.sum(_product(on_u, o))))
+    x_T = weights.wealth.rows(dB, ctx)
+    return weights.run.rows(dB, ctx), x_T, ~np.isfinite(x_T)
 
 
 def wealth_paths_chunk(

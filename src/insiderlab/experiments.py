@@ -92,16 +92,22 @@ class InvalidConfigError(ValueError):
 # Config loading and resolution
 # ---------------------------------------------------------------------------
 
-_PARAM_KEYS = {"r", "sigma", "a", "b", "T", "t1", "m", "x0", "t0", "rtilde"}
+# every model parameter a config may set, with its default
+_PARAM_DEFAULTS = {
+    "r": 0.0, "sigma": 1.0, "a": 1.0, "b": 1.0, "T": 1.0, "t1": 2.0,
+    "m": 1.0, "x0": 0.0, "t0": 0.0, "rtilde": None,
+}
 _DEFAULTS = {"n_paths": 10_000, "n_steps": 2048, "seed": 0, "out": "results"}
 
 # The most work one config may ask for, checked before anything is
 # allocated.  The Monte Carlo kinds draw in row blocks of at most 1 MiB
 # at any n_steps up to its cap (2 rows or more there), so n_steps bounds
 # their time per path, not their memory; hjb-residual holds n_fields whole
-# paths and drifts.  ``--n-paths`` is held to the n_paths cap too.
+# paths and drifts.  ``--n-paths`` is held to the n_paths cap too.  The
+# workers cap bounds ``run_experiment``'s process pool, which forks all of
+# its workers at its first task.
 CAPS = {"n_steps": 65_536, "n_paths": 10_000_000, "n_fields": 1_024,
-        "n_probes": 1_000_000}
+        "n_probes": 1_000_000, "workers": 64}
 
 
 def load_config(path: str | Path) -> dict:
@@ -171,7 +177,7 @@ def resolve_config(raw: dict) -> dict:
             check_cap(key, cfg[key])
 
     for key in cfg["params"]:
-        if key not in _PARAM_KEYS:
+        if key not in _PARAM_DEFAULTS:
             raise InvalidConfigError(f"unknown field 'params.{key}'")
     if kind == "example2":
         for key in ("r", "rtilde", "sigma"):
@@ -321,11 +327,7 @@ def _weight_from_config(spec, field: str):
 
 
 def params_from_config(cfg: dict) -> ModelParams:
-    merged = {
-        "r": 0.0, "sigma": 1.0, "a": 1.0, "b": 1.0, "T": 1.0, "t1": 2.0,
-        "m": 1.0, "x0": 0.0, "t0": 0.0, "rtilde": None,
-    }
-    merged.update(cfg["params"])
+    merged = {**_PARAM_DEFAULTS, **cfg["params"]}
     if cfg["experiment"] == "example2":
         merged.update(r=0.0, sigma=1.0, rtilde=1.0)
     try:
@@ -759,8 +761,10 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None,
                    workers: int = 1) -> dict:
     """Execute one resolved config; write CSV + JSON; return the summary.
 
-    With ``workers > 1`` one process pool serves every estimate of the op.
+    With ``workers > 1`` one process pool serves every estimate of the op;
+    more than ``CAPS["workers"]`` raise InvalidConfigError.
     """
+    check_cap("workers", workers)
     kind = cfg["experiment"]
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         rows, results, checks = _KINDS[kind].run(cfg, pool)
@@ -801,12 +805,8 @@ def list_experiments() -> str:
             lines.append(f"      {kind.note}")
         lines.append(f"      CSV: {kind.header}")
     lines.append("")
-    lines.append(
-        "params fields: r, sigma, a, b, T, t1, m, x0, t0, rtilde; sigma and m"
-    )
-    lines.append(
-        "take a number or {type: constant|affine|sin, ...}."
-    )
+    lines.append(f"params fields: {', '.join(_PARAM_DEFAULTS)}; sigma and m")
+    lines.append("take a number or {type: constant|affine|sin, ...}.")
     lines.append("caps: " + ", ".join(f"{k} <= {v}" for k, v in CAPS.items())
-                 + " (--n-paths too)")
+                 + " (--n-paths is held to n_paths; workers bounds --workers)")
     return "\n".join(lines)

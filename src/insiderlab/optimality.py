@@ -7,7 +7,7 @@ Four instruments, all statistical, all seeded:
 * ``perturbation_sweep`` maps out F(y) = J(u + y theta) for a step
   perturbation theta = theta0 on a window; at an optimum the argmin sits at
   y = 0.  Each path's discrete cost is exactly c0 + c1 y + c2 y^2: c0 is
-  the base policy's cost, c1 a window sum of alpha and dB
+  the base policy's cost, c1 a node sum of u and dB over the window
   (``sweep_coefficients``).
 * ``directional_derivative`` is F'(y) = c1 + 2 y c2, the exact derivative
   of the discrete cost.
@@ -29,8 +29,9 @@ Each estimator runs top-level reducers ``(dB, ctx) -> arrays`` through
 each reducer's per-row arrays joined over the batch in path order, so every
 estimate is a deterministic function of (inputs, seed) whether or not a
 process ``pool`` is passed.  No reducer forms a control matrix: each prices
-its policy with the row contractions of ``controlled_sde.price_chunk`` and
-``WindowSum``, from node weights computed once per op.
+its policy with the row contractions of ``controlled_sde.NodeSum``, node
+sums over a window of u^2, u, u dB and dB built once per op by
+``controlled_sde.node_sum``.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ import numpy as np
 from .controlled_sde import (
     ChunkContext,
     ControlPolicy,
+    NodeSum,
     PolicyWeights,
     WealthSetup,
-    WindowSum,
     make_wealth_setup,
+    node_sum,
     policy_weights,
     price_chunk,
-    window_sum,
 )
 from .enlargement import map_reducers
 from .paths import BrownianPath, TimeGrid, as_weight, running_sum
@@ -232,8 +233,8 @@ def window_indices(grid: TimeGrid, window: Sequence[float], t0: float,
 
 
 def sweep_window(setup: WealthSetup, policy: ControlPolicy,
-                 window: tuple[int, int]) -> WindowSum:
-    """c1 / theta of ``sweep_coefficients`` as a window sum over the nodes
+                 window: tuple[int, int]) -> NodeSum:
+    """c1 / theta of ``sweep_coefficients`` as a node sum over the nodes
     k in [ilo, ihi) of ``window``: 2 a sum w_k u_k - b K with
     K = sum (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)."""
     ilo, ihi = window
@@ -243,15 +244,15 @@ def sweep_window(setup: WealthSetup, policy: ControlPolicy,
     with np.errstate(over="ignore", invalid="ignore"):
         on_dB = -b * growth * setup.sigma_nodes[ilo:ihi]
         drift = float(np.sum(growth)) * edt if edt else 0.0  # not inf * 0
-        return window_sum(setup, policy, ilo, ihi,
-                          2.0 * setup.a * setup.trapezoid[lo:hi], on_dB,
-                          -b * drift)
+        return node_sum(setup, policy, ilo, ihi,
+                        u=2.0 * setup.a * setup.trapezoid[lo:hi], dB=on_dB,
+                        const=-b * drift)
 
 
 def sweep_coefficients(
     weights: PolicyWeights,
     spec: PerturbationSpec,
-    window: WindowSum,
+    window: NodeSum,
     dB: np.ndarray,
     ctx: ChunkContext,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -393,18 +394,18 @@ def window_rows(setup: WealthSetup, ilo: int,
 
 
 def nu_window(setup: WealthSetup, policy: ControlPolicy, ilo: int,
-              ihi: int) -> WindowSum:
-    """N_u(t_hi) - N_u(t_lo) as a window sum, left-point sums throughout:
+              ihi: int) -> NodeSum:
+    """N_u(t_hi) - N_u(t_lo) as a node sum, left-point sums throughout:
     sum_k (2 a u_k - w_k (rtilde - r)) dt - w_k sigma_k dB_k over the nodes
     k in [ilo, ihi), with the node rows of ``window_rows``."""
     ds_row, db_row = window_rows(setup, ilo, ihi)
     dt = setup.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        return window_sum(setup, policy, ilo, ihi, 2.0 * setup.a * dt,
-                          -db_row, -float(np.sum(ds_row)) * dt)
+        return node_sum(setup, policy, ilo, ihi, u=2.0 * setup.a * dt,
+                        dB=-db_row, const=-float(np.sum(ds_row)) * dt)
 
 
-def nu_increments(windows: Sequence[WindowSum], dB: np.ndarray,
+def nu_increments(windows: Sequence[NodeSum], dB: np.ndarray,
                   ctx: ChunkContext) -> np.ndarray:
     """N_u(t_hi) - N_u(t_lo) per window and path, of shape (windows, rows):
     each window's ``nu_window`` sum, two row contractions, of alpha and dB."""
@@ -414,8 +415,9 @@ def nu_increments(windows: Sequence[WindowSum], dB: np.ndarray,
 def _martingale_chunk(weights, windows, test_fns, dB, ctx):
     """(cells, rows) products phi * (N_u increment), window-major, and the
     mask of rows whose wealth or any product is non-finite.  ``windows``
-    holds the ``nu_window`` of every window."""
-    _, _, diverged = price_chunk(weights, dB, ctx)
+    holds the ``nu_window`` of every window; of ``weights`` only the
+    wealth is read, not the running cost."""
+    diverged = ~np.isfinite(weights.wealth.rows(dB, ctx))
     increments = nu_increments(windows, dB, ctx)
     prods = np.empty((len(windows) * len(test_fns), len(dB)))
     cells = iter(prods)

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -257,6 +258,49 @@ def test_n_paths_override(tmp_path, decomp_cfg):
     assert "n_paths,512" in text
     summary = json.loads((tmp_path / "n" / "decomposition.json").read_text())
     assert summary["config"]["n_paths"] == 512
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_workers_above_the_cap_exit_2_before_any_pool(tmp_path, capsys,
+                                                      monkeypatch):
+    # a pool forks all of its workers at its first task: the cap is checked
+    # before one is made, by the CLI and by the library alike
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _no_pool)
+    too_many = experiments.CAPS["workers"] + 1
+    cfg = write_cfg(tmp_path, "d.json", {
+        "experiment": "decomposition", "n_paths": 2048, "n_steps": 8,
+        "out": str(tmp_path / "out")})
+    assert main(["run", cfg, "--workers", str(too_many)]) == 2
+    assert "'--workers' must be at most" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(experiments.InvalidConfigError, match="'workers'"):
+        experiments.run_experiment(experiments.load_config(cfg), workers=too_many)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_default_worker_count_is_held_to_the_cap(tmp_path, monkeypatch):
+    sizes = []
+
+    class SizeOnly:  # records the pool size and runs the op in process
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return None
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizeOnly)
+    monkeypatch.setattr(os, "cpu_count", lambda: 100_000)
+    cfg = write_cfg(tmp_path, "d.json", {
+        "experiment": "decomposition", "n_paths": 64, "n_steps": 8,
+        "out": str(tmp_path / "out")})
+    assert main(["run", cfg]) in (0, 1)
+    assert sizes == [experiments.CAPS["workers"]]
 
 
 def test_out_override(tmp_path):

@@ -10,6 +10,7 @@ from insiderlab.controlled_sde import (
     ControlPolicy,
     constant_policy,
     make_wealth_setup,
+    node_sum,
     policy_weights,
     price_chunk,
     uninformed,
@@ -305,6 +306,49 @@ def test_price_chunk_matches_the_reference_kernel_row_by_row(r, t0, name):
     assert not want_div.any() and not div.any()
     assert np.all(np.abs(run - want_run) <= 1e-13 * run_scale)
     assert np.all(np.abs(x_T - want_x) <= 1e-13 * x_scale)
+
+
+@pytest.mark.parametrize("term", ["uu", "u", "u_dB", "dB"])
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+@pytest.mark.parametrize("r", [0.0, 0.2])
+def test_each_node_sum_weight_matches_its_direct_sum(r, t0, term):
+    # one weight alone, on a window inside [t0, T), against the sum of its
+    # definition over the control matrix; each row's error is bounded by
+    # 1e-13 of the sum of the absolute values of the expanded terms
+    params = ModelParams(r=r, rtilde=r + 0.5, sigma_fn=Affine(1.0, 0.5),
+                         a=2.0, b=1.5, T=1.0, t1=2.0, m=Sin(1.0, 0.5, 3.0),
+                         x0=0.5, t0=t0)
+    policy = _POLICIES["tilted"](params)
+    setup = make_wealth_setup(params, 512)
+    dB = increment_chunk(setup.draw_grid, 9, 0, 200)
+    ctx = chunk_context(setup, dB)
+    lo, hi = setup.i0 + 3, setup.i_last - 5
+    t = setup.grid.times[lo:hi]
+    weight = Sin(0.5, 1.0, 5.0)(t)
+    u = policy.control(ctx)[:, lo - setup.i0 : hi - setup.i0]
+    noise = dB[:, lo:hi]
+    size = (np.abs(policy.gain.nodes(t) * ctx.alpha[:, lo:hi])
+            + np.abs(policy.offset.nodes(t)))
+    factor, bound = {"uu": (u * u, size * size), "u": (u, size),
+                     "u_dB": (u * noise, size * np.abs(noise)),
+                     "dB": (noise, np.abs(noise))}[term]
+    got = node_sum(setup, policy, lo, hi, const=0.25,
+                   **{term: weight}).rows(dB, ctx)
+    want = 0.25 + np.sum(weight * factor, axis=1)
+    scale = 0.25 + np.sum(np.abs(weight) * bound, axis=1)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_a_zero_gain_next_to_an_overflowed_factor_weighs_0_not_nan():
+    setup = make_wealth_setup(ModelParams.benchmark(t0=0.25), 64)
+    lo, hi = setup.i0, setup.i_last
+    # the gain is 0 at the window's first node only, the offset everywhere
+    ramp = ControlPolicy("ramp", Affine(-setup.grid.times[lo], 1.0), 0.0)
+    inf = np.full(hi - lo, np.inf)
+    s = node_sum(setup, ramp, lo, hi, uu=inf, u=inf, u_dB=inf)
+    for weight in (s.square, s.linear, s.cross):
+        assert weight[0] == 0.0 and np.all(np.isposinf(weight[1:]))
+    assert s.noise is None and s.const == 0.0
 
 
 @pytest.mark.parametrize("name", ["constant", "uninformed", "example1"])

@@ -1,6 +1,7 @@
 """Cost estimation, perturbation calculus, martingale cells, and recovery."""
 
 import math
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from insiderlab.optimality import (
     DivergenceError,
     EstimateWithError,
     PerturbationSpec,
+    _martingale_chunk,
     cost_chunk,
     cost_mc,
     default_test_functions,
@@ -444,6 +446,27 @@ class TestMartingaleDiagnostic:
         )
         assert len(cells) == 16
         assert all(c["window"][0] > 0.5 for c in cells)
+
+    def test_the_chunk_reads_the_wealth_not_the_running_cost(self):
+        # the martingale's diverged rows come from X_T alone: pricing the
+        # running cost as well would be a wasted alpha^2 contraction
+        class Unread:
+            def rows(self, dB, ctx):
+                raise AssertionError("the running cost was evaluated")
+
+        params = ModelParams.benchmark()
+        policy = example1_policy(params)
+        setup = make_wealth_setup(params, 256)
+        dB = increment_chunk(setup.draw_grid, 41, 0, 64)
+        ctx = chunk_context(setup, dB)
+        windows = [nu_window(setup, policy, *window_indices(
+            setup.grid, w, params.t0, params.T)) for w in quarter_windows(1.0)]
+        weights = policy_weights(setup, policy)
+        test_fns = default_test_functions()
+        prods, bad = _martingale_chunk(replace(weights, run=Unread()),
+                                       windows, test_fns, dB, ctx)
+        want, want_bad = _martingale_chunk(weights, windows, test_fns, dB, ctx)
+        assert np.array_equal(prods, want) and np.array_equal(bad, want_bad)
 
     def test_default_test_functions_are_bounded(self):
         L = np.array([-1e6, 0.0, 1e6])
