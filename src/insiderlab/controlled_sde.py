@@ -8,12 +8,12 @@ G-adapted by construction, since alpha_i depends on the path up to node i
 and on L alone, and it is state-free: under the Euler scheme of
 dX = [r X + (rtilde - r) u] dt + sigma(t) u dB, X_T is x0 and the gains
 grown to T by powers of 1 + r dt.  So every per-path functional that the
-estimators read (the running cost sum a w u^2, X_T, the perturbation's c1,
-the martingale's N_u increments) is a ``NodeSum``: a sum over a window of
+estimators read (the cost sum a w u^2 - b X_T, the perturbation's c1, the
+martingale's N_u increments) is a ``NodeSum``: a sum over a window of
 nodes of alpha^2, alpha, alpha dB and dB with weights fixed per op, which
 ``node_sum`` builds from weights on u^2, u, u dB and dB.  A block is priced
 with at most four row contractions per sum, without ever forming its
-control matrix; ``policy_weights`` pairs the running cost and X_T.
+control matrix; ``cost_sum`` is a policy's cost as one such sum.
 
 ``wealth_paths_chunk`` is the reference: it forms the block's control
 matrix u (``ControlPolicy.control``) and contracts the gains with the
@@ -40,9 +40,7 @@ __all__ = [
     "make_wealth_setup",
     "NodeSum",
     "node_sum",
-    "PolicyWeights",
-    "policy_weights",
-    "price_chunk",
+    "cost_sum",
     "wealth_paths_chunk",
 ]
 
@@ -208,54 +206,28 @@ def node_sum(setup: WealthSetup, policy: ControlPolicy, lo: int, hi: int, *,
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PolicyWeights:
-    """An affine policy's running cost and X_T on ``setup`` as two NodeSums.
-
-    On the nodes i0 + j, j = 0..N, the trapezoid running cost is
-    ``run`` = sum_j a w_j u_j^2 and the Euler terminal wealth is
-    ``wealth`` = endowment + sum_{j<N} G_{j+1} u_j (excess dt + sigma_j dB_j)
-    (w, G and the endowment from ``WealthSetup``): a policy priced without
-    its control matrix.
-    """
-
-    setup: WealthSetup
-    run: NodeSum
-    wealth: NodeSum
-
-
-def policy_weights(setup: WealthSetup, policy: ControlPolicy) -> PolicyWeights:
-    """The node sums of ``policy`` on ``setup``, computed once per op."""
-    i0, iL = setup.i0, setup.i_last
-    G = setup.growth[1:]
+def cost_sum(setup: WealthSetup, policy: ControlPolicy) -> NodeSum:
+    """The discrete cost of ``policy`` on ``setup`` as one NodeSum, built
+    once per op: on the nodes i0 + j, j = 0..N, the trapezoid running cost
+    sum_j a w_j u_j^2 minus b times the Euler terminal wealth
+    endowment + sum_{j<N} G_{j+1} u_j (excess dt + sigma_j dB_j), with w, G
+    and the endowment from ``WealthSetup``.  X_T is affine in u, so the
+    cost is a single node sum over [i0, i_last], G being 0 at i_last."""
+    i0, iL, b = setup.i0, setup.i_last, setup.b_weight
+    G = np.append(setup.growth[1:], 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return PolicyWeights(
-            setup,
-            run=node_sum(setup, policy, i0, iL + 1,
-                         uu=setup.a * setup.trapezoid),
-            wealth=node_sum(setup, policy, i0, iL,
-                            u=_product(G, setup.excess * setup.grid.dt),
-                            u_dB=_product(G, setup.sigma_nodes[i0:iL]),
-                            const=setup.endowment),
-        )
-
-
-def price_chunk(weights: PolicyWeights, dB: np.ndarray, ctx: ChunkContext
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The running cost and X_T of every row of one block, and ``diverged``,
-    the rows whose X_T is not finite, which the caller must exclude and
-    report; all of shape (rows,).  Example 1's optimum (rtilde = r) takes
-    two row contractions in all, an uninformed policy one.
-    """
-    x_T = weights.wealth.rows(dB, ctx)
-    return weights.run.rows(dB, ctx), x_T, ~np.isfinite(x_T)
+        return node_sum(setup, policy, i0, iL + 1,
+                        uu=setup.a * setup.trapezoid,
+                        u=_product(-b, G, setup.excess * setup.grid.dt),
+                        u_dB=_product(-b, G, setup.sigma_nodes[i0 : iL + 1]),
+                        const=-b * setup.endowment)
 
 
 def wealth_paths_chunk(
     setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext, policy: ControlPolicy
 ) -> tuple[ChunkContext, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one chunk of wealth paths to their terminal wealth: the
-    reference that forms the control matrix, which ``price_chunk`` skips.
+    reference that forms the control matrix, which ``cost_sum`` skips.
 
     Parameters
     ----------

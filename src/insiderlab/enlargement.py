@@ -294,7 +294,9 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
     workspace, whose last axis is the block's rows, and must be row-wise
     (row k depends on row k of the block alone), so the block size changes
     no result.  An output of the wrong shape, or one that shares memory
-    with the workspace, raises ``ValueError``.
+    with the workspace, raises ``ValueError``.  A reducer returns no mask:
+    a value that is not finite marks its row as diverged, and the
+    estimators' ``optimality.collect_samples`` drops and counts it.
 
     With a ``pool`` and more than one chunk, the chunks are drawn and
     reduced in its workers, so the reducers must pickle.  Otherwise two

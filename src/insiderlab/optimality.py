@@ -7,8 +7,8 @@ Four instruments, all statistical, all seeded:
 * ``perturbation_sweep`` maps out F(y) = J(u + y theta) for a step
   perturbation theta = theta0 on a window; at an optimum the argmin sits at
   y = 0.  Each path's discrete cost is exactly c0 + c1 y + c2 y^2: c0 is
-  the base policy's cost, c1 a node sum of u and dB over the window
-  (``sweep_coefficients``).
+  the base policy's cost (``cost_sum``), c1 a node sum of u and dB over the
+  window (``sweep_coefficients``).
 * ``directional_derivative`` is F'(y) = c1 + 2 y c2, the exact derivative
   of the discrete cost.
 * ``martingale_diagnostic`` tests E[phi * (N_u(t+h) - N_u(t))] = 0 for
@@ -31,7 +31,10 @@ estimate is a deterministic function of (inputs, seed) whether or not a
 process ``pool`` is passed.  No reducer forms a control matrix: each prices
 its policy with the row contractions of ``controlled_sde.NodeSum``, node
 sums over a window of u^2, u, u dB and dB built once per op by
-``controlled_sde.node_sum``.
+``controlled_sde.node_sum`` (a policy's cost: ``controlled_sde.cost_sum``).
+No reducer returns a mask either: a row diverges exactly when a value that
+the estimate reads is not finite, and ``collect_samples`` drops and counts
+it.
 """
 
 from __future__ import annotations
@@ -47,12 +50,10 @@ from .controlled_sde import (
     ChunkContext,
     ControlPolicy,
     NodeSum,
-    PolicyWeights,
     WealthSetup,
+    cost_sum,
     make_wealth_setup,
     node_sum,
-    policy_weights,
-    price_chunk,
 )
 from .enlargement import map_reducers
 from .paths import BrownianPath, TimeGrid, as_weight, running_sum
@@ -129,40 +130,32 @@ class EstimateWithError:
         return cls(mean, std_error, n, n_diverged)
 
     @classmethod
-    def from_rows(cls, values: np.ndarray,
-                  diverged: np.ndarray) -> "EstimateWithError":
+    def from_rows(cls, values: np.ndarray) -> "EstimateWithError":
         """The estimate from per-row values, diverged rows dropped and
         counted by ``collect_samples``."""
-        samples, n_diverged = collect_samples(values, diverged)
-        return cls.from_samples(samples, n_diverged)
+        return cls.from_samples(*collect_samples(values))
 
 
 def pooled_se(e1: EstimateWithError, e2: EstimateWithError) -> float:
     return math.hypot(e1.std_error, e2.std_error)
 
 
-def collect_samples(values: np.ndarray,
-                    diverged: np.ndarray) -> tuple[np.ndarray, int]:
-    """``values`` (per-path values on the last axis) without the rows that
-    ``diverged`` masks, and their count; more than
+def collect_samples(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` (per-path values on the last axis) without the diverged
+    rows, those with a value that is not finite, and their count; more than
     ``MAX_DIVERGED_FRACTION`` of all rows raise DivergenceError."""
+    diverged = ~np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
     n_diverged = int(diverged.sum())
     if n_diverged > MAX_DIVERGED_FRACTION * len(diverged):
         raise DivergenceError(n_diverged, len(diverged))
     return values[..., ~diverged], n_diverged
 
 
-def cost_chunk(weights: PolicyWeights, dB: np.ndarray,
-               ctx: ChunkContext) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path cost of the policy whose ``policy_weights`` these are, on
-    one block: trapezoid quadrature of a u^2 minus b X_T, and the mask of
-    diverged rows."""
-    run, x_T, diverged = price_chunk(weights, dB, ctx)
-    # overflow is handled by detection below, not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = run - weights.setup.b_weight * x_T
-    # a non-finite sample with finite state is still a numerical blow-up
-    return vals, diverged | ~np.isfinite(vals)
+def cost_chunk(cost: NodeSum, dB: np.ndarray,
+               ctx: ChunkContext) -> tuple[np.ndarray]:
+    """Per-path cost of the policy whose ``cost_sum`` this is, on one block:
+    trapezoid quadrature of a u^2 minus b X_T."""
+    return (cost.rows(dB, ctx),)
 
 
 def cost_mc(policy: ControlPolicy, params, n_paths: int, seed: int,
@@ -182,10 +175,9 @@ def cost_mc_many(policies: Sequence[ControlPolicy], params, n_paths: int,
     """The ``cost_mc`` of every policy, all on one draw of the paths, each
     with its own diverged rows dropped and counted."""
     setup = make_wealth_setup(params, n_steps)
-    reducers = [partial(cost_chunk, policy_weights(setup, p))
-                for p in policies]
-    return [EstimateWithError.from_rows(vals, bad)
-            for vals, bad in map_reducers(setup, reducers, seed, n_paths, pool)]
+    reducers = [partial(cost_chunk, cost_sum(setup, p)) for p in policies]
+    return [EstimateWithError.from_rows(vals)
+            for (vals,) in map_reducers(setup, reducers, seed, n_paths, pool)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,45 +242,44 @@ def sweep_window(setup: WealthSetup, policy: ControlPolicy,
 
 
 def sweep_coefficients(
-    weights: PolicyWeights,
+    cost: NodeSum,
     spec: PerturbationSpec,
     window: NodeSum,
+    curvature: float,
     dB: np.ndarray,
     ctx: ChunkContext,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray]:
     """Per-path coefficients of the discrete cost F(y) = c0 + c1 y + c2 y^2.
 
     F(y) is the cost of the control u + y theta chi_window, with theta
     frozen at the window-start node: trapezoid quadrature of a u^2 minus
     b X_T.  The policy is state-free, so the Euler recursion of X is
-    linear in u: c0 = F(0) is the base policy's ``cost_chunk``,
+    linear in u: c0 = F(0) is the base policy's ``cost_sum``,
     c1 = theta (2 a sum_win w_k u_k - b K) is theta times the
-    ``sweep_window`` sum, and c2 = a theta^2 sum_win w_k, with w the
-    trapezoid weights (dt/2 at t0) and
+    ``sweep_window`` sum, and c2 = theta^2 ``curvature``, the curvature
+    being a sum_win w_k, with w the trapezoid weights (dt/2 at t0) and
     K = sum_win (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)
     over the window nodes k in [ilo, ihi).  Returns the (3, rows) array of
-    (c0, c1, c2) and the mask of rows that diverge, at every y alike.
+    (c0, c1, c2); a row with one that is not finite diverges at every y.
     """
-    setup = weights.setup
-    c0, bad = cost_chunk(weights, dB, ctx)
     th = spec.theta_values(ctx, window.lo)
-    w = setup.trapezoid[window.lo - setup.i0 : window.hi - setup.i0]
-    # overflow is handled by detection below, not by warnings
+    # overflow shows as inf or nan in the coefficients, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         c1 = th * window.rows(dB, ctx)
-        c2 = setup.a * w.sum() * th * th
-    return np.stack([c0, c1, c2]), bad | ~np.isfinite(c1)
+        c2 = curvature * th * th
+    return (np.stack([cost.rows(dB, ctx), c1, c2]),)
 
 
 def _sweep_samples(policy, params, spec, n_paths, seed, n_steps,
                    pool) -> tuple[np.ndarray, int]:
     """(3, paths) array of the finite rows' (c0, c1, c2), and the diverged count."""
     setup = make_wealth_setup(params, n_steps)
-    window = window_indices(setup.grid, spec.window, params.t0, params.T)
-    reduce_chunk = partial(sweep_coefficients, policy_weights(setup, policy),
-                           spec, sweep_window(setup, policy, window))
-    ((coeffs, bad),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
-    return collect_samples(coeffs, bad)
+    ilo, ihi = window_indices(setup.grid, spec.window, params.t0, params.T)
+    curvature = setup.a * setup.trapezoid[ilo - setup.i0 : ihi - setup.i0].sum()
+    reduce_chunk = partial(sweep_coefficients, cost_sum(setup, policy), spec,
+                           sweep_window(setup, policy, (ilo, ihi)), curvature)
+    ((coeffs,),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
+    return collect_samples(coeffs)
 
 
 def directional_derivative(
@@ -378,31 +369,22 @@ def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
             (t0 + s / 2, t0 + 3 * s / 4), (t0 + 3 * s / 4, T)]
 
 
-def window_rows(setup: WealthSetup, ilo: int,
-                ihi: int) -> tuple[np.ndarray, np.ndarray]:
-    """w_t (rtilde - r) and w_t sigma on the nodes [ilo, ihi), with
-    w_t = b e^{rT} e^{-r t} = -G_x: the node rows of N_u's ds and dB parts
-    over one window.  At b = 1 and r = 0 the factor b e^{rT} is exactly 1."""
-    T = setup.grid.times[setup.i_last]
-    # overflow is detected in the products, not warned about; a product of
-    # two factors, so that one that overflows gives inf or nan there, where
-    # e^{-r(t - T)} would round to a finite 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = (np.exp(-setup.r * setup.grid.times[ilo:ihi])
-             * (setup.b_weight * np.exp(setup.r * T)))
-        return w * setup.excess, w * setup.sigma_nodes[ilo:ihi]
-
-
 def nu_window(setup: WealthSetup, policy: ControlPolicy, ilo: int,
               ihi: int) -> NodeSum:
     """N_u(t_hi) - N_u(t_lo) as a node sum, left-point sums throughout:
     sum_k (2 a u_k - w_k (rtilde - r)) dt - w_k sigma_k dB_k over the nodes
-    k in [ilo, ihi), with the node rows of ``window_rows``."""
-    ds_row, db_row = window_rows(setup, ilo, ihi)
-    dt = setup.grid.dt
+    k in [ilo, ihi), with w_t = b e^{rT} e^{-r t} = -G_x.  At b = 1 and
+    r = 0 the factor b e^{rT} is exactly 1."""
+    T, dt = setup.grid.times[setup.i_last], setup.grid.dt
+    # overflow is detected in the products, not warned about; w is a
+    # product of two factors, so that one that overflows gives inf or nan
+    # there, where e^{-r(t - T)} would round to a finite 0
     with np.errstate(over="ignore", invalid="ignore"):
+        w = (np.exp(-setup.r * setup.grid.times[ilo:ihi])
+             * (setup.b_weight * np.exp(setup.r * T)))
         return node_sum(setup, policy, ilo, ihi, u=2.0 * setup.a * dt,
-                        dB=-db_row, const=-float(np.sum(ds_row)) * dt)
+                        dB=-(w * setup.sigma_nodes[ilo:ihi]),
+                        const=-float(np.sum(w * setup.excess)) * dt)
 
 
 def nu_increments(windows: Sequence[NodeSum], dB: np.ndarray,
@@ -412,12 +394,9 @@ def nu_increments(windows: Sequence[NodeSum], dB: np.ndarray,
     return np.array([window.rows(dB, ctx) for window in windows])
 
 
-def _martingale_chunk(weights, windows, test_fns, dB, ctx):
-    """(cells, rows) products phi * (N_u increment), window-major, and the
-    mask of rows whose wealth or any product is non-finite.  ``windows``
-    holds the ``nu_window`` of every window; of ``weights`` only the
-    wealth is read, not the running cost."""
-    diverged = ~np.isfinite(weights.wealth.rows(dB, ctx))
+def _martingale_chunk(windows, test_fns, dB, ctx):
+    """The (cells, rows) products phi * (N_u increment), window-major;
+    ``windows`` holds the ``nu_window`` of every window."""
     increments = nu_increments(windows, dB, ctx)
     prods = np.empty((len(windows) * len(test_fns), len(dB)))
     cells = iter(prods)
@@ -426,7 +405,7 @@ def _martingale_chunk(weights, windows, test_fns, dB, ctx):
             for _, fn in test_fns:
                 np.multiply(fn(ctx.B[:, window.lo], ctx.L), dn,
                             out=next(cells))
-    return prods, diverged | ~np.all(np.isfinite(prods), axis=0)
+    return (prods,)
 
 
 def martingale_diagnostic(
@@ -444,10 +423,10 @@ def martingale_diagnostic(
 
     A cell passes when |estimate| <= threshold * SE.  Under the optimal
     control the increments, weighted by w_t = b e^{-r(t - T)}
-    (``window_rows``), are conditionally centered given the window-start
+    (``nu_window``), are conditionally centered given the window-start
     information, so every phi is uncorrelated with them.
-    Rows whose state or any product goes non-finite are dropped from every
-    cell and counted; too many raise DivergenceError.
+    Rows with a product that is not finite are dropped from every cell and
+    counted; too many raise DivergenceError.
     """
     if windows is None:
         windows = quarter_windows(params.T, params.t0)
@@ -456,10 +435,9 @@ def martingale_diagnostic(
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
     sums = [nu_window(setup, policy, ilo, ihi) for ilo, ihi in bounds]
-    reduce_chunk = partial(_martingale_chunk, policy_weights(setup, policy),
-                           sums, test_fns)
-    ((prods, bad),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
-    samples, n_div = collect_samples(prods, bad)
+    reduce_chunk = partial(_martingale_chunk, sums, test_fns)
+    ((prods,),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
+    samples, n_div = collect_samples(prods)
 
     out = []
     cells = ((w, name) for w in windows for name, _ in test_fns)

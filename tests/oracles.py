@@ -178,13 +178,12 @@ def reference_terms(setup, policy, dB, ctx):
 
 
 def reference_cost(setup, policy, dB, ctx):
-    """Per-path cost run - b X_T of ``reference_terms``, and the mask of the
-    rows whose X_T or cost is not finite: the direct form of
-    ``optimality.cost_chunk``, and a reducer for ``map_reducers``."""
-    _, run, x_T, diverged = reference_terms(setup, policy, dB, ctx)
+    """Per-path cost run - b X_T of ``reference_terms``, as a 1-tuple: the
+    direct form of ``optimality.cost_chunk``, and a reducer for
+    ``map_reducers``."""
+    _, run, x_T, _ = reference_terms(setup, policy, dB, ctx)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = run - setup.b_weight * x_T
-    return vals, diverged | ~np.isfinite(vals)
+        return (run - setup.b_weight * x_T,)
 
 
 def _mostly_flat(ctx):

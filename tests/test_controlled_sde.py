@@ -9,10 +9,9 @@ import pytest
 from insiderlab.controlled_sde import (
     ControlPolicy,
     constant_policy,
+    cost_sum,
     make_wealth_setup,
     node_sum,
-    policy_weights,
-    price_chunk,
     uninformed,
     wealth_paths_chunk,
 )
@@ -42,6 +41,7 @@ from oracles import (
     formula_node_rule,
     policy_node_rule,
     reference_forward,
+    reference_cost,
     reference_insider,
     reference_terms,
     wealth_coefficients,
@@ -283,9 +283,10 @@ _POLICIES = {
 @pytest.mark.parametrize("t0", [0.0, 0.25])
 @pytest.mark.parametrize("r", [0.0, 0.2])
 def test_price_chunk_matches_the_reference_kernel_row_by_row(r, t0, name):
-    # an endowment, an excess return, a Sin m and an affine sigma.  Each
-    # row's error is bounded by 1e-13 of its own scale: the sums of the
-    # absolute values of the terms that the two forms add up
+    # the cost sum's rows against the reference's run - b X_T, with an
+    # endowment, an excess return, a Sin m and an affine sigma.  Each row's
+    # error is bounded by 1e-13 of its own scale: the sum of the absolute
+    # values of the terms that the two forms add up
     params = ModelParams(r=r, rtilde=r + 0.5, sigma_fn=Affine(1.0, 0.5),
                          a=2.0, b=1.5, T=1.0, t1=2.0, m=Sin(1.0, 0.5, 3.0),
                          x0=0.5, t0=t0)
@@ -293,8 +294,8 @@ def test_price_chunk_matches_the_reference_kernel_row_by_row(r, t0, name):
     setup = make_wealth_setup(params, 512)
     dB = increment_chunk(setup.draw_grid, 8, 0, 200)
     ctx = chunk_context(setup, dB)
-    run, x_T, div = price_chunk(policy_weights(setup, policy), dB, ctx)
-    _, want_run, want_x, want_div = reference_terms(setup, policy, dB, ctx)
+    cost = cost_sum(setup, policy).rows(dB, ctx)
+    (want,) = reference_cost(setup, policy, dB, ctx)
     i0, iL = setup.i0, setup.i_last
     t = setup.grid.times[i0 : iL + 1]
     size = (np.abs(policy.gain.nodes(t) * ctx.alpha[:, i0 : iL + 1])
@@ -303,9 +304,9 @@ def test_price_chunk_matches_the_reference_kernel_row_by_row(r, t0, name):
     noise = (np.abs(setup.sigma_nodes[i0:iL] * dB[:, i0:iL])
              + abs(setup.excess) * setup.grid.dt)
     x_scale = abs(setup.endowment) + (size[:, :-1] * noise) @ setup.growth[1:]
-    assert not want_div.any() and not div.any()
-    assert np.all(np.abs(run - want_run) <= 1e-13 * run_scale)
-    assert np.all(np.abs(x_T - want_x) <= 1e-13 * x_scale)
+    assert np.all(np.isfinite(want)) and np.all(np.isfinite(cost))
+    assert np.all(np.abs(cost - want)
+                  <= 1e-13 * (run_scale + setup.b_weight * x_scale))
 
 
 @pytest.mark.parametrize("term", ["uu", "u", "u_dB", "dB"])
@@ -355,8 +356,8 @@ def test_a_zero_gain_next_to_an_overflowed_factor_weighs_0_not_nan():
 @pytest.mark.parametrize("x0", [0.0, 1.0])
 def test_overflowing_growth_diverges_on_the_rows_of_the_reference(x0, name):
     # (1 + r dt)^N and e^{-r(t - T)} are inf at r = 1e300: a zero weight
-    # still adds 0, so u == 0 from x0 = 0 keeps X_T = 0, and every row that
-    # the reference loses is lost here too
+    # still adds 0, so u == 0 from x0 = 0 keeps the cost at 0, and the rows
+    # whose cost is not finite are those whose X_T the reference loses
     params = ModelParams.benchmark(r=1e300, x0=x0, rtilde=2e300)
     policy = {"constant": constant_policy(0.0),
               "uninformed": uninformed(example2_policy(example2_params())),
@@ -364,9 +365,11 @@ def test_overflowing_growth_diverges_on_the_rows_of_the_reference(x0, name):
     setup = make_wealth_setup(params, 64)
     dB = increment_chunk(setup.draw_grid, 5, 0, 16)
     ctx = chunk_context(setup, dB)
-    _, x_T, div = price_chunk(policy_weights(setup, policy), dB, ctx)
-    _, _, want_x, want_div = reference_terms(setup, policy, dB, ctx)
+    cost = cost_sum(setup, policy).rows(dB, ctx)
+    div = ~np.isfinite(cost)
+    *_, want_div = reference_terms(setup, policy, dB, ctx)
+    (want,) = reference_cost(setup, policy, dB, ctx)
     assert np.array_equal(div, want_div)
-    assert np.array_equal(x_T[~div], want_x[~div])
+    assert np.array_equal(cost[~div], want[~div])
     if name == "constant":
-        assert div.all() == bool(x0) and np.all(x_T[~div] == 0.0)
+        assert div.all() == bool(x0) and np.all(cost[~div] == 0.0)

@@ -25,8 +25,8 @@ from insiderlab import enlargement, experiments
 from insiderlab.controlled_sde import (
     ControlPolicy,
     constant_policy,
+    cost_sum,
     make_wealth_setup,
-    policy_weights,
     uninformed,
     wealth_paths_chunk,
 )
@@ -219,8 +219,8 @@ def test_the_threads_change_no_value_under_a_short_switch_interval():
     # switches between them as often as it can
     params = ModelParams.benchmark(r=0.2, sigma_fn=Affine(1.0, 0.5))
     setup = make_wealth_setup(params, 16)
-    weights = policy_weights(setup, example1_policy(params))
-    reducers = [partial(cost_chunk, weights), _decomposition_chunk]
+    cost = cost_sum(setup, example1_policy(params))
+    reducers = [partial(cost_chunk, cost), _decomposition_chunk]
     n_paths, seed = 16 * CHUNK + 3, 9
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -274,22 +274,22 @@ def _terminal_wealth(setup, policy, dB, ctx):
 
 def _row_block_cases(setup, params):
     policy = example1_policy(params)
-    weights = policy_weights(setup, policy)
+    cost = cost_sum(setup, policy)
     # an offset too: all four contractions of the cost kernel
-    tilted = policy_weights(setup, ControlPolicy("tilted", 0.25,
-                                                 Affine(0.3, 0.2)))
-    window = window_indices(setup.grid, (0.5, 0.75), params.t0, params.T)
+    tilted = cost_sum(setup, ControlPolicy("tilted", 0.25, Affine(0.3, 0.2)))
+    lo, hi = window_indices(setup.grid, (0.5, 0.75), params.t0, params.T)
+    curvature = setup.a * setup.trapezoid[lo - setup.i0 : hi - setup.i0].sum()
     bounds = [window_indices(setup.grid, w, params.t0, params.T)
               for w in quarter_windows(params.T, params.t0)]
     sums = [nu_window(setup, policy, ilo, ihi) for ilo, ihi in bounds]
     return {
         "wealth_paths_chunk": partial(_terminal_wealth, setup, policy),
-        "cost_chunk": partial(cost_chunk, weights),
+        "cost_chunk": partial(cost_chunk, cost),
         "cost_chunk_with_offset": partial(cost_chunk, tilted),
         "sweep_coefficients": partial(
-            sweep_coefficients, weights, PerturbationSpec((0.5, 0.75)),
-            sweep_window(setup, policy, window)),
-        "martingale_chunk": partial(_martingale_chunk, weights, sums,
+            sweep_coefficients, cost, PerturbationSpec((0.5, 0.75)),
+            sweep_window(setup, policy, (lo, hi)), curvature),
+        "martingale_chunk": partial(_martingale_chunk, sums,
                                     default_test_functions()),
         "decomposition_chunk": _decomposition_chunk,
         "forward_chunk": partial(experiments._forward_chunk, setup.grid,
@@ -345,11 +345,11 @@ def test_a_row_longer_than_einsums_buffer_ignores_its_block():
     policy = example1_policy(params)
     excess = make_wealth_setup(replace(params, rtilde=0.7), 20_000)
     tilted = ControlPolicy("tilted", 0.25, 0.3)
-    reducers = [partial(cost_chunk, policy_weights(setup, policy)),
-                partial(cost_chunk, policy_weights(excess, tilted)),
+    reducers = [partial(cost_chunk, cost_sum(setup, policy)),
+                partial(cost_chunk, cost_sum(excess, tilted)),
                 partial(reference_cost, setup, policy)]
     one, six = (map_reducers(setup, reducers, 5, n) for n in (1025, 1030))
-    for (alone, _), (among, _) in zip(one, six):
+    for (alone,), (among,) in zip(one, six):
         assert alone[1024] == among[1024]
         assert _same_bits(alone, among[:1025])
 
@@ -419,8 +419,7 @@ def _aliasing(kind, dB, ctx):
 def test_a_reducer_output_that_shares_the_workspace_raises(kind):
     # the next block is drawn into the same workspace: a view would change
     setup = make_wealth_setup(ModelParams.benchmark(), 32)
-    reducers = [partial(cost_chunk,
-                        policy_weights(setup, constant_policy(0.5))),
+    reducers = [partial(cost_chunk, cost_sum(setup, constant_policy(0.5))),
                 partial(_aliasing, kind)]
     with pytest.raises(ValueError, match="fresh arrays"):
         map_reducers(setup, reducers, 3, 2100)
@@ -438,8 +437,7 @@ def _misshapen(kind, dB, ctx):
 @pytest.mark.parametrize("kind", ["scalar", "short", "untupled"])
 def test_a_reducer_output_without_the_block_rows_last_raises(kind):
     setup = make_wealth_setup(ModelParams.benchmark(), 32)
-    reducers = [partial(cost_chunk,
-                        policy_weights(setup, constant_policy(0.5))),
+    reducers = [partial(cost_chunk, cost_sum(setup, constant_policy(0.5))),
                 partial(_misshapen, kind)]
     with pytest.raises(ValueError, match="rows last"):
         map_reducers(setup, reducers, 3, 2100)
@@ -582,13 +580,13 @@ def test_multi_policy_cost_equals_separate_calls_bit_for_bit():
     # cost overflows on a few of them (and its other rows' moments overflow,
     # so its rows are compared, not its estimate)
     setup = make_wealth_setup(RARE_PARAMS, steps)
-    reducers = [partial(cost_chunk, policy_weights(setup, p))
+    reducers = [partial(cost_chunk, cost_sum(setup, p))
                 for p in (example2_policy(RARE_PARAMS), constant_policy(0.5),
                           RARE_OVERFLOW)]
     together = map_reducers(setup, reducers, seed, n)
     assert _same_bits(together, [map_reducers(setup, [reduce], seed, n)[0]
                                  for reduce in reducers])
-    assert [int(bad.sum()) for _, bad in together[:2]] == [0, 0]
+    assert [collect_samples(vals)[1] for (vals,) in together[:2]] == [0, 0]
     samples, n_diverged = collect_samples(*together[2])
     assert 0 < n_diverged <= 20
     assert len(samples) == n - n_diverged

@@ -1,7 +1,6 @@
 """Cost estimation, perturbation calculus, martingale cells, and recovery."""
 
 import math
-from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -10,9 +9,10 @@ import pytest
 
 from insiderlab.controlled_sde import (
     ControlPolicy,
+    NodeSum,
     constant_policy,
+    cost_sum,
     make_wealth_setup,
-    policy_weights,
     uninformed,
     wealth_paths_chunk,
 )
@@ -138,9 +138,9 @@ class TestCostMc:
         # estimate
         params = example2_params()
         setup = make_wealth_setup(params, 512)
-        ((vals, bad),) = map_reducers(
+        ((vals,),) = map_reducers(
             setup, [partial(reference_cost, setup, MOSTLY_FLAT)], 11, 20_000)
-        est = EstimateWithError.from_rows(vals, bad)
+        est = EstimateWithError.from_rows(vals)
         assert 0 < est.n_diverged <= 20
         assert math.isfinite(est.mean)
 
@@ -216,6 +216,12 @@ class TestDirectionalDerivative:
             PerturbationSpec((0.5, 0.5))
 
 
+def _curvature(setup, window):
+    """a sum_win w_k, the per-op curvature of ``sweep_coefficients``."""
+    ilo, ihi = window
+    return setup.a * setup.trapezoid[ilo - setup.i0 : ihi - setup.i0].sum()
+
+
 def direct_costs(setup, dB, policy, spec, y, params):
     """Oracle: per-path cost of the perturbed policy from its own pass of
     the reference kernel."""
@@ -227,9 +233,9 @@ def reference_cost_mc(policy, params, n_paths, seed, n_steps):
     """``cost_mc`` of any policy with a control matrix, on the reference
     kernel."""
     setup = make_wealth_setup(params, n_steps)
-    ((vals, bad),) = map_reducers(
+    ((vals,),) = map_reducers(
         setup, [partial(reference_cost, setup, policy)], seed, n_paths)
-    return EstimateWithError.from_rows(vals, bad)
+    return EstimateWithError.from_rows(vals)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.2])
@@ -239,10 +245,10 @@ def test_cost_chunk_is_the_trapezoid_cost_of_the_terminal_wealth(r):
     dB = increment_chunk(setup.draw_grid, 7, 0, 64)
     ctx = chunk_context(setup, dB)
     pol = example1_policy(params)
-    vals, bad = cost_chunk(policy_weights(setup, pol), dB, ctx)
+    (vals,) = cost_chunk(cost_sum(setup, pol), dB, ctx)
     _, u, x_T, _ = wealth_paths_chunk(setup, dB, ctx, pol)
     want = np.trapezoid(2.0 * u * u, dx=setup.grid.dt, axis=1) - 1.5 * x_T
-    assert not bad.any()
+    assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -284,16 +290,17 @@ class TestSweepCoefficients:
         if blind:
             pol = uninformed(pol)
         ctx = chunk_context(setup, dB)
-        weights = policy_weights(setup, pol)
-        (c0, c1, c2), bad = sweep_coefficients(
-            weights, spec, sweep_window(setup, pol, ilo_ihi), dB, ctx)
-        assert not bad.any()
+        cost = cost_sum(setup, pol)
+        ((c0, c1, c2),) = sweep_coefficients(
+            cost, spec, sweep_window(setup, pol, ilo_ihi),
+            _curvature(setup, ilo_ihi), dB, ctx)
+        assert np.all(np.isfinite([c0, c1, c2]))
         for y in spec.y_grid:
-            want, want_bad = direct_costs(setup, dB, pol, spec, y, params)
-            assert not want_bad.any()
+            (want,) = direct_costs(setup, dB, pol, spec, y, params)
+            assert np.all(np.isfinite(want))
             got = c0 + y * (c1 + y * c2)
             if y == 0.0:  # F(0) is the base policy's cost, bit for bit
-                assert np.array_equal(got, cost_chunk(weights, dB, ctx)[0])
+                assert np.array_equal(got, cost_chunk(cost, dB, ctx)[0])
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= self.RTOL * scale
 
@@ -320,14 +327,17 @@ class TestSweepCoefficients:
         spec = PerturbationSpec(WINDOW, theta0=1e-150)
         setup = make_wealth_setup(params, 512)
         ilo_ihi = window_indices(setup.grid, WINDOW, params.t0, params.T)
-        weights = policy_weights(setup, pol)
+        cost = cost_sum(setup, pol)
         window = sweep_window(setup, pol, ilo_ihi)
+        curvature = _curvature(setup, ilo_ihi)
 
         def bad_rows(dB, ctx):
-            _, bad = sweep_coefficients(weights, spec, window, dB, ctx)
+            (coeffs,) = sweep_coefficients(cost, spec, window, curvature, dB,
+                                           ctx)
+            bad = ~np.all(np.isfinite(coeffs), axis=0)
             for y in spec.y_grid:
-                _, want_bad = direct_costs(setup, dB, pol, spec, y, params)
-                assert np.array_equal(bad, want_bad)
+                (want,) = direct_costs(setup, dB, pol, spec, y, params)
+                assert np.array_equal(bad, ~np.isfinite(want))
             return (bad,)
 
         ((bad,),) = map_reducers(setup, [bad_rows], 11, 20_000)
@@ -447,13 +457,9 @@ class TestMartingaleDiagnostic:
         assert len(cells) == 16
         assert all(c["window"][0] > 0.5 for c in cells)
 
-    def test_the_chunk_reads_the_wealth_not_the_running_cost(self):
-        # the martingale's diverged rows come from X_T alone: pricing the
-        # running cost as well would be a wasted alpha^2 contraction
-        class Unread:
-            def rows(self, dB, ctx):
-                raise AssertionError("the running cost was evaluated")
-
+    def test_the_chunk_prices_each_window_once_per_block(self, monkeypatch):
+        # N_u holds no X: a block prices its nu_window sums and nothing else,
+        # not the cost, each once however many test functions read it
         params = ModelParams.benchmark()
         policy = example1_policy(params)
         setup = make_wealth_setup(params, 256)
@@ -461,12 +467,17 @@ class TestMartingaleDiagnostic:
         ctx = chunk_context(setup, dB)
         windows = [nu_window(setup, policy, *window_indices(
             setup.grid, w, params.t0, params.T)) for w in quarter_windows(1.0)]
-        weights = policy_weights(setup, policy)
         test_fns = default_test_functions()
-        prods, bad = _martingale_chunk(replace(weights, run=Unread()),
-                                       windows, test_fns, dB, ctx)
-        want, want_bad = _martingale_chunk(weights, windows, test_fns, dB, ctx)
-        assert np.array_equal(prods, want) and np.array_equal(bad, want_bad)
+        priced, rows = [], NodeSum.rows
+
+        def counting(self, dB, ctx):
+            priced.append(self)
+            return rows(self, dB, ctx)
+
+        monkeypatch.setattr(NodeSum, "rows", counting)
+        (prods,) = _martingale_chunk(windows, test_fns, dB, ctx)
+        assert [id(s) for s in priced] == [id(w) for w in windows]
+        assert prods.shape == (len(windows) * len(test_fns), len(dB))
 
     def test_default_test_functions_are_bounded(self):
         L = np.array([-1e6, 0.0, 1e6])
