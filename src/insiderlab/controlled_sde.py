@@ -97,7 +97,6 @@ class WealthSetup(DriftSetup):
     the ``trapezoid`` quadrature weights, dt and dt/2 at both ends."""
 
     sigma_nodes: np.ndarray
-    r: float
     excess: float
     a: float
     b_weight: float
@@ -119,7 +118,6 @@ def make_wealth_setup(params, n_steps: int) -> WealthSetup:
     return WealthSetup(
         **vars(drift),
         sigma_nodes=as_weight(params.sigma_fn).nodes(grid.times),
-        r=params.r,
         excess=params.excess_rate,
         a=params.a,
         b_weight=params.b,

@@ -113,7 +113,7 @@ CAPS = {"n_steps": 65_536, "n_paths": 10_000_000, "n_fields": 1_024,
 def load_config(path: str | Path) -> dict:
     """Parse and resolve a JSON config file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes()  # bytes that do not decode: parse error
     except OSError as e:
         raise InvalidConfigError(f"cannot read config: {e}") from e
     try:
@@ -172,6 +172,9 @@ def resolve_config(raw: dict) -> dict:
         raise InvalidConfigError("'n_paths' must be >= 2")
     if cfg["n_steps"] < 1:
         raise InvalidConfigError("'n_steps' must be >= 1")
+    if not isinstance(cfg["out"], str):
+        raise InvalidConfigError(f"'out' must be a path string, "
+                                 f"got {cfg['out']!r}")
     for key in CAPS:  # before anything is built from the config
         if _is_int(cfg.get(key)):
             check_cap(key, cfg[key])
@@ -769,11 +772,9 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None,
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         rows, results, checks = _KINDS[kind].run(cfg, pool)
     out = Path(out_dir if out_dir is not None else cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{kind}.csv"
     lines = [_KINDS[kind].header]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    csv_path.write_text("\n".join(lines) + "\n")
 
     all_pass = all(c["passed"] for c in checks)
     summary = {
@@ -786,9 +787,15 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None,
         "verdict": "pass" if all_pass else "fail",
         "csv": csv_path.name,
     }
-    (out / f"{kind}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text("\n".join(lines) + "\n")
+        (out / f"{kind}.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        )
+    except OSError as e:
+        raise InvalidConfigError(f"'out': cannot write results to {out}: "
+                                 f"{e.strerror or e}") from e
     return summary
 
 

@@ -99,8 +99,10 @@ class ModelParams:
 
     def grid(self, n_steps: int) -> TimeGrid:
         g = TimeGrid(0.0, self.t1, int(n_steps))
-        g.index_of(self.T)  # T must be a node
-        g.index_of(self.t0)
+        i_T = g.index_of(self.T)  # T and t0 must be nodes, and distinct ones
+        if g.index_of(self.t0) >= i_T:
+            raise ValueError(f"t0={self.t0} and T={self.T} fall on one node "
+                             f"of the {n_steps}-step grid")
         return g
 
     @classmethod

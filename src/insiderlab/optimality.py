@@ -12,16 +12,14 @@ Four instruments, all statistical, all seeded:
 * ``directional_derivative`` is F'(y) = c1 + 2 y c2, the exact derivative
   of the discrete cost.
 * ``martingale_diagnostic`` tests E[phi * (N_u(t+h) - N_u(t))] = 0 for
-  four bounded information functions phi, where
-
-      N_u(t) = int_0^t [2 a u_s - w_s (rtilde - r)] ds
-             - int_0^t w_s sigma_s dB_s ,     w_s = b e^{-r(s - T)} .
-
-  w_s is -G_x for the value G(s, x) = -b e^{-r(s - T)} x + g(s), the weight
-  of the first-order condition 2 a u + G_x (rtilde - r + sigma alpha) = 0.
-  Under the optimal control the increments therefore have conditional mean
-  zero, at every b and r, so every cell passes; a policy that ignores
-  valuable information fails the correlated cells by a wide margin.
+  four bounded information functions phi.  N_u's increment over a window
+  is the perturbation's c1 per unit theta (``sweep_window``), the discrete
+  first-order sum sum_k 2 a w_k u_k - W_k (excess dt + sigma_k dB_k) with
+  W_k = b (1 + r dt)^(i_last - 1 - k): the discrete -G_x of the condition
+  2 a u + G_x (rtilde - r + sigma alpha) = 0, b e^{-r(t - T)} at r = 0.
+  Under the discrete optimum the increments have conditional mean zero
+  exactly, at every b and r; a policy that ignores valuable information
+  fails the correlated cells by a wide margin.
 
 Each estimator runs top-level reducers ``(dB, ctx) -> arrays`` through
 ``enlargement.map_reducers``, which draws each chunk once for all of them
@@ -228,7 +226,8 @@ def sweep_window(setup: WealthSetup, policy: ControlPolicy,
                  window: tuple[int, int]) -> NodeSum:
     """c1 / theta of ``sweep_coefficients`` as a node sum over the nodes
     k in [ilo, ihi) of ``window``: 2 a sum w_k u_k - b K with
-    K = sum (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k)."""
+    K = sum (1 + r dt)^(i_last - 1 - k) (excess dt + sigma_k dB_k), and N_u's
+    increment over the window (``martingale_diagnostic``)."""
     ilo, ihi = window
     lo, hi = ilo - setup.i0, ihi - setup.i0
     growth, b = setup.growth[lo + 1 : hi + 1], setup.b_weight
@@ -369,34 +368,17 @@ def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
             (t0 + s / 2, t0 + 3 * s / 4), (t0 + 3 * s / 4, T)]
 
 
-def nu_window(setup: WealthSetup, policy: ControlPolicy, ilo: int,
-              ihi: int) -> NodeSum:
-    """N_u(t_hi) - N_u(t_lo) as a node sum, left-point sums throughout:
-    sum_k (2 a u_k - w_k (rtilde - r)) dt - w_k sigma_k dB_k over the nodes
-    k in [ilo, ihi), with w_t = b e^{rT} e^{-r t} = -G_x.  At b = 1 and
-    r = 0 the factor b e^{rT} is exactly 1."""
-    T, dt = setup.grid.times[setup.i_last], setup.grid.dt
-    # overflow is detected in the products, not warned about; w is a
-    # product of two factors, so that one that overflows gives inf or nan
-    # there, where e^{-r(t - T)} would round to a finite 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = (np.exp(-setup.r * setup.grid.times[ilo:ihi])
-             * (setup.b_weight * np.exp(setup.r * T)))
-        return node_sum(setup, policy, ilo, ihi, u=2.0 * setup.a * dt,
-                        dB=-(w * setup.sigma_nodes[ilo:ihi]),
-                        const=-float(np.sum(w * setup.excess)) * dt)
-
-
 def nu_increments(windows: Sequence[NodeSum], dB: np.ndarray,
                   ctx: ChunkContext) -> np.ndarray:
     """N_u(t_hi) - N_u(t_lo) per window and path, of shape (windows, rows):
-    each window's ``nu_window`` sum, two row contractions, of alpha and dB."""
+    each window's ``sweep_window`` sum, two row contractions, of alpha and
+    dB."""
     return np.array([window.rows(dB, ctx) for window in windows])
 
 
 def _martingale_chunk(windows, test_fns, dB, ctx):
     """The (cells, rows) products phi * (N_u increment), window-major;
-    ``windows`` holds the ``nu_window`` of every window."""
+    ``windows`` holds the ``sweep_window`` of every window."""
     increments = nu_increments(windows, dB, ctx)
     prods = np.empty((len(windows) * len(test_fns), len(dB)))
     cells = iter(prods)
@@ -421,10 +403,11 @@ def martingale_diagnostic(
     """E[phi * (N_u increment)] for every (window, phi) cell, phi from
     ``default_test_functions``.
 
-    A cell passes when |estimate| <= threshold * SE.  Under the optimal
-    control the increments, weighted by w_t = b e^{-r(t - T)}
-    (``nu_window``), are conditionally centered given the window-start
-    information, so every phi is uncorrelated with them.
+    A cell passes when |estimate| <= threshold * SE.  A window's increment
+    is its ``sweep_window`` sum, the discrete first-order sum with weights
+    b (1 + r dt)^(i_last - 1 - k), the discrete -G_x (b e^{-r(t - T)} at
+    r = 0).  Under the discrete optimum it is conditionally centered given
+    the window-start information, so every phi is uncorrelated with it.
     Rows with a product that is not finite are dropped from every cell and
     counted; too many raise DivergenceError.
     """
@@ -434,7 +417,7 @@ def martingale_diagnostic(
     setup = make_wealth_setup(params, n_steps)
     windows = list(windows)
     bounds = [window_indices(setup.grid, w, params.t0, params.T) for w in windows]
-    sums = [nu_window(setup, policy, ilo, ihi) for ilo, ihi in bounds]
+    sums = [sweep_window(setup, policy, bound) for bound in bounds]
     reduce_chunk = partial(_martingale_chunk, sums, test_fns)
     ((prods,),) = map_reducers(setup, [reduce_chunk], seed, n_paths, pool)
     samples, n_div = collect_samples(prods)

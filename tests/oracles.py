@@ -136,11 +136,10 @@ def generator_Au(Gt, Gx, Gxx, b_val, sigma_val, alpha):
 
 def nu_path(setup, u, dB, row=0):
     """N_u at every node of [t0, T] for one row of a chunk, N_u(t0) = 0:
-    left-point sums of [2 a u - w_s excess] ds - w_s sigma dB, with
-    w_s = b e^{-r(s - T)}."""
+    left-point sums of [2 a u - w_k excess] dt - w_k sigma dB, with
+    w_k = b (1 + r dt)^(i_last - 1 - k), the discrete -G_x."""
     i0, iL = setup.i0, setup.i_last
-    t = setup.grid.times[i0:iL]
-    w = setup.b_weight * np.exp(-setup.r * (t - setup.grid.times[iL]))
+    w = setup.b_weight * setup.growth[1:]
     steps = (
         (2.0 * setup.a * u[row, : iL - i0] - w * setup.excess) * setup.grid.dt
         - w * setup.sigma_nodes[i0:iL] * dB[row, i0:iL]

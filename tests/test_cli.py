@@ -83,6 +83,46 @@ def test_integer_past_the_digit_limit_is_invalid_config(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_invalid_config(tmp_path, capsys):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b'\xff{"experiment": "example1"}')
+    assert main(["run", str(p)]) == 2
+    assert "config cannot be parsed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+@pytest.mark.parametrize("under", [False, True], ids=["the-file", "under-it"])
+def test_out_that_names_a_file_is_invalid_config(tmp_path, capsys, where,
+                                                 under):
+    existing = tmp_path / "taken"
+    existing.write_text("not a directory")
+    out = existing / "sub" if under else existing
+    raw = {"experiment": "hjb-residual", "n_steps": 64}
+    if where == "config":
+        raw["out"] = str(out)
+    args = ["run", write_cfg(tmp_path, "out.json", raw), "--workers", "1"]
+    if where == "flag":
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "'out': cannot write results to" in err and str(out) in err
+    assert existing.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+@pytest.mark.parametrize("params", [{"t0": 0.9999999999}, {"T": 1e-10}],
+                         ids=["t0-next-to-T", "T-next-to-0"])
+def test_t0_and_T_on_one_node_are_invalid_config(tmp_path, capsys, kind,
+                                                 params):
+    cfg = write_cfg(tmp_path, "node.json", {
+        "experiment": kind, "n_steps": 64, "params": params,
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 2
+    assert "'n_steps': t0=" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -108,8 +148,8 @@ def test_divergent_policy_exits_3(tmp_path, capsys):
 
 
 def test_martingale_whose_discount_overflows_exits_3(tmp_path, capsys):
-    # e^{-r t} of N_u is inf at r = -1e300: every path diverges, and the
-    # overflow is detected, not warned about
+    # the growth (1 + r dt)^k of N_u's weights is inf at r = -1e300: every
+    # path diverges, and the overflow is detected, not warned about
     cfg = write_cfg(tmp_path, "disc.json", {
         "experiment": "martingale", "params": {"r": -1e300},
         "n_paths": 64, "n_steps": 16, "out": str(tmp_path / "out"),
@@ -383,6 +423,9 @@ _HUGE_INT = 10**400  # a JSON integer that float() cannot convert
     pytest.param("example1", "params.sigma", {"type": "sin", "base": "1",
                                               "amplitude": 0.5},
                  id="weight-entry-string"),
+    pytest.param("example1", "out", 5, id="out-number"),
+    pytest.param("example1", "out", None, id="out-null"),
+    pytest.param("example1", "out", ["results"], id="out-list"),
 ])
 def test_json_booleans_and_strings_are_not_numbers_or_flags(
         tmp_path, capsys, kind, field, value):

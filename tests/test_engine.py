@@ -53,7 +53,6 @@ from insiderlab.optimality import (
     cost_mc_many,
     default_test_functions,
     martingale_diagnostic,
-    nu_window,
     perturbation_sweep,
     quarter_windows,
     sweep_coefficients,
@@ -281,7 +280,7 @@ def _row_block_cases(setup, params):
     curvature = setup.a * setup.trapezoid[lo - setup.i0 : hi - setup.i0].sum()
     bounds = [window_indices(setup.grid, w, params.t0, params.T)
               for w in quarter_windows(params.T, params.t0)]
-    sums = [nu_window(setup, policy, ilo, ihi) for ilo, ihi in bounds]
+    sums = [sweep_window(setup, policy, bound) for bound in bounds]
     return {
         "wealth_paths_chunk": partial(_terminal_wealth, setup, policy),
         "cost_chunk": partial(cost_chunk, cost),

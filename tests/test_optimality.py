@@ -40,7 +40,6 @@ from insiderlab.optimality import (
     discounted_diffusion,
     martingale_diagnostic,
     nu_increments,
-    nu_window,
     perturbation_sweep,
     pooled_se,
     quarter_windows,
@@ -458,14 +457,14 @@ class TestMartingaleDiagnostic:
         assert all(c["window"][0] > 0.5 for c in cells)
 
     def test_the_chunk_prices_each_window_once_per_block(self, monkeypatch):
-        # N_u holds no X: a block prices its nu_window sums and nothing else,
+        # N_u holds no X: a block prices its window sums and nothing else,
         # not the cost, each once however many test functions read it
         params = ModelParams.benchmark()
         policy = example1_policy(params)
         setup = make_wealth_setup(params, 256)
         dB = increment_chunk(setup.draw_grid, 41, 0, 64)
         ctx = chunk_context(setup, dB)
-        windows = [nu_window(setup, policy, *window_indices(
+        windows = [sweep_window(setup, policy, window_indices(
             setup.grid, w, params.t0, params.T)) for w in quarter_windows(1.0)]
         test_fns = default_test_functions()
         priced, rows = [], NodeSum.rows
@@ -478,6 +477,22 @@ class TestMartingaleDiagnostic:
         (prods,) = _martingale_chunk(windows, test_fns, dB, ctx)
         assert [id(s) for s in priced] == [id(w) for w in windows]
         assert prods.shape == (len(windows) * len(test_fns), len(dB))
+
+    @pytest.mark.parametrize("r", [0.0, 0.2])
+    def test_each_cell_is_the_perturbation_derivative_of_its_phi(self, r):
+        # one first-order condition, one window sum: the cell of phi is
+        # F'(0) of the step perturbation with theta0 = phi, bit for bit
+        params = ModelParams.benchmark(b=2.0, r=r)
+        policy, window = example1_policy(params), (0.25, 0.5)
+        cells = martingale_diagnostic(policy, params, 2_048, seed=5,
+                                      n_steps=256, windows=[window])
+        phis = dict(default_test_functions())
+        for cell in cells[:2]:
+            spec = PerturbationSpec(window, theta0=phis[cell["test_fn"]])
+            est = perturbation_sweep(policy, params, spec, 2_048, seed=5,
+                                     n_steps=256)["derivative_at_zero"]
+            assert (cell["mean"], cell["std_error"], cell["n"]) == (
+                est.mean, est.std_error, est.n_samples)
 
     def test_default_test_functions_are_bounded(self):
         L = np.array([-1e6, 0.0, 1e6])
@@ -512,7 +527,7 @@ class TestNuPath:
         params = example2_params()
         setup, B, dB, ctx, u = self.make_chunk(params, 47)
         ilo, ihi = setup.grid.index_of(0.25), setup.grid.index_of(0.75)
-        window = nu_window(setup, example2_policy(params), ilo, ihi)
+        window = sweep_window(setup, example2_policy(params), (ilo, ihi))
         inc = nu_increments([window, window], dB, ctx)
         nu = nu_path(setup, u, dB)
         assert inc.shape == (2, 1) and inc[0, 0] == inc[1, 0]
