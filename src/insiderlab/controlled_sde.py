@@ -11,24 +11,29 @@ grown to T by powers of 1 + r dt.  So every per-path functional that the
 estimators read (the cost sum a w u^2 - b X_T, the perturbation's c1, the
 martingale's N_u increments) is a ``NodeSum``: a sum over a window of
 nodes of alpha^2, alpha, alpha dB and dB with weights fixed per op, which
-``node_sum`` builds from weights on u^2, u, u dB and dB.  A block is priced
-with at most four row contractions per sum, without ever forming its
-control matrix; ``cost_sum`` is a policy's cost as one such sum.
+``node_sum`` builds from weights on u^2, u, u dB and dB.  The block context
+is unit-free (``enlargement.ChunkContext``): alpha = (m sqrt(dt) / q) D and
+dB = sqrt(dt) Z, so ``node_sum`` folds those scales into the weights once
+per op, and a sum reads D and Z as they are.  A block is priced with at
+most four row contractions per sum, without ever forming its control
+matrix; ``cost_sum`` is a policy's cost as one such sum.
 
 ``wealth_paths_chunk`` is the reference: it forms the block's control
-matrix u (``ControlPolicy.control``) and contracts the gains with the
-growth powers.  The agent without the extra information is a policy too:
-``uninformed(policy)`` keeps the offset and drops the gain.
+matrix u (``ControlPolicy.control``) from the real-unit alpha and
+contracts the gains with the growth powers.  The agent without the extra
+information is a policy too: ``uninformed(policy)`` keeps the offset and
+drops the gain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .enlargement import ChunkContext, DriftSetup, drift_setup
+from .enlargement import ChunkContext, DriftSetup, drift_setup, drift_square_mean
 from .paths import TimeGrid, WeightFunction, as_weight, row_dot
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "NodeSum",
     "node_sum",
     "cost_sum",
+    "affine_cost_mean",
     "wealth_paths_chunk",
 ]
 
@@ -67,7 +73,8 @@ class ControlPolicy:
     def control(self, ctx: ChunkContext) -> np.ndarray:
         """The (rows, i_last - i0 + 1) control matrix of a block."""
         t = ctx.times[ctx.i0 : ctx.i_last + 1]
-        u = ctx.alpha[:, ctx.i0 : ctx.i_last + 1] * self.gain.nodes(t)
+        u = ctx.alpha()
+        u *= self.gain.nodes(t)
         u += self.offset.nodes(t)
         return u
 
@@ -148,11 +155,12 @@ def _nonzero(weights: np.ndarray) -> np.ndarray | None:
 class NodeSum:
     """The per-row sum over the nodes k in [lo, hi)
 
-        const + sum square_k alpha_k^2 + linear_k alpha_k
-              + cross_k alpha_k dB_k + noise_k dB_k,
+        const + sum square_k D_k^2 + linear_k D_k
+              + cross_k D_k Z_k + noise_k Z_k
 
-    its weights fixed per op (``node_sum``); a weight that is 0 throughout
-    is None, and its contraction is skipped."""
+    of a block's unit-free context (``ChunkContext.D`` and ``.Z``), its
+    weights fixed per op (``node_sum``); a weight that is 0 throughout is
+    None, and its contraction is skipped."""
 
     lo: int
     hi: int
@@ -162,45 +170,52 @@ class NodeSum:
     cross: np.ndarray | None
     noise: np.ndarray | None
 
-    def rows(self, dB: np.ndarray, ctx: ChunkContext) -> np.ndarray:
+    def rows(self, ctx: ChunkContext) -> np.ndarray:
         """The sum for every row of one block: at most four ``row_dot``s,
         so a row's bits do not depend on the block."""
-        alpha = ctx.alpha[:, self.lo : self.hi]
-        noise = dB[:, self.lo : self.hi]
-        out = np.full(len(dB), self.const)
+        cols = slice(self.lo - ctx.i0, self.hi - ctx.i0)
+        D, Z = ctx.D[:, cols], ctx.Z[:, cols]
+        out = np.full(len(ctx.L), self.const)
         with np.errstate(over="ignore", invalid="ignore"):  # out shows overflow
             if self.square is not None:
-                out += row_dot(alpha, alpha, self.square)
+                out += row_dot(D, D, self.square)
             if self.linear is not None:
-                out += row_dot(alpha, self.linear)
+                out += row_dot(D, self.linear)
             if self.cross is not None:
-                out += row_dot(alpha, noise, self.cross)
+                out += row_dot(D, Z, self.cross)
             if self.noise is not None:
-                out += row_dot(noise, self.noise)
+                out += row_dot(Z, self.noise)
         return out
 
 
 def node_sum(setup: WealthSetup, policy: ControlPolicy, lo: int, hi: int, *,
              uu=0.0, u=0.0, u_dB=0.0, dB=0.0, const: float = 0.0) -> NodeSum:
     """const + sum_k uu_k u_k^2 + u_k u_k + u_dB_k u_k dB_k + dB_k dB_k over
-    the nodes k in [lo, hi) as a NodeSum, u being ``policy``'s control.
-    Each weight is a float or an array over the nodes.
+    the nodes k in [lo, hi), i0 <= lo, as a NodeSum, u being ``policy``'s
+    control.  Each weight is a float or an array over the nodes.
 
     The one place that expands u = g alpha + o: alpha^2 gets uu g^2, alpha
     2 uu g o + u g, alpha dB u_dB g, dB u_dB o + dB, and the constant
-    sum uu o^2 + u o.  Each product is 0 where a factor is 0, even if
-    another one overflowed.
+    sum uu o^2 + u o.  The same place folds the units of the context:
+    alpha = s D with s = ``drift_scale`` and dB = sqrt(dt) Z, so the weight
+    on D^2 is the one on alpha^2 times s^2, on D the one on alpha times s,
+    on D Z the one on alpha dB times s sqrt(dt), and on Z the one on dB
+    times sqrt(dt).  Each product is 0 where a factor is 0, even if another
+    one overflowed.
     """
     t = setup.grid.times[lo:hi]
+    s = setup.drift_scale[lo - setup.i0 : hi - setup.i0]
+    root = math.sqrt(setup.grid.dt)
     # overflow shows as inf or nan in the weights, and so in the rows
     with np.errstate(over="ignore", invalid="ignore"):
         g, o = policy.gain.nodes(t), policy.offset.nodes(t)
         return NodeSum(
             lo, hi, const + float(np.sum(_product(uu, o, o) + _product(u, o))),
-            square=_nonzero(_product(uu, g, g)),
-            linear=_nonzero(_product(2.0 * uu, g, o) + _product(u, g)),
-            cross=_nonzero(_product(u_dB, g)),
-            noise=_nonzero(_product(u_dB, o) + dB),
+            square=_nonzero(_product(uu, g, g, s, s)),
+            linear=_nonzero(_product(_product(2.0 * uu, g, o)
+                                     + _product(u, g), s)),
+            cross=_nonzero(_product(u_dB, g, s) * root),
+            noise=_nonzero((_product(u_dB, o) + dB) * root),
         )
 
 
@@ -221,17 +236,41 @@ def cost_sum(setup: WealthSetup, policy: ControlPolicy) -> NodeSum:
                         const=-b * setup.endowment)
 
 
+def affine_cost_mean(setup: WealthSetup, policy: ControlPolicy) -> float:
+    """The exact mean of the discrete cost that ``cost_sum`` prices, for an
+    affine policy with coefficients g, o on the nodes i0 + j, j = 0..N:
+
+        a sum_j w_j (g_j^2 E[alpha_j^2] + o_j^2)
+        - b (endowment + sum_{j<N} G_{j+1} (o_j excess dt
+                                            + sigma_j g_j m_j^2 dt / q_j)),
+
+    from E[alpha_j] = 0, E[alpha_j^2] of ``drift_square_mean`` and
+    E[alpha_j dB_j] = m_j^2 dt / q_j.  It differs from the grid value by
+    O(dt): the running cost is a trapezoid sum, alpha divides by the
+    trapezoid tail and the gains grow by (1 + r dt)^(N-1-j)."""
+    i0, iL, dt = setup.i0, setup.i_last, setup.grid.dt
+    t = setup.grid.times[i0 : iL + 1]
+    g, o = policy.gain.nodes(t), policy.offset.nodes(t)
+    m, q = setup.m_nodes[i0:iL], setup.q_tail[i0:iL]
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = g * g * drift_square_mean(setup)[i0:] + o * o
+        gains = (o[:-1] * setup.excess * dt
+                 + setup.sigma_nodes[i0:iL] * g[:-1] * m * m * dt / q)
+        x_T = setup.endowment + np.sum(setup.growth[1:] * gains)
+        return float(setup.a * np.sum(setup.trapezoid * square)
+                     - setup.b_weight * x_T)
+
+
 def wealth_paths_chunk(
-    setup: WealthSetup, dB: np.ndarray, ctx: ChunkContext, policy: ControlPolicy
+    setup: WealthSetup, ctx: ChunkContext, policy: ControlPolicy
 ) -> tuple[ChunkContext, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one chunk of wealth paths to their terminal wealth: the
+    """Simulate one block of wealth paths to their terminal wealth: the
     reference that forms the control matrix, which ``cost_sum`` skips.
 
     Parameters
     ----------
-    dB : (rows, i_last + 1) increments on the drift's ``draw_grid``; the
-        kernel reads those on [t0, T).
-    ctx : the chunk's ``chunk_context``, read and never written.
+    ctx : the block's ``chunk_context``, read and never written; the kernel
+        reads the increments sqrt(dt) Z on [t0, T).
     policy : ``policy.control(ctx)``, the control matrix, drives the gains.
 
     Returns
@@ -243,13 +282,13 @@ def wealth_paths_chunk(
     sums each row in an order that, unlike a BLAS product's, ignores the
     others.
     """
-    i0, iL = setup.i0, setup.i_last
+    i0, iL, dt = setup.i0, setup.i_last, setup.grid.dt
     u = policy.control(ctx)
-    if u.shape != (len(dB), iL - i0 + 1):
+    if u.shape != (len(ctx.L), iL - i0 + 1):
         raise ValueError(f"policy control returned shape {u.shape}, "
-                         f"need {(len(dB), iL - i0 + 1)}")
-    gains = setup.sigma_nodes[i0:iL] * dB[:, i0:iL]
-    gains += setup.excess * setup.grid.dt
+                         f"need {(len(ctx.L), iL - i0 + 1)}")
+    gains = setup.sigma_nodes[i0:iL] * math.sqrt(dt) * ctx.Z[:, :-1]
+    gains += setup.excess * dt
     gains *= u[:, :-1]
     with np.errstate(over="ignore", invalid="ignore"):  # x_T shows overflow
         if np.isfinite(setup.growth[0]):

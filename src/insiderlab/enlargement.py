@@ -18,25 +18,37 @@ T1; at T1 the conditioning denominator vanishes.
 Batch estimators see the drift through ``chunk_context``: ``map_reducers``
 is the one chunk engine of the library and the CLI.  Its task opens a
 chunk's stream once and draws the chunk in row blocks of about
-``BLOCK_BYTES`` bytes into one workspace, builds each block's B, alpha and
-L once, B and alpha in that same workspace, and applies every reducer of an
-op to that one context before the next block is drawn, so no array of a
-whole chunk is made.  In process two threads each run the task of one
-chunk, so the reducers run off the calling thread, two at a time; the draw
-and most of numpy's array work release the interpreter lock, so the two
-overlap.  Every reducer is row-wise and returns fresh arrays whose last
-axis is the block's rows, so ``map_reducers`` joins them into whole-batch
-arrays in path order.
+``BLOCK_BYTES`` bytes into one workspace, builds each block's context once
+in that same workspace, and applies every reducer of an op to that one
+context before the next block is drawn, so no array of a whole chunk is
+made.  The context is unit-free: it holds the block's raw normals Z, their
+running sum R = (B - B_{t0}) / sqrt(dt) and D = (L - int_0^t m dB) / sqrt(dt)
+on the nodes i0..i_last, so alpha = (m sqrt(dt) / q) D, and each op folds
+sqrt(dt), m and 1/q into its node weights once (``controlled_sde.node_sum``)
+instead of scaling every block.  In process two threads each run the task
+of one chunk, so the reducers run off the calling thread, two at a time;
+the draw and most of numpy's array work release the interpreter lock, so
+the two overlap.  Every reducer is row-wise and returns fresh arrays whose
+last axis is the block's rows, so ``map_reducers`` joins them into
+whole-batch arrays in path order.
 
-Every control, wealth path and check lives on [0, T], so the path after T
-enters only through the scalar int_T^{T1} m dB.  Given the path on [0, T]
-its grid sum sum_{j>=i_T} m_j dB_j is exactly Normal(0, S) with
-S = sum_{j>=i_T} m_j^2 dt, the left-point tail that ``drift_square_mean``
-assumes.  The batch engine therefore draws each path on
-``DriftSetup.draw_grid``: the i_T increments on [0, T) and one Normal(0, dt)
-increment more, the carrier, which ``tail`` = sqrt(S / dt) turns into that
-sum.  The single-path ``InfoDriftField`` still takes a path on all of
-[0, T1].
+Every control, wealth path and check lives on [t0, T], and sees the path
+outside it only through two carriers.  After T it enters only through the
+scalar int_T^{T1} m dB: given the path on [0, T] its grid sum
+sum_{j>=i_T} m_j dB_j is exactly Normal(0, S) with S = sum_{j>=i_T} m_j^2 dt,
+the left-point tail that ``drift_square_mean`` assumes, so one normal more,
+the tail carrier, which ``tail`` = sqrt(S / dt) turns into that sum, stands
+for it.  Before t0 it enters only through B_{t0} (the theta0 rules and the
+test functions at window starts) and int_0^{t0} m dB (in L), whose grid
+sums are jointly Normal with covariance
+[[S_B, S_m], [S_m, S_mm]] = dt [[i0, sum m_j], [sum m_j, sum m_j^2]] over
+j < i0: the head carrier, one normal when m is 1 on [0, t0) (the two sums
+are then one) and two with the Cholesky factor ``DriftSetup.head``
+otherwise.  So a row of a block is ``DriftSetup.draw_width`` normals: the
+head's, the N = i_last - i0 increments on [t0, T) and the tail carrier; at
+t0 = 0 there is no head, and a row is the i_last + 1 normals that scale to
+the increments on [0, T) and the carrier.  The single-path
+``InfoDriftField`` still takes a path on all of [0, T1], in real units.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ import numpy as np
 
 from .paths import (
     CHUNK,
+    row_dot,
     BrownianPath,
     TimeGrid,
     WeightFunction,
@@ -105,64 +118,96 @@ def drift_matrix(
     run: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | float]:
-    """Vectorized drift for one path (1-D ``dB``) or a batch (rows last-but-one).
+    """The drift's numerator D = L - int_0^t m dB on the nodes i0..i_last,
+    for one path (1-D ``dB``) or a batch (rows last-but-one), in the units
+    of ``dB``: alpha = m D / q_tail.
 
     Parameters
     ----------
-    dB : (..., n) increments with n > i_last; only the i_last increments on
-        [0, T) are read, and, when ``L`` is not given, the carrier column
-        i_last of a block drawn on ``setup.draw_grid``.
+    dB : (..., n) a row as ``map_reducers`` draws it, ``setup.heads`` head
+        normals, the N = i_last - i0 increments on [t0, T) and the tail
+        carrier, all in units of sqrt(dt); or, when i0 = 0 (no head),
+        increments in any units with n > i_last.  The carrier is read only
+        when ``L`` is not given.
     setup : the drift's node data.
-    L : the functional, per row; by default
-        sum_{j<i_last} m_j dB_j + tail * dB_{i_last}.
-    run : the running sums of m dB on nodes 0..i_last, if the caller holds
-        them already (B itself when m is 1 on [0, T)).
-    out : a float64 array of alpha's shape that receives alpha; by default
-        a new one.  It may be ``run`` itself.
+    L : the functional per row, in dB's units; by default the head's
+        int_0^{t0} m dB plus sum_{i0<=j<i_last} m_j dB_j + tail * carrier.
+    run : the running sums of m dB on nodes i0..i_last from 0 at i0, if the
+        caller holds them already (R itself when m is 1 on [t0, T)).
+    out : a float64 array of D's shape that receives D; by default a new
+        one.  It may be ``run`` itself.
 
     Returns
     -------
-    (alpha, L) with alpha of shape (..., i_last + 1); column i holds
-    m(t_i) * (L - int_0^{t_i} m dB) / q_tail[i].
+    (D, L) with D of shape (..., N + 1); column j holds the future sum
+    L - int_0^{t_{i0+j}} m dB, which does not read the head.
     """
-    i_last = setup.i_last
+    h, i0, i_last = setup.heads, setup.i0, setup.i_last
+    n = i_last - i0
     if run is None:
-        run = running_sum(setup.m_nodes[:i_last] * dB[..., :i_last], out)
+        run = running_sum(setup.m_nodes[i0:i_last] * dB[..., h : h + n], out)
     if L is None:
-        L = run[..., -1] + setup.tail * dB[..., i_last]
-    alpha = np.subtract(np.asarray(L)[..., None], run, out=out)
-    m = setup.m_nodes[: i_last + 1]
-    if not np.all(m == 1.0):  # x * 1.0 is x: skipped, the bits are the same
-        alpha *= m
-    alpha /= setup.q_tail[: i_last + 1]
-    return alpha, L
+        future = run[..., -1] + setup.tail * dB[..., h + n]
+        L = setup.head_sums(dB)[1] + future
+    else:
+        future = L - setup.head_sums(dB)[1]
+    return np.subtract(np.asarray(future)[..., None], run, out=out), L
 
 
 @dataclass(frozen=True)
 class ChunkContext:
-    """Per-block arrays a policy or a reducer may read.
+    """Per-block arrays a policy or a reducer may read, in the units of the
+    draw.  Column j of every (rows, N + 1) array is node i0 + j, with
+    N = i_last - i0:
 
-    G-adaptedness means that a value at node i uses only the columns up to
-    i and L.  A ``controlled_sde.ControlPolicy`` reads alpha at its own node
-    and nothing else, so every policy is G-adapted by construction.
+    * ``Z``: the raw normals, column j < N the increment
+      (B_{t_{i0+j+1}} - B_{t_{i0+j}}) / sqrt(dt), column N the tail carrier;
+    * ``R``: their running sum, (B_{t_{i0+j}} - B_{t0}) / sqrt(dt);
+    * ``D``: (L - int_0^{t_{i0+j}} m dB) / sqrt(dt), so alpha at node i0 + j
+      is ``drift_scale[j] * D[:, j]``, with ``drift_scale`` = m sqrt(dt) / q
+      on the nodes i0..i_last.
+
+    ``B0`` = B_{t0} and ``L`` are per row, in real units.  ``alpha()`` and
+    ``B_at(k)`` form alpha and B in real units for the readers that need
+    them.  G-adaptedness means that a value at node i uses only the columns
+    up to i and L.  A ``controlled_sde.ControlPolicy`` reads alpha at its
+    own node and nothing else, so every policy is G-adapted by
+    construction.
     """
 
     times: np.ndarray
     dt: float
     i0: int
     i_last: int
+    drift_scale: np.ndarray
+    Z: np.ndarray
+    R: np.ndarray
+    D: np.ndarray
+    B0: np.ndarray
     L: np.ndarray
-    alpha: np.ndarray
-    B: np.ndarray
+
+    def alpha(self) -> np.ndarray:
+        """The (rows, N + 1) drift on the nodes i0..i_last, a new array."""
+        return self.D * self.drift_scale
+
+    def B_at(self, k: int) -> np.ndarray:
+        """B at node ``k`` in [i0, i_last] per row, in real units: a new
+        array."""
+        return self.B0 + math.sqrt(self.dt) * self.R[:, k - self.i0]
 
 
 @dataclass(frozen=True, eq=False)
 class DriftSetup:
     """Node data of the drift on one [0, T1] grid: t0 is node ``i0``, the
     decision horizon T node ``i_last``, and ``tail`` is
-    sqrt(sum_{j>=i_last} m_j^2), the factor of the carrier increment in L.
-    An agent without L is a policy, ``controlled_sde.uninformed``, not a
-    property of the grid."""
+    sqrt(sum_{j>=i_last} m_j^2), the factor of the tail carrier in L.
+    ``head`` is the (2, heads) factor of the head carrier in units of
+    sqrt(dt): B_{t0} = head[0] . h and int_0^{t0} m dB = head[1] . h for the
+    head normals h, so head head^T = [[i0, sum m_j], [sum m_j, sum m_j^2]]
+    over j < i0.  ``drift_scale`` is m sqrt(dt) / q_tail on the nodes
+    i0..i_last, alpha per unit of ``ChunkContext.D``.  An agent without L
+    is a policy, ``controlled_sde.uninformed``, not a property of the
+    grid."""
 
     grid: TimeGrid
     i0: int
@@ -170,16 +215,50 @@ class DriftSetup:
     m_nodes: np.ndarray
     q_tail: np.ndarray
     tail: float
+    head: np.ndarray
+    drift_scale: np.ndarray
 
     @property
-    def draw_grid(self) -> TimeGrid:
-        """The grid a chunk is drawn on: [0, T) plus the carrier step."""
-        return self.grid.prefix(self.i_last + 1)
+    def heads(self) -> int:
+        """Head normals per row: 0 at t0 = 0, 1 when m is 1 on [0, t0),
+        else 2."""
+        return self.head.shape[1]
+
+    @property
+    def draw_width(self) -> int:
+        """Normals per row of a block: the head's, the N = i_last - i0
+        increments on [t0, T) and the tail carrier."""
+        return self.heads + self.i_last - self.i0 + 1
 
     @property
     def unit_weight(self) -> bool:
-        """m is exactly 1 on [0, T): the running sum of m dB is B itself."""
-        return bool(np.all(self.m_nodes[: self.i_last] == 1.0))
+        """m is exactly 1 on [t0, T): the running sum of m dB is R itself."""
+        return bool(np.all(self.m_nodes[self.i0 : self.i_last] == 1.0))
+
+    def head_sums(self, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B_{t0} and int_0^{t0} m dB per row of ``draw``, in units of
+        sqrt(dt), from its first ``heads`` normals; 0 without a head."""
+        if not self.heads:
+            zero = np.zeros(draw.shape[:-1])
+            return zero, zero
+        h = draw[..., : self.heads]
+        return row_dot(h, self.head[0]), row_dot(h, self.head[1])
+
+
+def _head_factor(m_head: np.ndarray) -> np.ndarray:
+    """The (2, heads) factor of (B_{t0}, int_0^{t0} m dB) / sqrt(dt) for the
+    node weights ``m_head`` on [0, t0): none at t0 = 0, one normal when m is
+    1 there, else the 2 x 2 Cholesky factor.  Its second pivot is the sum
+    of squares of m about its mean, >= 0 and exactly 0 for a constant m."""
+    i0 = len(m_head)
+    if i0 == 0:
+        return np.empty((2, 0))
+    root = math.sqrt(i0)
+    if np.all(m_head == 1.0):
+        return np.full((2, 1), root)
+    mean = float(m_head.mean())
+    pivot = math.sqrt(float(np.sum((m_head - mean) ** 2)))
+    return np.array([[root, 0.0], [mean * root, pivot]])
 
 
 def drift_setup(m: WeightFunction | Callable[[float], float] | float,
@@ -191,6 +270,7 @@ def drift_setup(m: WeightFunction | Callable[[float], float] | float,
             f"decision horizon T={horizon} must lie strictly before "
             f"T1={grid.t_end}"
         )
+    i0 = grid.index_of(t0)
     m_nodes = as_weight(m).nodes(grid.times)
     with np.errstate(over="ignore", invalid="ignore"):
         q = tail_square_integral(m_nodes, grid.dt)
@@ -200,35 +280,43 @@ def drift_setup(m: WeightFunction | Callable[[float], float] | float,
         raise ValueError("int_t^T1 m^2 ds must stay positive for t <= T")
     # a scaled sum: finite whenever q is, where a plain sum of m^2 may not be
     tail = math.hypot(*m_nodes[i_last:-1])
-    return DriftSetup(grid, grid.index_of(t0), i_last, m_nodes, q, tail)
+    nodes = slice(i0, i_last + 1)
+    scale = m_nodes[nodes] * math.sqrt(grid.dt) / q[nodes]
+    return DriftSetup(grid, i0, i_last, m_nodes, q, tail,
+                      _head_factor(m_nodes[:i0]), scale)
 
 
-def chunk_context(setup: DriftSetup, dB: np.ndarray,
+def chunk_context(setup: DriftSetup, draw: np.ndarray,
                   out: np.ndarray | None = None) -> ChunkContext:
-    """B and alpha on nodes 0..i_last, and L, of one (rows, i_last + 1)
-    block of increments drawn on ``setup.draw_grid``: the block's one
-    ``drift_matrix`` call.  B and alpha are written into ``out``, two arrays
-    of the block's shape, or into new arrays by default.  Every reducer of
-    the block reads these arrays, so they are made read-only.  A block of
-    any other width raises ValueError: its column i_last would be read as
-    the carrier."""
-    i_last = setup.i_last
-    if dB.shape[-1] != i_last + 1:
-        raise ValueError(f"a block of {dB.shape[-1]} increments per row; the "
-                         f"draw grid has i_last + 1 = {i_last + 1}")
-    B_out, alpha_out = (None, None) if out is None else out
-    B = running_sum(dB[:, :i_last], B_out)
-    alpha, L = drift_matrix(dB, setup, run=B if setup.unit_weight else None,
-                            out=alpha_out)
-    for a in (B, alpha, L):
+    """The context of one (rows, ``setup.draw_width``) block of standard
+    normals laid out as ``map_reducers`` draws them: R and D on the nodes
+    i0..i_last, Z a view of the block, and B_{t0} and L per row, from the
+    block's one ``drift_matrix`` call.  R and D are written into ``out``,
+    two arrays of shape (rows, N + 1), or into new arrays by default.
+    Every reducer of the block reads these arrays, so they are made
+    read-only.  A block of any other width raises ValueError: its columns
+    would be read as the wrong nodes."""
+    if draw.shape[-1] != setup.draw_width:
+        raise ValueError(f"a block of {draw.shape[-1]} normals per row; the "
+                         f"draw has {setup.draw_width}: {setup.heads} head, "
+                         f"{setup.i_last - setup.i0} increments, 1 carrier")
+    R_out, D_out = (None, None) if out is None else out
+    Z = draw[:, setup.heads :]
+    R = running_sum(Z[:, :-1], R_out)
+    D, L = drift_matrix(draw, setup, run=R if setup.unit_weight else None,
+                        out=D_out)
+    scale = math.sqrt(setup.grid.dt)
+    B0, L = setup.head_sums(draw)[0] * scale, L * scale
+    for a in (Z, R, D, B0, L):
         a.flags.writeable = False
-    return ChunkContext(setup.grid.times, setup.grid.dt, setup.i0, i_last,
-                        L, alpha, B)
+    return ChunkContext(setup.grid.times, setup.grid.dt, setup.i0,
+                        setup.i_last, setup.drift_scale, Z, R, D, B0, L)
 
 
 # Bytes of one float64 row block of a chunk, the unit that ``map_reducers``
-# draws and its reducers see at a time: 63 rows at 4096 steps, 127 at 2048.
-# A block's arrays then fit in a 2 MiB L2 cache, and they stay the same size
+# draws and its reducers see at a time: 63 rows at 4096 steps, 127 at 2048
+# (at t0 = 0; a head carrier shortens the rows, so a block has more).  A
+# block's arrays then fit in a 2 MiB L2 cache, and they stay the same size
 # at every n_steps.  Streams stay per CHUNK: the blocks of a chunk are
 # successive fills of its one generator.  Block-sized temporaries reuse heap
 # pages only because each chunk's workspace (three blocks, allocated once)
@@ -237,14 +325,18 @@ def chunk_context(setup: DriftSetup, dB: np.ndarray,
 # to twice that.  With only block-sized buffers the trim threshold stays
 # near two blocks, and the heap is trimmed and faulted in again after every
 # block (a fresh workspace per block: about 10,700 minor faults per op of
-# perfbench's ``value`` cycle, against 7 for one per chunk).
+# perfbench's ``value`` cycle, against 7 for one per chunk).  The workspace
+# is 3 * BLOCK_BYTES whatever the row width, so that ops of different
+# widths (a head carrier, another n_steps) free and reuse one size of heap
+# chunk: with a size per width, the second ``value`` cycle grew a thread's
+# heap by about 3 MB.
 BLOCK_BYTES = 1 << 20
 
 
-def _block_rows(n_steps: int) -> int:
-    """Rows of one row block of a chunk with ``n_steps`` columns: as many as
+def _block_rows(width: int) -> int:
+    """Rows of one row block of a chunk with ``width`` columns: as many as
     fit in ``BLOCK_BYTES``, at least one."""
-    return max(1, BLOCK_BYTES // (8 * n_steps))
+    return max(1, BLOCK_BYTES // (8 * width))
 
 
 def _reduce_chunk(setup, reducers, seed, chunk_index, rows):
@@ -252,24 +344,24 @@ def _reduce_chunk(setup, reducers, seed, chunk_index, rows):
     is drawn into one workspace, gets its context there and goes through
     every reducer before the next block is drawn.  Returns every reducer's
     outputs, block by block."""
-    grid = setup.draw_grid
+    width, nodes = setup.draw_width, setup.i_last - setup.i0 + 1
     rng = chunk_rng(seed, chunk_index)
-    step = min(_block_rows(grid.n_steps), rows)
-    work = np.empty((3, step, grid.n_steps))
-    scale = math.sqrt(grid.dt)
+    step = min(_block_rows(width), rows)
+    size = 3 * step * width  # more than 3 * BLOCK_BYTES only when step is 1
+    work = np.empty(max(size, 3 * BLOCK_BYTES // 8))[:size].reshape(
+        3, step, width)
     blocks = []
     for start in range(0, rows, step):
-        dB, B, alpha = work[:, : min(step, rows - start)]
-        rng.standard_normal(out=dB)
-        dB *= scale
-        ctx = chunk_context(setup, dB, (B, alpha))
+        draw, R, D = work[:, : min(step, rows - start)]
+        rng.standard_normal(out=draw)
+        ctx = chunk_context(setup, draw, (R[:, :nodes], D[:, :nodes]))
         # each reducer's block-sized arrays die with its frame, before the next
-        outputs = [reduce(dB, ctx) for reduce in reducers]
+        outputs = [reduce(ctx) for reduce in reducers]
         for out in outputs:
             if not isinstance(out, tuple) or any(
-                    np.shape(a)[-1:] != (len(dB),) for a in out):
+                    np.shape(a)[-1:] != (len(draw),) for a in out):
                 raise ValueError(f"a reducer must return a tuple of arrays "
-                                 f"with the block's {len(dB)} rows last")
+                                 f"with the block's {len(draw)} rows last")
             if any(np.may_share_memory(a, work) for a in out):
                 raise ValueError("a reducer must return fresh arrays, not "
                                  "views of the block or its context: the "
@@ -280,17 +372,18 @@ def _reduce_chunk(setup, reducers, seed, chunk_index, rows):
 
 def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
                  n_paths: int, pool=None) -> list[tuple[np.ndarray, ...]]:
-    """Apply every reducer ``(dB, ctx) -> arrays`` to each block of one draw.
+    """Apply every reducer ``ctx -> arrays`` to each block of one draw.
 
     Chunk c covers paths ``c*CHUNK`` to ``(c+1)*CHUNK``.  Its task draws it
-    once, on ``setup.draw_grid``, in row blocks of
-    ``max(1, BLOCK_BYTES // (8 * (i_last + 1)))`` rows, the last one ragged,
-    into one workspace of three blocks: dB, then B and alpha.  The rows of
-    dB, joined over a chunk's blocks, are
-    ``paths.increment_chunk(setup.draw_grid, seed, c, rows)`` bit for bit.
-    Each block gets one ``chunk_context`` in that workspace, and every
-    reducer sees the block and that context before the next block is drawn.
-    A reducer returns a tuple of fresh arrays, never views of the
+    once, ``setup.draw_width`` standard normals per row (the head carrier's,
+    the increments on [t0, T) and the tail carrier), in row blocks of
+    ``max(1, BLOCK_BYTES // (8 * setup.draw_width))`` rows, the last one
+    ragged, into one workspace of three blocks (``3 * BLOCK_BYTES``, or
+    three rows when one row is larger): the draw, then R and D.
+    The rows of the draw, joined over a chunk's blocks, are
+    ``paths.chunk_rng(seed, c).standard_normal((rows, setup.draw_width))``
+    bit for bit.  Each block gets one ``chunk_context`` in that workspace,
+    and every reducer sees that context before the next block is drawn.  A reducer returns a tuple of fresh arrays, never views of the
     workspace, whose last axis is the block's rows, and must be row-wise
     (row k depends on row k of the block alone), so the block size changes
     no result.  An output of the wrong shape, or one that shares memory
@@ -333,9 +426,10 @@ def map_reducers(setup: DriftSetup, reducers: Sequence[Callable], seed: int,
 class InfoDriftField:
     """The drift alpha_i cached along one path, for nodes t_i <= T.
 
-    Built from a path on the full grid [0, T1].  ``alpha[i]`` depends on the
-    path only through values up to node i plus the scalar L, which is the
-    discrete counterpart of alpha being adapted to the enlarged filtration.
+    Built from a path on the full grid [0, T1], in real units.  ``alpha[i]``
+    depends on the path only through values up to node i plus the scalar L,
+    which is the discrete counterpart of alpha being adapted to the enlarged
+    filtration.
     """
 
     def __init__(
@@ -349,7 +443,12 @@ class InfoDriftField:
         db = np.diff(path.values)
         if L is None:
             L = float(np.sum(setup.m_nodes[:-1] * db))
-        self.alpha, _ = drift_matrix(db, setup, L)
+        alpha, _ = drift_matrix(db, setup, L)
+        m_nodes = setup.m_nodes[: setup.i_last + 1]
+        if not np.all(m_nodes == 1.0):  # x * 1.0 is x: skipped, same bits
+            alpha *= m_nodes
+        alpha /= setup.q_tail[: setup.i_last + 1]
+        self.alpha = alpha
         self.path = path
         self.L = L
         self.i_last = setup.i_last
@@ -400,22 +499,25 @@ def drift_second_moment(
     return m(s) ** 2 / denom
 
 
-def _decomposition_chunk(dB, ctx):
-    """Btilde_T, L and the worst reconstruction error, per row."""
-    B = ctx.B
-    # int alpha ds, then the reconstruction error, in one buffer of this
-    # reducer's own: the context is shared, and every further chunk-sized
-    # temporary here raises the peak RSS
-    buf = np.empty_like(B)
+def _decomposition_chunk(ctx):
+    """Btilde_T, L and the worst reconstruction error, per row, of a
+    context from t0 = 0 (``decomposition_stats`` sets none), in units of
+    sqrt(dt) until the last step."""
+    R = ctx.R
+    # int alpha ds / sqrt(dt) = sum (m / q) dt D, then the reconstruction
+    # error, in one buffer of this reducer's own: the context is shared, and
+    # every further chunk-sized temporary here raises the peak RSS
+    buf = np.empty_like(R)
     buf[:, 0] = 0.0
-    np.multiply(ctx.alpha[:, : ctx.i_last], ctx.dt, out=buf[:, 1:])
+    np.multiply(ctx.D[:, :-1], ctx.drift_scale[:-1] * math.sqrt(ctx.dt),
+                out=buf[:, 1:])
     np.cumsum(buf[:, 1:], axis=1, out=buf[:, 1:])
-    btilde = B - buf
+    btilde = R - buf
     np.add(btilde, buf, out=buf)
-    np.subtract(buf, B, out=buf)
+    np.subtract(buf, R, out=buf)
     recon = np.abs(buf, out=buf).max(axis=1)
-    # a copy, so the chunk matrices are freed before the batch is joined
-    return btilde[:, -1].copy(), ctx.L, recon
+    scale = math.sqrt(ctx.dt)
+    return scale * btilde[:, -1], ctx.L, scale * recon
 
 
 def decomposition_stats(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
+import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -32,8 +33,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .controlled_sde import (ControlPolicy, constant_policy, make_wealth_setup,
-                            uninformed)
+from .controlled_sde import (ControlPolicy, affine_cost_mean, constant_policy,
+                            make_wealth_setup, uninformed)
 from .enlargement import (
     InfoDriftField,
     decomposition_stats,
@@ -432,29 +433,35 @@ def _run_decomposition(cfg, pool):
 _FORWARD_INTEGRANDS = ("one", "brownian", "drift")
 
 
-def _forward_chunk(grid, T, ladder, dB, ctx):
+def _forward_chunk(grid, T, ladder, ctx):
     """Per row: |forward estimate - Ito target| along the ladder, shape
     (len(ladder), rows), and whether eps = dt reproduces the left-point sum
-    bit for bit, shape (3, rows), one row per ``_FORWARD_INTEGRANDS``."""
+    bit for bit, shape (3, rows), one row per ``_FORWARD_INTEGRANDS``.
+
+    It reads a context from t0 = 0 (the forward setup sets none) in the
+    context's units and forms no block of its own: both estimates are
+    bilinear in v and B, so v = B = R = B / sqrt(dt) gives the real-unit
+    estimate over dt, and the drift integrand is D, alpha up to its node
+    factor m sqrt(dt) / q, since the eps = dt equality holds whatever an
+    integrand's node scale."""
     dt = grid.dt
     i_last = ctx.i_last
-    values = ctx.B
-    B = BrownianPath(grid.prefix(i_last), values)
-    target = 0.5 * (values[:, -1] ** 2 - T)
-    # B and alpha are finite by construction: dB is a scaled normal draw,
-    # and the drift divides by q_tail > 0
-    vB = Integrand._of_finite(B.grid, values)
-    integrands = (Integrand(B.grid, np.ones(i_last + 1)), vB,
-                  Integrand._of_finite(B.grid, ctx.alpha))
+    path = BrownianPath(grid.prefix(i_last), ctx.R)
+    target = 0.5 * (dt * ctx.R[:, -1] ** 2 - T)
+    # R and D are finite by construction: R sums a normal draw, and D
+    # subtracts its running sums
+    vR = Integrand._of_finite(path.grid, ctx.R)
+    integrands = (Integrand(path.grid, np.ones(i_last + 1)), vR,
+                  Integrand._of_finite(path.grid, ctx.D))
     # one increment matrix alive at a time: the one at k = 1 serves every
     # integrand of the exact check and v = B on the ladder
-    at_dt = forward_estimate(integrands, B, eps=dt)
+    at_dt = forward_estimate(integrands, path, eps=dt)
     devs = np.array([
-        np.abs((at_dt[1] if k == 1 else forward_estimate(vB, B, eps=k * dt))
-               - target)
+        np.abs(dt * (at_dt[1] if k == 1
+                     else forward_estimate(vR, path, eps=k * dt)) - target)
         for k in ladder
     ])
-    exact = np.array(at_dt) == np.array(ito_left_sum(integrands, B))
+    exact = np.array(at_dt) == np.array(ito_left_sum(integrands, path))
     return devs, exact
 
 
@@ -529,33 +536,65 @@ def _run_hjb_residual(cfg, pool):
     return rows, results, checks
 
 
+def _discrete_mean_and_target(params, value, policy, n_steps):
+    """The exact mean of ``policy``'s discrete cost on ``n_steps`` steps,
+    ``affine_cost_mean``, and the paper's value on the same grid with x0
+    grown as the kernel grows it, (1 + r dt)^N, not e^{r(T - t0)}."""
+    setup = make_wealth_setup(params, n_steps)
+    return (affine_cost_mean(setup, policy),
+            value(params, params.t0, 0.0, n_steps)
+            - params.b * setup.endowment)
+
+
 def _run_example(cfg, pool, example: int):
     params = params_from_config(cfg)
     value, policy = ((example1_value, example1_policy) if example == 1
                      else (example2_value, example2_policy))
-    closed = value(params, params.t0, params.x0, cfg["n_steps"])
-    # the target grows x0 as the kernel does: (1 + r dt)^N, not e^{r(T - t0)}
-    check_target = (value(params, params.t0, 0.0, cfg["n_steps"]) - params.b
-                    * make_wealth_setup(params, cfg["n_steps"]).endowment)
+    n_steps = cfg["n_steps"]
+    closed = value(params, params.t0, params.x0, n_steps)
     policies = [policy(params)]
     if example == 2:
         policies.append(uninformed(policies[0]))
+    discrete, check_target = _discrete_mean_and_target(params, value,
+                                                       policies[0], n_steps)
+    fine = _discrete_mean_and_target(params, value, policies[0], 2 * n_steps)
+    if not all(map(math.isfinite, (discrete, check_target, *fine))):
+        raise DivergenceError(1, 1, f"the discrete mean of the cost is "
+                              f"{discrete:g} against the grid value "
+                              f"{check_target:g}; refused")
     cost, *no_info = cost_mc_many(policies, params, cfg["n_paths"],
-                                  cfg["seed"], cfg["n_steps"], pool)
-    # the value is exact on the grid: the cost's SE is the whole pooled SE
+                                  cfg["seed"], n_steps, pool)
     diff = cost.mean - check_target
+    gap = cost.mean - discrete
     pooled = cost.std_error
+    # the discrete mean against the paper's value: their gap is the O(dt)
+    # bias of the trapezoid running cost, the trapezoid tail in alpha and
+    # the Euler growth, so it halves with dt (falls by 3/4 at second
+    # order); a wrong policy or value leaves a gap that stays as dt -> 0
+    bias, bias_fine = discrete - check_target, fine[0] - fine[1]
+    converges = (abs(bias_fine)
+                 <= 0.75 * abs(bias) + 1e-12 * (1.0 + abs(check_target)))
     results = {
         "value_mc": {"mean": cost.mean, "std_error": cost.std_error},
         "value_closed_form": {"mean": closed, "std_error": 0.0},
+        "value_discrete_mean": discrete,
         "diff": diff,
+        "discrete_diff": gap,
+        "discrete_bias": bias,
+        "discrete_bias_half_dt": bias_fine,
         "pooled_se": pooled,
     }
     checks = [
+        # the cost against its exact discrete mean, so no O(dt) bias enters
+        # the 3-SE test, and that mean against the grid value, so the
+        # closed form is still what the check verifies
         _check(
             "value_mc_matches_closed_form",
-            abs(diff) <= 3 * pooled,
-            f"diff = {diff:.3e}, 3 pooled SE = {3 * pooled:.3e}",
+            abs(gap) <= 3 * pooled and converges,
+            f"cost - discrete mean = {gap:.3e}, 3 pooled SE = {3 * pooled:.3e};"
+            f" discrete mean - grid value = {bias:.3e}, {bias_fine:.3e} at"
+            f" half the dt, at most 0.75 of it for a bias that vanishes with"
+            f" dt (cost - grid value = {diff:.3e})",
         ),
     ]
     rows = [
@@ -765,13 +804,21 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None,
     """Execute one resolved config; write CSV + JSON; return the summary.
 
     With ``workers > 1`` one process pool serves every estimate of the op;
-    more than ``CAPS["workers"]`` raise InvalidConfigError.
+    more than ``CAPS["workers"]`` raise InvalidConfigError.  An output
+    directory under a path that is not a directory raises it too, before
+    the op runs and with nothing created.
     """
     check_cap("workers", workers)
     kind = cfg["experiment"]
+    out = Path(out_dir if out_dir is not None else cfg["out"])
+    # the nearest ancestor that exists (os.path.exists, unlike Path.exists,
+    # never raises); permissions and races are left to the writes below
+    existing = next(p for p in (out, *out.parents) if os.path.exists(p))
+    if not existing.is_dir():
+        raise InvalidConfigError(f"'out': cannot write results to {out}: "
+                                 f"{existing} is not a directory")
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         rows, results, checks = _KINDS[kind].run(cfg, pool)
-    out = Path(out_dir if out_dir is not None else cfg["out"])
     csv_path = out / f"{kind}.csv"
     lines = [_KINDS[kind].header]
     lines += [",".join(_fmt(v) for v in row) for row in rows]

@@ -58,7 +58,7 @@ class Integrand:
     @classmethod
     def _of_finite(cls, grid: TimeGrid, values: np.ndarray) -> "Integrand":
         """An integrand of values that fit ``grid`` and are finite by
-        construction, such as a block's B and alpha from ``chunk_context``,
+        construction, such as a block's R and D from ``chunk_context``,
         built without the checks, which would read every value again."""
         v = object.__new__(cls)
         object.__setattr__(v, "grid", grid)

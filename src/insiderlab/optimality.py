@@ -21,7 +21,7 @@ Four instruments, all statistical, all seeded:
   exactly, at every b and r; a policy that ignores valuable information
   fails the correlated cells by a wide margin.
 
-Each estimator runs top-level reducers ``(dB, ctx) -> arrays`` through
+Each estimator runs top-level reducers ``ctx -> arrays`` through
 ``enlargement.map_reducers``, which draws each chunk once for all of them
 (``cost_mc_many`` prices several policies on the same paths) and returns
 each reducer's per-row arrays joined over the batch in path order, so every
@@ -149,11 +149,10 @@ def collect_samples(values: np.ndarray) -> tuple[np.ndarray, int]:
     return values[..., ~diverged], n_diverged
 
 
-def cost_chunk(cost: NodeSum, dB: np.ndarray,
-               ctx: ChunkContext) -> tuple[np.ndarray]:
+def cost_chunk(cost: NodeSum, ctx: ChunkContext) -> tuple[np.ndarray]:
     """Per-path cost of the policy whose ``cost_sum`` this is, on one block:
     trapezoid quadrature of a u^2 minus b X_T."""
-    return (cost.rows(dB, ctx),)
+    return (cost.rows(ctx),)
 
 
 def cost_mc(policy: ControlPolicy, params, n_paths: int, seed: int,
@@ -205,7 +204,7 @@ class PerturbationSpec:
 
     def theta_values(self, ctx: ChunkContext, ilo: int) -> np.ndarray:
         if callable(self.theta0):
-            th = np.asarray(self.theta0(ctx.B[:, ilo], ctx.L), dtype=float)
+            th = np.asarray(self.theta0(ctx.B_at(ilo), ctx.L), dtype=float)
             th = np.broadcast_to(th, ctx.L.shape).copy()
         else:
             th = np.full(ctx.L.shape, float(self.theta0))
@@ -245,7 +244,6 @@ def sweep_coefficients(
     spec: PerturbationSpec,
     window: NodeSum,
     curvature: float,
-    dB: np.ndarray,
     ctx: ChunkContext,
 ) -> tuple[np.ndarray]:
     """Per-path coefficients of the discrete cost F(y) = c0 + c1 y + c2 y^2.
@@ -264,9 +262,9 @@ def sweep_coefficients(
     th = spec.theta_values(ctx, window.lo)
     # overflow shows as inf or nan in the coefficients, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        c1 = th * window.rows(dB, ctx)
+        c1 = th * window.rows(ctx)
         c2 = curvature * th * th
-    return (np.stack([cost.rows(dB, ctx), c1, c2]),)
+    return (np.stack([cost.rows(ctx), c1, c2]),)
 
 
 def _sweep_samples(policy, params, spec, n_paths, seed, n_steps,
@@ -368,25 +366,24 @@ def quarter_windows(T: float, t0: float = 0.0) -> list[tuple[float, float]]:
             (t0 + s / 2, t0 + 3 * s / 4), (t0 + 3 * s / 4, T)]
 
 
-def nu_increments(windows: Sequence[NodeSum], dB: np.ndarray,
+def nu_increments(windows: Sequence[NodeSum],
                   ctx: ChunkContext) -> np.ndarray:
     """N_u(t_hi) - N_u(t_lo) per window and path, of shape (windows, rows):
-    each window's ``sweep_window`` sum, two row contractions, of alpha and
-    dB."""
-    return np.array([window.rows(dB, ctx) for window in windows])
+    each window's ``sweep_window`` sum, two row contractions, of D and Z."""
+    return np.array([window.rows(ctx) for window in windows])
 
 
-def _martingale_chunk(windows, test_fns, dB, ctx):
+def _martingale_chunk(windows, test_fns, ctx):
     """The (cells, rows) products phi * (N_u increment), window-major;
     ``windows`` holds the ``sweep_window`` of every window."""
-    increments = nu_increments(windows, dB, ctx)
-    prods = np.empty((len(windows) * len(test_fns), len(dB)))
+    increments = nu_increments(windows, ctx)
+    prods = np.empty((len(windows) * len(test_fns), len(ctx.L)))
     cells = iter(prods)
     with np.errstate(over="ignore", invalid="ignore"):
         for window, dn in zip(windows, increments):
+            Bt = ctx.B_at(window.lo)
             for _, fn in test_fns:
-                np.multiply(fn(ctx.B[:, window.lo], ctx.L), dn,
-                            out=next(cells))
+                np.multiply(fn(Bt, ctx.L), dn, out=next(cells))
     return (prods,)
 
 

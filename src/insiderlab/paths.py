@@ -2,17 +2,19 @@
 
 Everything downstream (drift fields, SDE schemes, Monte Carlo batches) runs on
 one uniform grid over the extended horizon ``[0, T1]``.  Monte Carlo batches
-draw only a prefix of it: the steps before the decision horizon T and one
-step more, whose increment carries the rest of L
-(``enlargement.DriftSetup.draw_grid``).  Paths are pure
-functions of ``(grid, seed)``: the same inputs always reproduce the same
-trajectory bit for bit, which is what makes common-random-number comparisons
-and byte-identical experiment reruns possible.  A batch is cut into chunks
-of ``CHUNK`` paths, each with its own SFC64 stream ``chunk_rng(seed, c)``;
-``increment_chunk`` is the one-call draw of a chunk, the reference that the
-chunk engine ``enlargement.map_reducers`` matches bit for bit when it draws
-a chunk block by block.  Every per-path sum over the nodes goes through
-``row_dot``, whose result for a row does not depend on the other rows.
+draw only the part of it that an op reads: the steps on [t0, T), one normal
+more, whose value carries the rest of L, and, when t0 > 0, one or two
+normals that carry the path before t0 (``enlargement.DriftSetup.draw_width``).
+Paths are pure functions of ``(grid, seed)``: the same inputs always
+reproduce the same trajectory bit for bit, which is what makes
+common-random-number comparisons and byte-identical experiment reruns
+possible.  A batch is cut into chunks of ``CHUNK`` paths, each with its own
+SFC64 stream ``chunk_rng(seed, c)``; the chunk engine
+``enlargement.map_reducers`` fills its row blocks from that stream in
+order, unscaled.  ``increment_chunk`` is the one-call draw of a chunk's
+increments on a grid in real units.  Every per-path sum over the nodes goes
+through ``row_dot``, whose result for a row does not depend on the other
+rows.
 """
 
 from __future__ import annotations
@@ -278,8 +280,10 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def increment_chunk(grid: TimeGrid, seed: int, chunk_index: int,
                     rows: int) -> np.ndarray:
     """The (rows, n_steps) increments of one chunk, Normal(0, dt) iid, in
-    one call: the reference that the row blocks of
-    ``enlargement.map_reducers`` join to."""
+    one call: sqrt(dt) times ``chunk_rng(seed, chunk_index)``'s normals,
+    row by row.  At t0 = 0 the row blocks of ``enlargement.map_reducers``
+    join to the same normals, unscaled, on the grid's first i_last + 1
+    steps."""
     out = np.empty((rows, grid.n_steps))
     chunk_rng(seed, chunk_index).standard_normal(out=out)
     out *= math.sqrt(grid.dt)

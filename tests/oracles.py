@@ -14,10 +14,10 @@ import numpy as np
 from scipy import integrate
 
 from insiderlab.controlled_sde import ControlPolicy, wealth_paths_chunk
-from insiderlab.enlargement import drift_second_moment, drift_square_mean
+from insiderlab.enlargement import drift_second_moment
 from insiderlab.hjb import example2_params
 from insiderlab.optimality import window_indices
-from insiderlab.paths import TimeGrid, as_weight, running_sum
+from insiderlab.paths import TimeGrid, as_weight, chunk_rng, running_sum
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +112,31 @@ def eval_L(m, path, t1=None):
     return float(np.sum(mv[:-1] * np.diff(path.values)))
 
 
+def draw_block(setup, seed, chunk, rows):
+    """The (rows, ``setup.draw_width``) standard normals that
+    ``map_reducers`` draws for chunk ``chunk``, in one call: the block that
+    ``chunk_context`` takes."""
+    return chunk_rng(seed, chunk).standard_normal((rows, setup.draw_width))
+
+
 def fold_tail(setup, dB):
     """The block that ``chunk_context`` takes for full-grid increments
-    ``dB`` (paths on the last-but-one axis): the increments on [0, T) as
-    they are, then the carrier increment that ``setup.tail`` turns back
-    into the path's own sum_{j>=i_last} m_j dB_j."""
-    i_last = setup.i_last
-    carrier = (setup.m_nodes[i_last:-1] * dB[..., i_last:]).sum(axis=-1)
-    return np.concatenate([dB[..., :i_last], carrier[..., None] / setup.tail],
-                          axis=-1)
+    ``dB`` (paths on the last-but-one axis), in units of sqrt(dt): the head
+    normals that ``setup.head`` turns back into the path's B_{t0} and
+    sum_{j<i0} m_j dB_j, the increments on [t0, T) as they are, then the
+    carrier that ``setup.tail`` turns back into the path's own
+    sum_{j>=i_last} m_j dB_j."""
+    i0, i_last, m = setup.i0, setup.i_last, setup.m_nodes
+    z = dB / math.sqrt(setup.grid.dt)
+    carrier = (m[i_last:-1] * z[..., i_last:]).sum(axis=-1) / setup.tail
+    head = []
+    if setup.heads:
+        head.append(z[..., :i0].sum(axis=-1) / setup.head[0, 0])
+    if setup.heads == 2:
+        r = (m[:i0] * z[..., :i0]).sum(axis=-1)
+        head.append((r - setup.head[1, 0] * head[0]) / setup.head[1, 1])
+    return np.concatenate([np.stack(head, axis=-1) if head else z[..., :0],
+                           z[..., i0:i_last], carrier[..., None]], axis=-1)
 
 
 def expected_squared_drift_integral(m, T, t1):
@@ -134,15 +150,15 @@ def generator_Au(Gt, Gx, Gxx, b_val, sigma_val, alpha):
     return Gt + 0.5 * sigma_val * sigma_val * Gxx + (b_val + alpha * sigma_val) * Gx
 
 
-def nu_path(setup, u, dB, row=0):
-    """N_u at every node of [t0, T] for one row of a chunk, N_u(t0) = 0:
+def nu_path(setup, u, ctx, row=0):
+    """N_u at every node of [t0, T] for one row of a block, N_u(t0) = 0:
     left-point sums of [2 a u - w_k excess] dt - w_k sigma dB, with
     w_k = b (1 + r dt)^(i_last - 1 - k), the discrete -G_x."""
     i0, iL = setup.i0, setup.i_last
     w = setup.b_weight * setup.growth[1:]
     steps = (
         (2.0 * setup.a * u[row, : iL - i0] - w * setup.excess) * setup.grid.dt
-        - w * setup.sigma_nodes[i0:iL] * dB[row, i0:iL]
+        - w * setup.sigma_nodes[i0:iL] * real_increments(ctx)[row]
     )
     return running_sum(steps)
 
@@ -165,24 +181,30 @@ class RulePolicy:
         return self.rule(ctx)
 
 
-def reference_terms(setup, policy, dB, ctx):
+def reference_terms(setup, policy, ctx):
     """(u, run, x_T, diverged) of one block from the reference kernel
     ``wealth_paths_chunk``, for any policy with a ``control(ctx)`` matrix:
     the control matrix, the trapezoid running cost sum a w u^2 per row,
     X_T and the rows whose X_T is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        _, u, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
+        _, u, x_T, diverged = wealth_paths_chunk(setup, ctx, policy)
         run = np.einsum("ij,ij,j->i", u, u, setup.a * setup.trapezoid)
     return u, run, x_T, diverged
 
 
-def reference_cost(setup, policy, dB, ctx):
+def reference_cost(setup, policy, ctx):
     """Per-path cost run - b X_T of ``reference_terms``, as a 1-tuple: the
     direct form of ``optimality.cost_chunk``, and a reducer for
     ``map_reducers``."""
-    _, run, x_T, _ = reference_terms(setup, policy, dB, ctx)
+    _, run, x_T, _ = reference_terms(setup, policy, ctx)
     with np.errstate(over="ignore", invalid="ignore"):
         return (run - setup.b_weight * x_T,)
+
+
+def real_increments(ctx):
+    """The (rows, N) increments on [t0, T) of a block's context, in real
+    units."""
+    return math.sqrt(ctx.dt) * ctx.Z[:, :-1]
 
 
 def _mostly_flat(ctx):
@@ -204,28 +226,6 @@ MOSTLY_FLAT = RulePolicy("mostly-flat", _mostly_flat)
 RARE_PARAMS = example2_params(a=100.0)
 RARE_OVERFLOW = ControlPolicy("rare-overflow",
                               math.sqrt(sys.float_info.max / (8 * 100.0)))
-
-
-def affine_cost_mean(setup, policy):
-    """The exact mean of the cost that ``cost_chunk`` sums per path, for an
-    affine ``ControlPolicy`` with coefficients g, o on the nodes
-    k = i0..i_last (N = i_last - i0):
-
-        a sum_k w_k (g_k^2 E[alpha_k^2] + o_k^2)
-        - b (endowment + sum_{k<N} growth[k+1] (o_k excess dt
-                                               + sigma_k g_k m_k^2 dt / q_k)),
-
-    from E[alpha_k] = 0, E[alpha_k^2] of ``drift_square_mean`` and
-    E[alpha_k dB_k] = m_k^2 dt / q_k; w is the trapezoid weights."""
-    i0, iL, dt = setup.i0, setup.i_last, setup.grid.dt
-    t = setup.grid.times[i0 : iL + 1]
-    g, o = policy.gain.nodes(t), policy.offset.nodes(t)
-    square = g * g * drift_square_mean(setup)[i0:] + o * o
-    m, q = setup.m_nodes[i0:iL], setup.q_tail[i0:iL]
-    gains = (o[:-1] * setup.excess * dt
-             + setup.sigma_nodes[i0:iL] * g[:-1] * m * m * dt / q)
-    x_T = setup.endowment + np.sum(setup.growth[1:] * gains)
-    return setup.a * np.sum(setup.trapezoid * square) - setup.b_weight * x_T
 
 
 def perturbed_policy(base, spec, y, params):

@@ -49,8 +49,8 @@ from insiderlab.optimality import (
     semimartingale_recovery,
 )
 from insiderlab.paths import (
+    chunk_rng,
     constant_weight,
-    increment_chunk,
     make_grid,
     sample_brownian,
 )
@@ -179,8 +179,8 @@ def test_criterion_06_no_information_limit():
     control_exact = example2_control(0.0, params) == half
     blind = uninformed(example2_policy(params))
     setup = make_wealth_setup(params, 512)
-    dB = increment_chunk(setup.draw_grid, 1006, 0, 64)
-    _, u, _, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), blind)
+    dB = chunk_rng(1006, 0).standard_normal((64, setup.draw_width))
+    _, u, _, _ = wealth_paths_chunk(setup, chunk_context(setup, dB), blind)
     u_const = bool(np.all(u == half))
     est = cost_mc(blind, params, 100_000, seed=1006, n_steps=2048)
     target = params.a * 1.0 * half * half - half * 1.0 * params.excess_rate

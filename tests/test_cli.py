@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from insiderlab import experiments
+from insiderlab import experiments, hjb
 from insiderlab.cli import main
-from insiderlab.controlled_sde import constant_policy
-from insiderlab.hjb import example1_value
+from insiderlab.controlled_sde import (affine_cost_mean, constant_policy,
+                                       make_wealth_setup)
+from insiderlab.hjb import example1_control, example1_policy, example1_value
 from insiderlab.optimality import DivergenceError, martingale_diagnostic
 from insiderlab.paths import sample_brownian
 
@@ -107,6 +108,28 @@ def test_out_that_names_a_file_is_invalid_config(tmp_path, capsys, where,
     err = capsys.readouterr().err
     assert "'out': cannot write results to" in err and str(out) in err
     assert existing.read_text() == "not a directory"
+
+
+def _never_run(cfg, pool):
+    raise AssertionError("the op ran before its output path was checked")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["the-file", "under-it"])
+def test_out_that_names_a_file_is_refused_before_the_op_runs(
+        tmp_path, capsys, monkeypatch, under):
+    kind = experiments._KINDS["example1"]
+    monkeypatch.setitem(experiments._KINDS, "example1",
+                        kind._replace(run=_never_run))
+    existing = tmp_path / "taken"
+    existing.write_text("not a directory")
+    out = existing / "sub" / "deeper" if under else existing
+    cfg = write_cfg(tmp_path, "early.json",
+                    {"experiment": "example1", "out": str(out)})
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", cfg, "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "'out': cannot write results to" in err and str(out) in err
+    assert sorted(tmp_path.iterdir()) == before  # nothing created
 
 
 @pytest.mark.parametrize("kind", experiments.KINDS)
@@ -662,6 +685,61 @@ def test_example1_target_grows_x0_as_the_kernel_does(tmp_path):
     assert results["diff"] == pytest.approx(results["value_mc"]["mean"] - target,
                                             abs=1e-9)
 
+
+
+def test_example1_check_takes_the_discrete_mean_not_the_grid_value(tmp_path):
+    # at 64 steps the grid value sits 5.2e-2 from the cost's mean on this
+    # config, about 8.5 SE; the check compares the cost with its exact mean
+    raw = {"experiment": "example1", "n_paths": 20000, "n_steps": 64,
+           "seed": 3, "out": str(tmp_path / "out"), "params": {
+               "m": {"type": "sin", "base": 1.0, "amplitude": 0.5,
+                     "frequency": 3.0},
+               "sigma": {"type": "sin", "base": 1.0, "amplitude": 0.5},
+               "r": 0.2, "t0": 0.25}}
+    assert main(["run", write_cfg(tmp_path, "e1sin.json", raw),
+                 "--workers", "1"]) == 0
+    summary = json.loads((tmp_path / "out" / "example1.json").read_text())
+    params = experiments.params_from_config(summary["config"])
+    results = summary["results"]
+    exact = affine_cost_mean(make_wealth_setup(params, 64),
+                             example1_policy(params))
+    assert results["value_discrete_mean"] == exact
+    assert results["discrete_diff"] == results["value_mc"]["mean"] - exact
+    assert abs(results["discrete_diff"]) <= 3 * results["pooled_se"]
+    assert abs(results["diff"]) > 3 * results["pooled_se"]
+    assert summary["verdict"] == "pass"
+
+
+def _value_at_0(params, t, x, n_steps):
+    return example1_value(params, 0.0, x, n_steps)
+
+
+def _gain_too_large(params, t):
+    return 1.1 * example1_control(1.0, params.sigma_fn.nodes(t), t, params)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("example1_value", _value_at_0),
+    ("_example1_gain", _gain_too_large),
+], ids=["value-at-0", "gain-1.1"])
+def test_example1_check_fails_a_wrong_value_or_policy(tmp_path, monkeypatch,
+                                                      name, wrong):
+    # the cost matches the exact discrete mean of whatever policy it prices,
+    # so the check also asks that mean to tend to the grid value with dt.
+    # u* leaves a gap of 3.26e-4 at 512 steps and 1.63e-4 at 1024; the value
+    # at 0 instead of t0 leaves 7.22e-2 and 7.21e-2, and a gain 10 % too
+    # large 1.37e-3 and 1.19e-3, though its cost is within 3 SE of its mean
+    module = experiments if name == "example1_value" else hjb
+    monkeypatch.setattr(module, name, wrong)
+    cfg = write_cfg(tmp_path, "e1wrong.json", {
+        "experiment": "example1", "params": {"t0": 0.5}, "n_paths": 3000,
+        "n_steps": 512, "seed": 4, "out": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--workers", "1"]) == 1
+    summary = json.loads((tmp_path / "out" / "example1.json").read_text())
+    results = summary["results"]
+    assert (abs(results["discrete_bias_half_dt"])
+            > 0.75 * abs(results["discrete_bias"]))
 
 
 @pytest.mark.parametrize("params, target", [

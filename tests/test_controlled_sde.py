@@ -37,12 +37,14 @@ from insiderlab.paths import (
 )
 from oracles import (
     RulePolicy,
+    draw_block,
     fold_tail,
     formula_node_rule,
     policy_node_rule,
     reference_forward,
     reference_cost,
     reference_insider,
+    real_increments,
     reference_terms,
     wealth_coefficients,
 )
@@ -63,8 +65,8 @@ def kernel(params, n_steps, policy, seed, rows):
     setup = make_wealth_setup(params, n_steps)
     dB = increment_chunk(setup.grid, seed, 0, rows)
     block = fold_tail(setup, dB)
-    ctx, u, x_T, div = wealth_paths_chunk(setup, block,
-                                          chunk_context(setup, block), policy)
+    ctx, u, x_T, div = wealth_paths_chunk(setup, chunk_context(setup, block),
+                                          policy)
     assert x_T.shape == div.shape == (rows,)
     assert not div.any()
     return setup, dB, ctx.L, u, x_T
@@ -83,10 +85,16 @@ def test_insider_and_forward_routes_match_pathwise():
     for t0 in (0.0, 0.25):
         params = replace(PARAMS, x0=0.5, t0=t0)
         setup, dB, L, u, x_T = kernel(params, 128, policy, 3, 5)
+        alpha = chunk_context(setup, fold_tail(setup, dB)).alpha()
         for row in range(len(dB)):
             # the chunk's L, not one summed again in another order
             B = row_path(setup, dB, row)
             f = InfoDriftField(ONE, B, horizon=params.T, L=float(L[row]))
+            # and the chunk's drift on [t0, T], which the context forms as
+            # drift_scale * D, so that the routes share it bit for bit (it
+            # agrees with the field's to rounding: test_enlargement's
+            # test_the_context_of_a_folded_path_reads_its_B_L_and_alpha)
+            f.alpha[setup.i0 :] = alpha[row]
             values, control = reference_insider(
                 coeffs, policy_node_rule(policy), f, decompose(B, f), 0.5, t0)
             assert abs(x_T[row] - values[-1]) < 1e-10
@@ -184,8 +192,8 @@ def test_overflowing_growth_keeps_zero_gains_at_zero():
                             constant_policy(0.0), 5, 4)
     assert np.isinf(setup.growth[0]) and np.all(x_T == 0.0)
     setup = make_wealth_setup(ModelParams.benchmark(r=1e300, x0=1.0), 64)
-    dB = increment_chunk(setup.draw_grid, 5, 0, 4)
-    *_, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+    dB = draw_block(setup, 5, 0, 4)
+    *_, div = wealth_paths_chunk(setup, chunk_context(setup, dB),
                                  constant_policy(0.0))
     assert div.all()
 
@@ -205,11 +213,10 @@ def test_terminal_wealth_of_a_row_does_not_depend_on_the_other_rows(r):
     params = ModelParams.benchmark(r=r, x0=0.5, sigma_fn=Affine(1.0, 0.5))
     setup = make_wealth_setup(params, 256)
     policy = example1_policy(params)
-    dB = increment_chunk(setup.draw_grid, 6, 0, 13)
+    dB = draw_block(setup, 6, 0, 13)
 
     def x_T(rows):
-        return wealth_paths_chunk(setup, rows, chunk_context(setup, rows),
-                                  policy)[2]
+        return wealth_paths_chunk(setup, chunk_context(setup, rows), policy)[2]
 
     whole = x_T(dB)
     for lo, hi in [(row, row + 1) for row in range(13)] + [(1, 6), (3, 13)]:
@@ -224,8 +231,8 @@ def test_policy_moment_condition_proxy():
 
     moments = {2: [], 4: [], 8: []}
     for c, rows in ((0, 1024), (1, 976)):
-        dB = increment_chunk(setup.draw_grid, 10, c, rows)
-        ctx, u, _, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+        dB = draw_block(setup, 10, c, rows)
+        ctx, u, _, div = wealth_paths_chunk(setup, chunk_context(setup, dB),
                                             pol)
         for k in moments:
             moments[k].append(
@@ -244,7 +251,7 @@ def test_matrix_kernel_matches_single_path_loop():
     pol = example2_policy(params)
     B = sample_brownian(setup.grid, 12)
     dB = fold_tail(setup, np.diff(B.values)[None, :])
-    ctx, u, x_T, div = wealth_paths_chunk(setup, dB, chunk_context(setup, dB), pol)
+    ctx, u, x_T, div = wealth_paths_chunk(setup, chunk_context(setup, dB), pol)
 
     f = InfoDriftField(ONE, B, horizon=params.T)
     rule = formula_node_rule(lambda t, alpha, L: example2_control(alpha, params))
@@ -259,10 +266,10 @@ def test_matrix_kernel_matches_single_path_loop():
 
 def test_a_control_matrix_of_the_wrong_shape_raises():
     setup = make_wealth_setup(ModelParams.benchmark(), 64)
-    dB = increment_chunk(setup.draw_grid, 3, 0, 4)
+    dB = draw_block(setup, 3, 0, 4)
     short = RulePolicy("short", lambda ctx: np.zeros((4, 3)))
     with pytest.raises(ValueError, match=r"shape \(4, 3\), need \(4, 33\)"):
-        wealth_paths_chunk(setup, dB, chunk_context(setup, dB), short)
+        wealth_paths_chunk(setup, chunk_context(setup, dB), short)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +299,16 @@ def test_price_chunk_matches_the_reference_kernel_row_by_row(r, t0, name):
                          x0=0.5, t0=t0)
     policy = _POLICIES[name](params)
     setup = make_wealth_setup(params, 512)
-    dB = increment_chunk(setup.draw_grid, 8, 0, 200)
+    dB = draw_block(setup, 8, 0, 200)
     ctx = chunk_context(setup, dB)
-    cost = cost_sum(setup, policy).rows(dB, ctx)
-    (want,) = reference_cost(setup, policy, dB, ctx)
+    cost = cost_sum(setup, policy).rows(ctx)
+    (want,) = reference_cost(setup, policy, ctx)
     i0, iL = setup.i0, setup.i_last
     t = setup.grid.times[i0 : iL + 1]
-    size = (np.abs(policy.gain.nodes(t) * ctx.alpha[:, i0 : iL + 1])
+    size = (np.abs(policy.gain.nodes(t) * ctx.alpha())
             + np.abs(policy.offset.nodes(t)))
     run_scale = (size * size) @ (setup.a * setup.trapezoid)
-    noise = (np.abs(setup.sigma_nodes[i0:iL] * dB[:, i0:iL])
+    noise = (np.abs(setup.sigma_nodes[i0:iL] * real_increments(ctx))
              + abs(setup.excess) * setup.grid.dt)
     x_scale = abs(setup.endowment) + (size[:, :-1] * noise) @ setup.growth[1:]
     assert np.all(np.isfinite(want)) and np.all(np.isfinite(cost))
@@ -321,20 +328,20 @@ def test_each_node_sum_weight_matches_its_direct_sum(r, t0, term):
                          x0=0.5, t0=t0)
     policy = _POLICIES["tilted"](params)
     setup = make_wealth_setup(params, 512)
-    dB = increment_chunk(setup.draw_grid, 9, 0, 200)
-    ctx = chunk_context(setup, dB)
+    ctx = chunk_context(setup, draw_block(setup, 9, 0, 200))
     lo, hi = setup.i0 + 3, setup.i_last - 5
+    cols = slice(lo - setup.i0, hi - setup.i0)
     t = setup.grid.times[lo:hi]
     weight = Sin(0.5, 1.0, 5.0)(t)
-    u = policy.control(ctx)[:, lo - setup.i0 : hi - setup.i0]
-    noise = dB[:, lo:hi]
-    size = (np.abs(policy.gain.nodes(t) * ctx.alpha[:, lo:hi])
+    u = policy.control(ctx)[:, cols]
+    noise = real_increments(ctx)[:, cols]
+    size = (np.abs(policy.gain.nodes(t) * ctx.alpha()[:, cols])
             + np.abs(policy.offset.nodes(t)))
     factor, bound = {"uu": (u * u, size * size), "u": (u, size),
                      "u_dB": (u * noise, size * np.abs(noise)),
                      "dB": (noise, np.abs(noise))}[term]
     got = node_sum(setup, policy, lo, hi, const=0.25,
-                   **{term: weight}).rows(dB, ctx)
+                   **{term: weight}).rows(ctx)
     want = 0.25 + np.sum(weight * factor, axis=1)
     scale = 0.25 + np.sum(np.abs(weight) * bound, axis=1)
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -363,12 +370,12 @@ def test_overflowing_growth_diverges_on_the_rows_of_the_reference(x0, name):
               "uninformed": uninformed(example2_policy(example2_params())),
               "example1": example1_policy(params)}[name]
     setup = make_wealth_setup(params, 64)
-    dB = increment_chunk(setup.draw_grid, 5, 0, 16)
+    dB = draw_block(setup, 5, 0, 16)
     ctx = chunk_context(setup, dB)
-    cost = cost_sum(setup, policy).rows(dB, ctx)
+    cost = cost_sum(setup, policy).rows(ctx)
     div = ~np.isfinite(cost)
-    *_, want_div = reference_terms(setup, policy, dB, ctx)
-    (want,) = reference_cost(setup, policy, dB, ctx)
+    *_, want_div = reference_terms(setup, policy, ctx)
+    (want,) = reference_cost(setup, policy, ctx)
     assert np.array_equal(div, want_div)
     assert np.array_equal(cost[~div], want[~div])
     if name == "constant":

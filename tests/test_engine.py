@@ -69,7 +69,7 @@ from insiderlab.paths import (
     make_grid,
     n_chunks,
 )
-from oracles import RARE_OVERFLOW, RARE_PARAMS, reference_cost
+from oracles import RARE_OVERFLOW, RARE_PARAMS, draw_block, reference_cost
 
 SMALL = {"n_paths": 2100, "n_steps": 128, "seed": 3}
 
@@ -86,14 +86,16 @@ class CountingPool:
 
 
 def _draw_setup(width):
-    """A drift setup whose draw grid is [0, 1] in ``width`` steps."""
+    """A drift setup from t0 = 0 whose rows are ``width`` normals: the
+    increments on [0, 1) and the carrier."""
     return enlargement.drift_setup(1.0, make_grid(0, 2, 2 * width),
                                    1 - 1 / width)
 
 
-def _block_lengths(dB, ctx):
-    """Each row's block length, and the rows of the block on the last axis."""
-    return np.full(len(dB), len(dB)), dB.T.copy()
+def _block_lengths(ctx):
+    """Each row's block length, and the rows of the block's normals (a
+    context from t0 = 0, so Z is the whole draw) on the last axis."""
+    return np.full(len(ctx.Z), len(ctx.Z)), ctx.Z.T.copy()
 
 
 def test_map_reducers_returns_chunks_in_order():
@@ -102,12 +104,11 @@ def test_map_reducers_returns_chunks_in_order():
     sizes = [1024, 1024, 452]
     assert np.array_equal(rows, np.repeat(sizes, sizes))
     for c in range(3):
-        assert np.array_equal(dB[:, c * CHUNK],
-                              increment_chunk(setup.draw_grid, 5, c, 1)[0])
+        assert np.array_equal(dB[:, c * CHUNK], draw_block(setup, 5, c, 1)[0])
 
 
-def _row_sums(dB, ctx):
-    return (dB.sum(axis=1),)
+def _row_sums(ctx):
+    return (ctx.Z.sum(axis=1),)
 
 
 def test_map_reducers_uses_the_pool_only_for_several_chunks():
@@ -157,35 +158,35 @@ def _joined(outputs):
 def test_drawing_ahead_equals_drawing_in_turn_bit_for_bit(n_paths):
     setup = _draw_setup(64)
 
-    def reduce(dB, ctx):
-        return dB.T.copy(), dB.sum(axis=1)
+    def reduce(ctx):
+        return ctx.Z.T.copy(), ctx.Z.sum(axis=1)
 
     ahead = map_reducers(setup, [reduce], 5, n_paths)
-    in_turn = [[reduce(increment_chunk(setup.draw_grid, 5, c, rows), None)]
+    in_turn = [[reduce(chunk_context(setup, draw_block(setup, 5, c, rows)))]
                for c, rows in enumerate(_chunk_rows(n_paths))]
     assert _same_bits(ahead, _joined(in_turn))
 
 
-def _chunk_index(g, seed, n):
+def _chunk_index(setup, seed, n):
     """Which of the first ``n`` chunks a drawn chunk is, by its first value."""
-    firsts = {increment_chunk(g, seed, c, 1)[0, 0]: c for c in range(n)}
-    return lambda dB: firsts[dB[0, 0]]
+    firsts = {draw_block(setup, seed, c, 1)[0, 0]: c for c in range(n)}
+    return lambda ctx: firsts[ctx.Z[0, 0]]
 
 
 def test_results_come_back_in_chunk_order_when_chunk_0_finishes_last():
     setup = _draw_setup(64)
-    which = _chunk_index(setup.draw_grid, 5, 3)
+    which = _chunk_index(setup, 5, 3)
     chunk_1_done = threading.Event()
     finished = []
 
-    def reduce(dB, ctx):
-        c = which(dB)
+    def reduce(ctx):
+        c = which(ctx)
         if c == 0:
             assert chunk_1_done.wait(timeout=10)
         finished.append(c)
         if c == 1:
             chunk_1_done.set()
-        return (np.full(len(dB), c),)
+        return (np.full(len(ctx.L), c),)
 
     ((chunks,),) = map_reducers(setup, [reduce], 5, 2 * CHUNK + 5)
     assert np.array_equal(chunks, np.repeat([0, 1, 2], [CHUNK, CHUNK, 5]))
@@ -196,7 +197,7 @@ def test_two_reducers_run_at_once_and_never_more():
     lock, both = threading.Lock(), threading.Event()
     running, peak = [0], [0]
 
-    def reduce(dB, ctx):
+    def reduce(ctx):
         with lock:
             running[0] += 1
             peak[0] = max(peak[0], running[0])
@@ -206,7 +207,7 @@ def test_two_reducers_run_at_once_and_never_more():
         time.sleep(0.005)  # a third reducer would overlap these two
         with lock:
             running[0] -= 1
-        return (np.full(len(dB), len(dB)),)
+        return (np.full(len(ctx.L), len(ctx.L)),)
 
     ((rows,),) = map_reducers(_draw_setup(8), [reduce], 5, 6 * CHUNK)
     assert np.array_equal(rows, np.full(6 * CHUNK, CHUNK))
@@ -229,9 +230,9 @@ def test_the_threads_change_no_value_under_a_short_switch_interval():
         sys.setswitchinterval(interval)
     serial = []
     for c, rows in enumerate(_chunk_rows(n_paths)):
-        dB = increment_chunk(setup.draw_grid, seed, c, rows)
+        dB = draw_block(setup, seed, c, rows)
         ctx = chunk_context(setup, dB)
-        serial.append([reduce(dB, ctx) for reduce in reducers])
+        serial.append([reduce(ctx) for reduce in reducers])
     assert _same_bits(threaded, _joined(serial))
 
 
@@ -239,12 +240,12 @@ def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
     # chunk 1 fails once chunk 2 has started beside it; chunk 3 must never
     # start, though a thread is free for it once chunk 2 is done
     setup = _draw_setup(64)
-    which = _chunk_index(setup.draw_grid, 5, 4)
+    which = _chunk_index(setup, 5, 4)
     lock, chunk_2_started = threading.Lock(), threading.Event()
     seen = []
 
-    def reduce(dB, ctx):
-        c = which(dB)
+    def reduce(ctx):
+        c = which(ctx)
         with lock:
             seen.append(c)
         if c == 2:
@@ -252,7 +253,7 @@ def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
         if c == 1:
             chunk_2_started.wait(timeout=10)
             raise RuntimeError("reducer failed on chunk 1")
-        return (np.zeros(len(dB)),)
+        return (np.zeros(len(ctx.L)),)
 
     threads = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="chunk 1"):
@@ -265,9 +266,9 @@ def test_a_failing_reducer_raises_and_stops_the_drawing_thread():
 # Reducers see row blocks: the engine joins their rows into the whole batch
 # ---------------------------------------------------------------------------
 
-def _terminal_wealth(setup, policy, dB, ctx):
-    *_, x_T, diverged = wealth_paths_chunk(setup, dB, ctx, policy)
-    assert x_T.shape == (len(dB),)
+def _terminal_wealth(setup, policy, ctx):
+    *_, x_T, diverged = wealth_paths_chunk(setup, ctx, policy)
+    assert x_T.shape == (len(ctx.L),)
     return x_T, diverged
 
 
@@ -304,22 +305,26 @@ def _row_block_cases(setup, params):
                                   "decomposition_chunk", "forward_chunk"])
 def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
                                                         monkeypatch):
-    # at 64 steps a whole chunk fits the byte budget: shrink it to 300 rows
-    # of the 33-column draw grid, so each chunk is cut into several blocks
-    monkeypatch.setattr(enlargement, "BLOCK_BYTES", 300 * 8 * 33 + 7)
+    # the forward reducer reads B from 0: its setups never take t0
+    t0 = 0.0 if name == "forward_chunk" else 0.25
     # r = 0 too: the wealth kernel's product takes the same path at every r
     for r in (0.0, 0.2):
-        params = ModelParams.benchmark(r=r, t0=0.25, sigma_fn=Affine(1.0, 0.5),
+        params = ModelParams.benchmark(r=r, t0=t0, sigma_fn=Affine(1.0, 0.5),
                                        m=Sin(1.0, 0.5, 2.0))
         setup = make_wealth_setup(params, 64)
-        assert setup.draw_grid.n_steps == 33
+        # 2 head normals, 24 increments and the carrier after t0 = 0.25
+        assert setup.draw_width == (33 if t0 == 0.0 else 27)
+        # at 64 steps a whole chunk fits the byte budget: shrink it to 300
+        # rows, so each chunk is cut into several blocks
+        monkeypatch.setattr(enlargement, "BLOCK_BYTES",
+                            300 * 8 * setup.draw_width + 7)
         reduce = _row_block_cases(setup, params)[name]
         seed = 17
         block_rows = []  # list.append is atomic: two chunks reduce at once
 
-        def counting(dB, ctx):
-            block_rows.append(len(dB))
-            return reduce(dB, ctx)
+        def counting(ctx):
+            block_rows.append(len(ctx.L))
+            return reduce(ctx)
 
         (joined,) = map_reducers(setup, [counting], seed, n_paths)
         rows = _chunk_rows(n_paths)
@@ -327,8 +332,8 @@ def test_block_parts_join_to_the_whole_chunk_bit_for_bit(name, n_paths,
             [min(300, n - start) for n in rows for start in range(0, n, 300)])
         whole = []
         for c, n in enumerate(rows):
-            dB = increment_chunk(setup.draw_grid, seed, c, n)
-            whole.append(reduce(dB, chunk_context(setup, dB)))
+            dB = draw_block(setup, seed, c, n)
+            whole.append(reduce(chunk_context(setup, dB)))
         assert _same_bits(joined,
                           tuple(np.concatenate(a, axis=-1) for a in zip(*whole)))
 
@@ -340,7 +345,7 @@ def test_a_row_longer_than_einsums_buffer_ignores_its_block():
     # contractions for the tilted policy) and on the reference
     params = ModelParams.benchmark(r=0.2)
     setup = make_wealth_setup(params, 20_000)
-    assert setup.draw_grid.n_steps == 10_001
+    assert setup.draw_width == 10_001
     policy = example1_policy(params)
     excess = make_wealth_setup(replace(params, rtilde=0.7), 20_000)
     tilted = ControlPolicy("tilted", 0.25, 0.3)
@@ -371,9 +376,9 @@ def test_no_estimator_forms_a_control_matrix(monkeypatch):
         perturbation_sweep(policy, params, spec, n, seed, steps)
         martingale_diagnostic(policy, params, n, seed, steps)
     setup = make_wealth_setup(params, steps)
-    dB = increment_chunk(setup.draw_grid, seed, 0, 4)
+    dB = draw_block(setup, seed, 0, 4)
     with pytest.raises(AssertionError, match="control matrix"):
-        wealth_paths_chunk(setup, dB, chunk_context(setup, dB), policies[0])
+        wealth_paths_chunk(setup, chunk_context(setup, dB), policies[0])
 
 
 @pytest.mark.parametrize("n_paths", [1500, 1025, 2048],
@@ -388,12 +393,13 @@ def test_block_draws_join_to_increment_chunk_bit_for_bit(n_paths,
     seed = 23
     workspaces = []  # list.append is atomic: two chunks reduce at once
 
-    def reduce(dB, ctx):
-        # B and alpha share the block's workspace of three blocks
-        assert ctx.B.base is dB.base and ctx.alpha.base is dB.base
-        workspaces.append((dB.shape, ctx.B.shape, ctx.alpha.shape,
-                           dB.base.shape))
-        return _block_lengths(dB, ctx)
+    def reduce(ctx):
+        # Z, R and D share the block's workspace of three blocks, one size
+        # for every chunk
+        assert all(a.base is ctx.Z.base for a in (ctx.R, ctx.D))
+        workspaces.append((ctx.Z.shape, ctx.R.shape, ctx.D.shape,
+                           ctx.Z.base.shape))
+        return _block_lengths(ctx)
 
     ((lengths, dB),) = map_reducers(setup, [reduce], seed, n_paths)
     rows = _chunk_rows(n_paths)
@@ -401,17 +407,58 @@ def test_block_draws_join_to_increment_chunk_bit_for_bit(n_paths,
               for start in range(0, n, 100)]
     sizes = [b for _, b in blocks]
     assert np.array_equal(lengths, np.repeat(sizes, sizes))
-    whole = [increment_chunk(setup.draw_grid, seed, c, n)
+    # at t0 = 0 a row is the first i_last + 1 normals of the chunk's stream,
+    # which increment_chunk scales by sqrt(dt)
+    whole = [chunk_rng(seed, c).standard_normal((n, setup.i_last + 1))
              for c, n in enumerate(rows)]
     assert _same_bits(dB.T, np.concatenate(whole))
+    grid = setup.grid.prefix(setup.i_last + 1)
+    scaled = [increment_chunk(grid, seed, c, n) for c, n in enumerate(rows)]
+    assert _same_bits(dB.T * math.sqrt(grid.dt), np.concatenate(scaled))
     assert sorted(workspaces) == sorted(
-        ((b, 40), (b, 40), (b, 40), (3, min(100, n), 40)) for n, b in blocks)
+        ((b, 40), (b, 40), (b, 40), (3 * enlargement.BLOCK_BYTES // 8,))
+        for _, b in blocks)
 
 
-def _aliasing(kind, dB, ctx):
-    return {"block": (dB[:, 0],),
-            "context": (ctx.B[:, -1],),
-            "drift": (ctx.alpha[:, 0],)}[kind]
+class _CountingStream:
+    """A chunk stream that adds up the normals drawn from it."""
+
+    def __init__(self, rng, drawn, chunk):
+        self.rng, self.drawn, self.chunk = rng, drawn, chunk
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.drawn.append((self.chunk, out.size))
+        return out
+
+
+@pytest.mark.parametrize("m, heads", [(1.0, 1), (Sin(1.0, 0.5, 3.0), 2)],
+                         ids=["one", "sin"])
+def test_a_chunk_after_t0_draws_its_head_increments_and_carrier_only(
+        monkeypatch, m, heads):
+    # at t0 = 0.5 of [0, 2] in 64 steps a row is the head, the N = 16
+    # increments on [t0, T) and the carrier, not the 32 + 1 from 0
+    monkeypatch.setattr(enlargement, "BLOCK_BYTES", 100 * 8 * 19)
+    drawn = []  # list.append is atomic: two chunks draw at once
+    monkeypatch.setattr(
+        enlargement, "chunk_rng",
+        lambda seed, c: _CountingStream(chunk_rng(seed, c), drawn, c))
+    setup = make_wealth_setup(ModelParams.benchmark(t0=0.5, m=m), 64)
+    n = setup.i_last - setup.i0
+    assert (n, setup.heads) == (16, heads)
+    map_reducers(setup, [_row_sums], 5, 2100)
+    per_chunk = dict.fromkeys(range(3), 0)
+    for c, size in drawn:
+        per_chunk[c] += size
+    width = heads + n + 1
+    assert per_chunk == {0: 1024 * width, 1: 1024 * width, 2: 52 * width}
+    assert len(drawn) > 3  # several blocks per chunk
+
+
+def _aliasing(kind, ctx):
+    return {"block": (ctx.Z[:, 0],),
+            "context": (ctx.R[:, -1],),
+            "drift": (ctx.D[:, 0],)}[kind]
 
 
 @pytest.mark.parametrize("kind", ["block", "context", "drift"])
@@ -427,8 +474,8 @@ def test_a_reducer_output_that_shares_the_workspace_raises(kind):
             map_reducers(setup, reducers, 3, 2100, pool)
 
 
-def _misshapen(kind, dB, ctx):
-    return {"scalar": (float(dB.sum()),),
+def _misshapen(kind, ctx):
+    return {"scalar": (float(ctx.Z.sum()),),
             "short": (ctx.L[:-1],),
             "untupled": ctx.L.copy()}[kind]
 

@@ -27,9 +27,15 @@ from insiderlab.paths import (
     constant_weight,
     increment_chunk,
     make_grid,
+    running_sum,
     sample_brownian,
 )
-from oracles import eval_L, expected_squared_drift_integral
+from oracles import (
+    draw_block,
+    eval_L,
+    expected_squared_drift_integral,
+    fold_tail,
+)
 
 ONE = constant_weight(1.0)
 
@@ -66,7 +72,7 @@ class TestInformationDrift:
         i = g.index_of(0.5)
         ((samples,),) = map_reducers(
             drift_setup(ONE, g, 1.0),
-            [lambda dB, ctx: (ctx.alpha[:, i] ** 2,)], 21, 100_000)
+            [lambda ctx: (ctx.alpha()[:, i] ** 2,)], 21, 100_000)
         assert abs(samples.mean() - 1 / 1.5) / (1 / 1.5) < 0.05
 
     def test_rejects_horizon_at_t1(self):
@@ -191,8 +197,9 @@ class TestMomentOracles:
         # trapezoid of alpha^2 along 2e4 paths vs the quadrature oracle
         g = make_grid(0, 2, 512)
 
-        def energy(dB, ctx):
-            return (np.trapezoid(ctx.alpha * ctx.alpha, dx=g.dt, axis=1),)
+        def energy(ctx):
+            alpha = ctx.alpha()
+            return (np.trapezoid(alpha * alpha, dx=g.dt, axis=1),)
 
         ((vals,),) = map_reducers(drift_setup(ONE, g, 1.0), [energy], 29,
                                   20_000)
@@ -210,8 +217,9 @@ def test_tail_square_integral_constant():
     assert np.allclose(q, 2.0 - g.times, atol=1e-12)
 
 
-def _alpha_squared(dB, ctx):
-    return ((ctx.alpha * ctx.alpha).T,)
+def _alpha_squared(ctx):
+    alpha = ctx.alpha()
+    return ((alpha * alpha).T,)
 
 
 @pytest.mark.parametrize("m", [Sin(1.0, 0.5, 1.0), Affine(1.0, 1.0)],
@@ -225,6 +233,7 @@ def test_drift_square_mean_matches_the_simulated_drift_at_every_node(m):
     ((sq,),) = map_reducers(setup, [_alpha_squared], 41, 100_000)
     exact = drift_square_mean(setup)
     assert exact.shape == (setup.i_last + 1,)
+    exact = exact[setup.i0 :]  # the context's nodes
     se = sq.std(axis=1, ddof=1) / math.sqrt(sq.shape[1])
     assert np.all(np.abs(sq.mean(axis=1) - exact) <= 4 * se)
 
@@ -232,12 +241,12 @@ def test_drift_square_mean_matches_the_simulated_drift_at_every_node(m):
 # The collapsed draw: [0, T) plus one carrier increment per path
 # ---------------------------------------------------------------------------
 
-def _L_and_B_T(dB, ctx):
-    return ctx.L, ctx.B[:, -1].copy()  # B is the block's workspace
+def _L_and_B_T(ctx):
+    return ctx.L, ctx.B_at(ctx.i_last)
 
 
 class TestCollapsedDraw:
-    """L drawn on ``draw_grid`` against the laws of the full-grid sum
+    """L drawn with the tail carrier against the laws of the full-grid sum
     sum_j m_j dB_j, under a Sin weight on a coarse grid, each estimate
     within 3 SE.  A wrong carrier factor (tail = 1, say) moves Var(L) and
     Corr(L, B_T) by many SE."""
@@ -252,7 +261,7 @@ class TestCollapsedDraw:
 
     def test_draw_grid_ends_one_step_after_T(self):
         setup = drift_setup(self.M, make_grid(0, 2, 32), 1.0)
-        assert setup.draw_grid == make_grid(0, 2, 32).prefix(17)
+        assert (setup.heads, setup.draw_width) == (0, 17)
         assert setup.tail ** 2 == pytest.approx(
             np.sum(setup.m_nodes[16:-1] ** 2), rel=1e-15)
 
@@ -281,9 +290,9 @@ def test_a_block_of_another_width_is_rejected():
     # a full-width block would have its column i_last read as the carrier
     setup = drift_setup(Sin(1.0, 0.5, 3.0), make_grid(0, 2, 32), 1.0)
     full = increment_chunk(setup.grid, 3, 0, 4)
-    with pytest.raises(ValueError, match="32 increments.*17"):
+    with pytest.raises(ValueError, match="32 normals.*17"):
         chunk_context(setup, full)
-    chunk_context(setup, increment_chunk(setup.draw_grid, 3, 0, 4))
+    chunk_context(setup, draw_block(setup, 3, 0, 4))
 
 
 @pytest.mark.parametrize("m, unit", [(ONE, True), (Affine(1.0, 0.0), True),
@@ -292,9 +301,79 @@ def test_a_block_of_another_width_is_rejected():
 def test_the_context_reuses_B_exactly_when_m_is_one(m, unit):
     setup = drift_setup(m, make_grid(0, 2, 64), 1.0)
     assert setup.unit_weight == unit
-    dB = increment_chunk(setup.draw_grid, 5, 0, 9)
+    dB = draw_block(setup, 5, 0, 9)
     ctx = chunk_context(setup, dB)
     # the general path: the running sum of m dB formed from the increments
-    alpha, L = drift_matrix(dB, setup)
-    assert ctx.alpha.tobytes() == alpha.tobytes()
-    assert ctx.L.tobytes() == L.tobytes()
+    D, L = drift_matrix(dB, setup)
+    assert ctx.D.tobytes() == D.tobytes()
+    assert ctx.L.tobytes() == (L * math.sqrt(setup.grid.dt)).tobytes()
+
+
+# The head carrier: B_{t0} and int_0^{t0} m dB from one or two normals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, heads", [(ONE, 1), (Sin(1.0, 0.5, 3.0), 2),
+                                      (2.0, 2)], ids=["one", "sin", "two"])
+def test_the_head_factor_has_the_covariance_of_the_grid_sums(m, heads):
+    grid = make_grid(0, 2, 64)
+    setup = drift_setup(m, grid, 1.0, t0=0.5)
+    assert (setup.heads, setup.draw_width) == (heads, heads + 17)
+    dt, head = grid.dt, setup.m_nodes[: setup.i0]
+    S_B, S_m, S_mm = setup.i0 * dt, head.sum() * dt, (head * head).sum() * dt
+    cov = setup.head @ setup.head.T * dt
+    np.testing.assert_allclose(cov, [[S_B, S_m], [S_m, S_mm]], rtol=1e-13)
+    if heads == 2:
+        # R_{t0} = 2 B_{t0} under m == 2: the second pivot is 0, not NaN
+        assert np.isfinite(setup.head).all()
+        assert (setup.head[1, 1] == 0.0) == (m == 2.0)
+    assert drift_setup(m, grid, 1.0).heads == 0
+
+
+def _B0_and_L(ctx):
+    return ctx.B0, ctx.L
+
+
+class TestHeadLaw:
+    """The head carrier's B_{t0} and L read through the engine under a Sin
+    weight at t0 = 0.25, against the exact moments of the grid sums, each
+    within 3 SE."""
+
+    M = Sin(1.0, 0.5, 3.0)
+    N = 200_000
+
+    def samples(self):
+        setup = drift_setup(self.M, make_grid(0, 2, 32), 1.0, t0=0.25)
+        assert setup.heads == 2
+        ((B0, L),) = map_reducers(setup, [_B0_and_L], 47, self.N)
+        return setup, B0, L
+
+    def _within_3se(self, values, target):
+        se = values.std(ddof=1) / math.sqrt(self.N)
+        assert abs(values.mean() - target) <= 3 * se
+
+    def test_moments_of_B_t0_and_L(self):
+        setup, B0, L = self.samples()
+        dt, m = setup.grid.dt, setup.m_nodes
+        self._within_3se(B0 * B0, setup.i0 * dt)
+        self._within_3se(B0 * L, float(np.sum(m[: setup.i0])) * dt)
+        self._within_3se(L * L, float(np.sum(m[:-1] ** 2)) * dt)
+
+
+def test_the_context_of_a_folded_path_reads_its_B_L_and_alpha():
+    # a full-grid path folded into a block with a two-normal head: the
+    # context gives back the path's B, L and the single-path drift
+    m = Sin(1.0, 0.5, 3.0)
+    grid = make_grid(0, 2, 64)
+    setup = drift_setup(m, grid, 1.0, t0=0.25)
+    dB = increment_chunk(grid, 7, 0, 5)
+    ctx = chunk_context(setup, fold_tail(setup, dB))
+    B = running_sum(dB)
+    for k in (setup.i0, setup.i0 + 5, setup.i_last):
+        np.testing.assert_allclose(ctx.B_at(k), B[:, k], rtol=0, atol=1e-14)
+    L = (setup.m_nodes[:-1] * dB).sum(axis=1)
+    np.testing.assert_allclose(ctx.L, L, rtol=0, atol=1e-14)
+    for row in range(len(dB)):
+        field = InfoDriftField(m, BrownianPath(grid, B[row]), 1.0,
+                               L=float(ctx.L[row]))
+        np.testing.assert_allclose(ctx.alpha()[row], field.alpha[setup.i0 :],
+                                   rtol=1e-13, atol=1e-14)

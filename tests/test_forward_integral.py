@@ -29,7 +29,7 @@ from insiderlab.paths import (
     make_grid,
     sample_brownian,
 )
-from oracles import fold_tail
+from oracles import draw_block, fold_tail
 
 
 def const_integrand(grid, c=1.0):
@@ -191,28 +191,31 @@ def _sin_chunk(rows=7, n_steps=128, seed=12):
 
 def _full_path_drift(setup, dB):
     """alpha of every row's path, with L summed over all of [0, T1]."""
-    return drift_matrix(dB, setup, (setup.m_nodes[:-1] * dB).sum(axis=1))[0]
+    D, _ = drift_matrix(dB, setup, (setup.m_nodes[:-1] * dB).sum(axis=1))
+    return D * setup.drift_scale / math.sqrt(setup.grid.dt)
 
 
-def _forward_chunk_rows(setup, T, ladder, dB):
-    """The per-row loop that ``_forward_chunk`` replaced, kept as its oracle."""
+def _forward_chunk_rows(setup, T, ladder, block):
+    """The per-row loop that ``_forward_chunk`` replaced, kept as its
+    oracle, on a block of normals from t0 = 0: B and the drift integrand
+    in the block's units, the estimate scaled back by dt."""
     grid = setup.grid
     dt = grid.dt
     i_last = grid.index_of(T)
-    alpha = _full_path_drift(setup, dB)
-    devs = np.empty((dB.shape[0], len(ladder)))
+    D, _ = drift_matrix(block, setup)
+    devs = np.empty((block.shape[0], len(ladder)))
     exact = {"one": True, "brownian": True, "drift": True}
-    for i in range(dB.shape[0]):
-        values = np.concatenate([[0.0], np.cumsum(dB[i])])
-        B = BrownianPath(grid, values).restrict(T)
-        target = 0.5 * (B.values[-1] ** 2 - T)
+    for i in range(block.shape[0]):
+        values = np.concatenate([[0.0], np.cumsum(block[i, :i_last])])
+        B = BrownianPath(grid.prefix(i_last), values)
+        target = 0.5 * (dt * B.values[-1] ** 2 - T)
         vB = Integrand(B.grid, B.values)
         for j, k in enumerate(ladder):
-            devs[i, j] = abs(forward_estimate(vB, B, eps=k * dt) - target)
+            devs[i, j] = abs(dt * forward_estimate(vB, B, eps=k * dt) - target)
         for label, vals in (
             ("one", np.ones(i_last + 1)),
             ("brownian", B.values),
-            ("drift", alpha[i]),
+            ("drift", D[i]),
         ):
             v = Integrand(B.grid, vals)
             if forward_estimate(v, B, eps=dt) != ito_left_sum(v, B):
@@ -275,9 +278,9 @@ def test_an_integrand_that_is_not_finite_is_rejected(bad):
 def test_forward_chunk_matches_the_per_row_loop(ladder):
     params, setup, dB = _sin_chunk(rows=9)
     block = fold_tail(setup, dB)
-    devs, exact = _forward_chunk(setup.grid, params.T, ladder, block,
+    devs, exact = _forward_chunk(setup.grid, params.T, ladder,
                                  chunk_context(setup, block))
-    want_devs, want_exact = _forward_chunk_rows(setup, params.T, ladder, dB)
+    want_devs, want_exact = _forward_chunk_rows(setup, params.T, ladder, block)
     assert devs.shape == (len(ladder), dB.shape[0])
     assert np.array_equal(devs, want_devs.T)
     assert exact.shape == (3, dB.shape[0]) and exact.dtype == bool
@@ -379,12 +382,12 @@ def test_forward_chunk_holds_one_increment_matrix_at_a_time():
     params = ModelParams.benchmark()
     setup = drift_setup(params.m, params.grid(8192), params.T)
     assert setup.i_last == 4096
-    block = increment_chunk(setup.draw_grid, 5, 0, 63)
+    block = draw_block(setup, 5, 0, 63)
     ctx = chunk_context(setup, block)
-    size = ctx.B.nbytes
+    size = ctx.R.nbytes
     tracemalloc.start()
     try:
-        _forward_chunk(setup.grid, params.T, [8, 4, 2, 1], block, ctx)
+        _forward_chunk(setup.grid, params.T, [8, 4, 2, 1], ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -313,10 +313,13 @@ def test_example1_policy_matches_half_alpha_on_benchmark():
     pol = example1_policy(params)
     from insiderlab.controlled_sde import ChunkContext
 
+    # a context whose D is alpha itself: a unit drift scale
+    values = field.path.values[None, : field.i_last + 1]
     ctx = ChunkContext(
         times=field.path.grid.times, dt=field.path.grid.dt, i0=0,
-        i_last=field.i_last, L=np.array([field.L]),
-        alpha=field.alpha[None, :], B=field.path.values[None, : field.i_last + 1],
+        i_last=field.i_last, drift_scale=np.ones(field.i_last + 1),
+        Z=np.diff(values, append=np.nan), R=values, D=field.alpha[None, :],
+        B0=np.zeros(1), L=np.array([field.L]),
     )
     u = pol.control(ctx)
     assert np.array_equal(u[0], field.alpha / 2.0)

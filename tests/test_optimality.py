@@ -10,6 +10,7 @@ import pytest
 from insiderlab.controlled_sde import (
     ControlPolicy,
     NodeSum,
+    affine_cost_mean,
     constant_policy,
     cost_sum,
     make_wealth_setup,
@@ -52,7 +53,6 @@ from insiderlab.paths import (
     Affine,
     Sin,
     constant_weight,
-    increment_chunk,
     make_grid,
     sample_brownian,
 )
@@ -60,7 +60,7 @@ from oracles import (
     MOSTLY_FLAT,
     RARE_OVERFLOW,
     RARE_PARAMS,
-    affine_cost_mean,
+    draw_block,
     fold_tail,
     nu_path,
     perturbed_policy,
@@ -221,11 +221,11 @@ def _curvature(setup, window):
     return setup.a * setup.trapezoid[ilo - setup.i0 : ihi - setup.i0].sum()
 
 
-def direct_costs(setup, dB, policy, spec, y, params):
+def direct_costs(setup, ctx, policy, spec, y, params):
     """Oracle: per-path cost of the perturbed policy from its own pass of
     the reference kernel."""
     pert = perturbed_policy(policy, spec, y, params)
-    return reference_cost(setup, pert, dB, chunk_context(setup, dB))
+    return reference_cost(setup, pert, ctx)
 
 
 def reference_cost_mc(policy, params, n_paths, seed, n_steps):
@@ -241,11 +241,11 @@ def reference_cost_mc(policy, params, n_paths, seed, n_steps):
 def test_cost_chunk_is_the_trapezoid_cost_of_the_terminal_wealth(r):
     params = ModelParams.benchmark(r=r, t0=0.25, a=2.0, b=1.5, x0=0.5)
     setup = make_wealth_setup(params, 512)
-    dB = increment_chunk(setup.draw_grid, 7, 0, 64)
+    dB = draw_block(setup, 7, 0, 64)
     ctx = chunk_context(setup, dB)
     pol = example1_policy(params)
-    (vals,) = cost_chunk(cost_sum(setup, pol), dB, ctx)
-    _, u, x_T, _ = wealth_paths_chunk(setup, dB, ctx, pol)
+    (vals,) = cost_chunk(cost_sum(setup, pol), ctx)
+    _, u, x_T, _ = wealth_paths_chunk(setup, ctx, pol)
     want = np.trapezoid(2.0 * u * u, dx=setup.grid.dt, axis=1) - 1.5 * x_T
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
@@ -284,7 +284,7 @@ class TestSweepCoefficients:
         setup = make_wealth_setup(params, 512)
         spec = PerturbationSpec(window, theta0=theta0)
         ilo_ihi = window_indices(setup.grid, window, params.t0, params.T)
-        dB = increment_chunk(setup.draw_grid, 61, 0, 256)
+        dB = draw_block(setup, 61, 0, 256)
         pol = example1_policy(params)
         if blind:
             pol = uninformed(pol)
@@ -292,14 +292,14 @@ class TestSweepCoefficients:
         cost = cost_sum(setup, pol)
         ((c0, c1, c2),) = sweep_coefficients(
             cost, spec, sweep_window(setup, pol, ilo_ihi),
-            _curvature(setup, ilo_ihi), dB, ctx)
+            _curvature(setup, ilo_ihi), ctx)
         assert np.all(np.isfinite([c0, c1, c2]))
         for y in spec.y_grid:
-            (want,) = direct_costs(setup, dB, pol, spec, y, params)
+            (want,) = direct_costs(setup, ctx, pol, spec, y, params)
             assert np.all(np.isfinite(want))
             got = c0 + y * (c1 + y * c2)
             if y == 0.0:  # F(0) is the base policy's cost, bit for bit
-                assert np.array_equal(got, cost_chunk(cost, dB, ctx)[0])
+                assert np.array_equal(got, cost_chunk(cost, ctx)[0])
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= self.RTOL * scale
 
@@ -330,12 +330,11 @@ class TestSweepCoefficients:
         window = sweep_window(setup, pol, ilo_ihi)
         curvature = _curvature(setup, ilo_ihi)
 
-        def bad_rows(dB, ctx):
-            (coeffs,) = sweep_coefficients(cost, spec, window, curvature, dB,
-                                           ctx)
+        def bad_rows(ctx):
+            (coeffs,) = sweep_coefficients(cost, spec, window, curvature, ctx)
             bad = ~np.all(np.isfinite(coeffs), axis=0)
             for y in spec.y_grid:
-                (want,) = direct_costs(setup, dB, pol, spec, y, params)
+                (want,) = direct_costs(setup, ctx, pol, spec, y, params)
                 assert np.array_equal(bad, ~np.isfinite(want))
             return (bad,)
 
@@ -462,19 +461,19 @@ class TestMartingaleDiagnostic:
         params = ModelParams.benchmark()
         policy = example1_policy(params)
         setup = make_wealth_setup(params, 256)
-        dB = increment_chunk(setup.draw_grid, 41, 0, 64)
+        dB = draw_block(setup, 41, 0, 64)
         ctx = chunk_context(setup, dB)
         windows = [sweep_window(setup, policy, window_indices(
             setup.grid, w, params.t0, params.T)) for w in quarter_windows(1.0)]
         test_fns = default_test_functions()
         priced, rows = [], NodeSum.rows
 
-        def counting(self, dB, ctx):
+        def counting(self, ctx):
             priced.append(self)
-            return rows(self, dB, ctx)
+            return rows(self, ctx)
 
         monkeypatch.setattr(NodeSum, "rows", counting)
-        (prods,) = _martingale_chunk(windows, test_fns, dB, ctx)
+        (prods,) = _martingale_chunk(windows, test_fns, ctx)
         assert [id(s) for s in priced] == [id(w) for w in windows]
         assert prods.shape == (len(windows) * len(test_fns), len(dB))
 
@@ -505,31 +504,31 @@ class TestNuPath:
     def make_chunk(self, params, seed, n_steps=512):
         setup = make_wealth_setup(params, n_steps)
         B = sample_brownian(setup.grid, seed)
-        dB = fold_tail(setup, np.diff(B.values)[None, :])
-        ctx, u, _, _ = wealth_paths_chunk(setup, dB, chunk_context(setup, dB),
+        block = fold_tail(setup, np.diff(B.values)[None, :])
+        ctx, u, _, _ = wealth_paths_chunk(setup, chunk_context(setup, block),
                                           example2_policy(params))
-        return setup, B, dB, ctx, u
+        return setup, B, ctx, u
 
     def test_starts_at_zero(self):
-        setup, B, dB, ctx, u = self.make_chunk(example2_params(), 43)
-        assert nu_path(setup, u, dB)[0] == 0.0
+        setup, B, ctx, u = self.make_chunk(example2_params(), 43)
+        assert nu_path(setup, u, ctx)[0] == 0.0
 
     def test_optimal_nu_is_minus_btilde(self):
         # for dX = u dt + u dB with a = b = 1: N_{u*} = -Btilde node by node
         params = example2_params()
-        setup, B, dB, ctx, u = self.make_chunk(params, 45)
+        setup, B, ctx, u = self.make_chunk(params, 45)
         field = InfoDriftField(params.m, B, horizon=params.T)
         btilde = decompose(B, field)
-        nu = nu_path(setup, u, dB)
+        nu = nu_path(setup, u, ctx)
         assert np.max(np.abs(nu + btilde.values)) < 1e-12
 
     def test_increments_match_path_differences(self):
         params = example2_params()
-        setup, B, dB, ctx, u = self.make_chunk(params, 47)
+        setup, B, ctx, u = self.make_chunk(params, 47)
         ilo, ihi = setup.grid.index_of(0.25), setup.grid.index_of(0.75)
         window = sweep_window(setup, example2_policy(params), (ilo, ihi))
-        inc = nu_increments([window, window], dB, ctx)
-        nu = nu_path(setup, u, dB)
+        inc = nu_increments([window, window], ctx)
+        nu = nu_path(setup, u, ctx)
         assert inc.shape == (2, 1) and inc[0, 0] == inc[1, 0]
         assert inc[0, 0] == pytest.approx(nu[ihi] - nu[ilo],
                                           abs=1e-13)

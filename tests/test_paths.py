@@ -140,15 +140,16 @@ def test_restrict_shares_prefix_values():
 
 
 def _draw_setup(width):
-    """A drift setup whose draw grid is [0, 1] in ``width`` steps."""
+    """A drift setup from t0 = 0 whose rows are ``width`` normals: the
+    increments on [0, 1) and the carrier."""
     return drift_setup(1.0, make_grid(0, 2, 2 * width), 1 - 1 / width)
 
 
 def test_increment_chunks_are_stream_stable():
     setup = _draw_setup(16)
 
-    def copy(db, ctx):
-        return (db.T.copy(),)
+    def copy(ctx):
+        return (ctx.Z.T.copy(),)
 
     ((full,),) = map_reducers(setup, [copy], 5, 2500)
     # a shorter batch reproduces a row-for-row prefix of the longer one
@@ -158,7 +159,8 @@ def test_increment_chunks_are_stream_stable():
 
 
 def test_chunk_sampler_matches_moments():
-    ((total,),) = map_reducers(_draw_setup(4), [lambda db, ctx: (db.sum(axis=1),)],
-                               9, 50_000)
+    ((total,),) = map_reducers(
+        _draw_setup(4),
+        [lambda ctx: (math.sqrt(ctx.dt) * ctx.Z.sum(axis=1),)], 9, 50_000)
     assert abs(total.mean()) < 3.0 / math.sqrt(50_000)
     assert abs(total.var() - 1.0) < 0.05

@@ -2,8 +2,9 @@
 
 Every per-path functional of an estimator is a ``controlled_sde.NodeSum``,
 so ``paths.row_dot`` is called only by ``NodeSum.rows``, by the forward
-integral's one contraction and by the reference kernel
-``wealth_paths_chunk``.  Two builders make every such sum: a policy's
+integral's one contraction, by the reference kernel ``wealth_paths_chunk``
+and by the head carrier's two sums per block
+(``enlargement.DriftSetup.head_sums``).  Two builders make every such sum: a policy's
 cost (``cost_sum``) and the window sum that is both the perturbation's c1
 and the martingale's N_u increment (``sweep_window``).  A row diverges
 exactly when a value that its estimate reads is not finite, and in
@@ -18,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "insiderlab"
 
 ROW_DOT_CALLERS = {("controlled_sde.py", "NodeSum.rows"),
                    ("controlled_sde.py", "wealth_paths_chunk"),
+                   ("enlargement.py", "DriftSetup.head_sums"),
                    ("forward_integral.py", "_contract")}
 NODE_SUM_CALLERS = {("controlled_sde.py", "cost_sum"),
                     ("optimality.py", "sweep_window")}
